@@ -26,7 +26,6 @@ from .experiment import (
     compute_exposures,
     enumerate_assignments,
     estimator_value,
-    first_order_probabilities,
     observation_indices,
     pair_observation_probabilities,
     sample_assignments,

@@ -4,6 +4,10 @@ diagnostics that guide which bound to pick in the first place.
 The estimator is inverse-pair-probability weighting over the observed
 coordinates of theta: a bound whose coefficients vanish on every never-jointly-
 observed pair is estimated without bias.
+
+The diagnostics Cov(R) and the empirical MSE average over the same
+assignment blocks as the design moments in ``experiment``, with the same
+weights: probabilities in exact mode, one per draw in Monte Carlo mode.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from .errors import (
     SupportTooLarge,
 )
 from .experiment import (
-    SecondOrderTable,
-    _mode_provenance,
+    DEFAULT_SUPPORT_CAP,
+    _AssignmentBlocks,
     _observation_matrix,
-    _sampled_chunks,
-    enumerate_assignments,
+    _second_order_table,
+    _weighted_moments,
+    enumerate_assignments,  # noqa: F401  (in this namespace; the benchmark tracer wraps it here)
     observation_indices,
-    pair_observation_probabilities,
 )
 
 # exact Cov(R) materializes a 4n^2 x 4n^2 matrix; keep it desk sized
@@ -189,62 +193,31 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
                         seed=None, threads=1, support_tol=SUPPORT_TOL):
     """Operator norm of Cov(R), the inverse-propensity indicator covariance.
 
-    Exact mode enumerates the design (capped at n <= 8 because the covariance
-    has 4n^2 coordinates per side); Monte Carlo mode estimates the covariance
-    from sampled assignments and extracts the top eigenvalue by power
+    Both modes average over the same assignment blocks: exact mode over the
+    enumerated design (capped at n <= 8 because the covariance has 4n^2
+    coordinates per side) and takes the top eigenvalue directly; Monte Carlo
+    mode over sampled assignments and extracts the top eigenvalue by power
     iteration. The indicators live on the support of B: entries within
     ``support_tol`` (relative) of zero do not count. When ``table`` is
     omitted it is computed in the matching mode (for Monte Carlo, from the
     same draws that feed the covariance).
     """
     B = linalg.check_symmetric(B, name="B")
-    if mode == "exact":
-        if model.n > EXACT_RCOV_UNIT_CAP:
-            raise SupportTooLarge(
-                f"exact Cov(R) is capped at n <= {EXACT_RCOV_UNIT_CAP}, got n = {model.n}"
-            )
-        if table is None:
-            table = pair_observation_probabilities(design, model)
-        support = enumerate_assignments(design)
-        Z = np.array([z for z, _ in support], dtype=np.int64)
-        probs = np.array([p for _, p in support])
-        obs = _observation_matrix(model, Z)
-        R = _r_vectors(B, table, obs, support_tol)
-        mean = probs @ R
-        centered = R - mean
-        cov = (centered * probs[:, None]).T @ centered
-        top = float(np.linalg.eigvalsh(linalg.symmetrize(cov))[-1])
-        return RDiagnostics(opnorm_cov_R=max(top, 0.0),
-                            provenance=_mode_provenance("exact", None, None))
-    if mode != "mc":
-        raise InvalidDesign(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if count is None or seed is None:
-        raise InvalidDesign("mc mode needs count and seed")
-    chunks = _sampled_chunks(design, seed, count, threads)
+    if mode == "exact" and model.n > EXACT_RCOV_UNIT_CAP:
+        raise SupportTooLarge(
+            f"exact Cov(R) is capped at n <= {EXACT_RCOV_UNIT_CAP}, got n = {model.n}"
+        )
+    blocks = _AssignmentBlocks(design, mode, count, seed, threads)
     if table is None:
-        dim2 = 2 * model.n
-        gram2 = np.zeros((dim2, dim2))
-        for Z in chunks:
-            obs = _observation_matrix(model, Z).astype(float)
-            gram2 += obs.T @ obs
-        P2 = linalg.symmetrize(gram2 / count)
-        table = SecondOrderTable(P2=P2, pi=np.diag(P2).copy(),
-                                 provenance=_mode_provenance("mc", count, seed))
-    dim = (2 * model.n) ** 2
-    gram = np.zeros((dim, dim))
-    total = np.zeros(dim)
-    for Z in chunks:
-        R = _r_vectors(B, table, _observation_matrix(model, Z), support_tol)
-        gram += R.T @ R
-        total += R.sum(axis=0)
-    mean = total / count
-
-    def matvec(v):
-        return gram @ v / count - mean * float(mean @ v)
-
-    top = _power_iteration_opnorm(matvec, dim)
-    return RDiagnostics(opnorm_cov_R=max(top, 0.0),
-                        provenance=_mode_provenance("mc", count, seed))
+        table = _second_order_table(model, blocks)
+    mean, second = _weighted_moments(
+        blocks, lambda Z: _r_vectors(B, table, _observation_matrix(model, Z), support_tol)
+    )
+    if mode == "exact":
+        top = float(np.linalg.eigvalsh(linalg.symmetrize(second - np.outer(mean, mean)))[-1])
+    else:
+        top = _power_iteration_opnorm(lambda v: second @ v - mean * float(mean @ v), len(mean))
+    return RDiagnostics(opnorm_cov_R=max(top, 0.0), provenance=blocks.provenance)
 
 
 def _conjugate(p, q):
@@ -298,38 +271,34 @@ def mse_upper_bound(diag, theta_stats, B, n, p=1.0, q=math.inf):
 
 
 def empirical_mse(design, model, B, table=None, theta=None, mode="exact", count=None,
-                  seed=None, threads=1, threshold_c=0.0, max_support=None):
+                  seed=None, threads=1, threshold_c=0.0, max_support=DEFAULT_SUPPORT_CAP):
     """Mean squared error of the bound estimator around the true bound value.
 
-    Exact mode enumerates the design: sum of p_z (estimate(z) - value)^2 with
-    value = theta' B theta / n^2. Monte Carlo mode averages over sampled
-    assignments. The observation table is computed exactly when omitted.
+    The weighted average, over the enumerated design (exact) or sampled
+    assignments (mc), of (estimate(z) - value)^2 with value =
+    theta' B theta / n^2. Each estimate is the row-wise quadratic form
+    y' M y / n^2 with y the observed coordinates of theta and M = B / P2 on
+    the support of B. When ``table`` is omitted it is computed in the matching
+    mode, from the same enumeration or draws.
     """
     if theta is None:
         raise InvalidDesign("empirical_mse needs a full outcome vector theta")
+    blocks = _AssignmentBlocks(design, mode, count, seed, threads, max_support)
     if table is None:
-        table = pair_observation_probabilities(design, model)
+        table = _second_order_table(model, blocks)
+    B = linalg.check_symmetric(B, name="B")
+    check_bound_compatible(B, table, threshold_c)
     theta = np.asarray(theta, dtype=float)
     n = model.n
     target = linalg.quadratic_form_value(B, theta, n)
-    if mode == "exact":
-        kwargs = {} if max_support is None else {"max_support": max_support}
-        support = enumerate_assignments(design, **kwargs)
-        total = 0.0
-        for z, prob in support:
-            est = ht_bound_estimate(B, observe(model, z, theta), table, n, threshold_c)
-            total += prob * (est - target) ** 2
-        return total
-    if mode != "mc":
-        raise InvalidDesign(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if count is None or seed is None:
-        raise InvalidDesign("mc mode needs count and seed")
-    total = 0.0
-    for Z in _sampled_chunks(design, seed, count, threads):
-        for z in Z:
-            est = ht_bound_estimate(B, observe(model, tuple(z), theta), table, n, threshold_c)
-            total += (est - target) ** 2
-    return total / count
+    M = np.divide(B, table.P2, out=np.zeros_like(B), where=_support_mask(B))
+
+    def error(Z):
+        Y = _observation_matrix(model, Z) * theta
+        return (np.einsum("ij,ij->i", Y @ M, Y) / float(n) ** 2 - target)[:, None]
+
+    _, mse = _weighted_moments(blocks, error)
+    return float(mse[0, 0])
 
 
 def estimation_gamma(diag, sup_theta):

@@ -8,6 +8,12 @@ coefficient vector V, the covariance matrix A, the joint observation table P2
 and the unobservable-pair set Omega all share this ordering. Indices are
 0-based in code; file formats that use 1-based indices convert at the I/O
 boundary.
+
+Every design moment (pi = diag(P2), P2, A) is one weighted average over
+blocks of assignment rows, in exact and Monte Carlo mode alike; only the
+weights differ (see ``_AssignmentBlocks``). The scalar ``compute_exposures``,
+``observation_indices`` and ``coefficient_vector`` are per-assignment
+references for the batched ``_observation_matrix`` and ``_batch_coefficients``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice
 from typing import Mapping
 
 import numpy as np
@@ -36,6 +42,10 @@ from .errors import (
 Bits = tuple[int, ...]
 
 DEFAULT_SUPPORT_CAP = 1 << 20
+
+# assignment rows per block in every moment computation; bounds the memory of
+# the per-block observation and coefficient matrices
+BLOCK_ROWS = 4096
 
 # singular values below this fraction of the largest are treated as zero in
 # regression coefficient computations
@@ -159,6 +169,85 @@ class Design:
         raise InvalidDesign(f"unknown design kind {self.kind!r}")
 
 
+def _bit_rows(start, stop, width):
+    """Rows start..stop-1 of the 0/1 matrix that counts in binary over ``width``
+    columns, most significant bit first, so the rows are in lexicographic order."""
+    r = np.arange(start, stop, dtype=np.int64)[:, None]
+    return (r >> np.arange(width - 1, -1, -1, dtype=np.int64)) & 1
+
+
+def _support_rows(design, size):
+    """Blocks of (assignment rows, probabilities) covering the support in
+    lexicographic order of the rows, zero-probability rows included."""
+    n = design.n
+    starts = range(0, size, BLOCK_ROWS)
+    if design.kind == "bernoulli":
+        p = np.asarray(design.p)
+        for s in starts:
+            Z = _bit_rows(s, min(s + BLOCK_ROWS, size), n)
+            yield Z, np.prod(np.where(Z == 1, p, 1.0 - p), axis=1)
+    elif design.kind == "paired":
+        # pairs are disjoint, so rows sort by the pairs in order of their
+        # smaller unit, and within a pair treating the smaller unit sorts last
+        pairs = np.sort(np.array(design.pairs), axis=1)
+        lo, hi = pairs[np.argsort(pairs[:, 0])].T
+        for s in starts:
+            C = _bit_rows(s, min(s + BLOCK_ROWS, size), len(lo))
+            Z = np.empty((len(C), n), dtype=np.int64)
+            Z[:, lo] = C
+            Z[:, hi] = 1 - C
+            yield Z, np.full(len(C), 1.0 / size)
+    elif design.kind in ("complete-randomization", "cluster"):
+        # complete randomization treats m singleton clusters; clusters are
+        # disjoint, so rows sort like the cluster choice vectors with clusters
+        # in order of their smallest unit, which is lexicographic order of the
+        # untreated clusters
+        groups = design.clusters or tuple((i,) for i in range(n))
+        groups = sorted(groups, key=min)
+        member = np.zeros((len(groups), n), dtype=np.int64)
+        for c, units in enumerate(groups):
+            member[c, list(units)] = 1
+        untreated = combinations(range(len(groups)), len(groups) - design.m)
+        while rows := list(islice(untreated, BLOCK_ROWS)):
+            idx = np.array(rows, dtype=np.int64)
+            chosen = np.ones((len(rows), len(groups)), dtype=np.int64)
+            chosen[np.arange(len(rows))[:, None], idx] = 0
+            yield chosen @ member, np.full(len(rows), 1.0 / size)
+    elif design.kind == "explicit":
+        for s in starts:
+            rows = design.table[s:s + BLOCK_ROWS]
+            yield (np.array([z for z, _ in rows], dtype=np.int64),
+                   np.array([prob for _, prob in rows]))
+    else:
+        raise InvalidDesign(f"unknown design kind {design.kind!r}")
+
+
+def _support_blocks(design, max_support=DEFAULT_SUPPORT_CAP):
+    """The design's support as (Z, probabilities) blocks of at most BLOCK_ROWS
+    rows, in lexicographic order of the rows, zero-probability rows skipped.
+
+    Raises SupportTooLarge before the first block when the support exceeds
+    ``max_support``, and InvalidDesign after the last block when the
+    probabilities do not sum to one within 1e-12.
+    """
+    size = design.support_size()
+    if size > max_support:
+        raise SupportTooLarge(
+            f"{design.kind} design has support {size} > cap {max_support}; "
+            "use Monte Carlo sampling"
+        )
+    total = 0.0
+    for Z, prob in _support_rows(design, size):
+        keep = prob > 0.0
+        if not np.all(keep):
+            Z, prob = Z[keep], prob[keep]
+        if len(prob):
+            total += float(prob.sum())
+            yield Z, prob
+    if abs(total - 1.0) > 1e-12:
+        raise InvalidDesign(f"enumerated probabilities sum to {total!r}")
+
+
 def enumerate_assignments(design, max_support=DEFAULT_SUPPORT_CAP):
     """Full support of a design as (assignment, probability) pairs.
 
@@ -167,51 +256,11 @@ def enumerate_assignments(design, max_support=DEFAULT_SUPPORT_CAP):
     support exceeds ``max_support`` (use sampling instead) and skips
     zero-probability assignments.
     """
-    size = design.support_size()
-    if size > max_support:
-        raise SupportTooLarge(
-            f"{design.kind} design has support {size} > cap {max_support}; "
-            "use Monte Carlo sampling"
-        )
-    n = design.n
-    out: list[tuple[Bits, float]] = []
-    if design.kind == "bernoulli":
-        for bits in product((0, 1), repeat=n):
-            prob = 1.0
-            for b, pi in zip(bits, design.p):
-                prob *= pi if b else 1.0 - pi
-            if prob > 0.0:
-                out.append((bits, prob))
-    elif design.kind == "complete-randomization":
-        prob = 1.0 / math.comb(n, design.m)
-        for subset in combinations(range(n), design.m):
-            bits = tuple(1 if i in subset else 0 for i in range(n))
-            out.append((bits, prob))
-        out.sort()
-    elif design.kind == "cluster":
-        K = len(design.clusters)
-        prob = 1.0 / math.comb(K, design.m)
-        for chosen in combinations(range(K), design.m):
-            treated = {i for c in chosen for i in design.clusters[c]}
-            bits = tuple(1 if i in treated else 0 for i in range(n))
-            out.append((bits, prob))
-        out.sort()
-    elif design.kind == "paired":
-        prob = 1.0 / 2 ** len(design.pairs)
-        for choice in product((0, 1), repeat=len(design.pairs)):
-            bits = [0] * n
-            for (a, b), who in zip(design.pairs, choice):
-                bits[a if who == 0 else b] = 1
-            out.append((tuple(bits), prob))
-        out.sort()
-    elif design.kind == "explicit":
-        out = [(z, prob) for z, prob in design.table if prob > 0.0]
-    else:
-        raise InvalidDesign(f"unknown design kind {design.kind!r}")
-    total = sum(prob for _, prob in out)
-    if abs(total - 1.0) > 1e-12:
-        raise InvalidDesign(f"enumerated probabilities sum to {total!r}")
-    return out
+    return [
+        (tuple(z), prob)
+        for Z, probs in _support_blocks(design, max_support)
+        for z, prob in zip(Z.tolist(), probs.tolist())
+    ]
 
 
 def sample_assignments(design, seed, count, rng=None):
@@ -371,35 +420,33 @@ def observation_indices(model, z):
 def _observation_matrix(model, Z):
     """Boolean (count, 2n) matrix of observation indicators for assignment rows Z."""
     Z = np.asarray(Z, dtype=np.int64)
-    count, n = Z.shape
+    n = Z.shape[1]
     a, b = model.contrast
     if model.rule == "identity":
-        obs = np.empty((count, 2 * n), dtype=bool)
-        obs[:, :n] = Z == 1
-        obs[:, n:] = Z == 0
-        return obs
+        return np.concatenate([Z == 1, Z == 0], axis=1)
     if model.rule == "spillover":
-        adj = np.zeros((n, n), dtype=np.int64)
+        adj = np.zeros((n, n))  # float, so the neighbour count below runs through BLAS
         for i, nbrs in enumerate(model.adjacency):
-            adj[i, list(nbrs)] = 1
-        any_nbr = (Z @ adj.T) > 0
+            adj[i, list(nbrs)] = 1.0
         direct = Z == 1
-        indirect = (~direct) & any_nbr
-        isolated = (~direct) & (~any_nbr)
+        any_nbr = Z @ adj.T > 0
         by_label = {
             SPILLOVER_DIRECT: direct,
-            SPILLOVER_INDIRECT: indirect,
-            SPILLOVER_ISOLATED: isolated,
+            SPILLOVER_INDIRECT: ~direct & any_nbr,
+            SPILLOVER_ISOLATED: ~direct & ~any_nbr,
         }
-        obs = np.empty((count, 2 * n), dtype=bool)
-        obs[:, :n] = by_label[a]
-        obs[:, n:] = by_label[b]
-        return obs
-    obs = np.zeros((count, 2 * n), dtype=bool)
-    for r in range(count):
-        for k in observation_indices(model, tuple(Z[r])):
-            obs[r, k] = True
-    return obs
+        return np.concatenate([by_label[a], by_label[b]], axis=1)
+    # table rule: look every row up among the table's assignments
+    keys = np.array(list(model.table), dtype=np.int64).reshape(-1, n)
+    _, inverse = np.unique(np.concatenate([keys, Z]), axis=0, return_inverse=True)
+    entry = np.full(len(keys) + len(Z), -1)
+    entry[inverse.reshape(-1)[: len(keys)]] = np.arange(len(keys))
+    hit = entry[inverse.reshape(-1)[len(keys):]]
+    if np.any(hit < 0):
+        bits = tuple(int(v) for v in Z[np.argmax(hit < 0)])
+        raise RuleUndefined(f"exposure table has no entry for assignment {bits}")
+    labels = np.array(list(model.table.values()), dtype=object).reshape(-1, n)[hit]
+    return np.concatenate([labels == a, labels == b], axis=1).astype(bool)
 
 
 # -- linear estimators -------------------------------------------------------------
@@ -443,20 +490,22 @@ def _weighted_indicator(indicator, pi, kind):
 
 
 def _pinv_row(Q, row, what):
-    """Row ``row`` of the pseudo-inverse of Q, with an identification check.
+    """Row ``row`` of the pseudo-inverse of each matrix in the stack Q, with an
+    identification check.
 
-    Uses a singular-value cutoff of REGRESSION_RCOND times the largest
-    singular value; a cutoff that actually triggers emits a warning, and the
-    requested coefficient must be orthogonal to the null space of Q or the
-    regression is reported as singular.
+    Uses a singular-value cutoff of REGRESSION_RCOND times each matrix's
+    largest singular value; a cutoff that actually triggers emits a warning,
+    and the requested coefficient must be orthogonal to the null space of Q or
+    the regression is reported as singular.
     """
     U, s, Vt = np.linalg.svd(Q, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s.shape[-1] == 0 or np.any(s[..., 0] == 0.0):
         raise SingularRegression(f"{what}: design matrix is zero")
-    keep = s > REGRESSION_RCOND * s[0]
+    keep = s > REGRESSION_RCOND * s[..., :1]
+    coef = Vt[..., :, row]
     if not np.all(keep):
-        null_mass = float(np.linalg.norm(Vt[~keep][:, row]))
-        if null_mass > 1e-8:
+        null_mass = np.linalg.norm(np.where(keep, 0.0, coef), axis=-1)
+        if np.any(null_mass > 1e-8):
             raise SingularRegression(
                 f"{what}: contrast coefficient lies in the null space of the design matrix"
             )
@@ -466,32 +515,42 @@ def _pinv_row(Q, row, what):
             stacklevel=3,
         )
     inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (Vt.T[row] * inv_s) @ U.T
+    return np.einsum("...r,...nr->...n", coef * inv_s, U)
 
 
-def _regression_unit_coefficients(spec, in_a, in_b, pi, n):
-    """Per-unit coefficients c for ols / lin / greg (exposure-indicator regressors)."""
+def _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi):
+    """Per-unit coefficients c for ols / lin / greg (exposure-indicator
+    regressors), one row per assignment row of Z with indicators in_a, in_b."""
+    outside = (in_a == 0) & (in_b == 0)
+    if np.any(outside):
+        bad, off = (int(i) for i in np.argwhere(outside)[0])
+        raise IncompatibleEstimator(
+            f"{spec.kind}: unit {off} realized exposure "
+            f"{compute_exposures(model, Z[bad])[off]!r}, outside the "
+            "contrast; regression estimators need two-label exposures"
+        )
+    n = model.n
     X = spec.covariates
     if X.shape[0] != n:
         raise DimensionMismatch(f"covariates have {X.shape[0]} rows, expected {n}")
-    D = in_a.astype(float)
+    if spec.kind == "greg":
+        # inverse-propensity core plus a regression adjustment
+        wa = _weighted_indicator(in_a, pi[:n], "greg")
+        wb = _weighted_indicator(in_b, pi[n:], "greg")
+        Pa = np.linalg.pinv(X * in_a[..., None], rcond=REGRESSION_RCOND)
+        Pb = np.linalg.pinv(X * in_b[..., None], rcond=REGRESSION_RCOND)
+        adjust = (np.einsum("rp,rpn->rn", (1.0 - wa) @ X, Pa)
+                  - np.einsum("rp,rpn->rn", (1.0 - wb) @ X, Pb))
+        return wa - wb + adjust
+    D = in_a[..., None]
+    ones = np.ones_like(D)
     if spec.kind == "ols":
-        Q = np.column_stack([np.ones(n), D, X])
-        return n * _pinv_row(Q, 1, "ols")
-    if spec.kind == "lin":
+        Q = np.concatenate([ones, D, np.broadcast_to(X, D.shape[:1] + X.shape)], axis=-1)
+    else:
         Xdm = X - X.mean(axis=0, keepdims=True)
-        Q = np.column_stack([np.ones(n), D, Xdm, D[:, None] * Xdm])
-        return n * _pinv_row(Q, 1, "lin")
-    # greg: inverse-propensity core plus a regression adjustment
-    wa = _weighted_indicator(in_a, pi[:n], "greg")
-    wb = _weighted_indicator(in_b, pi[n:], "greg")
-    ht = wa - wb
-    Xa = X * in_a[:, None]
-    Xb = X * in_b[:, None]
-    Pa = np.linalg.pinv(Xa, rcond=REGRESSION_RCOND)
-    Pb = np.linalg.pinv(Xb, rcond=REGRESSION_RCOND)
-    adjust = ((1.0 - wa) @ X) @ Pa - ((1.0 - wb) @ X) @ Pb
-    return ht + adjust
+        Q = np.concatenate([ones, D, np.broadcast_to(Xdm, D.shape[:1] + X.shape), D * Xdm],
+                           axis=-1)
+    return n * _pinv_row(Q, 1, spec.kind)
 
 
 def coefficient_vector(spec, model, z, pi):
@@ -527,13 +586,7 @@ def coefficient_vector(spec, model, z, pi):
             raise DegenerateAssignment(f"hajek: empty exposure group under z = {tuple(z)}")
         c = wa / wa.mean() - wb / wb.mean()
     else:
-        if np.any((in_a == 0) & (in_b == 0)):
-            off = int(np.argmax((in_a == 0) & (in_b == 0)))
-            raise IncompatibleEstimator(
-                f"{spec.kind}: unit {off} realized exposure {d[off]!r}, outside the "
-                "contrast; regression estimators need two-label exposures"
-            )
-        c = _regression_unit_coefficients(spec, in_a, in_b, pi, n)
+        c = _regression_unit_coefficients(spec, model, [z], in_a[None], in_b[None], pi)[0]
 
     return np.concatenate([in_a * c, in_b * c])
 
@@ -600,10 +653,6 @@ class VarianceProblem:
         object.__setattr__(self, "omega", frozenset(self.omega))
 
 
-def _normalize_pair(k, l):
-    return (k, l) if k <= l else (l, k)
-
-
 def unobservable_pairs(table, c=0.0):
     """Pairs whose joint observation probability is at most c.
 
@@ -622,19 +671,6 @@ def unobservable_pairs(table, c=0.0):
         if k <= l:
             pairs.add((k, l))
     return frozenset(pairs)
-
-
-def _mode_provenance(mode, count, seed):
-    if mode == "exact":
-        return {"mode": "exact"}
-    return {"mode": "mc", "count": int(count), "seed": int(seed)}
-
-
-def _check_mode(mode, count, seed):
-    if mode not in ("exact", "mc"):
-        raise InvalidDesign(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if mode == "mc" and (count is None or seed is None):
-        raise InvalidDesign("mc mode needs count and seed")
 
 
 def _chunk_counts(count, workers):
@@ -660,52 +696,68 @@ def _sampled_chunks(design, seed, count, threads):
         return list(pool.map(draw, zip(seeds, counts)))
 
 
-def first_order_probabilities(design, model, mode="exact", count=None, seed=None,
-                              threads=1, max_support=DEFAULT_SUPPORT_CAP):
-    """The 2n-vector of marginal observation probabilities."""
-    _check_mode(mode, count, seed)
-    if mode == "exact":
-        support = enumerate_assignments(design, max_support)
-        pi = np.zeros(2 * model.n)
-        for z, prob in support:
-            for k in observation_indices(model, z):
-                pi[k] += prob
-        return pi
-    chunks = _sampled_chunks(design, seed, count, threads)
-    total = np.zeros(2 * model.n)
-    for Z in chunks:
-        total += _observation_matrix(model, Z).sum(axis=0)
-    return total / count
+class _AssignmentBlocks:
+    """The assignments a moment averages over, as re-iterable (Z, w) blocks of
+    at most BLOCK_ROWS rows: exact mode enumerates the support block by block
+    with w the probabilities; Monte Carlo mode draws ``count`` assignments once,
+    on construction, with w = 1. Reductions divide by the total weight.
+    """
+
+    def __init__(self, design, mode="exact", count=None, seed=None, threads=1,
+                 max_support=DEFAULT_SUPPORT_CAP):
+        if mode not in ("exact", "mc"):
+            raise InvalidDesign(f"mode must be 'exact' or 'mc', got {mode!r}")
+        if mode == "mc" and (count is None or seed is None):
+            raise InvalidDesign("mc mode needs count and seed")
+        self.design, self.max_support = design, max_support
+        self.draws = None if mode == "exact" else _sampled_chunks(design, seed, count, threads)
+        self._provenance = (
+            {"mode": "exact"} if mode == "exact"
+            else {"mode": "mc", "count": int(count), "seed": int(seed)}
+        )
+
+    @property
+    def provenance(self):
+        return dict(self._provenance)
+
+    def __iter__(self):
+        if self.draws is None:
+            yield from _support_blocks(self.design, self.max_support)
+            return
+        for Z in self.draws:
+            for start in range(0, len(Z), BLOCK_ROWS):
+                part = Z[start:start + BLOCK_ROWS]
+                yield part, np.ones(len(part))
+
+
+def _weighted_moments(blocks, rows):
+    """Weighted mean and second moment, E[x] and E[x x'], of the rows
+    x = rows(Z) over the (Z, w) blocks."""
+    total = mean = second = 0.0
+    for Z, w in blocks:
+        X = rows(Z)
+        total += w.sum()
+        mean = mean + w @ X
+        second = second + (X * w[:, None]).T @ X
+    return mean / total, second / total
+
+
+def _second_order_table(model, blocks):
+    _, P2 = _weighted_moments(blocks, lambda Z: _observation_matrix(model, Z).astype(float))
+    P2 = linalg.symmetrize(P2)
+    return SecondOrderTable(P2=P2, pi=np.diag(P2).copy(), provenance=blocks.provenance)
 
 
 def pair_observation_probabilities(design, model, mode="exact", count=None, seed=None,
                                    threads=1, max_support=DEFAULT_SUPPORT_CAP):
-    """SecondOrderTable of joint observation probabilities."""
-    _check_mode(mode, count, seed)
-    if mode == "exact":
-        support = enumerate_assignments(design, max_support)
-        dim = 2 * model.n
-        P2 = np.zeros((dim, dim))
-        for z, prob in support:
-            s = np.zeros(dim)
-            s[list(observation_indices(model, z))] = 1.0
-            P2 += prob * np.outer(s, s)
-        P2 = linalg.symmetrize(P2)
-        return SecondOrderTable(P2=P2, pi=np.diag(P2).copy(),
-                                provenance=_mode_provenance(mode, count, seed))
-    chunks = _sampled_chunks(design, seed, count, threads)
-    dim = 2 * model.n
-    gram = np.zeros((dim, dim))
-    for Z in chunks:
-        obs = _observation_matrix(model, Z).astype(float)
-        gram += obs.T @ obs
-    P2 = linalg.symmetrize(gram / count)
-    return SecondOrderTable(P2=P2, pi=np.diag(P2).copy(),
-                            provenance=_mode_provenance(mode, count, seed))
+    """SecondOrderTable of joint observation probabilities; the first-order
+    probabilities are its diagonal, ``.pi``."""
+    blocks = _AssignmentBlocks(design, mode, count, seed, threads, max_support)
+    return _second_order_table(model, blocks)
 
 
 def _batch_coefficients(spec, model, Z, pi):
-    """Coefficient vectors for assignment rows Z, vectorized where possible."""
+    """Coefficient vectors for assignment rows Z, one row each."""
     Z = np.asarray(Z, dtype=np.int64)
     count, n = Z.shape
     obs = _observation_matrix(model, Z)
@@ -734,54 +786,27 @@ def _batch_coefficients(spec, model, Z, pi):
             raise DegenerateAssignment(f"hajek: empty exposure group under z = {tuple(Z[bad])}")
         c = wa / sa - wb / sb
     else:
-        rows = [coefficient_vector(spec, model, tuple(z), pi) for z in Z]
-        return np.asarray(rows)
+        c = _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi)
     return np.concatenate([in_a * c, in_b * c], axis=1)
+
+
+def _coefficient_covariance(spec, model, blocks, pi):
+    mean, second = _weighted_moments(blocks, lambda Z: _batch_coefficients(spec, model, Z, pi))
+    return linalg.symmetrize(second - np.outer(mean, mean))
 
 
 def coefficient_covariance(design, model, spec, mode="exact", count=None, seed=None,
                            threads=1, max_support=DEFAULT_SUPPORT_CAP):
     """Covariance matrix A of the estimator's coefficient vector.
 
-    Exact mode sums over the enumerated support; Monte Carlo mode uses the
-    empirical covariance with the 1/count normalizer (positive semidefinite by
-    construction) and estimates the first-order probabilities from the same
-    draws. Returns (A, provenance).
+    Exact mode weights the enumerated support by probability; Monte Carlo mode
+    is the empirical covariance with the 1/count normalizer (positive
+    semidefinite by construction), with the first-order probabilities
+    estimated from the same draws. Returns (A, provenance).
     """
-    _check_mode(mode, count, seed)
-    if mode == "exact":
-        support = enumerate_assignments(design, max_support)
-        pi = np.zeros(2 * model.n)
-        for z, prob in support:
-            for k in observation_indices(model, z):
-                pi[k] += prob
-        dim = 2 * model.n
-        second = np.zeros((dim, dim))
-        mean = np.zeros(dim)
-        for z, prob in support:
-            V = coefficient_vector(spec, model, z, pi)
-            second += prob * np.outer(V, V)
-            mean += prob * V
-        A = linalg.symmetrize(second - np.outer(mean, mean))
-        return A, _mode_provenance(mode, count, seed)
-
-    chunks = _sampled_chunks(design, seed, count, threads)
-    dim = 2 * model.n
-    # pass 1: first-order probabilities from the full sample
-    pi = np.zeros(dim)
-    for Z in chunks:
-        pi += _observation_matrix(model, Z).sum(axis=0)
-    pi /= count
-    # pass 2: empirical covariance with the same draws
-    gram = np.zeros((dim, dim))
-    mean = np.zeros(dim)
-    for Z in chunks:
-        V = _batch_coefficients(spec, model, Z, pi)
-        gram += V.T @ V
-        mean += V.sum(axis=0)
-    mean /= count
-    A = linalg.symmetrize(gram / count - np.outer(mean, mean))
-    return A, _mode_provenance(mode, count, seed)
+    blocks = _AssignmentBlocks(design, mode, count, seed, threads, max_support)
+    pi = _second_order_table(model, blocks).pi
+    return _coefficient_covariance(spec, model, blocks, pi), blocks.provenance
 
 
 def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
@@ -789,19 +814,14 @@ def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
                            max_support=DEFAULT_SUPPORT_CAP):
     """One-stop construction of (VarianceProblem, SecondOrderTable).
 
-    A and P2 always come from the same mode so inverse-propensity weights and
-    observation probabilities share provenance.
+    A and P2 come from the same enumeration or the same draws, so
+    inverse-propensity weights and observation probabilities share provenance.
     """
-    table = pair_observation_probabilities(
-        design, model, mode=mode, count=count, seed=seed,
-        threads=threads, max_support=max_support,
-    )
-    A, provenance = coefficient_covariance(
-        design, model, spec, mode=mode, count=count, seed=seed,
-        threads=threads, max_support=max_support,
-    )
-    omega = unobservable_pairs(table, threshold_c)
+    blocks = _AssignmentBlocks(design, mode, count, seed, threads, max_support)
+    table = _second_order_table(model, blocks)
     problem = VarianceProblem(
-        n=model.n, A=A, omega=omega, provenance=provenance, threshold_c=threshold_c,
+        n=model.n, A=_coefficient_covariance(spec, model, blocks, table.pi),
+        omega=unobservable_pairs(table, threshold_c), provenance=blocks.provenance,
+        threshold_c=threshold_c,
     )
     return problem, table

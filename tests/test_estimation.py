@@ -17,11 +17,11 @@ from varbound import (
     enumerate_assignments,
     estimation_gamma,
     estimator_value,
-    first_order_probabilities,
     ht_bound_estimate,
     linalg,
     mse_upper_bound,
     observe,
+    pair_observation_probabilities,
     r_covariance_opnorm,
     solve_optvb,
     validate_realized,
@@ -32,7 +32,8 @@ from varbound.errors import (
     MissingOutcome,
     SupportTooLarge,
 )
-from varbound.estimation import RDiagnostics
+from varbound.estimation import RDiagnostics, _r_vectors
+from varbound.experiment import _AssignmentBlocks, _observation_matrix, _weighted_moments
 from conftest import A_ILLU, B_MINNORM, random_scenario
 
 
@@ -130,7 +131,7 @@ class TestUnbiasedness:
             problem, table = build_variance_problem(design, model, spec)
             B = solve_optvb(problem, Objective.frobenius_squared(), config).B_star
             support = enumerate_assignments(design)
-            pi = first_order_probabilities(design, model)
+            pi = pair_observation_probabilities(design, model).pi
             for _ in range(5):
                 theta = rng.normal(size=2 * model.n)
                 mean_est = sum(
@@ -224,6 +225,44 @@ class TestRCovariance:
         assert runs[0] == runs[1]
 
 
+def _compatible_bound(rng, table):
+    """A random symmetric matrix that vanishes on every never-jointly-observed pair."""
+    M = rng.normal(size=table.P2.shape)
+    return (M + M.T) * (table.P2 > 0)
+
+
+class TestPerAssignmentOracle:
+    """Batched estimation diagnostics against sums of ht_bound_estimate over the support."""
+
+    def test_random_scenarios(self):
+        rng = np.random.default_rng(14)
+        for _ in range(8):
+            design, model, _ = random_scenario(rng)
+            n = model.n
+            table = pair_observation_probabilities(design, model)
+            B = _compatible_bound(rng, table)
+            theta = rng.normal(size=2 * n)
+            support = enumerate_assignments(design)
+            probs = np.array([p for _, p in support])
+            ests = np.array([
+                ht_bound_estimate(B, observe(model, z, theta), table, n) for z, _ in support
+            ])
+            target = linalg.quadratic_form_value(B, theta, n)
+            mse = float(probs @ (ests - target) ** 2)
+            assert empirical_mse(design, model, B, table, theta) == pytest.approx(
+                mse, rel=1e-12, abs=1e-14)
+            # R . vec(B o theta theta') is n^2 times the estimate, so the
+            # quadratic form of Cov(R) at that vector is n^4 Var(estimate)
+            mean, second = _weighted_moments(
+                _AssignmentBlocks(design),
+                lambda Z: _r_vectors(B, table, _observation_matrix(model, Z)),
+            )
+            v = (B * np.outer(theta, theta)).ravel()
+            cov_form = float(v @ second @ v - (mean @ v) ** 2)
+            var = float(probs @ (ests - probs @ ests) ** 2) * n**4
+            assert cov_form == pytest.approx(var, rel=1e-12, abs=1e-12 * float(v @ second @ v))
+
+
 class TestMseUpperBound:
     def test_plugin_arithmetic(self):
         diag = RDiagnostics(opnorm_cov_R=2.0)
@@ -295,6 +334,20 @@ class TestEmpiricalMse:
         )
         # two equally likely estimates, so the sample mean has binomial error
         assert abs(approx - exact) < 1.5
+
+    def test_mc_without_table_beyond_exact_cap(self):
+        # n = 24 exceeds the exact support cap; the table must come from the
+        # same draws, so the result equals the one with that table passed in
+        n = 24
+        design = Design.bernoulli(n, 0.5)
+        model = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+        B = np.eye(2 * n)
+        theta = np.random.default_rng(3).normal(size=2 * n)
+        mc = dict(mode="mc", count=2000, seed=11, threads=2)
+        got = empirical_mse(design, model, B, theta=theta, **mc)
+        table = pair_observation_probabilities(design, model, **mc)
+        assert got == empirical_mse(design, model, B, table, theta, **mc)
+        assert 0.0 < got < np.inf
 
     def test_dominated_by_error_bound(self, illustration):
         # normalized error never exceeds the uniform-form bound once the

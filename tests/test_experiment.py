@@ -18,7 +18,6 @@ from varbound import (
     compute_exposures,
     enumerate_assignments,
     estimator_value,
-    first_order_probabilities,
     observation_indices,
     pair_observation_probabilities,
     sample_assignments,
@@ -33,7 +32,7 @@ from varbound.errors import (
     SupportTooLarge,
     ZeroExposureProbability,
 )
-from varbound.experiment import VarianceProblem
+from varbound.experiment import BLOCK_ROWS, VarianceProblem, _batch_coefficients, _support_blocks
 from conftest import A_ILLU, illustration_parts, random_scenario
 
 
@@ -65,11 +64,28 @@ class TestEnumerate:
         for d in (
             Design.bernoulli(4, [0.1, 0.5, 0.9, 0.4]),
             Design.cluster([[0, 1], [2], [3, 4]], 2),
+            Design.cluster([[1, 4], [3], [0, 2]], 1),
             Design.paired([(0, 1), (2, 3)]),
+            Design.paired([(3, 0), (1, 2)]),
         ):
             out = enumerate_assignments(d)
             assert sum(p for _, p in out) == pytest.approx(1.0, abs=1e-12)
             assert [z for z, _ in out] == sorted(z for z, _ in out)
+
+    @pytest.mark.parametrize("design", [
+        Design.bernoulli(13, 0.3),
+        Design.complete(15, 7),
+        Design.cluster([[i, 29 - i] for i in range(15)], 7),
+        Design.paired([(i, 25 - i) for i in range(13)]),
+    ], ids=["bernoulli", "complete", "cluster", "paired"])
+    def test_support_spanning_several_blocks(self, design):
+        blocks = list(_support_blocks(design))
+        assert len(blocks) > 1 and all(len(Z) <= BLOCK_ROWS for Z, _ in blocks)
+        out = enumerate_assignments(design)
+        zs = [z for z, _ in out]
+        assert len(out) == design.support_size() == len(set(zs))
+        assert zs == sorted(zs)
+        assert sum(p for _, p in out) == pytest.approx(1.0, abs=1e-12)
 
     def test_paired_always_one_treated_per_pair(self):
         out = enumerate_assignments(Design.paired([(0, 1), (2, 3)]))
@@ -183,7 +199,7 @@ class TestObservationIndices:
 
 
 def _exact_pi(design, model):
-    return first_order_probabilities(design, model)
+    return pair_observation_probabilities(design, model).pi
 
 
 class TestCoefficientVector:
@@ -314,6 +330,22 @@ class TestRegressionOracles:
         pi = np.full(6, 0.5)
         with pytest.raises(SingularRegression):
             coefficient_vector(spec, model, (1, 1, 1), pi)
+        with pytest.raises(SingularRegression):
+            _batch_coefficients(spec, model, [(1, 0, 1), (1, 1, 1)], pi)
+
+    def test_duplicated_covariate_warns(self):
+        # a repeated covariate column leaves the contrast identified: the
+        # pseudo-inverse cutoff applies and is reported, in both paths
+        x = self.X[:, :1]
+        spec = EstimatorSpec(kind="ols", covariates=np.hstack([x, x]))
+        Z = np.array([z for z, _ in enumerate_assignments(self.design)])
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            batch = _batch_coefficients(spec, self.model, Z, self.pi)
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            scalar = coefficient_vector(spec, self.model, tuple(Z[0]), self.pi)
+        assert np.allclose(batch[0], scalar, atol=1e-12)
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            coefficient_covariance(self.design, self.model, spec)
 
 
 class TestEstimatorValue:
@@ -377,27 +409,61 @@ class TestCovariance:
         two = coefficient_covariance(design, model, spec, mode="mc", count=9_999, seed=2, threads=3)
         assert np.array_equal(one[0], two[0])
 
-    @pytest.mark.parametrize("kind", ["horvitz-thompson", "difference-in-means", "hajek"])
+    @pytest.mark.parametrize(
+        "kind", ["horvitz-thompson", "difference-in-means", "hajek", "ols", "lin", "greg"]
+    )
     def test_batch_coefficients_match_scalar_path(self, kind):
-        from varbound.experiment import _batch_coefficients
-
         rng = np.random.default_rng(61)
         n = 4
         design = Design.complete(n, 2)
-        model = ExposureModel.spillover([[1, 3], [0, 2], [1, 3], [0, 2]])
-        pi = first_order_probabilities(design, model)
-        spec = EstimatorSpec(kind=kind)
+        if kind in ("ols", "lin", "greg"):
+            # regression estimators need two-label exposures
+            model = ExposureModel.identity(n)
+        else:
+            model = ExposureModel.spillover([[1, 3], [0, 2], [1, 3], [0, 2]])
+        pi = _exact_pi(design, model)
+        spec = EstimatorSpec(kind=kind, covariates=rng.normal(size=(n, 1)))
         Z = sample_assignments(design, seed=3, count=40)
         batch = _batch_coefficients(spec, model, Z, pi)
         for row, z in zip(batch, Z):
             assert np.allclose(row, coefficient_vector(spec, model, tuple(z), pi), atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["ring-ht", "complete-lin"])
+    def test_matches_scalar_oracle_at_n10(self, case):
+        n = 10
+        if case == "ring-ht":
+            design = Design.bernoulli(n, 0.5)
+            model = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+            spec = EstimatorSpec(kind="horvitz-thompson")
+        else:
+            design = Design.complete(n, 5)
+            model = ExposureModel.identity(n)
+            X = np.random.default_rng(4).normal(size=(n, 2))
+            spec = EstimatorSpec(kind="lin", covariates=X)
+        problem, table = build_variance_problem(design, model, spec)
+        support = enumerate_assignments(design)
+        P2 = np.zeros((2 * n, 2 * n))
+        for z, p in support:
+            s = np.zeros(2 * n)
+            s[list(observation_indices(model, z))] = 1.0
+            P2 += p * np.outer(s, s)
+        pi = np.diag(P2).copy()
+        second = np.zeros((2 * n, 2 * n))
+        mean = np.zeros(2 * n)
+        for z, p in support:
+            V = coefficient_vector(spec, model, z, pi)
+            second += p * np.outer(V, V)
+            mean += p * V
+        A = second - np.outer(mean, mean)
+        assert np.abs(table.P2 - P2).max() <= 1e-11 * np.abs(P2).max()
+        assert np.abs(problem.A - A).max() <= 1e-11 * np.abs(A).max()
 
     def test_ht_mean_coefficients_exact(self):
         rng = np.random.default_rng(21)
         for _ in range(6):
             design, model, spec = random_scenario(rng)
             support = enumerate_assignments(design)
-            pi = first_order_probabilities(design, model)
+            pi = _exact_pi(design, model)
             mean = sum(
                 p * coefficient_vector(EstimatorSpec(kind="horvitz-thompson"), model, z, pi)
                 for z, p in support
@@ -414,7 +480,7 @@ class TestCovariance:
                 rng, estimators=("horvitz-thompson", "difference-in-means")
             )
             support = enumerate_assignments(design)
-            pi = first_order_probabilities(design, model)
+            pi = _exact_pi(design, model)
             A, _ = coefficient_covariance(design, model, spec)
             n = model.n
             for _ in range(20):
@@ -446,6 +512,17 @@ class TestSecondOrder:
         assert table.P2[0, 1] == pytest.approx(0.25)
         assert table.P2[0, 2] == 0.0
         assert np.allclose(table.pi, 0.5)
+
+    def test_identity_bernoulli_several_blocks(self):
+        n = 13
+        p = np.linspace(0.2, 0.8, n)
+        table = pair_observation_probabilities(Design.bernoulli(n, p), ExposureModel.identity(n))
+        marg = np.concatenate([p, 1 - p])
+        expected = np.outer(marg, marg)
+        np.fill_diagonal(expected, marg)
+        units = np.arange(n)
+        expected[units, units + n] = expected[units + n, units] = 0.0
+        assert np.allclose(table.P2, expected, atol=1e-13)
 
     def test_mc_within_three_standard_errors(self):
         design, model, _ = illustration_parts()

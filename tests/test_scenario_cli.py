@@ -1,8 +1,10 @@
 """Scenario files, matrix exchange formats, and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,9 +334,12 @@ class TestCli:
         assert run_cli("probe", "-c", path, "-o", out) == 0
 
     def test_console_entry_point(self):
+        # the child process imports the same varbound as this one
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "varbound.cli", "demo", "illustration"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "[FAIL]" not in proc.stdout
