@@ -83,13 +83,6 @@ def min_eigenvalue(M):
     return float(eigenvalues(M)[0])
 
 
-def is_psd(M, band=ZERO_BAND):
-    """Positive semidefinite up to the relative zero band."""
-    M = check_symmetric(M)
-    tol = band * max(1.0, float(np.linalg.norm(M)))
-    return min_eigenvalue(M) >= -tol
-
-
 def project_psd(M):
     """Frobenius-nearest positive semidefinite matrix (eigenvalue clipping)."""
     es = sym_eig(M)

@@ -3,15 +3,17 @@
 The central program picks a slack matrix S that is positive semidefinite,
 cancels the variance matrix A on every unobservable pair, and minimizes a
 convex objective; the bound is B = A + S. Both this program and the
-admissibility test are solved with a consensus ADMM over closed-form
+admissibility test are solved with one consensus ADMM loop over closed-form
 proximal maps and cone projections, so no external conic solver is needed.
+The loop fixes the unobservable entries in its consensus step and balances
+its residuals by a deterministic rho schedule.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,7 +136,6 @@ class SolverConfig:
     eps_abs: float = 1e-9
     eps_rel: float = 1e-7
     feasibility_tol: float = 1e-7
-    adaptive_rho: bool = False
 
     def __post_init__(self):
         for name in ("rho", "max_iterations", "eps_abs", "eps_rel", "feasibility_tol"):
@@ -198,12 +199,11 @@ def _omega_index_arrays(omega):
     return np.asarray(ks, dtype=np.intp), np.asarray(ls, dtype=np.intp)
 
 
-def _affine_projector(rows, cols, values):
-    def project(V):
-        X = V.copy()
-        X[rows, cols] = values
-        return X
-    return project
+# residual balancing (Boyd et al., section 3.4.1) and the early-exit probe run
+# on fixed iteration grids, so every run stays bit-reproducible
+_BALANCE_EVERY = 50
+_BALANCE_RATIO = 10.0
+_PROBE_EVERY = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,17 +216,25 @@ class _AdmmExit:
     probed: bool
 
 
-def _consensus_admm(blocks, Z0, dim, config, probe=None, probe_every=100, accept=None):
-    """Generic consensus ADMM over proximable blocks.
+def _consensus_admm(blocks, Z0, fixed, config, probe=None, accept=None):
+    """Consensus ADMM over proximable blocks on an affine slice.
 
-    Each block maps (input matrix, step) to its prox / projection. Stopping:
-    primal residual <= eps_abs * dim + eps_rel * ||Z||_F, dual residual
-    against the analogous dual scale, and (when given) an ``accept`` predicate
-    on the consensus iterate, so the caller's feasibility contract holds at
-    exit. An optional probe sees the iterate every ``probe_every`` iterations
-    and may stop the run early.
+    Each block maps (input matrix, step) to its prox / projection. The
+    consensus step averages the blocks and writes ``fixed = (rows, cols,
+    values)`` into the average, which is the exact minimization over the
+    slice, so every iterate lies on it. Every ``_BALANCE_EVERY`` iterations
+    rho doubles or halves at a tenfold residual imbalance, and the scaled
+    duals are rescaled to keep rho * U invariant.
+
+    Stopping: primal residual <= eps_abs * dim + eps_rel * ||Z||_F, dual
+    residual against the analogous dual scale, and (when given) an ``accept``
+    predicate on the consensus iterate, so the caller's feasibility contract
+    holds at exit. An optional probe sees the iterate every ``_PROBE_EVERY``
+    iterations and may stop the run early.
     """
+    rows, cols, values = fixed
     N = len(blocks)
+    dim = Z0.shape[0]
     rho = config.rho
     Z = Z0.copy()
     U = [np.zeros_like(Z0) for _ in range(N)]
@@ -239,6 +247,7 @@ def _consensus_admm(blocks, Z0, dim, config, probe=None, probe_every=100, accept
         for i in range(1, N):
             Z_new += Xs[i] + U[i]
         Z_new /= N
+        Z_new[rows, cols] = values
         r_norm = math.sqrt(sum(float(np.linalg.norm(Xs[i] - Z_new)) ** 2 for i in range(N)))
         s_norm = rho * math.sqrt(N) * float(np.linalg.norm(Z_new - Z))
         for i in range(N):
@@ -249,14 +258,13 @@ def _consensus_admm(blocks, Z0, dim, config, probe=None, probe_every=100, accept
         eps_dual = config.eps_abs * dim + config.eps_rel * dual_scale
         if r_norm <= eps_pri and s_norm <= eps_dual and (accept is None or accept(Z)):
             return _AdmmExit(Z, r_norm, s_norm, it, True, False)
-        if probe is not None and it % probe_every == 0 and probe(Z):
+        if probe is not None and it % _PROBE_EVERY == 0 and probe(Z):
             return _AdmmExit(Z, r_norm, s_norm, it, False, True)
-        if config.adaptive_rho and it % 50 == 0:
-            # residual balancing; rescale scaled duals to keep rho * U invariant
-            if r_norm > 10.0 * s_norm:
+        if it % _BALANCE_EVERY == 0:
+            if r_norm > _BALANCE_RATIO * s_norm:
                 rho *= 2.0
                 U = [u / 2.0 for u in U]
-            elif s_norm > 10.0 * r_norm:
+            elif s_norm > _BALANCE_RATIO * r_norm:
                 rho /= 2.0
                 U = [u * 2.0 for u in U]
     return _AdmmExit(Z, r_norm, s_norm, it, False, False)
@@ -278,27 +286,25 @@ def _term_prox(term, weight, A):
 def aronow_samii_slack(A, omega):
     """Pairwise Young's-inequality slack: cancels A on every unobservable pair
     and books the magnitudes on the two diagonals. Positive semidefinite by
-    construction (a sum of 2x2 PSD part matrices)."""
-    A = linalg.check_symmetric(A, name="A")
-    S = np.zeros_like(A)
-    for k, l in _normalize_omega(omega):
-        if k == l:
-            S[k, k] = -A[k, k]
-            continue
-        S[k, l] = S[l, k] = -A[k, l]
-        S[k, k] += abs(A[k, l])
-        S[l, l] += abs(A[k, l])
-    return S
+    construction (a sum of 2x2 PSD part matrices); the generalized slack at
+    W = I."""
+    return generalized_as_slack(A, omega, np.eye(len(A)))
+
+
+def _unit(M):
+    """Scale of the absolute tolerances: min(1, ||M||_F), and 1 for M = 0."""
+    return min(1.0, float(np.linalg.norm(M))) or 1.0
 
 
 def solve_optvb(problem, objective, config=None):
     """Minimize the objective over the set of valid slack matrices.
 
     Consensus ADMM with one block per objective term plus the positive
-    semidefinite cone and the affine slice fixing unobservable entries to -A.
-    The returned slack is the final consensus iterate passed through the
-    affine projection, so those entries are exact; any residual negative
-    eigenvalue is reported, not re-projected.
+    semidefinite cone; the unobservable entries are fixed to -A in the
+    consensus step, so they are exact in the returned slack; any residual
+    negative eigenvalue is reported, not re-projected. ``eps_abs`` and
+    ``feasibility_tol`` are scaled by min(1, ||A||_F), so the answer does not
+    depend on the units of small outcomes.
     """
     config = config or SolverConfig()
     if not objective.is_strictly_monotone():
@@ -311,7 +317,9 @@ def solve_optvb(problem, objective, config=None):
         )
         raise UnsupportedObjective("objective has no strictly monotone term" + hint)
     A = problem.A
-    dim = A.shape[0]
+    unit = _unit(A)
+    config = replace(config, eps_abs=config.eps_abs * unit,
+                     feasibility_tol=config.feasibility_tol * unit)
     for k, l in problem.omega:
         if k == l and A[k, k] > config.feasibility_tol:
             raise Infeasible(
@@ -320,18 +328,18 @@ def solve_optvb(problem, objective, config=None):
                 "(drop the coordinate or lower the threshold c)"
             )
     rows, cols = _omega_index_arrays(problem.omega)
-    values = -A[rows, cols] if rows.size else np.zeros(0)
-    affine = _affine_projector(rows, cols, values)
-    blocks = [lambda V, t: affine(V), lambda V, t: linalg.project_psd(V)]
+    blocks = [lambda V, t: linalg.project_psd(V)]
     blocks += [_term_prox(term, weight, A) for weight, term in objective.terms]
 
     def feasible_enough(Z):
-        return linalg.min_eigenvalue(linalg.symmetrize(affine(Z))) >= -config.feasibility_tol
+        return linalg.min_eigenvalue(Z) >= -config.feasibility_tol
 
-    Z0 = aronow_samii_slack(A, problem.omega)
-    exit_ = _consensus_admm(blocks, Z0, dim, config, accept=feasible_enough)
+    exit_ = _consensus_admm(
+        blocks, aronow_samii_slack(A, problem.omega), (rows, cols, -A[rows, cols]),
+        config, accept=feasible_enough,
+    )
 
-    S_star = affine(exit_.Z)
+    S_star = exit_.Z
     B_star = A + S_star
     omega_violation = float(np.abs(S_star[rows, cols] + A[rows, cols]).max()) if rows.size else 0.0
     report = SolverReport(
@@ -339,7 +347,7 @@ def solve_optvb(problem, objective, config=None):
         primal_residual=exit_.primal,
         dual_residual=exit_.dual,
         objective_value=objective.value(S_star, A),
-        min_eig_slack=linalg.min_eigenvalue(linalg.symmetrize(S_star)),
+        min_eig_slack=linalg.min_eigenvalue(S_star),
         max_omega_violation=omega_violation,
         converged=exit_.converged,
     )
@@ -361,6 +369,10 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
     positive optimum certifies that the bound carrying S is dominated
     (inadmissible); the maximizer is returned as the witness.
 
+    The program is homogeneous in S, so it is solved on S / min(1, ||S||_F)
+    and the witness and alpha are scaled back; the input check and
+    ``decision_tol`` apply to the caller's S.
+
     With ``early_exit`` the search stops as soon as a feasible iterate beats
     the decision tolerance tenfold; the reported alpha is then only a lower
     bound on the optimum.
@@ -373,7 +385,6 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
     """
     config = config or SolverConfig()
     S = linalg.check_symmetric(S, name="S")
-    dim = S.shape[0]
     scale = max(1.0, float(np.linalg.norm(S)))
     min_eig_in = linalg.min_eigenvalue(S)
     if min_eig_in < -config.feasibility_tol * scale:
@@ -381,54 +392,48 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
             f"input has eigenvalue {min_eig_in:.3e}; "
             "slack matrices must be positive semidefinite"
         )
-    if min_eig_in < 0.0:
-        # eigenvalue dust within tolerance would make the sandwich
-        # 0 <= T <= S infeasible in exact arithmetic and stall the splitting;
-        # the projection moves S (and alpha) by at most that dust
-        S = linalg.project_psd(S)
+    trace_S = float(np.trace(S))
     if decision_tol is None:
-        decision_tol = 1e-5 * (1.0 + float(np.trace(S)))
+        decision_tol = 1e-5 * (1.0 + trace_S)
 
+    unit = _unit(S)
+    # eigenvalue dust within tolerance would make the sandwich 0 <= T <= S
+    # infeasible in exact arithmetic and stall the splitting; the projection
+    # moves S (and alpha) by at most that dust
+    S_hat = (linalg.project_psd(S) if min_eig_in < 0.0 else S) / unit
+    tol = config.feasibility_tol * scale
     rows, cols = _omega_index_arrays(omega)
-    values = S[rows, cols] if rows.size else np.zeros(0)
-    affine = _affine_projector(rows, cols, values)
-    eye = np.eye(dim)
+    eye = np.eye(len(S))
     blocks = [
-        lambda V, t: affine(V),
         lambda V, t: linalg.project_psd(V),
-        lambda V, t: S - linalg.project_psd(S - V),
+        lambda V, t: S_hat - linalg.project_psd(S_hat - V),
         lambda V, t: V - t * eye,  # minimize trace(T)
     ]
 
-    trace_S = float(np.trace(S))
+    def witness_feasible(Z):
+        return (linalg.min_eigenvalue(Z) >= -tol
+                and linalg.min_eigenvalue(S_hat - Z) >= -tol)
 
     def certified_dominator(Z):
-        cand = affine(Z)
-        if trace_S - float(np.trace(cand)) <= 10.0 * decision_tol:
-            return False
-        tol = config.feasibility_tol * scale
-        return (linalg.min_eigenvalue(linalg.symmetrize(cand)) >= -tol
-                and linalg.min_eigenvalue(linalg.symmetrize(S - cand)) >= -tol)
-
-    def witness_feasible(Z):
-        cand = linalg.symmetrize(affine(Z))
-        tol = config.feasibility_tol * scale
-        return (linalg.min_eigenvalue(cand) >= -tol
-                and linalg.min_eigenvalue(linalg.symmetrize(S - cand)) >= -tol)
+        gap = trace_S - unit * float(np.trace(Z))
+        return gap > 10.0 * decision_tol and witness_feasible(Z)
 
     exit_ = _consensus_admm(
-        blocks, S.copy(), dim, config,
+        blocks, S_hat, (rows, cols, S_hat[rows, cols]), config,
         probe=certified_dominator if early_exit else None,
         accept=witness_feasible,
     )
-    witness = affine(exit_.Z)
+    # scaling back rounds the fixed entries (and the dust projection moves
+    # them by at most the dust); the witness carries the caller's entries
+    witness = unit * exit_.Z
+    witness[rows, cols] = S[rows, cols]
     alpha = trace_S - float(np.trace(witness))
     report = SolverReport(
         iterations=exit_.iterations,
         primal_residual=exit_.primal,
         dual_residual=exit_.dual,
         objective_value=alpha,
-        min_eig_slack=linalg.min_eigenvalue(linalg.symmetrize(witness)),
+        min_eig_slack=linalg.min_eigenvalue(witness),
         max_omega_violation=0.0,
         converged=exit_.converged,
     )

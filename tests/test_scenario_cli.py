@@ -333,13 +333,28 @@ class TestCli:
         out = tmp_path / "probe"
         assert run_cli("probe", "-c", path, "-o", out) == 0
 
-    def test_console_entry_point(self):
+    @staticmethod
+    def run_child(*args):
         # the child process imports the same varbound as this one
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "varbound.cli", "demo", "illustration"],
+        return subprocess.run(
+            [sys.executable, *args],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_console_entry_point(self):
+        proc = self.run_child("-m", "varbound.cli", "demo", "illustration")
         assert proc.returncode == 0
         assert "[FAIL]" not in proc.stdout
+
+    def test_gamma_sweep_script(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "gamma_sweep.py"
+        proc = self.run_child(str(script), "4")
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+        assert len(rows) == 7
+        opnorms = [float(row[1]) for row in rows]
+        # the exact path is constant on this instance; allow solver precision
+        for earlier, later in zip(opnorms, opnorms[1:]):
+            assert later <= earlier + 1e-6

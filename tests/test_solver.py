@@ -36,6 +36,9 @@ from varbound.solver import FrobeniusSquaredTerm, SchattenTerm
 from conftest import A_ILLU, B_MINNORM, B_PAIRWISE, OMEGA_ILLU, random_scenario
 
 TIGHT = SolverConfig(eps_abs=1e-11, eps_rel=1e-9, max_iterations=200_000)
+WORST_CASE = Objective.composite(
+    [(1.0, SchattenTerm(p=math.inf)), (0.01, FrobeniusSquaredTerm())]
+)
 
 
 def bernoulli_identity_problem(n=3):
@@ -132,6 +135,10 @@ class TestSolveOptvb:
             assert res.report.min_eig_slack >= -1e-7
             check = validate_bound(problem.A, res.B_star, problem.omega, 1e-6)
             assert check.valid
+            verdict = admissibility_of(res.S_star, problem.omega)
+            k, l = np.array(sorted(problem.omega), dtype=int).reshape(-1, 2).T
+            assert np.array_equal(verdict.witness[k, l], res.S_star[k, l])
+            assert np.array_equal(verdict.witness[l, k], res.S_star[l, k])
 
     def test_operator_norm_alone_is_refused(self, illustration):
         with pytest.raises(UnsupportedObjective, match="frobenius"):
@@ -159,10 +166,29 @@ class TestSolveOptvb:
         with pytest.raises(Infeasible):
             solve_optvb(problem, Objective.frobenius_squared())
 
-    def test_adaptive_rho_reaches_same_answer(self, illustration):
-        cfg = SolverConfig(eps_abs=1e-11, eps_rel=1e-9, adaptive_rho=True)
-        res = solve_optvb(illustration["problem"], Objective.frobenius_squared(), cfg)
-        assert np.abs(res.B_star - B_MINNORM).max() < 1e-5
+    def test_repeated_solves_are_bitwise_equal(self):
+        problem, _ = bernoulli_identity_problem(3)
+        first = solve_optvb(problem, WORST_CASE)
+        second = solve_optvb(problem, WORST_CASE)
+        assert np.array_equal(first.S_star, second.S_star)
+        assert first.report.iterations == second.report.iterations
+
+    def test_answer_does_not_depend_on_units_of_A(self):
+        n = 4
+        ring = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+        spec = EstimatorSpec(kind="horvitz-thompson")
+        problem, _ = build_variance_problem(Design.bernoulli(n, 0.5), ring, spec)
+        values = {}
+        for c in (1e-3, 1.0, 1e3):
+            scaled = VarianceProblem(n=n, A=c * problem.A, omega=problem.omega)
+            res = solve_optvb(scaled, Objective.frobenius_squared())
+            values[c] = res.report.objective_value / c**2
+            verdict = admissibility_of(
+                res.S_star, problem.omega, SolverConfig(max_iterations=5000)
+            )
+            assert verdict.admissible
+        for c in (1e-3, 1e3):
+            assert values[c] == pytest.approx(values[1.0], rel=1e-6)
 
     def test_limiting_regularization_path(self, illustration):
         # operator norm with a shrinking quadratic regularizer: the worst-case
@@ -191,6 +217,24 @@ class TestSolveOptvb:
 
 
 class TestAdmissibility:
+    @pytest.mark.parametrize(
+        "design",
+        [
+            Design.complete(2, 1),
+            Design.paired([(0, 1), (2, 3)]),
+            Design.cluster([(0, 1), (2, 3)], 1),
+        ],
+        ids=["complete", "paired", "cluster"],
+    )
+    def test_worst_case_bound_is_admissible_at_default_config(self, design):
+        model = ExposureModel.identity(design.n)
+        spec = EstimatorSpec(kind="horvitz-thompson")
+        problem, _ = build_variance_problem(design, model, spec)
+        res = solve_optvb(problem, WORST_CASE)
+        verdict = admissibility_of(res.S_star, problem.omega)
+        assert verdict.report.converged
+        assert verdict.admissible
+
     def test_pairwise_bound_is_dominated(self, illustration):
         verdict = admissibility_of(B_PAIRWISE - A_ILLU, OMEGA_ILLU, TIGHT)
         assert not verdict.admissible
