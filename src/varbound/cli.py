@@ -65,17 +65,15 @@ def _write_report(report, out_dir):
     return path
 
 
+def _seed(scn, args):
+    """The run's Monte Carlo seed: --seed, else the scenario's, else 0."""
+    return args.seed if args.seed is not None else scn.mode.get("seed", 0)
+
+
 def _mode_kwargs(scn, args):
-    mode = scn.mode
-    if mode["kind"] == "exact":
+    if scn.mode["kind"] == "exact":
         return {"mode": "exact"}
-    seed = args.seed if args.seed is not None else mode.get("seed", 0)
-    return {
-        "mode": "mc",
-        "count": mode["count"],
-        "seed": seed,
-        "threads": args.threads,
-    }
+    return {"mode": "mc", "count": scn.mode["count"], "seed": _seed(scn, args)}
 
 
 def _omega_json(omega):
@@ -195,9 +193,7 @@ def cmd_estimate(scn, args, out_dir, started, inputs):
     except VarboundError:
         diag = estimation.r_covariance_opnorm(
             scn.design, scn.model, B, table,
-            mode="mc", count=20000,
-            seed=args.seed if args.seed is not None else 0,
-            threads=args.threads,
+            mode="mc", count=20000, seed=_seed(scn, args),
         )
     sup_obs = max((abs(v) for v in scn.realized.outcomes.values()), default=0.0)
     metrics["opnorm_cov_R"] = diag.opnorm_cov_R
@@ -309,6 +305,12 @@ def scn_config():
     return solver.SolverConfig(eps_abs=1e-11, eps_rel=1e-9)
 
 
+def _seed_arg(text):
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Argparse that exits with the usage code on bad invocations."""
 
@@ -329,8 +331,7 @@ def build_parser():
         if config:
             p.add_argument("-c", "--config", required=True, help="scenario JSON")
         p.add_argument("-o", "--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
-        p.add_argument("--threads", type=int, default=1, help="Monte Carlo worker count")
+        p.add_argument("--seed", type=_seed_arg, default=None, help="Monte Carlo seed override")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="matrix output format")
 

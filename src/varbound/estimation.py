@@ -190,7 +190,7 @@ def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
 
 
 def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
-                        seed=None, threads=1, support_tol=SUPPORT_TOL):
+                        seed=None, support_tol=SUPPORT_TOL):
     """Operator norm of Cov(R), the inverse-propensity indicator covariance.
 
     Both modes average over the same assignment blocks: exact mode over the
@@ -207,7 +207,7 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
         raise SupportTooLarge(
             f"exact Cov(R) is capped at n <= {EXACT_RCOV_UNIT_CAP}, got n = {model.n}"
         )
-    blocks = _AssignmentBlocks(design, mode, count, seed, threads)
+    blocks = _AssignmentBlocks(design, mode, count, seed)
     if table is None:
         table = _second_order_table(model, blocks)
     mean, second = _weighted_moments(
@@ -271,7 +271,7 @@ def mse_upper_bound(diag, theta_stats, B, n, p=1.0, q=math.inf):
 
 
 def empirical_mse(design, model, B, table=None, theta=None, mode="exact", count=None,
-                  seed=None, threads=1, threshold_c=0.0, max_support=DEFAULT_SUPPORT_CAP):
+                  seed=None, threshold_c=0.0, max_support=DEFAULT_SUPPORT_CAP):
     """Mean squared error of the bound estimator around the true bound value.
 
     The weighted average, over the enumerated design (exact) or sampled
@@ -283,7 +283,7 @@ def empirical_mse(design, model, B, table=None, theta=None, mode="exact", count=
     """
     if theta is None:
         raise InvalidDesign("empirical_mse needs a full outcome vector theta")
-    blocks = _AssignmentBlocks(design, mode, count, seed, threads, max_support)
+    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
     if table is None:
         table = _second_order_table(model, blocks)
     B = linalg.check_symmetric(B, name="B")

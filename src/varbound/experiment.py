@@ -11,7 +11,8 @@ boundary.
 
 Every design moment (pi = diag(P2), P2, A) is one weighted average over
 blocks of assignment rows, in exact and Monte Carlo mode alike; only the
-weights differ (see ``_AssignmentBlocks``). The scalar ``compute_exposures``,
+weights differ (see ``_AssignmentBlocks``). Monte Carlo draws depend on the
+seed and the count alone. The scalar ``compute_exposures``,
 ``observation_indices`` and ``coefficient_vector`` are per-assignment
 references for the batched ``_observation_matrix`` and ``_batch_coefficients``.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Mapping
@@ -176,6 +176,17 @@ def _bit_rows(start, stop, width):
     return (r >> np.arange(width - 1, -1, -1, dtype=np.int64)) & 1
 
 
+def _unit_clusters(clusters, n):
+    """Index of the cluster that holds each unit, for clusters partitioning
+    0..n-1; ``np.take(chosen, owner, axis=1)`` turns a (rows, clusters) choice
+    matrix into unit rows. (``chosen[:, owner]`` would come out column-major,
+    and BLAS reductions over it round differently.)"""
+    owner = np.empty(n, dtype=np.int64)
+    for c, units in enumerate(clusters):
+        owner[list(units)] = c
+    return owner
+
+
 def _support_rows(design, size):
     """Blocks of (assignment rows, probabilities) covering the support in
     lexicographic order of the rows, zero-probability rows included."""
@@ -202,17 +213,14 @@ def _support_rows(design, size):
         # disjoint, so rows sort like the cluster choice vectors with clusters
         # in order of their smallest unit, which is lexicographic order of the
         # untreated clusters
-        groups = design.clusters or tuple((i,) for i in range(n))
-        groups = sorted(groups, key=min)
-        member = np.zeros((len(groups), n), dtype=np.int64)
-        for c, units in enumerate(groups):
-            member[c, list(units)] = 1
+        groups = sorted(design.clusters or tuple((i,) for i in range(n)), key=min)
+        owner = _unit_clusters(groups, n)
         untreated = combinations(range(len(groups)), len(groups) - design.m)
         while rows := list(islice(untreated, BLOCK_ROWS)):
             idx = np.array(rows, dtype=np.int64)
             chosen = np.ones((len(rows), len(groups)), dtype=np.int64)
             chosen[np.arange(len(rows))[:, None], idx] = 0
-            yield chosen @ member, np.full(len(rows), 1.0 / size)
+            yield np.take(chosen, owner, axis=1), np.full(len(rows), 1.0 / size)
     elif design.kind == "explicit":
         for s in starts:
             rows = design.table[s:s + BLOCK_ROWS]
@@ -263,44 +271,33 @@ def enumerate_assignments(design, max_support=DEFAULT_SUPPORT_CAP):
     ]
 
 
-def sample_assignments(design, seed, count, rng=None):
-    """Draw ``count`` assignments; reproducible for a fixed (seed, count).
+def sample_assignments(design, seed, count):
+    """Draw ``count`` assignments from ``np.random.default_rng(seed)``;
+    reproducible for a fixed (seed, count). ``seed`` may be an integer or a
+    ``np.random.SeedSequence``.
 
     Returns an integer array of shape (count, n).
     """
     if count < 1:
         raise InvalidDesign(f"need count >= 1, got {count}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = design.n
     if design.kind == "bernoulli":
         return (rng.random((count, n)) < np.asarray(design.p)).astype(np.int64)
-    if design.kind == "complete-randomization":
-        keys = rng.random((count, n))
-        order = np.argsort(keys, axis=1)
-        Z = np.zeros((count, n), dtype=np.int64)
-        rows = np.repeat(np.arange(count), design.m)
-        Z[rows, order[:, : design.m].ravel()] = 1
-        return Z
-    if design.kind == "cluster":
-        K = len(design.clusters)
-        keys = rng.random((count, K))
-        order = np.argsort(keys, axis=1)
-        Z = np.zeros((count, n), dtype=np.int64)
-        member = np.zeros((K, n), dtype=np.int64)
-        for c, units in enumerate(design.clusters):
-            member[c, list(units)] = 1
-        chosen = np.zeros((count, K), dtype=np.int64)
-        rows = np.repeat(np.arange(count), design.m)
-        chosen[rows, order[:, : design.m].ravel()] = 1
-        return (chosen @ member).astype(np.int64)
+    if design.kind in ("complete-randomization", "cluster"):
+        # complete randomization treats m of n singleton clusters; the m
+        # smallest uniform keys pick the treated clusters
+        groups = design.clusters or tuple((i,) for i in range(n))
+        order = np.argsort(rng.random((count, len(groups))), axis=1)
+        chosen = np.zeros((count, len(groups)), dtype=np.int64)
+        chosen[np.repeat(np.arange(count), design.m), order[:, : design.m].ravel()] = 1
+        return np.take(chosen, _unit_clusters(groups, n), axis=1)
     if design.kind == "paired":
-        P = len(design.pairs)
-        pick = rng.integers(0, 2, size=(count, P))
-        Z = np.zeros((count, n), dtype=np.int64)
-        for j, (a, b) in enumerate(design.pairs):
-            Z[:, a] = 1 - pick[:, j]
-            Z[:, b] = pick[:, j]
+        first, second = np.array(design.pairs).T
+        pick = rng.integers(0, 2, size=(count, len(first)))
+        Z = np.empty((count, n), dtype=np.int64)
+        Z[:, first] = 1 - pick
+        Z[:, second] = pick
         return Z
     if design.kind == "explicit":
         support = np.array([z for z, _ in design.table], dtype=np.int64)
@@ -673,44 +670,27 @@ def unobservable_pairs(table, c=0.0):
     return frozenset(pairs)
 
 
-def _chunk_counts(count, workers):
-    base, extra = divmod(count, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def _sampled_chunks(design, seed, count, threads):
-    """Per-worker assignment chunks with independently derived seeds.
-
-    The split and the per-chunk streams depend only on (seed, threads), so the
-    combined result is reproducible for a fixed worker count.
-    """
-    workers = max(1, int(threads))
-    counts = [c for c in _chunk_counts(count, workers) if c > 0]
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
-    def draw(args):
-        ss, c = args
-        return sample_assignments(design, None, c, rng=np.random.default_rng(ss))
-    if len(counts) == 1:
-        return [draw((seeds[0], counts[0]))]
-    with ThreadPoolExecutor(max_workers=len(counts)) as pool:
-        return list(pool.map(draw, zip(seeds, counts)))
-
-
 class _AssignmentBlocks:
     """The assignments a moment averages over, as re-iterable (Z, w) blocks of
     at most BLOCK_ROWS rows: exact mode enumerates the support block by block
     with w the probabilities; Monte Carlo mode draws ``count`` assignments once,
     on construction, with w = 1. Reductions divide by the total weight.
+
+    The draws come from the first child stream of the seed,
+    ``SeedSequence(seed, spawn_key=(0,))``, so they depend on (seed, count)
+    alone.
     """
 
-    def __init__(self, design, mode="exact", count=None, seed=None, threads=1,
+    def __init__(self, design, mode="exact", count=None, seed=None,
                  max_support=DEFAULT_SUPPORT_CAP):
         if mode not in ("exact", "mc"):
             raise InvalidDesign(f"mode must be 'exact' or 'mc', got {mode!r}")
         if mode == "mc" and (count is None or seed is None):
             raise InvalidDesign("mc mode needs count and seed")
         self.design, self.max_support = design, max_support
-        self.draws = None if mode == "exact" else _sampled_chunks(design, seed, count, threads)
+        self.draws = None if mode == "exact" else sample_assignments(
+            design, np.random.SeedSequence(seed, spawn_key=(0,)), count
+        )
         self._provenance = (
             {"mode": "exact"} if mode == "exact"
             else {"mode": "mc", "count": int(count), "seed": int(seed)}
@@ -724,10 +704,9 @@ class _AssignmentBlocks:
         if self.draws is None:
             yield from _support_blocks(self.design, self.max_support)
             return
-        for Z in self.draws:
-            for start in range(0, len(Z), BLOCK_ROWS):
-                part = Z[start:start + BLOCK_ROWS]
-                yield part, np.ones(len(part))
+        for start in range(0, len(self.draws), BLOCK_ROWS):
+            part = self.draws[start:start + BLOCK_ROWS]
+            yield part, np.ones(len(part))
 
 
 def _weighted_moments(blocks, rows):
@@ -749,10 +728,10 @@ def _second_order_table(model, blocks):
 
 
 def pair_observation_probabilities(design, model, mode="exact", count=None, seed=None,
-                                   threads=1, max_support=DEFAULT_SUPPORT_CAP):
+                                   max_support=DEFAULT_SUPPORT_CAP):
     """SecondOrderTable of joint observation probabilities; the first-order
     probabilities are its diagonal, ``.pi``."""
-    blocks = _AssignmentBlocks(design, mode, count, seed, threads, max_support)
+    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
     return _second_order_table(model, blocks)
 
 
@@ -796,7 +775,7 @@ def _coefficient_covariance(spec, model, blocks, pi):
 
 
 def coefficient_covariance(design, model, spec, mode="exact", count=None, seed=None,
-                           threads=1, max_support=DEFAULT_SUPPORT_CAP):
+                           max_support=DEFAULT_SUPPORT_CAP):
     """Covariance matrix A of the estimator's coefficient vector.
 
     Exact mode weights the enumerated support by probability; Monte Carlo mode
@@ -804,20 +783,19 @@ def coefficient_covariance(design, model, spec, mode="exact", count=None, seed=N
     semidefinite by construction), with the first-order probabilities
     estimated from the same draws. Returns (A, provenance).
     """
-    blocks = _AssignmentBlocks(design, mode, count, seed, threads, max_support)
+    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
     pi = _second_order_table(model, blocks).pi
     return _coefficient_covariance(spec, model, blocks, pi), blocks.provenance
 
 
 def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
-                           count=None, seed=None, threads=1,
-                           max_support=DEFAULT_SUPPORT_CAP):
+                           count=None, seed=None, max_support=DEFAULT_SUPPORT_CAP):
     """One-stop construction of (VarianceProblem, SecondOrderTable).
 
     A and P2 come from the same enumeration or the same draws, so
     inverse-propensity weights and observation probabilities share provenance.
     """
-    blocks = _AssignmentBlocks(design, mode, count, seed, threads, max_support)
+    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
     table = _second_order_table(model, blocks)
     problem = VarianceProblem(
         n=model.n, A=_coefficient_covariance(spec, model, blocks, table.pi),

@@ -37,8 +37,15 @@ def write_matrix(M, path, fmt=None):
     return path
 
 
+def _read_text(path):
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def _parse_rows(path):
-    text = Path(path).read_text()
+    text = _read_text(path)
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -57,23 +64,24 @@ def _parse_rows(path):
 
 
 def read_matrix(path, fmt=None, symmetric=True):
-    """Read a matrix and, by default, validate squareness and symmetry."""
+    """Read a matrix and, by default, validate that it is square and symmetric;
+    ``symmetric=False`` reads any rectangular matrix."""
     fmt = _infer_format(path, fmt)
     if fmt == "csv":
         M = _parse_rows(path)
     else:
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
         M = np.asarray(data, dtype=float)
         if M.ndim != 2:
             raise DimensionError(f"{path}: expected a nested array matrix")
+    if not symmetric:
+        return M
     if M.shape[0] != M.shape[1]:
         raise DimensionError(f"{path}: matrix is {M.shape[0]} x {M.shape[1]}, not square")
-    if symmetric:
-        return linalg.check_symmetric(M, name=str(path))
-    return M
+    return linalg.check_symmetric(M, name=str(path))
 
 
 def write_vector(v, path):
@@ -85,7 +93,7 @@ def write_vector(v, path):
 
 
 def read_vector(path):
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
         return np.asarray([float(x) for x in text.split()], dtype=float)
     except ValueError as exc:

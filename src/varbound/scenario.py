@@ -112,11 +112,13 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _resolve_matrix(value, base, pointer, findings):
-    """A matrix given inline as nested arrays or as a path relative to the config."""
+def _resolve_matrix(value, base, pointer, findings, symmetric=True):
+    """A matrix given inline as nested arrays or as a path relative to the
+    config; a file must hold a symmetric square matrix unless ``symmetric`` is
+    false."""
     try:
         if isinstance(value, str):
-            return matrixio.read_matrix(_relative(base, value))
+            return matrixio.read_matrix(_relative(base, value), symmetric=symmetric)
         return np.asarray(value, dtype=float)
     except (VarboundError, ValueError) as exc:
         findings.add(pointer, exc)
@@ -190,29 +192,12 @@ def _parse_estimator(doc, base, findings):
         return None
     covariates = None
     if "covariates" in raw:
-        covariates = _resolve_matrix_any(raw["covariates"], base, "/estimator/covariates", findings)
+        covariates = _resolve_matrix(raw["covariates"], base, "/estimator/covariates", findings,
+                                     symmetric=False)
     try:
         return EstimatorSpec(kind=raw.get("kind", ""), covariates=covariates)
     except VarboundError as exc:
         findings.add("/estimator", exc)
-        return None
-
-
-def _resolve_matrix_any(value, base, pointer, findings):
-    """Like _resolve_matrix but without symmetry requirements (covariates)."""
-    try:
-        if isinstance(value, str):
-            path = _relative(base, value)
-            text = Path(path).read_text()
-            rows = [
-                [float(x) for x in line.split(",")]
-                for line in text.splitlines()
-                if line.strip()
-            ]
-            return np.asarray(rows, dtype=float)
-        return np.asarray(value, dtype=float)
-    except (OSError, ValueError) as exc:
-        findings.add(pointer, exc)
         return None
 
 
@@ -273,18 +258,27 @@ def _parse_solver(doc, findings):
     if not isinstance(raw, dict):
         findings.add("/solver", "must be an object")
         return SolverConfig()
-    kwargs = {}
     for key in raw:
         if key not in _SOLVER_KEYS:
             findings.add(f"/solver/{key}", "unknown solver option")
-    for key in _SOLVER_KEYS:
-        if key in raw:
-            kwargs[key] = int(raw[key]) if key == "max_iterations" else float(raw[key])
     try:
-        return SolverConfig(**kwargs)
-    except VarboundError as exc:
+        return SolverConfig(**{
+            key: int(raw[key]) if key == "max_iterations" else float(raw[key])
+            for key in _SOLVER_KEYS if key in raw
+        })
+    except (TypeError, ValueError) as exc:
         findings.add("/solver", exc)
         return SolverConfig()
+
+
+def _integer(value, low, pointer, findings):
+    """``value`` as an int of at least ``low`` (an integral JSON number), or a
+    finding and None."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if integral and not isinstance(value, bool) and value >= low:
+        return int(value)
+    findings.add(pointer, f"must be an integer >= {low}, got {value!r}")
+    return None
 
 
 def _parse_mode(doc, findings):
@@ -297,8 +291,8 @@ def _parse_mode(doc, findings):
         if "count" not in raw:
             findings.add("/mode/count", "mc mode needs a sample count")
         else:
-            out["count"] = int(raw["count"])
-        out["seed"] = int(raw.get("seed", 0))
+            out["count"] = _integer(raw["count"], 1, "/mode/count", findings)
+        out["seed"] = _integer(raw.get("seed", 0), 0, "/mode/seed", findings)
         return out
     return {"kind": "exact"}
 

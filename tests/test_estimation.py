@@ -218,7 +218,7 @@ class TestRCovariance:
         B = 2 * np.eye(6)
         runs = [
             r_covariance_opnorm(
-                design, model, B, mode="mc", count=8000, seed=9, threads=3
+                design, model, B, mode="mc", count=8000, seed=9
             ).opnorm_cov_R
             for _ in range(2)
         ]
@@ -343,7 +343,7 @@ class TestEmpiricalMse:
         model = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
         B = np.eye(2 * n)
         theta = np.random.default_rng(3).normal(size=2 * n)
-        mc = dict(mode="mc", count=2000, seed=11, threads=2)
+        mc = dict(mode="mc", count=2000, seed=11)
         got = empirical_mse(design, model, B, theta=theta, **mc)
         table = pair_observation_probabilities(design, model, **mc)
         assert got == empirical_mse(design, model, B, table, theta, **mc)

@@ -149,6 +149,68 @@ class TestSample:
     def test_count_validation(self):
         with pytest.raises(InvalidDesign):
             sample_assignments(Design.bernoulli(2, 0.5), seed=0, count=0)
+        with pytest.raises(InvalidDesign):
+            pair_observation_probabilities(
+                Design.bernoulli(2, 0.5), ExposureModel.identity(2), mode="mc", count=0, seed=0
+            )
+
+    # Pinned streams: the draws of sample_assignments(design, 11, 16) as bit
+    # strings, and 64 * P2 from pair_observation_probabilities(identity
+    # exposure, mode="mc", count=64, seed=11), whose entries are multiples of
+    # 1/64. The cluster and pair lists are out of order on purpose.
+    PINNED = {
+        "bernoulli": (
+            Design.bernoulli(4, [0.2, 0.5, 0.7, 0.5]),
+            "1111 1011 0010 0110 0000 0111 0010 0111 1011 0101 1111 0011 1010 1100 0111 1011",
+            [[12, 4, 9, 5, 0, 8, 3, 7], [4, 31, 25, 12, 27, 0, 6, 19],
+             [9, 25, 50, 24, 41, 25, 0, 26], [5, 12, 24, 30, 25, 18, 6, 0],
+             [0, 27, 41, 25, 52, 25, 11, 27], [8, 0, 25, 18, 25, 33, 8, 15],
+             [3, 6, 0, 6, 11, 8, 14, 8], [7, 19, 26, 0, 27, 15, 8, 34]],
+        ),
+        "complete": (
+            Design.complete(4, 2),
+            "1001 0011 0011 0110 0101 0101 1010 0101 1001 0101 1100 0011 1010 1100 0011 1001",
+            [[31, 10, 11, 10, 0, 21, 20, 21], [10, 30, 12, 8, 20, 0, 18, 22],
+             [11, 12, 36, 13, 25, 24, 0, 23], [10, 8, 13, 31, 21, 23, 18, 0],
+             [0, 20, 25, 21, 33, 13, 8, 12], [21, 0, 24, 23, 13, 34, 10, 11],
+             [20, 18, 0, 18, 8, 10, 28, 10], [21, 22, 23, 0, 12, 11, 10, 33]],
+        ),
+        "cluster": (
+            Design.cluster([[2, 0], [1], [3]], 2),
+            "1110 1110 1110 0101 0101 0101 1110 1011 1011 1011 0101 0101 1110 0101 1110 0101",
+            [[47, 17, 47, 30, 0, 30, 0, 17], [17, 34, 17, 17, 17, 0, 17, 17],
+             [47, 17, 47, 30, 0, 30, 0, 17], [30, 17, 30, 47, 17, 30, 17, 0],
+             [0, 17, 0, 17, 17, 0, 17, 0], [30, 0, 30, 30, 0, 30, 0, 0],
+             [0, 17, 0, 17, 17, 0, 17, 0], [17, 17, 17, 0, 0, 0, 0, 17]],
+        ),
+        "paired": (
+            Design.paired([(3, 0), (1, 2)]),
+            "0101 1100 1010 1100 0101 0011 1100 1100 1010 1010 1100 0011 0011 1100 1100 0011",
+            [[36, 17, 19, 0, 0, 19, 17, 36], [17, 30, 0, 13, 13, 0, 30, 17],
+             [19, 0, 34, 15, 15, 34, 0, 19], [0, 13, 15, 28, 28, 15, 13, 0],
+             [0, 13, 15, 28, 28, 15, 13, 0], [19, 0, 34, 15, 15, 34, 0, 19],
+             [17, 30, 0, 13, 13, 0, 30, 17], [36, 17, 19, 0, 0, 19, 17, 36]],
+        ),
+        "explicit": (
+            Design.explicit([((1, 0, 1, 0), 0.25), ((0, 1, 0, 1), 0.5), ((1, 1, 0, 0), 0.25)]),
+            "0101 0101 1010 0101 0101 1100 0101 0101 1100 1010 0101 1010 1010 0101 0101 1100",
+            [[34, 17, 17, 0, 0, 17, 17, 34], [17, 47, 0, 30, 30, 0, 47, 17],
+             [17, 0, 17, 0, 0, 17, 0, 17], [0, 30, 0, 30, 30, 0, 30, 0],
+             [0, 30, 0, 30, 30, 0, 30, 0], [17, 0, 17, 0, 0, 17, 0, 17],
+             [17, 47, 0, 30, 30, 0, 47, 17], [34, 17, 17, 0, 0, 17, 17, 34]],
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_streams_are_pinned(self, kind):
+        design, draws, counts = self.PINNED[kind]
+        Z = sample_assignments(design, 11, 16)
+        assert Z.dtype == np.int64
+        assert " ".join("".join(map(str, row)) for row in Z.tolist()) == draws
+        P2 = pair_observation_probabilities(
+            design, ExposureModel.identity(4), mode="mc", count=64, seed=11
+        ).P2
+        assert np.array_equal(P2 * 64, np.array(counts))
 
 
 class TestExposures:
@@ -405,8 +467,8 @@ class TestCovariance:
 
     def test_mc_threads_deterministic(self):
         design, model, spec = illustration_parts()
-        one = coefficient_covariance(design, model, spec, mode="mc", count=9_999, seed=2, threads=3)
-        two = coefficient_covariance(design, model, spec, mode="mc", count=9_999, seed=2, threads=3)
+        one = coefficient_covariance(design, model, spec, mode="mc", count=9_999, seed=2)
+        two = coefficient_covariance(design, model, spec, mode="mc", count=9_999, seed=2)
         assert np.array_equal(one[0], two[0])
 
     @pytest.mark.parametrize(

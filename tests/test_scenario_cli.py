@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varbound import cli, matrixio, parse_scenario
+from varbound import (
+    build_variance_problem,
+    cli,
+    matrixio,
+    pair_observation_probabilities,
+    parse_scenario,
+    r_covariance_opnorm,
+)
 from varbound.errors import (
     AsymmetricInput,
     DimensionError,
@@ -167,6 +174,47 @@ class TestScenarioParsing:
             parse_scenario(path)
         assert any(ptr == "/solver/momentum" for ptr, _ in info.value.findings)
 
+    @pytest.mark.parametrize("patch, pointer", [
+        ({"mode": {"kind": "mc", "count": 0}}, "/mode/count"),
+        ({"mode": {"kind": "mc", "count": "many"}}, "/mode/count"),
+        ({"mode": {"kind": "mc", "count": 100, "seed": -1}}, "/mode/seed"),
+        ({"solver": {"rho": 0}}, "/solver"),
+        ({"solver": {"rho": "abc"}}, "/solver"),
+    ], ids=["count-zero", "count-text", "seed-negative", "rho-zero", "rho-text"])
+    def test_bad_mode_or_solver_value_is_a_finding(self, tmp_path, patch, pointer):
+        doc = {
+            "n": 2,
+            "design": {"kind": "bernoulli", "p": 0.5},
+            "exposure": {"rule": "identity"},
+            "estimator": {"kind": "horvitz-thompson"},
+            **patch,
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert pointer in {ptr for ptr, _ in info.value.findings}
+        assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
+
+    def test_covariates_from_csv_json_or_inline_agree(self, tmp_path):
+        X = np.random.default_rng(4).normal(size=(4, 2))
+        matrixio.write_matrix(X, tmp_path / "X.csv")
+        matrixio.write_matrix(X, tmp_path / "X.json")
+        problems = []
+        for covariates in ("X.csv", "X.json", X.tolist()):
+            doc = {
+                "n": 4,
+                "design": {"kind": "complete-randomization", "m": 2},
+                "exposure": {"rule": "identity"},
+                "estimator": {"kind": "lin", "covariates": covariates},
+            }
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps(doc))
+            scn = parse_scenario(path)
+            assert np.array_equal(scn.estimator.covariates, X)
+            problems.append(build_variance_problem(scn.design, scn.model, scn.estimator)[0])
+        assert all(np.array_equal(p.A, problems[0].A) for p in problems)
+
     def test_resolve_config_falls_back_to_builtin(self, tmp_path):
         assert resolve_config_path("illustration").name == "illustration.json"
         with pytest.raises(ParseError):
@@ -192,6 +240,30 @@ class TestCli:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert run_cli("bound") == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--threads", "2"], ["--seed", "-1"]],
+                             ids=["threads", "negative-seed"])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags):
+        assert run_cli("bound", "-c", "illustration", "-o", tmp_path, *flags) == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["W", "theta", "slack", "bound"])
+    def test_missing_matrix_file_is_computation_error(self, tmp_path, capsys, missing):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["realized"] = {"z": [1, 0], "outcomes": {"1": 1.0, "4": 4.0}}
+        command = ["estimate"]
+        if missing == "W":
+            doc["objective"] = {"terms": [{"weight": 1.0, "term": "targeted", "W": "gone.csv"}]}
+        elif missing == "theta":
+            doc["theta"] = "gone.csv"
+        elif missing == "slack":
+            command = ["admissible", "--slack", tmp_path / "gone.csv"]
+        else:
+            command = ["estimate", "--bound", tmp_path / "gone.csv"]
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(*command, "-c", path) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_help_exits_cleanly(self, capsys):
         assert run_cli("--help") == 0
@@ -288,11 +360,41 @@ class TestCli:
         outs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            assert run_cli("bound", "-c", path, "-o", out, "--threads", "2") == 0
+            assert run_cli("bound", "-c", path, "-o", out) == 0
             outs.append(json.loads((out / "report.json").read_text())["metrics"])
         assert json.dumps(outs[0], sort_keys=True) == json.dumps(outs[1], sort_keys=True)
         assert outs[0]["seed"] == 11
         assert outs[0]["design_compatible"] is True
+
+    def test_estimate_draws_cov_r_with_the_scenario_seed(self, tmp_path, capsys):
+        # n = 9 is past the exact Cov(R) cap, so estimate falls back to 20,000
+        # Monte Carlo draws; they must come from the scenario's seed
+        n = 9
+        doc = {
+            "n": n,
+            "design": {"kind": "bernoulli", "p": 0.5},
+            "exposure": {"rule": "identity"},
+            "estimator": {"kind": "horvitz-thompson"},
+            "mode": {"kind": "mc", "count": 2000, "seed": 5},
+            "realized": {"z": [1, 0] * 4 + [1],
+                         "outcomes": {str(i + 1 + (0 if i % 2 == 0 else n)): 1.0 + i
+                                      for i in range(n)}},
+        }
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(doc))
+        scn = parse_scenario(path)
+        table = pair_observation_probabilities(scn.design, scn.model, mode="mc", count=2000, seed=5)
+        B = np.where(table.P2 > 0, 0.5, 0.0) + np.eye(2 * n)
+        matrixio.write_matrix(B, tmp_path / "B.csv")
+        out = tmp_path / "est"
+        assert run_cli("estimate", "-c", path, "--bound", tmp_path / "B.csv", "-o", out) == 0
+        capsys.readouterr()
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        expected = r_covariance_opnorm(scn.design, scn.model, B, table,
+                                       mode="mc", count=20000, seed=5)
+        assert metrics["seed"] == 5
+        assert metrics["opnorm_cov_R_mode"] == "mc"
+        assert metrics["opnorm_cov_R"] == expected.opnorm_cov_R
 
     def test_seed_flag_overrides_scenario_seed(self, tmp_path):
         doc = {
