@@ -172,6 +172,7 @@ def cmd_admissible(scn, args, out_dir, started, inputs):
 def cmd_estimate(scn, args, out_dir, started, inputs):
     if scn.realized is None:
         raise VarboundError("estimate needs realized data in the scenario")
+    estimation.validate_realized(scn.realized, scn.model)
     problem, table, kwargs = _build(scn, args)
     if args.bound is not None:
         B = matrixio.read_matrix(args.bound)

@@ -38,7 +38,8 @@ from .experiment import (
     observation_indices,
 )
 
-# exact Cov(R) materializes a 4n^2 x 4n^2 matrix; keep it desk sized
+# exact Cov(R) enumerates up to 2^n assignments and eigendecomposes a dense
+# matrix of up to n(2n + 1) pair coordinates per side; keep it desk sized
 EXACT_RCOV_UNIT_CAP = 8
 
 # a bound coefficient is treated as structurally zero below this fraction of
@@ -146,22 +147,28 @@ def ht_bound_estimate(B, data, table, n, threshold_c=0.0, support_tol=SUPPORT_TO
     return total / float(n) ** 2
 
 
-def _r_vectors(B, table, obs, support_tol=SUPPORT_TOL):
+def _r_pairs(B, table, support_tol=SUPPORT_TOL):
+    """Coordinates of the inverse-propensity indicators: the unordered pairs
+    k <= l on the support of B with P2[k, l] > 0, and the scale of each,
+    1 / P2[k, l] on the diagonal and sqrt(2) / P2[k, l] off it."""
+    P2 = np.asarray(table.P2, dtype=float)
+    k, l = np.nonzero(np.triu(_support_mask(B, support_tol) & (P2 > 0.0)))
+    scale = np.where(k == l, 1.0, math.sqrt(2.0)) / P2[k, l]
+    return k, l, scale
+
+
+def _r_vectors(obs, pairs):
     """Rows of inverse-propensity indicators for observation rows ``obs``.
 
-    Coordinate (k, l) of each row is 1{k, l observed} / P2[k, l] on the
-    support of B, with 0/0 read as 0. Row layout is lexicographic in (k, l).
+    Coordinate (k, l) of ``pairs = (k, l, scale)`` is 1{k, l observed} times
+    its scale. The full indicator vector over ordered pairs repeats each
+    off-diagonal coordinate twice, so its covariance E C E' has the nonzero
+    spectrum of the covariance of these rows, whose off-diagonal coordinates
+    carry sqrt(2) instead.
     """
-    P2 = np.asarray(table.P2, dtype=float)
-    dim = P2.shape[0]
-    support = _support_mask(B, support_tol) & (P2 > 0.0)
-    pairs = np.argwhere(support)
-    weights = 1.0 / P2[support]
+    k, l, scale = pairs
     obs = obs.astype(float)
-    both = obs[:, pairs[:, 0]] * obs[:, pairs[:, 1]]
-    R = np.zeros((obs.shape[0], dim * dim))
-    R[:, pairs[:, 0] * dim + pairs[:, 1]] = both * weights
-    return R
+    return obs[:, k] * obs[:, l] * scale
 
 
 def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
@@ -169,15 +176,13 @@ def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
 
     Deterministic generic start; stops on the eigenpair residual, so a start
     vector with small overlap on the top eigenspace cannot fake convergence.
+    Each step reuses the product from the residual check as the next power
+    step, so t steps cost t + 1 matvecs.
     """
     v = np.random.default_rng(0x5EED).normal(size=dim)
     v /= float(np.linalg.norm(v))
-    scale = float(np.linalg.norm(matvec(v)))
-    if scale == 0.0:
-        return 0.0
-    lam = 0.0
+    w = matvec(v)
     for _ in range(max_iter):
-        w = matvec(v)
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
             return 0.0
@@ -194,10 +199,10 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
     """Operator norm of Cov(R), the inverse-propensity indicator covariance.
 
     Both modes average over the same assignment blocks: exact mode over the
-    enumerated design (capped at n <= 8 because the covariance has 4n^2
-    coordinates per side) and takes the top eigenvalue directly; Monte Carlo
-    mode over sampled assignments and extracts the top eigenvalue by power
-    iteration. The indicators live on the support of B: entries within
+    enumerated design (capped at n <= 8) and takes the top eigenvalue
+    directly; Monte Carlo mode over sampled assignments and extracts the top
+    eigenvalue by power iteration. The indicators live on the unordered pairs
+    of the support of B, at most n(2n + 1) coordinates: entries within
     ``support_tol`` (relative) of zero do not count. When ``table`` is
     omitted it is computed in the matching mode (for Monte Carlo, from the
     same draws that feed the covariance).
@@ -210,11 +215,13 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
     blocks = _AssignmentBlocks(design, mode, count, seed)
     if table is None:
         table = _second_order_table(model, blocks)
+    pairs = _r_pairs(B, table, support_tol)
     mean, second = _weighted_moments(
-        blocks, lambda Z: _r_vectors(B, table, _observation_matrix(model, Z), support_tol)
+        blocks, lambda Z: _r_vectors(_observation_matrix(model, Z), pairs)
     )
     if mode == "exact":
-        top = float(np.linalg.eigvalsh(linalg.symmetrize(second - np.outer(mean, mean)))[-1])
+        cov = linalg.symmetrize(second - np.outer(mean, mean))
+        top = float(np.linalg.eigvalsh(cov).max(initial=0.0))  # a zero B has no pairs
     else:
         top = _power_iteration_opnorm(lambda v: second @ v - mean * float(mean @ v), len(mean))
     return RDiagnostics(opnorm_cov_R=max(top, 0.0), provenance=blocks.provenance)

@@ -30,9 +30,10 @@ from varbound.errors import (
     IncompatibleBound,
     InvalidConjugatePair,
     MissingOutcome,
+    NonConvergence,
     SupportTooLarge,
 )
-from varbound.estimation import RDiagnostics, _r_vectors
+from varbound.estimation import RDiagnostics, _power_iteration_opnorm, _r_pairs, _r_vectors
 from varbound.experiment import _AssignmentBlocks, _observation_matrix, _weighted_moments
 from conftest import A_ILLU, B_MINNORM, random_scenario
 
@@ -167,6 +168,13 @@ class TestRCovariance:
         diag = r_covariance_opnorm(design, model, B, table)
         assert diag.opnorm_cov_R == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kwargs", [{}, {"mode": "mc", "count": 100, "seed": 0}],
+                             ids=["exact", "mc"])
+    def test_zero_bound_has_no_pairs(self, kwargs):
+        design = Design.bernoulli(3, 0.5)
+        model = ExposureModel.identity(3)
+        assert r_covariance_opnorm(design, model, np.zeros((6, 6)), **kwargs).opnorm_cov_R == 0.0
+
     def test_perfectly_correlated_clusters(self):
         # exposures perfectly correlated within clusters of two: the norm is
         # twice the cluster size for a bound supported on the diagonal
@@ -224,6 +232,85 @@ class TestRCovariance:
         ]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_matches_dense_ordered_pair_layout(self, mode):
+        # reference: one coordinate per ordered pair (k, l), 4n^2 in all,
+        # with the dense covariance's top eigenvalue
+        rng = np.random.default_rng(23)
+        for i in range(12):
+            design, model, _ = random_scenario(rng)
+            count, seed = (None, None) if mode == "exact" else (3000, i)
+            blocks = _AssignmentBlocks(design, mode, count, seed)
+            table = pair_observation_probabilities(design, model, mode, count, seed)
+            B = _compatible_bound(rng, table)
+            support = (B != 0).ravel()
+            P2 = np.where(table.P2 > 0, table.P2, 1.0)
+
+            def ordered_rows(Z):
+                obs = _observation_matrix(model, Z).astype(float)
+                return (obs[:, :, None] * obs[:, None, :] / P2).reshape(len(Z), -1) * support
+
+            mean, second = _weighted_moments(blocks, ordered_rows)
+            dense = float(np.linalg.eigvalsh(linalg.symmetrize(second - np.outer(mean, mean)))[-1])
+            got = r_covariance_opnorm(design, model, B, table, mode, count, seed).opnorm_cov_R
+            assert got == pytest.approx(dense, rel=1e-12 if mode == "exact" else 1e-10)
+
+    def test_pair_layout_is_upper_triangle_of_support(self):
+        design, model = cluster_coin_design()
+        table = pair_observation_probabilities(design, model)
+        B = np.where(table.P2 > 0, 1.0, 0.0)
+        B[0, 1] = B[1, 0] = 0.0
+        k, l, scale = _r_pairs(B, table)
+        assert np.all(k <= l)
+        assert len(k) == (np.count_nonzero(B) + np.count_nonzero(np.diag(B))) // 2
+        assert np.allclose(scale * table.P2[k, l], np.where(k == l, 1.0, math.sqrt(2.0)))
+
+
+class TestPowerIteration:
+    @staticmethod
+    def counted(M):
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return M @ v
+
+        return matvec, calls
+
+    def test_known_spectrum(self):
+        Q = np.linalg.qr(np.random.default_rng(1).normal(size=(5, 5)))[0]
+        M = (Q * [5.0, 3.0, 1.0, 0.5, 0.0]) @ Q.T
+        assert _power_iteration_opnorm(lambda v: M @ v, 5) == pytest.approx(5.0, rel=1e-12)
+
+    def test_zero_operator_takes_one_matvec(self):
+        matvec, calls = self.counted(np.zeros((4, 4)))
+        assert _power_iteration_opnorm(matvec, 4) == 0.0
+        assert len(calls) == 1
+
+    def test_tiny_max_iter_raises(self):
+        M = np.diag([1.0, 0.99, 0.5])
+        with pytest.raises(NonConvergence):
+            _power_iteration_opnorm(lambda v: M @ v, 3, max_iter=2)
+
+    def test_t_steps_take_t_plus_one_matvecs(self):
+        M = np.diag([2.0, 1.5, 1.0, 0.2])
+        matvec, calls = self.counted(M)
+        _power_iteration_opnorm(matvec, 4)
+        steps = len(calls) - 1
+        assert steps > 1
+        # the same run cut one step short fails after exactly steps matvecs
+        matvec, calls = self.counted(M)
+        with pytest.raises(NonConvergence):
+            _power_iteration_opnorm(matvec, 4, max_iter=steps - 1)
+        assert len(calls) == steps
+
+    def test_pinned_value(self):
+        # computed by the earlier loop, which evaluated every product twice;
+        # reusing the residual check's product must leave the iterates unchanged
+        G = np.random.default_rng(7).normal(size=(6, 4))
+        M = G @ G.T
+        assert _power_iteration_opnorm(lambda v: M @ v, 6) == 11.14474072426666
+
 
 def _compatible_bound(rng, table):
     """A random symmetric matrix that vanishes on every never-jointly-observed pair."""
@@ -251,13 +338,16 @@ class TestPerAssignmentOracle:
             mse = float(probs @ (ests - target) ** 2)
             assert empirical_mse(design, model, B, table, theta) == pytest.approx(
                 mse, rel=1e-12, abs=1e-14)
-            # R . vec(B o theta theta') is n^2 times the estimate, so the
-            # quadratic form of Cov(R) at that vector is n^4 Var(estimate)
+            # R . v is n^2 times the estimate for v = (B o theta theta') in
+            # the pair layout (sqrt(2) off the diagonal), so the quadratic
+            # form of Cov(R) at v is n^4 Var(estimate)
+            pairs = _r_pairs(B, table)
             mean, second = _weighted_moments(
                 _AssignmentBlocks(design),
-                lambda Z: _r_vectors(B, table, _observation_matrix(model, Z)),
+                lambda Z: _r_vectors(_observation_matrix(model, Z), pairs),
             )
-            v = (B * np.outer(theta, theta)).ravel()
+            k, l, _ = pairs
+            v = np.where(k == l, 1.0, math.sqrt(2.0)) * (B * np.outer(theta, theta))[k, l]
             cov_form = float(v @ second @ v - (mean @ v) ** 2)
             var = float(probs @ (ests - probs @ ests) ** 2) * n**4
             assert cov_form == pytest.approx(var, rel=1e-12, abs=1e-12 * float(v @ second @ v))

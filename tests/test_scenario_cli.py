@@ -322,6 +322,20 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"]["opnorm_cov_R"] > 0
 
+    @pytest.mark.parametrize("outcomes", [
+        {"1": 1.0, "4": 4.0, "2": 7.0},  # coordinate 2 is not observed under z = [1, 0]
+        {"1": 1.0},  # coordinate 4 is
+    ], ids=["extra-key", "missing-key"])
+    def test_estimate_rejects_outcomes_off_the_observation_set(self, tmp_path, capsys, outcomes):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["realized"] = {"z": [1, 0], "outcomes": outcomes}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("estimate", "-c", path, "-o", tmp_path / "est") == 2
+        captured = capsys.readouterr()
+        assert "observation set" in captured.err
+        assert "bound_estimate" not in captured.out
+
     def test_estimate_reports_theta_diagnostics(self, tmp_path, capsys):
         doc = json.loads(builtin_scenario_path("illustration").read_text())
         doc["theta"] = [1.0, 2.0, 3.0, 4.0]
