@@ -161,10 +161,9 @@ def cmd_admissible(scn, args, out_dir, started, inputs):
         outputs["witness"] = str(
             matrixio.write_matrix(verdict.witness, Path(out_dir) / f"witness.{args.format}", args.format)
         )
-        report = _report("admissible", inputs, outputs, metrics, started)
+    report = _report("admissible", inputs, outputs, metrics, started)
+    if out_dir is not None:
         _write_report(report, out_dir)
-    else:
-        report = _report("admissible", inputs, outputs, metrics, started)
     print(json.dumps({"alpha": verdict.alpha, "admissible": verdict.admissible}))
     return (EXIT_OK if verdict.admissible else EXIT_INADMISSIBLE), report
 

@@ -30,6 +30,8 @@ from .errors import (
 )
 from .experiment import (
     DEFAULT_SUPPORT_CAP,
+    _as_bits,
+    _as_theta,
     _AssignmentBlocks,
     _observation_matrix,
     _second_order_table,
@@ -60,7 +62,8 @@ class RealizedData:
     outcomes: dict[int, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "z", tuple(int(b) for b in self.z))
+        z = tuple(self.z)
+        object.__setattr__(self, "z", _as_bits(z, len(z)))
         object.__setattr__(
             self, "outcomes", {int(k): float(v) for k, v in self.outcomes.items()}
         )
@@ -68,7 +71,7 @@ class RealizedData:
 
 def observe(model, z, theta):
     """Realize data from a full parameter vector (simulation helper)."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _as_theta(theta, model.n)
     return RealizedData(
         z=tuple(z),
         outcomes={k: float(theta[k]) for k in observation_indices(model, z)},
@@ -273,8 +276,7 @@ def mse_upper_bound(diag, theta_stats, B, n, p=1.0, q=math.inf):
         moment = float(np.max(theta**2)) ** 2 if theta.size else 0.0
     else:
         moment = float(np.sum(np.abs(theta) ** (2 * q))) ** (2.0 / q)
-    lnorm = linalg.entrywise_norm(B, 2 * p, 2) if not math.isinf(p) else linalg.entrywise_norm(B, math.inf, 2)
-    return opnorm * lnorm**2 * moment / float(n) ** 2
+    return opnorm * linalg.entrywise_norm(B, 2 * p, 2) ** 2 * moment / float(n) ** 2
 
 
 def empirical_mse(design, model, B, table=None, theta=None, mode="exact", count=None,

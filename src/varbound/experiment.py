@@ -12,9 +12,9 @@ boundary.
 Every design moment (pi = diag(P2), P2, A) is one weighted average over
 blocks of assignment rows, in exact and Monte Carlo mode alike; only the
 weights differ (see ``_AssignmentBlocks``). Monte Carlo draws depend on the
-seed and the count alone. The scalar ``compute_exposures``,
-``observation_indices`` and ``coefficient_vector`` are per-assignment
-references for the batched ``_observation_matrix`` and ``_batch_coefficients``.
+seed and the count alone. Each exposure rule (``_exposure_codes``) and each
+estimator (``_batch_coefficients``) is implemented once, on blocks of rows;
+the per-assignment functions run that code on a single row.
 """
 
 from __future__ import annotations
@@ -68,12 +68,21 @@ _REGRESSION_KINDS = ("ols", "lin", "greg")
 
 
 def _as_bits(z, n):
-    bits = tuple(int(b) for b in z)
-    if len(bits) != n:
-        raise InvalidDesign(f"assignment length {len(bits)} != n = {n}")
-    if any(b not in (0, 1) for b in bits):
-        raise InvalidDesign(f"assignment entries must be 0/1, got {bits}")
-    return bits
+    """z as a tuple of ints; each entry must equal 0 or 1 before conversion."""
+    z = list(z)
+    if len(z) != n:
+        raise InvalidDesign(f"assignment length {len(z)} != n = {n}")
+    if any(b not in (0, 1) for b in z):
+        raise InvalidDesign(f"assignment entries must be 0 or 1, got {np.asarray(z).tolist()}")
+    return tuple(int(b) for b in z)
+
+
+def _as_theta(theta, n):
+    """theta as a float vector of length 2n."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (2 * n,):
+        raise DimensionMismatch(f"theta must have length {2 * n}, got {theta.shape}")
+    return theta
 
 
 # -- designs --------------------------------------------------------------------
@@ -373,27 +382,44 @@ class ExposureModel:
         )
 
 
+def _exposure_codes(model, Z):
+    """Integer (rows, n) matrix: entry (r, i) is the index in ``model.labels`` of
+    unit i's exposure under assignment row r of Z."""
+    Z = np.asarray(Z, dtype=np.int64)
+    n = Z.shape[1]
+    if model.rule == "identity":
+        return 1 - Z  # labels (1, 0)
+    if model.rule == "spillover":
+        adj = np.zeros((n, n))  # float, so the neighbour count below runs through BLAS
+        for i, nbrs in enumerate(model.adjacency):
+            adj[i, list(nbrs)] = 1.0
+        # SPILLOVER_LABELS order: a treated unit is 0 (direct), an untreated one
+        # 2 (isolated) less 1 if it has a treated neighbour (indirect); int8
+        # arithmetic, as this runs on every block of the exact-mode build
+        return (Z == 0) * (np.int8(2) - (Z @ adj.T > 0))
+    if model.rule != "table":
+        raise InvalidDesign(f"unknown exposure rule {model.rule!r}")
+    rows = [model.table.get(z) for z in map(tuple, Z.tolist())]
+    if None in rows:
+        bits = tuple(Z[rows.index(None)].tolist())
+        raise RuleUndefined(f"exposure table has no entry for assignment {bits}")
+    return np.array([[model.labels.index(lab) for lab in row] for row in rows],
+                    dtype=np.int64).reshape(-1, n)
+
+
+def _observation_matrix(model, Z):
+    """Boolean (rows, 2n) observation indicators for assignment rows Z: column
+    i is on when unit i is exposed to the first contrast label, column i + n
+    when it is exposed to the second."""
+    codes = _exposure_codes(model, Z)
+    a, b = (model.labels.index(lab) for lab in model.contrast)
+    return np.concatenate([codes == a, codes == b], axis=1)
+
+
 def compute_exposures(model, z):
     """Exposure label of every unit under assignment z."""
-    bits = _as_bits(z, model.n)
-    if model.rule == "identity":
-        return bits
-    if model.rule == "spillover":
-        out = []
-        for i, nbrs in enumerate(model.adjacency):
-            if bits[i] == 1:
-                out.append(SPILLOVER_DIRECT)
-            elif any(bits[j] == 1 for j in nbrs):
-                out.append(SPILLOVER_INDIRECT)
-            else:
-                out.append(SPILLOVER_ISOLATED)
-        return tuple(out)
-    if model.rule == "table":
-        row = model.table.get(bits)
-        if row is None:
-            raise RuleUndefined(f"exposure table has no entry for assignment {bits}")
-        return row
-    raise InvalidDesign(f"unknown exposure rule {model.rule!r}")
+    codes = _exposure_codes(model, [_as_bits(z, model.n)])[0]
+    return tuple(model.labels[c] for c in codes.tolist())
 
 
 def observation_indices(model, z):
@@ -402,48 +428,8 @@ def observation_indices(model, z):
     Unit i contributes i when exposed to the first contrast label and i + n
     when exposed to the second; other exposures reveal nothing.
     """
-    d = compute_exposures(model, z)
-    a, b = model.contrast
-    n = model.n
-    out = set()
-    for i, lab in enumerate(d):
-        if lab == a:
-            out.add(i)
-        elif lab == b:
-            out.add(i + n)
-    return frozenset(out)
-
-
-def _observation_matrix(model, Z):
-    """Boolean (count, 2n) matrix of observation indicators for assignment rows Z."""
-    Z = np.asarray(Z, dtype=np.int64)
-    n = Z.shape[1]
-    a, b = model.contrast
-    if model.rule == "identity":
-        return np.concatenate([Z == 1, Z == 0], axis=1)
-    if model.rule == "spillover":
-        adj = np.zeros((n, n))  # float, so the neighbour count below runs through BLAS
-        for i, nbrs in enumerate(model.adjacency):
-            adj[i, list(nbrs)] = 1.0
-        direct = Z == 1
-        any_nbr = Z @ adj.T > 0
-        by_label = {
-            SPILLOVER_DIRECT: direct,
-            SPILLOVER_INDIRECT: ~direct & any_nbr,
-            SPILLOVER_ISOLATED: ~direct & ~any_nbr,
-        }
-        return np.concatenate([by_label[a], by_label[b]], axis=1)
-    # table rule: look every row up among the table's assignments
-    keys = np.array(list(model.table), dtype=np.int64).reshape(-1, n)
-    _, inverse = np.unique(np.concatenate([keys, Z]), axis=0, return_inverse=True)
-    entry = np.full(len(keys) + len(Z), -1)
-    entry[inverse.reshape(-1)[: len(keys)]] = np.arange(len(keys))
-    hit = entry[inverse.reshape(-1)[len(keys):]]
-    if np.any(hit < 0):
-        bits = tuple(int(v) for v in Z[np.argmax(hit < 0)])
-        raise RuleUndefined(f"exposure table has no entry for assignment {bits}")
-    labels = np.array(list(model.table.values()), dtype=object).reshape(-1, n)[hit]
-    return np.concatenate([labels == a, labels == b], axis=1).astype(bool)
+    obs = _observation_matrix(model, [_as_bits(z, model.n)])[0]
+    return frozenset(np.flatnonzero(obs).tolist())
 
 
 # -- linear estimators -------------------------------------------------------------
@@ -536,9 +522,11 @@ def _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi):
         wb = _weighted_indicator(in_b, pi[n:], "greg")
         Pa = np.linalg.pinv(X * in_a[..., None], rcond=REGRESSION_RCOND)
         Pb = np.linalg.pinv(X * in_b[..., None], rcond=REGRESSION_RCOND)
-        adjust = (np.einsum("rp,rpn->rn", (1.0 - wa) @ X, Pa)
-                  - np.einsum("rp,rpn->rn", (1.0 - wb) @ X, Pb))
-        return wa - wb + adjust
+        # (1 - w) X by einsum, not matmul: BLAS rounds a row differently
+        # depending on how many rows it is given
+        ra = np.einsum("rn,np->rp", 1.0 - wa, X)
+        rb = np.einsum("rn,np->rp", 1.0 - wb, X)
+        return wa - wb + (np.einsum("rp,rpn->rn", ra, Pa) - np.einsum("rp,rpn->rn", rb, Pb))
     D = in_a[..., None]
     ones = np.ones_like(D)
     if spec.kind == "ols":
@@ -557,49 +545,23 @@ def coefficient_vector(spec, model, z, pi):
     are zero. ``pi`` holds the 2n first-order observation probabilities.
     """
     n = model.n
-    d = compute_exposures(model, z)
-    a, b = model.contrast
-    in_a = np.array([lab == a for lab in d], dtype=float)
-    in_b = np.array([lab == b for lab in d], dtype=float)
+    bits = _as_bits(z, n)
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (2 * n,):
         raise DimensionMismatch(f"pi must have length {2 * n}, got {pi.shape}")
-
-    if spec.kind == "horvitz-thompson":
-        c = _weighted_indicator(in_a, pi[:n], spec.kind) - _weighted_indicator(
-            in_b, pi[n:], spec.kind
-        )
-    elif spec.kind == "difference-in-means":
-        na, nb = in_a.sum(), in_b.sum()
-        if na == 0 or nb == 0:
-            raise DegenerateAssignment(
-                f"difference-in-means: empty exposure group under z = {tuple(z)}"
-            )
-        c = in_a * (n / na) - in_b * (n / nb)
-    elif spec.kind == "hajek":
-        wa = _weighted_indicator(in_a, pi[:n], spec.kind)
-        wb = _weighted_indicator(in_b, pi[n:], spec.kind)
-        if wa.sum() == 0.0 or wb.sum() == 0.0:
-            raise DegenerateAssignment(f"hajek: empty exposure group under z = {tuple(z)}")
-        c = wa / wa.mean() - wb / wb.mean()
-    else:
-        c = _regression_unit_coefficients(spec, model, [z], in_a[None], in_b[None], pi)[0]
-
-    return np.concatenate([in_a * c, in_b * c])
+    return _batch_coefficients(spec, model, [bits], pi)[0]
 
 
 def estimator_value(spec, model, z, pi, theta):
     """Realized value of the point estimator: (1/n) V . theta."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _as_theta(theta, model.n)
     V = coefficient_vector(spec, model, z, pi)
     return float(V @ theta) / model.n
 
 
 def compute_estimand(theta, n):
     """Average contrast (1/n) sum of (theta_k - theta_{k+n})."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (2 * n,):
-        raise DimensionMismatch(f"theta must have length {2 * n}, got {theta.shape}")
+    theta = _as_theta(theta, n)
     return float((theta[:n] - theta[n:]).sum()) / n
 
 
@@ -735,10 +697,21 @@ def pair_observation_probabilities(design, model, mode="exact", count=None, seed
     return _second_order_table(model, blocks)
 
 
+def _check_groups(kind, Z, sa, sb):
+    """Raise DegenerateAssignment at the first row of Z whose group total sa or
+    sb is zero."""
+    empty = (sa == 0) | (sb == 0)
+    if np.any(empty):
+        bad = int(np.argmax(empty))
+        raise DegenerateAssignment(
+            f"{kind}: empty exposure group under z = {tuple(Z[bad].tolist())}"
+        )
+
+
 def _batch_coefficients(spec, model, Z, pi):
     """Coefficient vectors for assignment rows Z, one row each."""
     Z = np.asarray(Z, dtype=np.int64)
-    count, n = Z.shape
+    n = Z.shape[1]
     obs = _observation_matrix(model, Z)
     in_a = obs[:, :n].astype(float)
     in_b = obs[:, n:].astype(float)
@@ -749,20 +722,14 @@ def _batch_coefficients(spec, model, Z, pi):
     elif spec.kind == "difference-in-means":
         na = in_a.sum(axis=1, keepdims=True)
         nb = in_b.sum(axis=1, keepdims=True)
-        if np.any(na == 0) or np.any(nb == 0):
-            bad = int(np.argmax((na == 0) | (nb == 0)))
-            raise DegenerateAssignment(
-                f"difference-in-means: empty exposure group under z = {tuple(Z[bad])}"
-            )
+        _check_groups(spec.kind, Z, na, nb)
         c = in_a * (n / na) - in_b * (n / nb)
     elif spec.kind == "hajek":
         wa = _weighted_indicator(in_a, pi[:n], spec.kind)
         wb = _weighted_indicator(in_b, pi[n:], spec.kind)
         sa = wa.mean(axis=1, keepdims=True)
         sb = wb.mean(axis=1, keepdims=True)
-        if np.any(sa == 0) or np.any(sb == 0):
-            bad = int(np.argmax((sa == 0) | (sb == 0)))
-            raise DegenerateAssignment(f"hajek: empty exposure group under z = {tuple(Z[bad])}")
+        _check_groups(spec.kind, Z, sa, sb)
         c = wa / sa - wb / sb
     else:
         c = _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi)

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrixio
-from .errors import ParseError, ValidationError, VarboundError
+from .errors import InvalidDesign, ParseError, ValidationError, VarboundError
 from .estimation import RealizedData
 from .experiment import Design, EstimatorSpec, ExposureModel
 from .solver import (
@@ -322,6 +322,9 @@ def _parse_realized(doc, base, n, findings):
                 return None
             converted[k - 1] = float(value)
         return RealizedData(z=tuple(z), outcomes=converted)
+    except InvalidDesign as exc:  # raised for z alone: entries other than 0 or 1
+        findings.add("/realized/z", exc)
+        return None
     except (KeyError, TypeError, ValueError) as exc:
         findings.add("/realized", exc)
         return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -154,15 +154,7 @@ class SolverReport:
     converged: bool
 
     def as_dict(self):
-        return {
-            "iterations": self.iterations,
-            "primal_residual": self.primal_residual,
-            "dual_residual": self.dual_residual,
-            "objective_value": self.objective_value,
-            "min_eig_slack": self.min_eig_slack,
-            "max_omega_violation": self.max_omega_violation,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,12 +545,7 @@ class BoundValidation:
         return self.conservative and self.design_compatible
 
     def as_dict(self):
-        return {
-            "conservative": self.conservative,
-            "design_compatible": self.design_compatible,
-            "min_eig_gap": self.min_eig_gap,
-            "max_omega_entry": self.max_omega_entry,
-        }
+        return asdict(self)
 
 
 def validate_bound(A, B, omega, tol=1e-7):

@@ -1,4 +1,5 @@
-"""Shared fixtures: the two-voter worked example and a randomized scenario pool."""
+"""Shared fixtures: the two-voter worked example, a randomized scenario pool, and
+per-assignment reference implementations of the exposure rules and estimators."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from varbound import (
     ExposureModel,
     build_variance_problem,
 )
+from varbound.experiment import REGRESSION_RCOND
 
 # reference matrices for the two-voter example: one of two units is targeted
 # at random, the other is indirectly exposed through their tie
@@ -86,3 +88,73 @@ def random_scenario(rng, estimators=("horvitz-thompson",)):
         ):
             kind = "horvitz-thompson"
         return design, model, EstimatorSpec(kind=kind)
+
+
+# -- per-assignment references ------------------------------------------------------
+# One assignment at a time, straight from the definitions, sharing no code with
+# the library's batched exposure and coefficient path; the tests use them as
+# the oracle for that path.
+
+
+def ref_exposures(model, z):
+    """Exposure label of every unit under assignment z."""
+    bits = tuple(int(b) for b in z)
+    if model.rule == "identity":
+        return bits
+    if model.rule == "spillover":
+        out = []
+        for i, nbrs in enumerate(model.adjacency):
+            if bits[i] == 1:
+                out.append("direct")
+            elif any(bits[j] == 1 for j in nbrs):
+                out.append("indirect")
+            else:
+                out.append("isolated")
+        return tuple(out)
+    return model.table[bits]
+
+
+def ref_observation_indices(model, z):
+    """Indices of theta revealed by z: i for the first contrast label, i + n for
+    the second."""
+    a, b = model.contrast
+    n = model.n
+    out = set()
+    for i, lab in enumerate(ref_exposures(model, z)):
+        if lab == a:
+            out.add(i)
+        elif lab == b:
+            out.add(i + n)
+    return frozenset(out)
+
+
+def ref_coefficient_vector(spec, model, z, pi):
+    """Length-2n coefficient vector of the estimator at z; regression kinds take
+    the contrast row of the pseudo-inverse of this assignment's design matrix."""
+    n = model.n
+    d = ref_exposures(model, z)
+    a, b = model.contrast
+    in_a = np.array([lab == a for lab in d], dtype=float)
+    in_b = np.array([lab == b for lab in d], dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    wa = np.divide(in_a, pi[:n], out=np.zeros(n), where=in_a > 0)
+    wb = np.divide(in_b, pi[n:], out=np.zeros(n), where=in_b > 0)
+    X = spec.covariates
+    if spec.kind == "horvitz-thompson":
+        c = wa - wb
+    elif spec.kind == "difference-in-means":
+        c = in_a * (n / in_a.sum()) - in_b * (n / in_b.sum())
+    elif spec.kind == "hajek":
+        c = wa / wa.mean() - wb / wb.mean()
+    elif spec.kind == "greg":
+        Pa = np.linalg.pinv(X * in_a[:, None], rcond=REGRESSION_RCOND)
+        Pb = np.linalg.pinv(X * in_b[:, None], rcond=REGRESSION_RCOND)
+        c = wa - wb + (1.0 - wa) @ X @ Pa - (1.0 - wb) @ X @ Pb
+    else:
+        if spec.kind == "ols":
+            Q = np.column_stack([np.ones(n), in_a, X])
+        else:
+            Xdm = X - X.mean(axis=0)
+            Q = np.column_stack([np.ones(n), in_a, Xdm, in_a[:, None] * Xdm])
+        c = n * np.linalg.pinv(Q, rcond=REGRESSION_RCOND)[1]
+    return np.concatenate([in_a * c, in_b * c])

@@ -27,15 +27,17 @@ from varbound import (
     validate_realized,
 )
 from varbound.errors import (
+    DimensionMismatch,
     IncompatibleBound,
     InvalidConjugatePair,
+    InvalidDesign,
     MissingOutcome,
     NonConvergence,
     SupportTooLarge,
 )
 from varbound.estimation import RDiagnostics, _power_iteration_opnorm, _r_pairs, _r_vectors
 from varbound.experiment import _AssignmentBlocks, _observation_matrix, _weighted_moments
-from conftest import A_ILLU, B_MINNORM, random_scenario
+from conftest import A_ILLU, B_MINNORM, random_scenario, ref_observation_indices
 
 
 def cluster_coin_design():
@@ -103,6 +105,16 @@ class TestHtBoundEstimate:
         validate_realized(good, model)
         with pytest.raises(MissingOutcome):
             validate_realized(RealizedData(z=(1, 0), outcomes={0: 1.0}), model)
+
+    @pytest.mark.parametrize("z", [(1.9, 0.2), (0.7, 1), (1, 2)])
+    def test_realized_z_entries_must_be_0_or_1(self, z):
+        with pytest.raises(InvalidDesign, match="must be 0 or 1"):
+            RealizedData(z=z, outcomes={0: 1.0})
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_observe_checks_theta_length(self, illustration, length):
+        with pytest.raises(DimensionMismatch):
+            observe(illustration["model"], (1, 0), np.ones(length))
 
 
 class TestUnbiasedness:
@@ -331,9 +343,11 @@ class TestPerAssignmentOracle:
             theta = rng.normal(size=2 * n)
             support = enumerate_assignments(design)
             probs = np.array([p for _, p in support])
-            ests = np.array([
-                ht_bound_estimate(B, observe(model, z, theta), table, n) for z, _ in support
-            ])
+            realized = [
+                RealizedData(z, {k: theta[k] for k in ref_observation_indices(model, z)})
+                for z, _ in support
+            ]
+            ests = np.array([ht_bound_estimate(B, data, table, n) for data in realized])
             target = linalg.quadratic_form_value(B, theta, n)
             mse = float(probs @ (ests - target) ** 2)
             assert empirical_mse(design, model, B, table, theta) == pytest.approx(
@@ -385,6 +399,16 @@ class TestMseUpperBound:
         diag = RDiagnostics(opnorm_cov_R=1.0)
         got = mse_upper_bound(diag, theta, B, 2, p=1, q=math.inf)
         expected = linalg.schatten_norm(B, 2) ** 2 * float(np.max(np.abs(theta))) ** 4 / 4
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_moment_form_at_p_infinity(self):
+        rng = np.random.default_rng(6)
+        M = rng.normal(size=(4, 4))
+        B = (M + M.T) / 2
+        theta = rng.normal(size=4)
+        got = mse_upper_bound(RDiagnostics(opnorm_cov_R=1.3), theta, B, 2, p=math.inf, q=1)
+        expected = 1.3 * float(np.abs(B).max(axis=1) @ np.abs(B).max(axis=1)) * float(
+            np.sum(theta**2)) ** 2 / 4
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_conjugate_validation(self):

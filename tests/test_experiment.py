@@ -1,6 +1,7 @@
 """Designs, exposures, estimators, and the variance-problem construction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from varbound import (
 )
 from varbound.errors import (
     DegenerateAssignment,
+    DimensionMismatch,
     IncompatibleEstimator,
     InvalidDesign,
     RuleUndefined,
@@ -32,8 +34,23 @@ from varbound.errors import (
     SupportTooLarge,
     ZeroExposureProbability,
 )
-from varbound.experiment import BLOCK_ROWS, VarianceProblem, _batch_coefficients, _support_blocks
-from conftest import A_ILLU, illustration_parts, random_scenario
+from varbound.experiment import (
+    BLOCK_ROWS,
+    ESTIMATOR_KINDS,
+    VarianceProblem,
+    _batch_coefficients,
+    _exposure_codes,
+    _observation_matrix,
+    _support_blocks,
+)
+from conftest import (
+    A_ILLU,
+    illustration_parts,
+    random_scenario,
+    ref_coefficient_vector,
+    ref_exposures,
+    ref_observation_indices,
+)
 
 
 class TestEnumerate:
@@ -100,6 +117,15 @@ class TestEnumerate:
     def test_explicit_merges_duplicates(self):
         d = Design.explicit([((0, 1), 0.25), ((0, 1), 0.25), ((1, 0), 0.5)])
         assert enumerate_assignments(d) == [((0, 1), 0.5), ((1, 0), 0.5)]
+
+    @pytest.mark.parametrize("z", [(0.7, 1), (1.9, 0), (1, -0.2), ("1", 0), (2, 0)])
+    def test_explicit_rejects_entries_other_than_0_or_1(self, z):
+        with pytest.raises(InvalidDesign, match="must be 0 or 1"):
+            Design.explicit([(z, 0.5), ((0, 0), 0.5)])
+
+    def test_explicit_accepts_entries_equal_to_0_or_1(self):
+        d = Design.explicit([((1.0, 0.0), 0.5), ((np.int64(0), True), 0.5)])
+        assert d.table == (((0, 1), 0.5), ((1, 0), 0.5))
 
     def test_invalid_designs(self):
         with pytest.raises(InvalidDesign):
@@ -236,6 +262,13 @@ class TestExposures:
         with pytest.raises(RuleUndefined):
             compute_exposures(model, (1, 1))
 
+    def test_table_rejects_keys_other_than_0_or_1(self):
+        with pytest.raises(InvalidDesign, match="must be 0 or 1"):
+            ExposureModel.from_table(
+                2, labels=("a", "b"), contrast=("a", "b"),
+                table={(0.7, 1): ("a", "b"), (1, 0): ("b", "a")},
+            )
+
     def test_contrast_validation(self):
         with pytest.raises(InvalidDesign):
             ExposureModel.spillover([[1], [0]], contrast=("direct", "direct"))
@@ -289,6 +322,16 @@ class TestCoefficientVector:
         with pytest.raises(DegenerateAssignment):
             coefficient_vector(spec, model, (1, 1), pi)
 
+    @pytest.mark.parametrize("kind", ["difference-in-means", "hajek"])
+    def test_degenerate_message_prints_the_assignment(self, kind):
+        model = ExposureModel.identity(2)
+        spec = EstimatorSpec(kind=kind)
+        pi = np.full(4, 0.5)
+        with pytest.raises(DegenerateAssignment, match=re.escape("z = (1, 1)")):
+            coefficient_vector(spec, model, (1, 1), pi)
+        with pytest.raises(DegenerateAssignment, match=re.escape("z = (1, 1)")):
+            _batch_coefficients(spec, model, np.array([(1, 0), (1, 1)]), pi)
+
     def test_zero_probability_rejected(self):
         model = ExposureModel.identity(2)
         spec = EstimatorSpec(kind="horvitz-thompson")
@@ -321,7 +364,7 @@ class TestCoefficientVector:
             spec = EstimatorSpec(kind=kind, covariates=X)
             for z, _ in enumerate_assignments(design):
                 V = coefficient_vector(spec, model, z, pi)
-                S = observation_indices(model, z)
+                S = ref_observation_indices(model, z)
                 off = [k for k in range(2 * n) if k not in S]
                 assert np.allclose(V[off], 0.0)
 
@@ -423,6 +466,13 @@ class TestEstimatorValue:
         )
         assert estimator_value(spec, model, (1, 0), pi, np.zeros(4)) == 0.0
 
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_theta_length_checked(self, length):
+        design, model, spec = illustration_parts()
+        pi = _exact_pi(design, model)
+        with pytest.raises(DimensionMismatch):
+            estimator_value(spec, model, (1, 0), pi, np.ones(length))
+
 
 class TestEstimand:
     def test_arithmetic(self):
@@ -488,7 +538,7 @@ class TestCovariance:
         Z = sample_assignments(design, seed=3, count=40)
         batch = _batch_coefficients(spec, model, Z, pi)
         for row, z in zip(batch, Z):
-            assert np.allclose(row, coefficient_vector(spec, model, tuple(z), pi), atol=1e-12)
+            assert np.allclose(row, ref_coefficient_vector(spec, model, z, pi), atol=1e-12)
 
     @pytest.mark.parametrize("case", ["ring-ht", "complete-lin"])
     def test_matches_scalar_oracle_at_n10(self, case):
@@ -507,13 +557,13 @@ class TestCovariance:
         P2 = np.zeros((2 * n, 2 * n))
         for z, p in support:
             s = np.zeros(2 * n)
-            s[list(observation_indices(model, z))] = 1.0
+            s[list(ref_observation_indices(model, z))] = 1.0
             P2 += p * np.outer(s, s)
         pi = np.diag(P2).copy()
         second = np.zeros((2 * n, 2 * n))
         mean = np.zeros(2 * n)
         for z, p in support:
-            V = coefficient_vector(spec, model, z, pi)
+            V = ref_coefficient_vector(spec, model, z, pi)
             second += p * np.outer(V, V)
             mean += p * V
         A = second - np.outer(mean, mean)
@@ -548,7 +598,7 @@ class TestCovariance:
             for _ in range(20):
                 theta = rng.normal(size=2 * n)
                 vals = np.array([
-                    estimator_value(spec, model, z, pi, theta) for z, _ in support
+                    ref_coefficient_vector(spec, model, z, pi) @ theta / n for z, _ in support
                 ])
                 probs = np.array([p for _, p in support])
                 mean = probs @ vals
@@ -664,3 +714,60 @@ class TestVarianceProblem:
         )
         assert problem.provenance["mode"] == "mc"
         assert table.provenance["mode"] == "mc"
+
+
+def _rule_scenario(rng, rule, two_label):
+    """A random complete-randomization scenario under one exposure rule.
+
+    2 <= m <= n - 2 units are treated, so both contrast groups are nonempty at
+    every assignment. With ``two_label`` every unit is exposed to one of the
+    two contrasted labels, as the regression estimators need.
+    """
+    n = int(rng.integers(4, 7))
+    design = Design.complete(n, int(rng.integers(2, n - 1)))
+    if rule == "identity":
+        return design, ExposureModel.identity(n)
+    if rule == "spillover":
+        # no unit is isolated on the complete graph; some are on the ring
+        if two_label:
+            adjacency = [[j for j in range(n) if j != i] for i in range(n)]
+        else:
+            adjacency = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+        return design, ExposureModel.spillover(adjacency)
+    # table: each assignment labels a random set of m units "a", the rest "b";
+    # without two_label, some "b" units but never all become "c"
+    table = {}
+    for z, _ in enumerate_assignments(design):
+        labels = np.where(rng.permutation(np.array(z)) == 1, "a", "b")
+        if not two_label:
+            others = np.flatnonzero(labels == "b")[1:]
+            labels[others[rng.random(len(others)) < 0.5]] = "c"
+        table[z] = tuple(labels.tolist())
+    return design, ExposureModel.from_table(n, ("a", "b", "c"), table, ("a", "b"))
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+@pytest.mark.parametrize("rule", ["identity", "spillover", "table"])
+def test_scalar_api_is_the_batch_path(rule, kind):
+    # the per-assignment API agrees with the references and is bitwise the
+    # matching row of the batch over the whole support
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        design, model = _rule_scenario(rng, rule, kind in ("ols", "lin", "greg"))
+        n = model.n
+        spec = EstimatorSpec(kind=kind, covariates=rng.normal(size=(n, 1)))
+        pi = _exact_pi(design, model)
+        Z = np.array([z for z, _ in enumerate_assignments(design)])
+        codes = _exposure_codes(model, Z)
+        obs = _observation_matrix(model, Z)
+        batch = _batch_coefficients(spec, model, Z, pi)
+        for r, z in enumerate(map(tuple, Z.tolist())):
+            exposures = compute_exposures(model, z)
+            assert exposures == ref_exposures(model, z)
+            assert exposures == tuple(model.labels[c] for c in codes[r])
+            S = observation_indices(model, z)
+            assert S == ref_observation_indices(model, z)
+            assert S == frozenset(np.flatnonzero(obs[r]).tolist())
+            V = coefficient_vector(spec, model, z, pi)
+            assert np.allclose(V, ref_coefficient_vector(spec, model, z, pi), rtol=0, atol=1e-12)
+            assert V.tobytes() == batch[r].tobytes()

@@ -336,6 +336,19 @@ class TestCli:
         assert "observation set" in captured.err
         assert "bound_estimate" not in captured.out
 
+    def test_estimate_rejects_z_entries_other_than_0_or_1(self, tmp_path, capsys):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["realized"] = {"z": [1.9, 0.2], "outcomes": {"1": 1.0, "4": 4.0}}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == ["/realized/z"]
+        assert run_cli("estimate", "-c", path, "-o", tmp_path / "est") == 2
+        captured = capsys.readouterr()
+        assert "/realized/z" in captured.err
+        assert "bound_estimate" not in captured.out
+
     def test_estimate_reports_theta_diagnostics(self, tmp_path, capsys):
         doc = json.loads(builtin_scenario_path("illustration").read_text())
         doc["theta"] = [1.0, 2.0, 3.0, 4.0]
