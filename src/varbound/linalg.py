@@ -56,18 +56,33 @@ class EigenSystem:
     vectors: np.ndarray
 
     def reconstruct(self):
-        return symmetrize((self.vectors * self.values) @ self.vectors.T)
+        return _from_eig(self.values, self.vectors)
+
+
+def _eigh(M):
+    """Eigendecomposition of a matrix the caller knows to be symmetric: no
+    input check, only the lower triangle is read, and the eigenvalues come in
+    LAPACK's ascending order."""
+    try:
+        return np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
+
+
+def _from_eig(w, Q):
+    """Q diag(w) Q^T as P P^T - N N^T over the positive and negative
+    eigenvalues. numpy multiplies X @ X.T with syrk, so the result is exactly
+    symmetric, and zero eigenvalues cost nothing."""
+    pos, neg = w > 0.0, w < 0.0
+    P = Q[:, pos] * np.sqrt(w[pos])
+    N = Q[:, neg] * np.sqrt(-w[neg])
+    return P @ P.T - N @ N.T
 
 
 def sym_eig(M):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    M = check_symmetric(M)
-    try:
-        w, Q = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(w)[::-1]
-    return EigenSystem(values=w[order], vectors=Q[:, order])
+    w, Q = _eigh(check_symmetric(M))
+    return EigenSystem(values=w[::-1], vectors=Q[:, ::-1])
 
 
 def eigenvalues(M):
@@ -85,9 +100,13 @@ def min_eigenvalue(M):
 
 def project_psd(M):
     """Frobenius-nearest positive semidefinite matrix (eigenvalue clipping)."""
-    es = sym_eig(M)
-    clipped = np.maximum(es.values, 0.0)
-    return symmetrize((es.vectors * clipped) @ es.vectors.T)
+    return _project_psd(check_symmetric(M))
+
+
+def _project_psd(M):
+    """project_psd of a matrix the caller knows to be symmetric."""
+    w, Q = _eigh(M)
+    return _from_eig(np.maximum(w, 0.0), Q)
 
 
 def loewner_dominates(M, N, tol):
@@ -242,16 +261,21 @@ def prox_schatten(M, t, p, shift=None):
         raise ValueError(f"Schatten prox needs p >= 1, got {p}")
     M = np.asarray(M, dtype=float)
     Y = M if shift is None else M + shift
+    X = _prox_schatten(Y if p == 2 else check_symmetric(Y), t, p)
+    return X if shift is None else X - shift
+
+
+def _prox_schatten(Y, t, p):
+    """prox_schatten of a matrix the caller knows to be symmetric, unshifted;
+    the result is exactly symmetric when Y is."""
     if p == 2:
         nrm = float(np.linalg.norm(Y))
-        X = np.zeros_like(Y) if nrm <= t else (1.0 - t / nrm) * Y
-        return X if shift is None else X - shift
-    es = sym_eig(Y)
+        return np.zeros_like(Y) if nrm <= t else (1.0 - t / nrm) * Y
+    w, Q = _eigh(Y)
     if p == 1:
-        lam = _soft_threshold(es.values, t)
+        lam = _soft_threshold(w, t)
     elif math.isinf(p):
-        lam = es.values - project_l1_ball(es.values, t)
+        lam = w - project_l1_ball(w, t)
     else:
-        lam = prox_vector_pnorm(es.values, t, p)
-    X = symmetrize((es.vectors * lam) @ es.vectors.T)
-    return X if shift is None else X - shift
+        lam = prox_vector_pnorm(w, t, p)
+    return _from_eig(lam, Q)

@@ -258,15 +258,20 @@ def _parse_solver(doc, findings):
     if not isinstance(raw, dict):
         findings.add("/solver", "must be an object")
         return SolverConfig()
-    for key in raw:
+    values = {}
+    for key, value in raw.items():
+        pointer = f"/solver/{key}"
         if key not in _SOLVER_KEYS:
-            findings.add(f"/solver/{key}", "unknown solver option")
+            findings.add(pointer, "unknown solver option")
+        elif key == "max_iterations":
+            values[key] = _integer(value, 1, pointer, findings)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            values[key] = float(value)
+        else:
+            findings.add(pointer, f"must be a number, got {value!r}")
     try:
-        return SolverConfig(**{
-            key: int(raw[key]) if key == "max_iterations" else float(raw[key])
-            for key in _SOLVER_KEYS if key in raw
-        })
-    except (TypeError, ValueError) as exc:
+        return SolverConfig(**{key: v for key, v in values.items() if v is not None})
+    except ValueError as exc:
         findings.add("/solver", exc)
         return SolverConfig()
 

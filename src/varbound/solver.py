@@ -5,12 +5,21 @@ cancels the variance matrix A on every unobservable pair, and minimizes a
 convex objective; the bound is B = A + S. Both this program and the
 admissibility test are solved with one consensus ADMM loop over closed-form
 proximal maps and cone projections, so no external conic solver is needed.
-The loop fixes the unobservable entries in its consensus step and balances
-its residuals by a deterministic rho schedule.
+The loop fixes the unobservable entries in its consensus step, balances its
+residuals by a deterministic rho schedule, and speeds up its fixed-point map
+by safeguarded type-II Anderson acceleration (memory ``_AA_MEMORY``; the
+memory restarts when a candidate does not lower the fixed-point residual and
+whenever rho changes). Every Frobenius² term is folded into the prox of
+another term, so the composite "operator norm + Frobenius²" runs two blocks.
+``SolverReport.iterations`` counts map evaluations, so it measures the
+eigendecomposition work of a solve. With ``VARBOUND_LOG=debug`` each solve
+logs one line on the ``varbound.solver`` logger: map evaluations, accepted
+accelerated steps, safeguard restarts, rho changes and final residuals.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -28,6 +37,8 @@ from .errors import (
     NotASlackMatrix,
     UnsupportedObjective,
 )
+
+log = logging.getLogger("varbound.solver")
 
 # -- objectives -----------------------------------------------------------------
 
@@ -138,6 +149,12 @@ class SolverConfig:
     feasibility_tol: float = 1e-7
 
     def __post_init__(self):
+        iterations = self.max_iterations
+        if isinstance(iterations, bool) or not isinstance(iterations, (int, float, np.integer)) \
+                or not float(iterations).is_integer():
+            raise ValueError(f"solver config field max_iterations must be an integer, "
+                             f"got {iterations!r}")
+        object.__setattr__(self, "max_iterations", int(iterations))
         for name in ("rho", "max_iterations", "eps_abs", "eps_rel", "feasibility_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"solver config field {name} must be positive")
@@ -195,7 +212,11 @@ def _omega_index_arrays(omega):
 # on fixed iteration grids, so every run stays bit-reproducible
 _BALANCE_EVERY = 50
 _BALANCE_RATIO = 10.0
-_PROBE_EVERY = 100
+_PROBE_EVERY = 10
+# Anderson acceleration: differences kept, and the Tikhonov term of the
+# least-squares solve relative to the trace of its Gram matrix
+_AA_MEMORY = 5
+_AA_REG = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,71 +229,189 @@ class _AdmmExit:
     probed: bool
 
 
-def _consensus_admm(blocks, Z0, fixed, config, probe=None, accept=None):
-    """Consensus ADMM over proximable blocks on an affine slice.
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map x -> f(x).
 
-    Each block maps (input matrix, step) to its prox / projection. The
-    consensus step averages the blocks and writes ``fixed = (rows, cols,
-    values)`` into the average, which is the exact minimization over the
-    slice, so every iterate lies on it. Every ``_BALANCE_EVERY`` iterations
-    rho doubles or halves at a tenfold residual imbalance, and the scaled
-    duals are rescaled to keep rho * U invariant.
-
-    Stopping: primal residual <= eps_abs * dim + eps_rel * ||Z||_F, dual
-    residual against the analogous dual scale, and (when given) an ``accept``
-    predicate on the consensus iterate, so the caller's feasibility contract
-    holds at exit. An optional probe sees the iterate every ``_PROBE_EVERY``
-    iterations and may stop the run early.
+    Keeps the last ``_AA_MEMORY`` differences of the map values f and of the
+    residuals g = f(x) - x between consecutive accepted points, and the Gram
+    matrix of the residual differences, updated one row per step. The
+    extrapolated point is f - dF^T gamma, where gamma minimizes
+    ||g - dG^T gamma||^2 (plus a small Tikhonov term).
     """
+
+    def __init__(self, size):
+        self.dF = np.empty((_AA_MEMORY, size))
+        self.dG = np.empty((_AA_MEMORY, size))
+        self.gram = np.empty((_AA_MEMORY, _AA_MEMORY))
+        self.clear()
+
+    def clear(self):
+        self.count = self.slot = 0
+        self.f = self.g = None
+
+    def push(self, f, g):
+        """Record an accepted point's map value and residual (flat arrays the
+        caller does not modify afterwards)."""
+        if self.f is not None:
+            j = self.slot
+            np.subtract(f, self.f, out=self.dF[j])
+            np.subtract(g, self.g, out=self.dG[j])
+            self.count = min(self.count + 1, _AA_MEMORY)
+            row = self.dG[: self.count] @ self.dG[j]
+            self.gram[j, : self.count] = row
+            self.gram[: self.count, j] = row
+            self.slot = (j + 1) % _AA_MEMORY
+        self.f, self.g = f, g
+
+    def extrapolate(self):
+        """The accelerated point, or None before two differences are stored
+        (a one-difference secant step is erratic) or when they are all zero."""
+        m = self.count
+        if m < 2:
+            return None
+        G = self.gram[:m, :m]
+        reg = _AA_REG * float(np.trace(G))
+        if not reg > 0.0:
+            return None
+        gamma = np.linalg.solve(G + reg * np.eye(m), self.dG[:m] @ self.g)
+        return self.f - gamma @ self.dF[:m]
+
+
+def _admm_map(x, blocks, rho, fixed):
+    """One consensus ADMM step on the state x = (Z, U_1, ..., U_N), stacked
+    along the first axis; returns the new state and the primal and dual
+    residual norms of the step."""
     rows, cols, values = fixed
+    Z, U = x[0], x[1:]
+    Xs = np.stack([block(Z - u, 1.0 / rho) for block, u in zip(blocks, U)])
+    fx = np.empty_like(x)
+    Z_new = fx[0]
+    np.mean(Xs + U, axis=0, out=Z_new)
+    Z_new[rows, cols] = values
+    Xs -= Z_new
+    np.add(U, Xs, out=fx[1:])
+    dual = rho * math.sqrt(len(blocks)) * float(np.linalg.norm(Z_new - Z))
+    return fx, float(np.linalg.norm(Xs)), dual
+
+
+def _consensus_admm(blocks, Z0, fixed, config, probe=None, accept=None):
+    """Consensus ADMM over proximable blocks on an affine slice, with
+    safeguarded Anderson acceleration.
+
+    Each block maps (input matrix, step) to its prox / projection and must
+    return an exactly symmetric matrix for a symmetric input, so every iterate
+    stays exactly symmetric without a symmetrize. The consensus step averages
+    the blocks and writes ``fixed = (rows, cols, values)`` into the average,
+    which is the exact minimization over the slice, so every map value lies on
+    it.
+
+    The step is a fixed-point map T on x = (Z, U_1..U_N). After each accepted
+    point the next point to evaluate is the type-II Anderson extrapolation of
+    the last ``_AA_MEMORY`` steps (see ``_Anderson``). That candidate is kept
+    only if its fixed-point residual ||T(x) - x|| is no larger than the last
+    accepted point's; otherwise the memory is cleared and the loop takes the
+    plain step T(x) from the last accepted point. The memory is also cleared
+    whenever rho changes, because the map changes with it. Every
+    ``_BALANCE_EVERY`` evaluations rho doubles or halves at a tenfold residual
+    imbalance, and the scaled duals are rescaled to keep rho * U invariant.
+
+    Every map evaluation, rejected candidates included, counts as one
+    iteration, and each one meets the same tests: every ``_PROBE_EVERY``
+    iterations an optional probe sees its Z and may stop the run early; then
+    it stops when the primal residual <= eps_abs * dim + eps_rel * ||Z||_F,
+    the dual residual meets the analogous dual scale, and (when given) an
+    ``accept`` predicate holds on Z, so the caller's feasibility contract
+    holds at exit. The returned Z is always a map value, never an
+    extrapolation. All rules depend only on the iterates, so runs are
+    bit-reproducible.
+    """
     N = len(blocks)
     dim = Z0.shape[0]
     rho = config.rho
-    Z = Z0.copy()
-    U = [np.zeros_like(Z0) for _ in range(N)]
-    r_norm = s_norm = float("inf")
-    it = 0
-    for it in range(1, config.max_iterations + 1):
-        t = 1.0 / rho
-        Xs = [blocks[i](Z - U[i], t) for i in range(N)]
-        Z_new = Xs[0] + U[0]
-        for i in range(1, N):
-            Z_new += Xs[i] + U[i]
-        Z_new /= N
-        Z_new[rows, cols] = values
-        r_norm = math.sqrt(sum(float(np.linalg.norm(Xs[i] - Z_new)) ** 2 for i in range(N)))
-        s_norm = rho * math.sqrt(N) * float(np.linalg.norm(Z_new - Z))
-        for i in range(N):
-            U[i] += Xs[i] - Z_new
-        Z = Z_new
-        eps_pri = config.eps_abs * dim + config.eps_rel * float(np.linalg.norm(Z))
-        dual_scale = rho * math.sqrt(sum(float(np.linalg.norm(u)) ** 2 for u in U))
-        eps_dual = config.eps_abs * dim + config.eps_rel * dual_scale
-        if r_norm <= eps_pri and s_norm <= eps_dual and (accept is None or accept(Z)):
-            return _AdmmExit(Z, r_norm, s_norm, it, True, False)
+    x = np.zeros((N + 1,) + Z0.shape)
+    x[0] = Z0
+    aa = _Anderson(x.size)
+    candidate = False  # x is an Anderson point awaiting the safeguard
+    g_ref = f_ref = None  # residual norm and map value of the last accepted point
+    accepted = restarts = rho_changes = 0
+    converged = probed = False
+    for it in range(1, config.max_iterations + 1):  # max_iterations >= 1
+        fx, r_norm, s_norm = _admm_map(x, blocks, rho, fixed)
+        Z = fx[0]
         if probe is not None and it % _PROBE_EVERY == 0 and probe(Z):
-            return _AdmmExit(Z, r_norm, s_norm, it, False, True)
+            probed = True
+            break
+        eps_pri = config.eps_abs * dim + config.eps_rel * float(np.linalg.norm(Z))
+        eps_dual = config.eps_abs * dim + config.eps_rel * rho * float(np.linalg.norm(fx[1:]))
+        if r_norm <= eps_pri and s_norm <= eps_dual and (accept is None or accept(Z)):
+            converged = True
+            break
+        g = (fx - x).ravel()
+        g_norm = float(np.linalg.norm(g))
+        if candidate and not g_norm <= g_ref:
+            restarts += 1
+            aa.clear()
+            x = f_ref
+        else:
+            accepted += candidate
+            g_ref, f_ref = g_norm, fx
+            aa.push(fx.ravel(), g)
+            step = aa.extrapolate()
+            x = fx if step is None else step.reshape(fx.shape)
+        candidate = x is not f_ref
         if it % _BALANCE_EVERY == 0:
-            if r_norm > _BALANCE_RATIO * s_norm:
-                rho *= 2.0
-                U = [u / 2.0 for u in U]
-            elif s_norm > _BALANCE_RATIO * r_norm:
-                rho /= 2.0
-                U = [u * 2.0 for u in U]
-    return _AdmmExit(Z, r_norm, s_norm, it, False, False)
+            factor = (2.0 if r_norm > _BALANCE_RATIO * s_norm
+                      else 0.5 if s_norm > _BALANCE_RATIO * r_norm else 1.0)
+            if factor != 1.0:
+                rho *= factor
+                x = f_ref.copy()
+                x[1:] /= factor
+                aa.clear()
+                candidate = False
+                rho_changes += 1
+    log.debug(
+        "consensus ADMM %s after %d map evaluations: %d accelerated steps accepted, "
+        "%d safeguard restarts, %d rho changes (final rho %.3g), primal %.3e, dual %.3e",
+        "converged" if converged else "probed" if probed else "stopped", it,
+        accepted, restarts, rho_changes, rho, r_norm, s_norm,
+    )
+    return _AdmmExit(fx[0], r_norm, s_norm, it, converged, probed)
 
 
 def _term_prox(term, weight, A):
-    """Prox closure for one weighted objective term at step t."""
+    """Prox closure for one weighted targeted or Schatten term at step t."""
     if isinstance(term, TargetedTerm):
         W = weight * term.W
         return lambda V, t: linalg.prox_linear(V, t, W)
-    if isinstance(term, FrobeniusSquaredTerm):
-        return lambda V, t: linalg.prox_frobenius_squared(V, t * weight, A)
     if isinstance(term, SchattenTerm):
         p = term.p
-        return lambda V, t: linalg.prox_schatten(V, t * weight, p, shift=A)
+        return lambda V, t: linalg._prox_schatten(V + A, t * weight, p) - A
     raise UnsupportedObjective(f"unknown objective term {term!r}")
+
+
+def _objective_blocks(objective, A):
+    """One prox block per objective term, except that all Frobenius² terms,
+    w ||X + A||^2 in total, fold into the first other term f:
+
+        prox_{t (f + w ||. + A||^2)}(V) = prox_{(t / c) f}((V - 2 t w A) / c),
+
+    with c = 1 + 2 t w. Frobenius² alone keeps its closed-form block."""
+    w = sum(weight for weight, term in objective.terms
+            if isinstance(term, FrobeniusSquaredTerm))
+    others = [(weight, term) for weight, term in objective.terms
+              if not isinstance(term, FrobeniusSquaredTerm)]
+    if not others:
+        return [lambda V, t: linalg.prox_frobenius_squared(V, t * w, A)]
+    blocks = [_term_prox(term, weight, A) for weight, term in others]
+    if w:
+        inner = blocks[0]
+
+        def folded(V, t):
+            c = 1.0 + 2.0 * t * w
+            return inner((V - 2.0 * t * w * A) / c, t / c)
+
+        blocks[0] = folded
+    return blocks
 
 
 def aronow_samii_slack(A, omega):
@@ -320,8 +459,7 @@ def solve_optvb(problem, objective, config=None):
                 "(drop the coordinate or lower the threshold c)"
             )
     rows, cols = _omega_index_arrays(problem.omega)
-    blocks = [lambda V, t: linalg.project_psd(V)]
-    blocks += [_term_prox(term, weight, A) for weight, term in objective.terms]
+    blocks = [lambda V, t: linalg._project_psd(V)] + _objective_blocks(objective, A)
 
     def feasible_enough(Z):
         return linalg.min_eigenvalue(Z) >= -config.feasibility_tol
@@ -397,8 +535,8 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
     rows, cols = _omega_index_arrays(omega)
     eye = np.eye(len(S))
     blocks = [
-        lambda V, t: linalg.project_psd(V),
-        lambda V, t: S_hat - linalg.project_psd(S_hat - V),
+        lambda V, t: linalg._project_psd(V),
+        lambda V, t: S_hat - linalg._project_psd(S_hat - V),
         lambda V, t: V - t * eye,  # minimize trace(T)
     ]
 

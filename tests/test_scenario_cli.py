@@ -179,8 +179,16 @@ class TestScenarioParsing:
         ({"mode": {"kind": "mc", "count": "many"}}, "/mode/count"),
         ({"mode": {"kind": "mc", "count": 100, "seed": -1}}, "/mode/seed"),
         ({"solver": {"rho": 0}}, "/solver"),
-        ({"solver": {"rho": "abc"}}, "/solver"),
-    ], ids=["count-zero", "count-text", "seed-negative", "rho-zero", "rho-text"])
+        ({"solver": {"rho": "abc"}}, "/solver/rho"),
+        ({"solver": {"max_iterations": 2.7}}, "/solver/max_iterations"),
+        ({"solver": {"max_iterations": True}}, "/solver/max_iterations"),
+        ({"solver": {"max_iterations": "3"}}, "/solver/max_iterations"),
+        ({"solver": {"max_iterations": 0}}, "/solver/max_iterations"),
+        ({"solver": {"rho": True}}, "/solver/rho"),
+        ({"solver": {"eps_abs": "1e-9"}}, "/solver/eps_abs"),
+    ], ids=["count-zero", "count-text", "seed-negative", "rho-zero", "rho-text",
+            "iterations-fraction", "iterations-bool", "iterations-text", "iterations-zero",
+            "rho-bool", "eps-text"])
     def test_bad_mode_or_solver_value_is_a_finding(self, tmp_path, patch, pointer):
         doc = {
             "n": 2,
@@ -195,6 +203,20 @@ class TestScenarioParsing:
             parse_scenario(path)
         assert pointer in {ptr for ptr, _ in info.value.findings}
         assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
+
+    def test_integral_float_iterations_are_accepted(self, tmp_path):
+        doc = {
+            "n": 2,
+            "design": {"kind": "bernoulli", "p": 0.5},
+            "exposure": {"rule": "identity"},
+            "estimator": {"kind": "horvitz-thompson"},
+            "solver": {"max_iterations": 300.0, "rho": 2},
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        solver = parse_scenario(path).solver
+        assert solver.max_iterations == 300 and type(solver.max_iterations) is int
+        assert solver.rho == 2.0
 
     def test_covariates_from_csv_json_or_inline_agree(self, tmp_path):
         X = np.random.default_rng(4).normal(size=(4, 2))
@@ -476,6 +498,12 @@ class TestCli:
         proc = self.run_child("-m", "varbound.cli", "demo", "illustration")
         assert proc.returncode == 0
         assert "[FAIL]" not in proc.stdout
+
+    def test_varbound_log_debug_shows_solver_progress(self, monkeypatch):
+        monkeypatch.setenv("VARBOUND_LOG", "debug")
+        proc = self.run_child("-m", "varbound.cli", "demo", "illustration")
+        assert proc.returncode == 0
+        assert "DEBUG varbound.solver: consensus ADMM converged after" in proc.stderr
 
     def test_gamma_sweep_script(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "gamma_sweep.py"
