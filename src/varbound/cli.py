@@ -198,6 +198,8 @@ def cmd_estimate(scn, args, out_dir, started, inputs):
     sup_obs = max((abs(v) for v in scn.realized.outcomes.values()), default=0.0)
     metrics["opnorm_cov_R"] = diag.opnorm_cov_R
     metrics["opnorm_cov_R_mode"] = diag.provenance.get("mode")
+    metrics["opnorm_cov_R_pairs"] = diag.provenance.get("pairs")
+    metrics["opnorm_cov_R_matvecs"] = diag.provenance.get("matvecs")
     # outcome scale is unknown; the largest observed magnitude is a plug-in
     metrics["sup_theta_observed"] = sup_obs
     metrics["mse_upper_bound_plugin"] = estimation.mse_upper_bound(

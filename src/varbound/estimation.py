@@ -8,11 +8,22 @@ observed pair is estimated without bias.
 The diagnostics Cov(R) and the empirical MSE average over the same
 assignment blocks as the design moments in ``experiment``, with the same
 weights: probabilities in exact mode, one per draw in Monte Carlo mode.
+
+Cov(R) lives on the unordered pairs of the support of the bound. Its second
+moment is one dense pairs x pairs matrix, filled one block of at most
+BLOCK_ROWS assignments at a time, so memory is that matrix plus one block of
+indicator rows. In Monte Carlo mode the block Gram is a matrix of integer
+counts of joint observation, computed exactly in float32 and scaled once at
+the end; exact mode weights float64 rows by their probabilities. The top
+eigenvalue comes from Lanczos with full reorthogonalization on the
+covariance's matvec, in both modes.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,8 +51,10 @@ from .experiment import (
     observation_indices,
 )
 
-# exact Cov(R) enumerates up to 2^n assignments and eigendecomposes a dense
-# matrix of up to n(2n + 1) pair coordinates per side; keep it desk sized
+log = logging.getLogger(__name__)
+
+# exact Cov(R) enumerates up to 2^n assignments into a dense second moment of
+# up to n(2n + 1) pair coordinates per side; keep it desk sized
 EXACT_RCOV_UNIT_CAP = 8
 
 # a bound coefficient is treated as structurally zero below this fraction of
@@ -108,14 +121,19 @@ def _support_mask(B, support_tol=SUPPORT_TOL):
     return np.abs(B) > support_tol * max(1.0, scale)
 
 
+def _check_bound_shape(B, table):
+    shape = np.shape(table.P2)
+    if B.shape != shape:
+        raise DimensionMismatch(f"B shape {B.shape} != P2 shape {shape}")
+
+
 def check_bound_compatible(B, table, threshold_c=0.0, support_tol=SUPPORT_TOL):
     """Raise IncompatibleBound if B has weight on a pair observed with
     probability at most threshold_c. ``support_tol`` sets the relative size
     below which a coefficient counts as structurally zero."""
     B = linalg.check_symmetric(B, name="B")
+    _check_bound_shape(B, table)
     P2 = np.asarray(table.P2, dtype=float)
-    if B.shape != P2.shape:
-        raise DimensionMismatch(f"B shape {B.shape} != P2 shape {P2.shape}")
     bad = _support_mask(B, support_tol) & (P2 <= threshold_c)
     if np.any(bad):
         k, l = (int(x) for x in np.argwhere(bad)[0])
@@ -174,27 +192,73 @@ def _r_vectors(obs, pairs):
     return obs[:, k] * obs[:, l] * scale
 
 
-def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
-    """Largest eigenvalue of a PSD operator given by its matvec.
+def _r_moments(model, blocks, pairs):
+    """Mean and second moment of the R rows over the blocks, and the number
+    of assignment rows averaged.
 
-    Deterministic generic start; stops on the eigenpair residual, so a start
-    vector with small overlap on the top eigenspace cannot fake convergence.
-    Each step reuses the product from the residual check as the next power
-    step, so t steps cost t + 1 matvecs.
+    Exact mode weights the float64 rows by their probabilities. In Monte
+    Carlo mode every weight is one and each pair indicator is 0/1, so the
+    second moment is diag(s) C diag(s) / N with C the integer counts of joint
+    observation: each block's float32 Gram is exact (its entries are at most
+    BLOCK_ROWS < 2^24), the counts accumulate in float64, and the scales s
+    apply once at the end.
     """
+    if blocks.draws is None:
+        rows = 0
+
+        def r_rows(Z):
+            nonlocal rows
+            rows += len(Z)
+            return _r_vectors(_observation_matrix(model, Z), pairs)
+
+        mean, second = _weighted_moments(blocks, r_rows)
+        return mean, second, rows
+    k, l, scale = pairs
+    # float64 from the start: a Python 0.0 plus a float32 array stays float32
+    counts = np.zeros((len(k), len(k)))
+    for Z, _ in blocks:
+        obs = _observation_matrix(model, Z)
+        ind = (obs[:, k] & obs[:, l]).astype(np.float32)
+        counts += ind.T @ ind
+    rows = len(blocks.draws)
+    # an indicator is its own square, so the diagonal counts are the column sums
+    return np.diag(counts) * scale / rows, counts * np.outer(scale, scale) / rows, rows
+
+
+def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
+    """Largest eigenvalue of a PSD operator given by its matvec, by Lanczos.
+
+    Deterministic generic start and full reorthogonalization; the basis holds
+    at most ``dim`` vectors, at which point it spans the whole space and the
+    top Ritz value is the answer. Otherwise stops on the Ritz residual
+    beta_j |s_j| <= tol max(1, lambda), the eigenpair residual of the top Ritz
+    pair, so a start vector with small overlap on the top eigenspace cannot
+    fake convergence. Each step costs one matvec; raises NonConvergence after
+    ``max_iter`` steps.
+    """
+    if dim == 0:
+        return 0.0
+    steps = min(dim, max_iter)
+    V = np.empty((steps, dim))
+    alpha, beta = np.empty(steps), np.empty(steps)
     v = np.random.default_rng(0x5EED).normal(size=dim)
-    v /= float(np.linalg.norm(v))
-    w = matvec(v)
-    for _ in range(max_iter):
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        w = matvec(v)
-        lam = float(v @ w)
-        if float(np.linalg.norm(w - lam * v)) <= tol * max(1.0, lam):
+    V[0] = v / float(np.linalg.norm(v))
+    for j in range(steps):
+        w = matvec(V[j])
+        alpha[j] = float(V[j] @ w)
+        # two passes of classical Gram-Schmidt against the whole basis
+        basis = V[: j + 1]
+        w = w - basis.T @ (basis @ w)
+        w = w - basis.T @ (basis @ w)
+        beta[j] = float(np.linalg.norm(w))
+        T = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        vals, vecs = np.linalg.eigh(T)
+        lam = float(vals[-1])
+        if j + 1 == dim or beta[j] * abs(float(vecs[-1, -1])) <= tol * max(1.0, lam):
             return lam
-    raise NonConvergence("power iteration on Cov(R) did not converge")
+        if j + 1 < steps:
+            V[j + 1] = w / beta[j]
+    raise NonConvergence(f"Lanczos on Cov(R) did not converge in {max_iter} steps")
 
 
 def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
@@ -202,32 +266,43 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
     """Operator norm of Cov(R), the inverse-propensity indicator covariance.
 
     Both modes average over the same assignment blocks: exact mode over the
-    enumerated design (capped at n <= 8) and takes the top eigenvalue
-    directly; Monte Carlo mode over sampled assignments and extracts the top
-    eigenvalue by power iteration. The indicators live on the unordered pairs
-    of the support of B, at most n(2n + 1) coordinates: entries within
-    ``support_tol`` (relative) of zero do not count. When ``table`` is
-    omitted it is computed in the matching mode (for Monte Carlo, from the
-    same draws that feed the covariance).
+    enumerated design (capped at n <= 8) with probability weights, Monte
+    Carlo mode over sampled assignments from an exact float32 count Gram
+    (see ``_r_moments``). The indicators live on the unordered pairs of the
+    support of B, at most n(2n + 1) coordinates: entries within
+    ``support_tol`` (relative) of zero do not count. The moments take one
+    dense pairs x pairs matrix plus one block of BLOCK_ROWS indicator rows;
+    the top eigenvalue comes from Lanczos on the matvec of the covariance,
+    in both modes. When ``table`` is omitted it is computed in the matching
+    mode (for Monte Carlo, from the same draws that feed the covariance).
+
+    ``provenance`` records the mode (and the Monte Carlo count and seed),
+    the number of pair coordinates and the number of matvecs.
     """
     B = linalg.check_symmetric(B, name="B")
     if mode == "exact" and model.n > EXACT_RCOV_UNIT_CAP:
         raise SupportTooLarge(
             f"exact Cov(R) is capped at n <= {EXACT_RCOV_UNIT_CAP}, got n = {model.n}"
         )
+    started = time.perf_counter()
     blocks = _AssignmentBlocks(design, mode, count, seed)
     if table is None:
         table = _second_order_table(model, blocks)
+    _check_bound_shape(B, table)
     pairs = _r_pairs(B, table, support_tol)
-    mean, second = _weighted_moments(
-        blocks, lambda Z: _r_vectors(_observation_matrix(model, Z), pairs)
-    )
-    if mode == "exact":
-        cov = linalg.symmetrize(second - np.outer(mean, mean))
-        top = float(np.linalg.eigvalsh(cov).max(initial=0.0))  # a zero B has no pairs
-    else:
-        top = _power_iteration_opnorm(lambda v: second @ v - mean * float(mean @ v), len(mean))
-    return RDiagnostics(opnorm_cov_R=max(top, 0.0), provenance=blocks.provenance)
+    mean, second, rows = _r_moments(model, blocks, pairs)
+    matvecs = 0
+
+    def cov_matvec(v):
+        nonlocal matvecs
+        matvecs += 1
+        return second @ v - mean * float(mean @ v)
+
+    top = _power_iteration_opnorm(cov_matvec, len(mean))
+    log.debug("Cov(R): mode %s, %d rows, %d pairs, %d matvecs, %.3f s",
+              mode, rows, len(mean), matvecs, time.perf_counter() - started)
+    provenance = {**blocks.provenance, "pairs": len(mean), "matvecs": matvecs}
+    return RDiagnostics(opnorm_cov_R=max(top, 0.0), provenance=provenance)
 
 
 def _conjugate(p, q):

@@ -1,5 +1,6 @@
 """Bound estimation from realized data and its precision diagnostics."""
 
+import logging
 import math
 
 import numpy as np
@@ -35,7 +36,13 @@ from varbound.errors import (
     NonConvergence,
     SupportTooLarge,
 )
-from varbound.estimation import RDiagnostics, _power_iteration_opnorm, _r_pairs, _r_vectors
+from varbound.estimation import (
+    RDiagnostics,
+    _power_iteration_opnorm,
+    _r_moments,
+    _r_pairs,
+    _r_vectors,
+)
 from varbound.experiment import _AssignmentBlocks, _observation_matrix, _weighted_moments
 from conftest import A_ILLU, B_MINNORM, random_scenario, ref_observation_indices
 
@@ -277,6 +284,103 @@ class TestRCovariance:
         assert len(k) == (np.count_nonzero(B) + np.count_nonzero(np.diag(B))) // 2
         assert np.allclose(scale * table.P2[k, l], np.where(k == l, 1.0, math.sqrt(2.0)))
 
+    def test_count_gram_matches_weighted_moments(self):
+        # the Monte Carlo count Gram against the float64 weighted second
+        # moment of the scaled indicator rows, on the same draws
+        rng = np.random.default_rng(31)
+        for i in range(12):
+            design, model, _ = random_scenario(rng)
+            blocks = _AssignmentBlocks(design, "mc", 5000, i)
+            table = pair_observation_probabilities(design, model, "mc", 5000, i)
+            pairs = _r_pairs(_compatible_bound(rng, table), table)
+            mean, second, rows = _r_moments(model, blocks, pairs)
+            ref_mean, ref_second = _weighted_moments(
+                blocks, lambda Z: _r_vectors(_observation_matrix(model, Z), pairs))
+            assert rows == 5000
+            scale = float(np.abs(ref_second).max())
+            assert np.abs(mean - ref_mean).max() <= 1e-14 * float(np.abs(ref_mean).max())
+            assert np.abs(second - ref_second).max() <= 1e-14 * scale
+
+    def test_counts_accumulate_past_float32(self):
+        # 4,099 blocks of 4,095 joint observations: the total passes 2^24,
+        # where float32 can no longer hold odd integers
+        class Repeated:
+            draws = range(4095 * 4099)
+
+            def __iter__(self):
+                Z = np.ones((4095, 1), dtype=np.int64)
+                return ((Z, None) for _ in range(4099))
+
+        pairs = (np.array([0]), np.array([0]), np.array([1.0]))
+        mean, second, rows = _r_moments(ExposureModel.identity(1), Repeated(), pairs)
+        assert (mean[0], second[0, 0], rows) == (1.0, 1.0, 4095 * 4099)
+
+    def test_ring_n20_matches_dense_eigvalsh(self):
+        # the estimate workload's Monte Carlo case: 800 pairs, 20,000 draws
+        n, count, seed = 20, 20_000, 0
+        design = Design.bernoulli(n, 0.5)
+        model = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+        table = pair_observation_probabilities(design, model, "mc", count, seed)
+        B = _compatible_bound(np.random.default_rng(8), table)
+        pairs = _r_pairs(B, table)
+        mean, second = _weighted_moments(
+            _AssignmentBlocks(design, "mc", count, seed),
+            lambda Z: _r_vectors(_observation_matrix(model, Z), pairs),
+        )
+        dense = float(np.linalg.eigvalsh(second - np.outer(mean, mean))[-1])
+        diag = r_covariance_opnorm(design, model, B, table, "mc", count, seed)
+        assert diag.opnorm_cov_R == pytest.approx(dense, rel=1e-12)
+        assert diag.provenance["pairs"] == len(mean)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_repeated_calls_bitwise_equal(self, mode):
+        n = 6
+        design = Design.bernoulli(n, 0.4)
+        model = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+        kwargs = {} if mode == "exact" else {"count": 7000, "seed": 3}
+        B = _compatible_bound(np.random.default_rng(2),
+                              pair_observation_probabilities(design, model))
+        runs = [r_covariance_opnorm(design, model, B, mode=mode, **kwargs) for _ in range(3)]
+        assert len({d.opnorm_cov_R for d in runs}) == 1
+        assert all(d.provenance == runs[0].provenance for d in runs)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"mode": "mc", "count": 100, "seed": 0}],
+                             ids=["exact", "mc"])
+    def test_bound_shape_checked(self, kwargs):
+        design = Design.bernoulli(3, 0.5)
+        model = ExposureModel.identity(3)
+        table = pair_observation_probabilities(design, model)
+        for given in (table, None):
+            with pytest.raises(DimensionMismatch):
+                r_covariance_opnorm(design, model, np.eye(4), given, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"mode": "mc", "count": 3000, "seed": 1}],
+                             ids=["exact", "mc"])
+    def test_provenance_and_debug_log(self, kwargs, monkeypatch, caplog):
+        design = Design.bernoulli(3, 0.5)
+        model = ExposureModel.identity(3)
+        B = 2 * np.eye(6)
+        calls = []
+
+        def counted(matvec, dim, *args, **kw):
+            def wrapped(v):
+                calls.append(1)
+                return matvec(v)
+            return _power_iteration_opnorm(wrapped, dim, *args, **kw)
+
+        monkeypatch.setattr("varbound.estimation._power_iteration_opnorm", counted)
+        with caplog.at_level(logging.DEBUG, logger="varbound.estimation"):
+            diag = r_covariance_opnorm(design, model, B, **kwargs)
+        prov = diag.provenance
+        assert prov["mode"] == kwargs.get("mode", "exact")
+        assert prov["pairs"] == 6
+        assert prov["matvecs"] == len(calls) >= 1
+        rows = kwargs.get("count", 8)
+        [record] = [r for r in caplog.records if r.name == "varbound.estimation"]
+        assert record.levelno == logging.DEBUG
+        assert (f"mode {prov['mode']}, {rows} rows, 6 pairs, {len(calls)} matvecs"
+                in record.getMessage())
+
 
 class TestPowerIteration:
     @staticmethod
@@ -304,24 +408,41 @@ class TestPowerIteration:
         with pytest.raises(NonConvergence):
             _power_iteration_opnorm(lambda v: M @ v, 3, max_iter=2)
 
-    def test_t_steps_take_t_plus_one_matvecs(self):
-        M = np.diag([2.0, 1.5, 1.0, 0.2])
-        matvec, calls = self.counted(M)
-        _power_iteration_opnorm(matvec, 4)
-        steps = len(calls) - 1
-        assert steps > 1
-        # the same run cut one step short fails after exactly steps matvecs
-        matvec, calls = self.counted(M)
-        with pytest.raises(NonConvergence):
-            _power_iteration_opnorm(matvec, 4, max_iter=steps - 1)
-        assert len(calls) == steps
+    @staticmethod
+    def random_psd(dim, rank, seed):
+        G = np.random.default_rng(seed).normal(size=(dim, rank))
+        return G @ G.T
 
-    def test_pinned_value(self):
-        # computed by the earlier loop, which evaluated every product twice;
-        # reusing the residual check's product must leave the iterates unchanged
-        G = np.random.default_rng(7).normal(size=(6, 4))
-        M = G @ G.T
-        assert _power_iteration_opnorm(lambda v: M @ v, 6) == 11.14474072426666
+    @pytest.mark.parametrize("dim, rank", [(1, 1), (2, 2), (5, 1), (8, 3), (13, 13), (34, 1),
+                                           (34, 17), (60, 2), (60, 31), (60, 60)])
+    def test_matches_eigvalsh(self, dim, rank):
+        M = self.random_psd(dim, rank, 100 * dim + rank)
+        top = float(np.linalg.eigvalsh(M)[-1])
+        assert _power_iteration_opnorm(lambda v: M @ v, dim) == pytest.approx(top, rel=1e-12)
+
+    def test_empty_operator(self):
+        assert _power_iteration_opnorm(lambda v: v, 0) == 0.0
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-6, 1e-3])
+    @pytest.mark.parametrize("dim", [10, 40, 60])
+    def test_clustered_top_pair(self, gap, dim):
+        # a pair closer than the residual tolerance is resolved only to its
+        # width, so the gaps here stay well above it
+        rng = np.random.default_rng(dim)
+        Q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        spectrum = 5.0 * np.concatenate([[1.0, 1.0 - gap], rng.uniform(0.0, 0.9, dim - 2)])
+        M = (Q * spectrum) @ Q.T
+        top = float(np.linalg.eigvalsh(M)[-1])
+        assert _power_iteration_opnorm(lambda v: M @ v, dim) == pytest.approx(top, rel=1e-12)
+
+    def test_basis_capped_at_dim(self):
+        # at dim steps the basis spans the space: no more matvecs than dim,
+        # even with a residual tolerance no Ritz pair can meet
+        M = self.random_psd(6, 6, 5)
+        matvec, calls = self.counted(M)
+        top = _power_iteration_opnorm(matvec, 6, tol=0.0)
+        assert len(calls) == 6
+        assert top == pytest.approx(float(np.linalg.eigvalsh(M)[-1]), rel=1e-12)
 
 
 def _compatible_bound(rng, table):

@@ -444,6 +444,8 @@ class TestCli:
         assert metrics["seed"] == 5
         assert metrics["opnorm_cov_R_mode"] == "mc"
         assert metrics["opnorm_cov_R"] == expected.opnorm_cov_R
+        assert metrics["opnorm_cov_R_pairs"] == expected.provenance["pairs"]
+        assert metrics["opnorm_cov_R_matvecs"] == expected.provenance["matvecs"]
 
     def test_seed_flag_overrides_scenario_seed(self, tmp_path):
         doc = {
@@ -504,6 +506,22 @@ class TestCli:
         proc = self.run_child("-m", "varbound.cli", "demo", "illustration")
         assert proc.returncode == 0
         assert "DEBUG varbound.solver: consensus ADMM converged after" in proc.stderr
+
+    def test_estimate_imports_no_scipy(self, tmp_path, monkeypatch):
+        # scipy is not a dependency, and importing its sparse solvers alone
+        # costs a few tenths of a second of start-up
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["realized"] = {"z": [1, 0], "outcomes": {"1": 1.0, "4": 4.0}}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setenv("VARBOUND_LOG", "debug")
+        code = ("import sys; from varbound.cli import main; code = main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "sys.exit(code)")
+        proc = self.run_child("-c", code, "estimate", "-c", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert "DEBUG varbound.estimation: Cov(R): mode exact, 2 rows," in proc.stderr
 
     def test_gamma_sweep_script(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "gamma_sweep.py"
