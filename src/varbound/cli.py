@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation, experiment, linalg, matrixio, solver
-from .errors import VarboundError
+from .errors import DimensionMismatch, VarboundError
 from .scenario import parse_scenario, resolve_config_path
 
 log = logging.getLogger("varbound")
@@ -148,12 +148,18 @@ def cmd_admissible(scn, args, out_dir, started, inputs):
         raise VarboundError("admissible needs --slack <matrix file>")
     S = matrixio.read_matrix(args.slack)
     inputs["slack"] = _digest(args.slack)
+    if S.shape != (2 * scn.n, 2 * scn.n):
+        raise DimensionMismatch(
+            f"slack shape {S.shape} does not match the scenario: n = {scn.n} needs "
+            f"({2 * scn.n}, {2 * scn.n})")
     problem, table, kwargs = _build(scn, args)
     verdict = solver.test_admissibility(S, problem.omega, scn.solver)
     metrics = {
         "alpha": verdict.alpha,
         "admissible": verdict.admissible,
         "early_exit": verdict.early_exit,
+        "slack_rank": verdict.slack_rank,
+        "omega_size": len(problem.omega),
         **{f"solver_{k}": v for k, v in verdict.report.as_dict().items()},
     }
     outputs = {}

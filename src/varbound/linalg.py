@@ -109,6 +109,13 @@ def _project_psd(M):
     return _from_eig(np.maximum(w, 0.0), Q)
 
 
+def _project_unit_box(M):
+    """Frobenius-nearest X with 0 <= X <= I, of a matrix the caller knows to be
+    symmetric: its eigenvalues are clipped to [0, 1]."""
+    w, Q = _eigh(M)
+    return _from_eig(np.clip(w, 0.0, 1.0), Q)
+
+
 def loewner_dominates(M, N, tol):
     """True iff M - N is positive semidefinite within tol on the smallest eigenvalue."""
     M = np.asarray(M, dtype=float)

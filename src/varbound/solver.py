@@ -5,12 +5,17 @@ cancels the variance matrix A on every unobservable pair, and minimizes a
 convex objective; the bound is B = A + S. Both this program and the
 admissibility test are solved with one consensus ADMM loop over closed-form
 proximal maps and cone projections, so no external conic solver is needed.
-The loop fixes the unobservable entries in its consensus step, balances its
-residuals by a deterministic rho schedule, and speeds up its fixed-point map
-by safeguarded type-II Anderson acceleration (memory ``_AA_MEMORY``; the
-memory restarts when a candidate does not lower the fixed-point residual and
-whenever rho changes). Every Frobenius² term is folded into the prox of
-another term, so the composite "operator norm + Frobenius²" runs two blocks.
+The loop projects onto the affine slice of the unobservable pairs in its
+consensus step, balances its residuals by a deterministic rho schedule, and
+speeds up its fixed-point map by safeguarded type-II Anderson acceleration
+(memory ``_AA_MEMORY``; the memory restarts when a candidate does not lower
+the fixed-point residual and whenever rho changes). For the bound program the
+projection writes the fixed entries. Every Frobenius² term is folded into
+the prox of another term, so the composite "operator norm + Frobenius²" runs
+two blocks. The admissibility test runs on the range of S: every feasible
+witness is T = R X R^T with S = R R^T and 0 <= X <= I_r, so each step takes
+one r x r eigendecomposition, and the projection onto its pair constraints
+goes through their Gram matrix, factored once.
 ``SolverReport.iterations`` counts map evaluations, so it measures the
 eigendecomposition work of a solve. With ``VARBOUND_LOG=debug`` each solve
 logs one line on the ``varbound.solver`` logger: map evaluations, accepted
@@ -187,6 +192,7 @@ class AdmissibilityVerdict:
     witness: np.ndarray
     admissible: bool
     early_exit: bool
+    slack_rank: int
     report: SolverReport
 
 
@@ -197,15 +203,24 @@ def _normalize_omega(omega):
     return {(k, l) if k <= l else (l, k) for k, l in omega}
 
 
-def _omega_index_arrays(omega):
-    ks, ls = [], []
-    for k, l in _normalize_omega(omega):
-        ks.append(k)
-        ls.append(l)
-        if k != l:
-            ks.append(l)
-            ls.append(k)
-    return np.asarray(ks, dtype=np.intp), np.asarray(ls, dtype=np.intp)
+def _omega_pairs(omega, dim):
+    """The unordered pairs k <= l of omega as two index arrays, each index
+    checked against the matrix dimension."""
+    pairs = sorted(_normalize_omega(omega))
+    for k, l in pairs:
+        if k < 0 or l >= dim:
+            raise DimensionMismatch(
+                f"unobservable pair ({k}, {l}) is out of range for a {dim}x{dim} matrix")
+    ks = np.array([k for k, _ in pairs], dtype=np.intp)
+    ls = np.array([l for _, l in pairs], dtype=np.intp)
+    return ks, ls
+
+
+def _omega_index_arrays(omega, dim):
+    """Row and column indices of every omega entry, both triangles."""
+    ks, ls = _omega_pairs(omega, dim)
+    off = ks != ls
+    return np.concatenate([ks, ls[off]]), np.concatenate([ls, ks[off]])
 
 
 # residual balancing (Boyd et al., section 3.4.1) and the early-exit probe run
@@ -277,33 +292,32 @@ class _Anderson:
         return self.f - gamma @ self.dF[:m]
 
 
-def _admm_map(x, blocks, rho, fixed):
+def _admm_map(x, blocks, rho, onto):
     """One consensus ADMM step on the state x = (Z, U_1, ..., U_N), stacked
     along the first axis; returns the new state and the primal and dual
     residual norms of the step."""
-    rows, cols, values = fixed
     Z, U = x[0], x[1:]
     Xs = np.stack([block(Z - u, 1.0 / rho) for block, u in zip(blocks, U)])
     fx = np.empty_like(x)
     Z_new = fx[0]
     np.mean(Xs + U, axis=0, out=Z_new)
-    Z_new[rows, cols] = values
+    onto(Z_new)
     Xs -= Z_new
     np.add(U, Xs, out=fx[1:])
     dual = rho * math.sqrt(len(blocks)) * float(np.linalg.norm(Z_new - Z))
     return fx, float(np.linalg.norm(Xs)), dual
 
 
-def _consensus_admm(blocks, Z0, fixed, config, probe=None, accept=None):
+def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context=""):
     """Consensus ADMM over proximable blocks on an affine slice, with
     safeguarded Anderson acceleration.
 
     Each block maps (input matrix, step) to its prox / projection and must
     return an exactly symmetric matrix for a symmetric input, so every iterate
     stays exactly symmetric without a symmetrize. The consensus step averages
-    the blocks and writes ``fixed = (rows, cols, values)`` into the average,
-    which is the exact minimization over the slice, so every map value lies on
-    it.
+    the blocks and ``onto`` projects the average, in place and exactly
+    symmetrically, onto the slice; that is the exact minimization over the
+    slice, so every map value lies on it.
 
     The step is a fixed-point map T on x = (Z, U_1..U_N). After each accepted
     point the next point to evaluate is the type-II Anderson extrapolation of
@@ -323,7 +337,7 @@ def _consensus_admm(blocks, Z0, fixed, config, probe=None, accept=None):
     ``accept`` predicate holds on Z, so the caller's feasibility contract
     holds at exit. The returned Z is always a map value, never an
     extrapolation. All rules depend only on the iterates, so runs are
-    bit-reproducible.
+    bit-reproducible. ``context`` is appended to the debug line.
     """
     N = len(blocks)
     dim = Z0.shape[0]
@@ -336,7 +350,7 @@ def _consensus_admm(blocks, Z0, fixed, config, probe=None, accept=None):
     accepted = restarts = rho_changes = 0
     converged = probed = False
     for it in range(1, config.max_iterations + 1):  # max_iterations >= 1
-        fx, r_norm, s_norm = _admm_map(x, blocks, rho, fixed)
+        fx, r_norm, s_norm = _admm_map(x, blocks, rho, onto)
         Z = fx[0]
         if probe is not None and it % _PROBE_EVERY == 0 and probe(Z):
             probed = True
@@ -371,9 +385,9 @@ def _consensus_admm(blocks, Z0, fixed, config, probe=None, accept=None):
                 rho_changes += 1
     log.debug(
         "consensus ADMM %s after %d map evaluations: %d accelerated steps accepted, "
-        "%d safeguard restarts, %d rho changes (final rho %.3g), primal %.3e, dual %.3e",
+        "%d safeguard restarts, %d rho changes (final rho %.3g), primal %.3e, dual %.3e%s",
         "converged" if converged else "probed" if probed else "stopped", it,
-        accepted, restarts, rho_changes, rho, r_norm, s_norm,
+        accepted, restarts, rho_changes, rho, r_norm, s_norm, context,
     )
     return _AdmmExit(fx[0], r_norm, s_norm, it, converged, probed)
 
@@ -451,6 +465,7 @@ def solve_optvb(problem, objective, config=None):
     unit = _unit(A)
     config = replace(config, eps_abs=config.eps_abs * unit,
                      feasibility_tol=config.feasibility_tol * unit)
+    rows, cols = _omega_index_arrays(problem.omega, len(A))
     for k, l in problem.omega:
         if k == l and A[k, k] > config.feasibility_tol:
             raise Infeasible(
@@ -458,15 +473,17 @@ def solve_optvb(problem, objective, config=None):
                 "no positive semidefinite slack can cancel a positive diagonal "
                 "(drop the coordinate or lower the threshold c)"
             )
-    rows, cols = _omega_index_arrays(problem.omega)
     blocks = [lambda V, t: linalg._project_psd(V)] + _objective_blocks(objective, A)
+    values = -A[rows, cols]
+
+    def onto(Z):
+        Z[rows, cols] = values
 
     def feasible_enough(Z):
         return linalg.min_eigenvalue(Z) >= -config.feasibility_tol
 
     exit_ = _consensus_admm(
-        blocks, aronow_samii_slack(A, problem.omega), (rows, cols, -A[rows, cols]),
-        config, accept=feasible_enough,
+        blocks, aronow_samii_slack(A, problem.omega), onto, config, accept=feasible_enough,
     )
 
     S_star = exit_.Z
@@ -491,6 +508,33 @@ def solve_optvb(problem, objective, config=None):
     return result
 
 
+def _range_slice(R, ks, ls):
+    """In-place projection onto {X : (R X R^T)_kl = (R R^T)_kl on every pair},
+    the omega constraints of T = R X R^T; X = I meets them.
+
+    The constraint map is a(X)_i = r_k^T X r_l over the rows r of R, its
+    adjoint is a*(y) = sym(R_k^T diag(y) R_l), and the Gram matrix a a* has
+    entries G_ij = (S_kk' S_ll' + S_kl' S_lk') / 2 with S = R R^T. The step is
+    X - a*(G^+ (a(X) - a(I))). G is singular whenever S is low-rank with many
+    pairs, so it is factored once by eigh and inverted on its eigenvalues above
+    ``linalg.ZERO_BAND`` times the largest.
+    """
+    Rk, Rl = R[ks], R[ls]
+    S = R @ R.T
+    G = 0.5 * (S[np.ix_(ks, ks)] * S[np.ix_(ls, ls)] + S[np.ix_(ks, ls)] * S[np.ix_(ls, ks)])
+    w, Q = linalg._eigh(G)
+    keep = w > linalg.ZERO_BAND * w.max(initial=0.0)
+    Q, inv = Q[:, keep], 1.0 / w[keep]
+    b = np.einsum("ij,ij->i", Rk, Rl)
+
+    def onto(X):
+        y = Q @ (inv * ((np.einsum("ij,ij->i", Rk @ X, Rl) - b) @ Q))
+        M = (Rk.T * y) @ Rl
+        X -= 0.5 * (M + M.T)
+
+    return onto
+
+
 def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=False):
     """Search for a valid slack matrix dominated by S.
 
@@ -499,63 +543,82 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
     positive optimum certifies that the bound carrying S is dominated
     (inadmissible); the maximizer is returned as the witness.
 
-    The program is homogeneous in S, so it is solved on S / min(1, ||S||_F)
-    and the witness and alpha are scaled back; the input check and
-    ``decision_tol`` apply to the caller's S.
+    T <= S forces the null space of S into that of T, so every feasible T is
+    R X R^T with S = R R^T (R = V_r Lambda_r^(1/2) over the r eigenvalues of S
+    above tol = feasibility_tol * max(1, ||S||_F)) and 0 <= X <= I_r. The
+    program is solved in X: minimize <Lambda_r / lambda_max, X> over that box,
+    subject to the omega entries of R X R^T, by consensus ADMM with an r x r
+    box projection, a linear prox and the projection onto the omega slice
+    (``_range_slice``). It is unitless, so its iterations do not depend on the
+    units of S. Eigenvalues of S within tol are dropped, which moves alpha by
+    at most their sum. An S with r = 0 is answered in closed form: T = S, alpha
+    = 0. The feasibility checks run on the d x d witness T, and the returned
+    witness carries the caller's omega entries.
 
     With ``early_exit`` the search stops as soon as a feasible iterate beats
     the decision tolerance tenfold; the reported alpha is then only a lower
     bound on the optimum.
 
-    Degenerate inputs whose sandwich 0 <= T <= S admits no strictly feasible
-    point (a singular S can do this) may converge slowly or hit the iteration
-    cap; the MaxIterations error then carries the best iterate, whose trace
-    gap is still a certified lower bound on alpha once the witness is
-    feasible within tolerance.
+    An omega slice that pins the box to its boundary may converge slowly or
+    hit the iteration cap; the MaxIterations error then carries the best
+    iterate, whose trace gap is still a certified lower bound on alpha once
+    the witness is feasible within tolerance.
     """
     config = config or SolverConfig()
     S = linalg.check_symmetric(S, name="S")
-    scale = max(1.0, float(np.linalg.norm(S)))
-    min_eig_in = linalg.min_eigenvalue(S)
-    if min_eig_in < -config.feasibility_tol * scale:
+    ks, ls = _omega_pairs(omega, len(S))
+    rows, cols = _omega_index_arrays(omega, len(S))
+    tol = config.feasibility_tol * max(1.0, float(np.linalg.norm(S)))
+    w, Q = linalg._eigh(S)
+    if w.size and w[0] < -tol:
         raise NotASlackMatrix(
-            f"input has eigenvalue {min_eig_in:.3e}; "
+            f"input has eigenvalue {w[0]:.3e}; "
             "slack matrices must be positive semidefinite"
         )
     trace_S = float(np.trace(S))
     if decision_tol is None:
         decision_tol = 1e-5 * (1.0 + trace_S)
 
-    unit = _unit(S)
-    # eigenvalue dust within tolerance would make the sandwich 0 <= T <= S
-    # infeasible in exact arithmetic and stall the splitting; the projection
-    # moves S (and alpha) by at most that dust
-    S_hat = (linalg.project_psd(S) if min_eig_in < 0.0 else S) / unit
-    tol = config.feasibility_tol * scale
-    rows, cols = _omega_index_arrays(omega)
-    eye = np.eye(len(S))
-    blocks = [
-        lambda V, t: linalg._project_psd(V),
-        lambda V, t: S_hat - linalg._project_psd(S_hat - V),
-        lambda V, t: V - t * eye,  # minimize trace(T)
-    ]
+    keep = w > tol
+    lam = w[keep]
+    rank = lam.size
+    R = Q[:, keep] * np.sqrt(lam)
+    S_r = R @ R.T
+    context = f"; slack_rank {rank}, omega_size {ks.size}"
 
-    def witness_feasible(Z):
-        return (linalg.min_eigenvalue(Z) >= -tol
-                and linalg.min_eigenvalue(S_hat - Z) >= -tol)
+    def witness_of(X):
+        return linalg.symmetrize(R @ X @ R.T)
 
-    def certified_dominator(Z):
-        gap = trace_S - unit * float(np.trace(Z))
-        return gap > 10.0 * decision_tol and witness_feasible(Z)
+    def witness_feasible(X):
+        T = witness_of(X)
+        return (linalg.min_eigenvalue(T) >= -tol
+                and linalg.min_eigenvalue(S_r - T) >= -tol)
 
-    exit_ = _consensus_admm(
-        blocks, S_hat, (rows, cols, S_hat[rows, cols]), config,
-        probe=certified_dominator if early_exit else None,
-        accept=witness_feasible,
-    )
-    # scaling back rounds the fixed entries (and the dust projection moves
-    # them by at most the dust); the witness carries the caller's entries
-    witness = unit * exit_.Z
+    def certified_dominator(X):
+        gap = trace_S - float(np.trace(witness_of(X)))
+        return gap > 10.0 * decision_tol and witness_feasible(X)
+
+    if rank:
+        lam_hat = lam / lam[-1]
+        L = np.diag(lam_hat)
+        blocks = [
+            lambda V, t: linalg._project_unit_box(V),
+            lambda V, t: V - t * L,  # minimize trace(T) / lambda_max
+        ]
+        onto = _range_slice(Q[:, keep] * np.sqrt(lam_hat), ks, ls)
+        exit_ = _consensus_admm(
+            blocks, np.eye(rank), onto, config,
+            probe=certified_dominator if early_exit else None,
+            accept=witness_feasible, context=context,
+        )
+        witness = witness_of(exit_.Z)
+    else:
+        # every feasible T is within tol of 0, and T = S is feasible
+        log.debug("admissibility in closed form%s", context)
+        exit_ = _AdmmExit(np.zeros((0, 0)), 0.0, 0.0, 0, True, False)
+        witness = S.copy()
+    # the slice fixes the omega entries of R X R^T, which differ from the
+    # caller's by at most the dropped eigenvalues
     witness[rows, cols] = S[rows, cols]
     alpha = trace_S - float(np.trace(witness))
     report = SolverReport(
@@ -572,6 +635,7 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
         witness=witness,
         admissible=bool(alpha <= decision_tol) and not exit_.probed,
         early_exit=exit_.probed,
+        slack_rank=rank,
         report=report,
     )
     if not exit_.converged and not exit_.probed:
@@ -615,6 +679,7 @@ def generalized_as_slack(A, omega, W):
     w = np.diag(W)
     if np.any(w <= 0):
         raise NonPositiveWeight(f"diagonal weights must be positive, got min {w.min()!r}")
+    _omega_pairs(omega, len(A))  # index check only; the loop keeps its summation order
     S = np.zeros_like(A)
     for k, l in _normalize_omega(omega):
         if k == l:
@@ -694,7 +759,7 @@ def validate_bound(A, B, omega, tol=1e-7):
     if A.shape != B.shape:
         raise DimensionMismatch(f"A shape {A.shape} != B shape {B.shape}")
     min_eig_gap = linalg.min_eigenvalue(linalg.symmetrize(B - A))
-    rows, cols = _omega_index_arrays(omega)
+    rows, cols = _omega_index_arrays(omega, len(A))
     max_entry = float(np.abs(B[rows, cols]).max()) if rows.size else 0.0
     return BoundValidation(
         conservative=bool(min_eig_gap >= -tol),

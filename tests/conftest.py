@@ -1,5 +1,6 @@
-"""Shared fixtures: the two-voter worked example, a randomized scenario pool, and
-per-assignment reference implementations of the exposure rules and estimators."""
+"""Shared fixtures: the two-voter worked example, a randomized scenario pool,
+per-assignment reference implementations of the exposure rules and estimators,
+and a reference admissibility program on d x d matrices."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from varbound import (
     Design,
     EstimatorSpec,
     ExposureModel,
+    SolverConfig,
     build_variance_problem,
+    linalg,
 )
+from varbound.errors import MaxIterations
 from varbound.experiment import REGRESSION_RCOND
+from varbound.solver import _consensus_admm, _omega_index_arrays, _unit
 
 # reference matrices for the two-voter example: one of two units is targeted
 # at random, the other is indirectly exposed through their tie
@@ -158,3 +163,46 @@ def ref_coefficient_vector(spec, model, z, pi):
             Q = np.column_stack([np.ones(n), in_a, Xdm, in_a[:, None] * Xdm])
         c = n * np.linalg.pinv(Q, rcond=REGRESSION_RCOND)[1]
     return np.concatenate([in_a * c, in_b * c])
+
+
+# -- reference admissibility program ---------------------------------------------------
+
+
+def ref_admissibility(S, omega, config=None):
+    """The admissibility program on d x d matrices: maximize trace(S - T) over
+    0 <= T <= S with T = S on omega, by consensus ADMM over three blocks (the
+    cone T >= 0, the cone S - T >= 0 and the linear objective) on S scaled by
+    min(1, ||S||_F), with eigenvalue dust of S projected away first. The
+    library solves the same program on the range of S; this is its oracle.
+    Returns (alpha, witness, admissible)."""
+    config = config or SolverConfig()
+    S = linalg.check_symmetric(S)
+    scale = max(1.0, float(np.linalg.norm(S)))
+    tol = config.feasibility_tol * scale
+    assert linalg.min_eigenvalue(S) >= -tol
+    trace_S = float(np.trace(S))
+    unit = _unit(S)
+    S_hat = (linalg.project_psd(S) if linalg.min_eigenvalue(S) < 0.0 else S) / unit
+    rows, cols = _omega_index_arrays(omega, len(S))
+    values = S_hat[rows, cols]
+    eye = np.eye(len(S))
+    blocks = [
+        lambda V, t: linalg._project_psd(V),
+        lambda V, t: S_hat - linalg._project_psd(S_hat - V),
+        lambda V, t: V - t * eye,
+    ]
+
+    def onto(Z):
+        Z[rows, cols] = values
+
+    def witness_feasible(Z):
+        return (linalg.min_eigenvalue(Z) >= -tol
+                and linalg.min_eigenvalue(S_hat - Z) >= -tol)
+
+    exit_ = _consensus_admm(blocks, S_hat, onto, config, accept=witness_feasible)
+    if not exit_.converged:
+        raise MaxIterations("reference admissibility program did not converge")
+    witness = unit * exit_.Z
+    witness[rows, cols] = S[rows, cols]
+    alpha = trace_S - float(np.trace(witness))
+    return alpha, witness, bool(alpha <= 1e-5 * (1.0 + trace_S))

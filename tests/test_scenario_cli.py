@@ -331,6 +331,25 @@ class TestCli:
         matrixio.write_matrix(S, spath)
         assert run_cli("admissible", "-c", "illustration", "--slack", spath) == 3
 
+    def test_admissible_report_carries_rank_and_omega_size(self, tmp_path):
+        from conftest import A_ILLU, B_PAIRWISE
+
+        spath = tmp_path / "S.csv"
+        matrixio.write_matrix(B_PAIRWISE - A_ILLU, spath)
+        out = tmp_path / "adm"
+        assert run_cli("admissible", "-c", "illustration", "--slack", spath, "-o", out) == 3
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        assert metrics["slack_rank"] == int(np.sum(np.linalg.eigvalsh(B_PAIRWISE - A_ILLU) > 1e-7))
+        assert metrics["omega_size"] == 4
+
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_admissible_slack_shape_checked(self, tmp_path, capsys, size):
+        spath = tmp_path / "S.csv"
+        matrixio.write_matrix(np.eye(size), spath)
+        assert run_cli("admissible", "-c", "illustration", "--slack", spath) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "(4, 4)" in err
+
     def test_estimate_with_realized_data(self, tmp_path, capsys):
         doc = json.loads(builtin_scenario_path("illustration").read_text())
         doc["realized"] = {"z": [1, 0], "outcomes": {"1": 1.0, "4": 4.0}}

@@ -24,6 +24,7 @@ from varbound import (
     validate_bound,
 )
 from varbound.errors import (
+    DimensionMismatch,
     Infeasible,
     InvalidN,
     MaxIterations,
@@ -36,7 +37,7 @@ from varbound import test_admissibility as admissibility_of
 from varbound import solver as solver_module
 from varbound.experiment import VarianceProblem
 from varbound.solver import FrobeniusSquaredTerm, SchattenTerm
-from conftest import A_ILLU, B_MINNORM, B_PAIRWISE, OMEGA_ILLU, random_scenario
+from conftest import A_ILLU, B_MINNORM, B_PAIRWISE, OMEGA_ILLU, random_scenario, ref_admissibility
 
 TIGHT = SolverConfig(eps_abs=1e-11, eps_rel=1e-9, max_iterations=200_000)
 WORST_CASE = Objective.composite(
@@ -268,13 +269,39 @@ class TestAdmissibility:
         assert info.value.result.witness.shape == (4, 4)
 
     def test_early_exit_certifies_domination(self, illustration):
+        # the two-voter example converges before the first probe at iteration
+        # 10, so it returns the full optimum
         verdict = admissibility_of(
             B_PAIRWISE - A_ILLU, OMEGA_ILLU, TIGHT, early_exit=True
         )
         assert not verdict.admissible
+        assert 0 < verdict.alpha <= 4.0 + 1e-6
+        assert verdict.alpha == pytest.approx(4.0, abs=1e-4)
+        assert verdict.report.iterations < solver_module._PROBE_EVERY
+        # the pairwise slack of complete randomization of 3 units runs past it
+        design, model = Design.complete(3, 2), ExposureModel.identity(3)
+        problem, _ = build_variance_problem(design, model, EstimatorSpec(kind="horvitz-thompson"))
+        S = aronow_samii_slack(problem.A, problem.omega)
+        full = admissibility_of(S, problem.omega, TIGHT)
+        assert full.report.iterations > solver_module._PROBE_EVERY
+        verdict = admissibility_of(S, problem.omega, TIGHT, early_exit=True)
+        assert not verdict.admissible
         assert verdict.early_exit
         # certified gap is a lower bound on the optimum
-        assert 0 < verdict.alpha <= 4.0 + 1e-6
+        assert 0 < verdict.alpha <= full.alpha + 1e-6
+
+    @pytest.mark.parametrize("pair", [(0, 5), (-1, 0), (4, 4)], ids=["high", "negative", "diagonal"])
+    def test_omega_indices_checked(self, pair):
+        omega = frozenset({(0, 2), (1, 3), pair})
+        with pytest.raises(DimensionMismatch):
+            admissibility_of(np.eye(4), omega)
+        with pytest.raises(DimensionMismatch):
+            validate_bound(np.zeros((4, 4)), np.eye(4), omega)
+        with pytest.raises(DimensionMismatch):
+            aronow_samii_slack(np.zeros((4, 4)), omega)
+        problem = VarianceProblem(n=2, A=np.zeros((4, 4)), omega=omega)
+        with pytest.raises(DimensionMismatch):
+            solve_optvb(problem, Objective.frobenius_squared())
 
     def test_dominance_detection(self, illustration):
         # a bound above another valid bound in the semidefinite order is
@@ -508,6 +535,11 @@ class TestAcceleration:
             for field in ("accelerated steps accepted", "safeguard restarts", "rho changes",
                           "primal", "dual"):
                 assert field in line
+        tol = SolverConfig().feasibility_tol * max(1.0, float(np.linalg.norm(res.S_star)))
+        rank = int(np.sum(np.linalg.eigvalsh(res.S_star) > tol))
+        assert verdict.slack_rank == rank
+        omega_size = len(illustration["problem"].omega)
+        assert lines[1].endswith(f"; slack_rank {rank}, omega_size {omega_size}")
 
     def test_safeguard_restarts_on_the_random_pool(self, caplog):
         caplog.set_level(logging.DEBUG, logger="varbound.solver")
@@ -527,3 +559,163 @@ class TestAcceleration:
                 break
         assert restarts > 0
         assert accepted > 0
+
+
+def bumped(S):
+    """A slack above S in the semidefinite order: S + 0.5 e_0 e_0^T."""
+    out = S.copy()
+    out[0, 0] += 0.5
+    return out
+
+
+def pool_slacks():
+    """The 30-draw random pool (rng 2021), each draw with its Frobenius²
+    OPT-VB slack, its pairwise slack and that slack bumped."""
+    rng = np.random.default_rng(2021)
+    for i in range(30):
+        problem, _ = build_variance_problem(*random_scenario(rng))
+        pairwise = aronow_samii_slack(problem.A, problem.omega)
+        yield i, "frobenius", solve_optvb(problem, Objective.frobenius_squared()).S_star, problem.omega
+        yield i, "pairwise", pairwise, problem.omega
+        yield i, "bumped", bumped(pairwise), problem.omega
+
+
+def check_against_oracle(S, omega, reference=None):
+    """Compare the verdict on S with the reference program on d x d matrices.
+
+    The verdicts agree, the witness lies in the sandwich 0 <= T <= S within
+    tol and carries S's omega entries exactly, repeated runs are bitwise equal,
+    and alpha agrees with the reference within 2e-6 (1 + tr S). A singular S
+    leaves the sandwich no strictly feasible point, so a witness that leaves
+    it by v can gain up to about sqrt(v ||S||_F) in trace. The reference's
+    witness may sit its whole tolerance outside; the library solves on the
+    range of S and stays inside. Where alpha falls short of the reference's
+    by more than the gate, that reference witness must be outside the
+    sandwich by enough to explain the gap. ``reference`` is the reference's
+    result when already computed. Returns the verdict and whether it took
+    that branch."""
+    verdict = admissibility_of(S, omega)
+    again = admissibility_of(S, omega)
+    assert again.alpha == verdict.alpha
+    assert np.array_equal(again.witness, verdict.witness)
+    alpha_ref, witness_ref, admissible_ref = reference or ref_admissibility(S, omega)
+    assert verdict.admissible == admissible_ref
+    W = verdict.witness
+    tol = SolverConfig().feasibility_tol * max(1.0, float(np.linalg.norm(S)))
+    assert linalg.min_eigenvalue(W) >= -tol
+    assert linalg.min_eigenvalue(S - W) >= -tol
+    rows, cols = solver_module._omega_index_arrays(omega, len(S))
+    assert np.array_equal(W[rows, cols], S[rows, cols])
+    gate = 2e-6 * (1.0 + float(np.trace(S)))
+    shortfall = alpha_ref - verdict.alpha
+    assert shortfall >= -gate
+    if shortfall <= gate:
+        return verdict, False
+    outside = max(-linalg.min_eigenvalue(witness_ref), -linalg.min_eigenvalue(S - witness_ref))
+    assert shortfall <= math.sqrt(outside * float(np.linalg.norm(S)))
+    return verdict, True
+
+
+class TestRangeSpaceAdmissibility:
+    """The admissibility program on the range of S against the d x d reference."""
+
+    def test_matches_reference_on_the_random_pool(self):
+        checked = inadmissible = 0
+        degenerate = []
+        references = {}  # some draws share their slack and omega
+        for i, kind, S, omega in pool_slacks():
+            key = (S.tobytes(), tuple(sorted(omega)))
+            if key not in references:
+                references[key] = ref_admissibility(S, omega)
+            verdict, outside = check_against_oracle(S, omega, references[key])
+            checked += 1
+            inadmissible += not verdict.admissible
+            if outside:
+                degenerate.append((i, kind))
+        assert checked == 90
+        assert inadmissible >= 40
+        # only the pairwise slacks of the two-unit Bernoulli spillover draws
+        # (3, 11 and 14), whose singular S pins the sandwich: the reference
+        # reads alpha 1.33397 with a witness 2.6e-7 outside, the library 4/3
+        assert len(degenerate) <= 3
+        assert {kind for _, kind in degenerate} <= {"pairwise"}
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_answer_does_not_depend_on_units_of_S(self, scale):
+        for i, kind, S, omega in pool_slacks():
+            if kind == "frobenius":
+                continue
+            base = admissibility_of(S, omega)
+            verdict = admissibility_of(scale * S, omega)  # no MaxIterations
+            assert verdict.admissible == base.admissible
+            assert verdict.alpha / scale == pytest.approx(base.alpha, abs=1e-8 * (1.0 + np.trace(S)))
+            # the same program up to rounding, which can steer the safeguard
+            # differently, but never into a scale-dependent stall
+            ratio = verdict.report.iterations / base.report.iterations
+            assert 1 / 1.5 <= ratio <= 1.5, (i, kind)
+
+    def test_zero_slack_is_answered_in_closed_form(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="varbound.solver")
+        S = np.zeros((4, 4))
+        verdict, _ = check_against_oracle(S, OMEGA_ILLU)
+        assert verdict.slack_rank == 0
+        assert verdict.alpha == 0.0
+        assert verdict.report.iterations == 0
+        assert np.array_equal(verdict.witness, S)
+        assert "admissibility in closed form; slack_rank 0, omega_size 4" in solver_log_lines(caplog)
+
+    def test_full_rank_slack(self):
+        S = B_PAIRWISE - A_ILLU + np.eye(4)
+        verdict, _ = check_against_oracle(S, OMEGA_ILLU)
+        assert verdict.slack_rank == 4
+        assert not verdict.admissible
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_eigenvalue_dust_inside_tol_is_dropped(self, sign, illustration):
+        problem = illustration["problem"]
+        clean = solve_optvb(problem, Objective.frobenius_squared(), TIGHT).S_star
+        w, Q = np.linalg.eigh(clean)
+        null = Q[:, np.abs(w) <= 1e-9]
+        assert 0 < null.shape[1] < 4
+        tol = SolverConfig().feasibility_tol * max(1.0, float(np.linalg.norm(clean)))
+        S = linalg.symmetrize(clean + sign * 0.3 * tol * null @ null.T)
+        verdict, _ = check_against_oracle(S, problem.omega)
+        assert verdict.slack_rank == 4 - null.shape[1]
+        assert verdict.admissible
+        assert verdict.report.iterations == admissibility_of(clean, problem.omega).report.iterations
+
+    def test_rank_one_slacks_with_singular_gram(self):
+        # the targeted solutions of the 20 draws of acceptance criterion 7
+        # (paired, spillover and complete-randomization designs): most have
+        # rank 1 with several omega pairs, so the Gram of the omega
+        # constraints in X has rank 1 too
+        rng = np.random.default_rng(99)
+        rank_one = 0
+        done = 0
+        while done < 20:
+            design, model, spec = random_scenario(
+                rng, estimators=("horvitz-thompson", "difference-in-means")
+            )
+            if model.n > 4:
+                continue
+            problem, _ = build_variance_problem(design, model, spec)
+            dim = 2 * model.n
+            G = rng.normal(size=(dim, dim))
+            W = G @ G.T + 0.1 * np.eye(dim)
+            S = solve_optvb(problem, Objective.targeted(W)).S_star
+            verdict, _ = check_against_oracle(S, problem.omega)
+            assert verdict.admissible
+            rank_one += verdict.slack_rank == 1 and len(problem.omega) > 1
+            done += 1
+        assert rank_one >= 10
+
+    @pytest.mark.parametrize("n, count, objective", [
+        (12, 2_000, WORST_CASE), (40, 2_000, Objective.frobenius_squared()),
+    ], ids=["ring12", "ring40-mc"])
+    def test_ring_ladder(self, n, count, objective):
+        problem = ring_ht_problem(n, count, 0)
+        S = solve_optvb(problem, objective).S_star
+        verdict, outside = check_against_oracle(S, problem.omega)
+        assert verdict.admissible
+        assert not outside
+        assert verdict.slack_rank < 2 * n
