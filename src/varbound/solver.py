@@ -15,7 +15,8 @@ the prox of another term, so the composite "operator norm + Frobenius²" runs
 two blocks. The admissibility test runs on the range of S: every feasible
 witness is T = R X R^T with S = R R^T and 0 <= X <= I_r, so each step takes
 one r x r eigendecomposition, and the projection onto its pair constraints
-goes through their Gram matrix, factored once.
+is a warm-started least-squares solve by conjugate gradients whose cost does
+not grow with the number of pairs.
 ``SolverReport.iterations`` counts map evaluations, so it measures the
 eigendecomposition work of a solve. With ``VARBOUND_LOG=debug`` each solve
 logs one line on the ``varbound.solver`` logger: map evaluations, accepted
@@ -203,22 +204,28 @@ def _normalize_omega(omega):
     return {(k, l) if k <= l else (l, k) for k, l in omega}
 
 
-def _omega_pairs(omega, dim):
-    """The unordered pairs k <= l of omega as two index arrays, each index
-    checked against the matrix dimension."""
-    pairs = sorted(_normalize_omega(omega))
+def _checked_omega(omega, dim):
+    """The unordered pairs k <= l of omega, each index checked against the
+    matrix dimension."""
+    pairs = _normalize_omega(omega)
     for k, l in pairs:
         if k < 0 or l >= dim:
             raise DimensionMismatch(
                 f"unobservable pair ({k}, {l}) is out of range for a {dim}x{dim} matrix")
+    return pairs
+
+
+def _omega_pairs(omega, dim):
+    """The checked pairs of omega, sorted, as two index arrays k <= l."""
+    pairs = sorted(_checked_omega(omega, dim))
     ks = np.array([k for k, _ in pairs], dtype=np.intp)
     ls = np.array([l for _, l in pairs], dtype=np.intp)
     return ks, ls
 
 
-def _omega_index_arrays(omega, dim):
-    """Row and column indices of every omega entry, both triangles."""
-    ks, ls = _omega_pairs(omega, dim)
+def _omega_index_arrays(ks, ls):
+    """Row and column indices of every omega entry, both triangles, from the
+    pair arrays of ``_omega_pairs``."""
     off = ks != ls
     return np.concatenate([ks, ls[off]]), np.concatenate([ls, ks[off]])
 
@@ -337,7 +344,8 @@ def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context="
     ``accept`` predicate holds on Z, so the caller's feasibility contract
     holds at exit. The returned Z is always a map value, never an
     extrapolation. All rules depend only on the iterates, so runs are
-    bit-reproducible. ``context`` is appended to the debug line.
+    bit-reproducible. ``context`` is appended to the debug line, so a caller
+    can add its own fields and each solve still logs exactly one line.
     """
     N = len(blocks)
     dim = Z0.shape[0]
@@ -465,7 +473,7 @@ def solve_optvb(problem, objective, config=None):
     unit = _unit(A)
     config = replace(config, eps_abs=config.eps_abs * unit,
                      feasibility_tol=config.feasibility_tol * unit)
-    rows, cols = _omega_index_arrays(problem.omega, len(A))
+    rows, cols = _omega_index_arrays(*_omega_pairs(problem.omega, len(A)))
     for k, l in problem.omega:
         if k == l and A[k, k] > config.feasibility_tol:
             raise Infeasible(
@@ -512,25 +520,58 @@ def _range_slice(R, ks, ls):
     """In-place projection onto {X : (R X R^T)_kl = (R R^T)_kl on every pair},
     the omega constraints of T = R X R^T; X = I meets them.
 
-    The constraint map is a(X)_i = r_k^T X r_l over the rows r of R, its
-    adjoint is a*(y) = sym(R_k^T diag(y) R_l), and the Gram matrix a a* has
-    entries G_ij = (S_kk' S_ll' + S_kl' S_lk') / 2 with S = R R^T. The step is
-    X - a*(G^+ (a(X) - a(I))). G is singular whenever S is low-rank with many
-    pairs, so it is factored once by eigh and inverted on its eigenvalues above
-    ``linalg.ZERO_BAND`` times the largest.
+    The constraint map a(X) = (R X R^T)_kl has the adjoint a*(y) = R^T Y R,
+    with Y the symmetric d x d matrix that spreads y_kl over (k, l) and
+    (l, k). The projection of X is X - C, where C = a*(y) is the
+    least-squares fit of X - I over the range of a*; C is found by CGLS
+    (conjugate gradients on the least-squares problem, which stays stable
+    where a a* is singular, as it is whenever S is low-rank with many pairs),
+    with y scaled by the diagonal of a a*, (S_kk S_ll + S_kl^2) / 2 with
+    S = R R^T. Each step costs two d x d x r products and two d x r x r ones
+    whatever the number of pairs, and no |omega| x |omega| matrix is formed.
+    The loop stops once the
+    slice residual a(X - C) - a(I) drops to ``linalg.ZERO_BAND`` times
+    max(1, its start), or after min(|omega|, r(r+1)/2) steps, the
+    exact-arithmetic bound. Consecutive ADMM inputs are close, so each call
+    starts from the previous call's C.
     """
-    Rk, Rl = R[ks], R[ls]
+    d, r = R.shape
     S = R @ R.T
-    G = 0.5 * (S[np.ix_(ks, ks)] * S[np.ix_(ls, ls)] + S[np.ix_(ks, ls)] * S[np.ix_(ls, ks)])
-    w, Q = linalg._eigh(G)
-    keep = w > linalg.ZERO_BAND * w.max(initial=0.0)
-    Q, inv = Q[:, keep], 1.0 / w[keep]
-    b = np.einsum("ij,ij->i", Rk, Rl)
+    b = S[ks, ls]
+    diag = 0.5 * (S[ks, ks] * S[ls, ls] + b * b)
+    scale = np.sqrt(np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0))
+    cap = min(ks.size, r * (r + 1) // 2)
+    eye = np.eye(r)
+    Y = np.zeros((d, d))
+    C = np.zeros((r, r))
+
+    def adjoint(v):
+        Y[ks, ls] = 0.5 * v
+        M = R.T @ (Y + Y.T) @ R
+        return 0.5 * (M + M.T)
+
+    def constraints(X):
+        return (R @ X @ R.T)[ks, ls]
 
     def onto(X):
-        y = Q @ (inv * ((np.einsum("ij,ij->i", Rk @ X, Rl) - b) @ Q))
-        M = (Rk.T * y) @ Rl
-        X -= 0.5 * (M + M.T)
+        W = X - eye
+        res = constraints(W - C)
+        stop = linalg.ZERO_BAND * max(1.0, float(np.linalg.norm(constraints(W))))
+        p, gamma_old = np.zeros(ks.size), math.inf
+        for _ in range(cap):
+            if not float(np.linalg.norm(res)) > stop:
+                break
+            s = scale * res
+            gamma = s @ s
+            p = s + (gamma / gamma_old) * p
+            q = adjoint(scale * p)
+            qq = float(np.sum(q * q))
+            if not qq > 0.0:
+                break
+            C[...] += (gamma / qq) * q
+            res = constraints(W - C)
+            gamma_old = gamma
+        X -= C
 
     return onto
 
@@ -567,7 +608,7 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
     config = config or SolverConfig()
     S = linalg.check_symmetric(S, name="S")
     ks, ls = _omega_pairs(omega, len(S))
-    rows, cols = _omega_index_arrays(omega, len(S))
+    rows, cols = _omega_index_arrays(ks, ls)
     tol = config.feasibility_tol * max(1.0, float(np.linalg.norm(S)))
     w, Q = linalg._eigh(S)
     if w.size and w[0] < -tol:
@@ -679,9 +720,8 @@ def generalized_as_slack(A, omega, W):
     w = np.diag(W)
     if np.any(w <= 0):
         raise NonPositiveWeight(f"diagonal weights must be positive, got min {w.min()!r}")
-    _omega_pairs(omega, len(A))  # index check only; the loop keeps its summation order
     S = np.zeros_like(A)
-    for k, l in _normalize_omega(omega):
+    for k, l in _checked_omega(omega, len(A)):
         if k == l:
             S[k, k] = -A[k, k]
             continue
@@ -759,7 +799,7 @@ def validate_bound(A, B, omega, tol=1e-7):
     if A.shape != B.shape:
         raise DimensionMismatch(f"A shape {A.shape} != B shape {B.shape}")
     min_eig_gap = linalg.min_eigenvalue(linalg.symmetrize(B - A))
-    rows, cols = _omega_index_arrays(omega, len(A))
+    rows, cols = _omega_index_arrays(*_omega_pairs(omega, len(A)))
     max_entry = float(np.abs(B[rows, cols]).max()) if rows.size else 0.0
     return BoundValidation(
         conservative=bool(min_eig_gap >= -tol),
