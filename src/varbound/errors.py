@@ -66,8 +66,9 @@ class Infeasible(VarboundError):
 
     The off-diagonal entries of -A always extend to a positive semidefinite
     slack matrix, so this only occurs when a diagonal index was forced into
-    the unobservable set while its variance entry is positive, or when the
-    solver state is corrupt. Diagnostics are attached to the message.
+    the unobservable set while its variance entry is positive, or while an
+    unobservable pair in its row has a nonzero entry, or when the solver
+    state is corrupt. Diagnostics are attached to the message.
     """
 
 

@@ -6,21 +6,23 @@ convex objective; the bound is B = A + S. Both this program and the
 admissibility test are solved with one consensus ADMM loop over closed-form
 proximal maps and cone projections, so no external conic solver is needed.
 The loop projects onto the affine slice of the unobservable pairs in its
-consensus step, balances its residuals by a deterministic rho schedule, and
-speeds up its fixed-point map by safeguarded type-II Anderson acceleration
-(memory ``_AA_MEMORY``; the memory restarts when a candidate does not lower
-the fixed-point residual and whenever rho changes). For the bound program the
-projection writes the fixed entries. Every Frobenius² term is folded into
-the prox of another term, so the composite "operator norm + Frobenius²" runs
-two blocks. The admissibility test runs on the range of S: every feasible
-witness is T = R X R^T with S = R R^T and 0 <= X <= I_r, so each step takes
-one r x r eigendecomposition, and the projection onto its pair constraints
-is a warm-started least-squares solve by conjugate gradients whose cost does
-not grow with the number of pairs.
+consensus step, sets rho on a fixed grid from the normalized primal and dual
+residuals of its last accepted point (the OSQP rule, which does not see the
+units of the data), and speeds up its fixed-point map by safeguarded type-II
+Anderson acceleration (memory ``_AA_MEMORY``; the memory restarts when a
+candidate does not lower the fixed-point residual and whenever rho changes).
+For the bound program the projection writes the fixed entries. Every
+Frobenius² term is folded into the prox of another term, so the composite
+"operator norm + Frobenius²" runs two blocks. The admissibility test runs
+on the range of S: every feasible witness is T = R X R^T with S = R R^T and
+0 <= X <= I_r, so each step takes one r x r eigendecomposition, and the
+projection onto its pair constraints is a warm-started least-squares solve
+by conjugate gradients whose cost does not grow with the number of pairs.
 ``SolverReport.iterations`` counts map evaluations, so it measures the
 eigendecomposition work of a solve. With ``VARBOUND_LOG=debug`` each solve
 logs one line on the ``varbound.solver`` logger: map evaluations, accepted
-accelerated steps, safeguard restarts, rho changes and final residuals.
+accelerated steps, safeguard restarts, rho changes and final residuals; the
+reports carry the rho changes and the final rho too.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
     NonPositiveWeight,
     NotASlackMatrix,
     UnsupportedObjective,
+    VarboundError,
 )
 
 log = logging.getLogger("varbound.solver")
@@ -175,6 +178,8 @@ class SolverReport:
     min_eig_slack: float
     max_omega_violation: float
     converged: bool
+    rho_changes: int
+    final_rho: float
 
     def as_dict(self):
         return asdict(self)
@@ -230,10 +235,13 @@ def _omega_index_arrays(ks, ls):
     return np.concatenate([ks, ls[off]]), np.concatenate([ls, ks[off]])
 
 
-# residual balancing (Boyd et al., section 3.4.1) and the early-exit probe run
-# on fixed iteration grids, so every run stays bit-reproducible
+# residual balancing (Stellato et al. 2020, OSQP) and the early-exit
+# probe run on fixed iteration grids, so every run stays bit-reproducible; rho
+# stays within _RHO_RANGE times the configured rho either side, and moves only
+# when the balanced rho differs from it by more than _RHO_STEP either way
 _BALANCE_EVERY = 50
-_BALANCE_RATIO = 10.0
+_RHO_RANGE = 100.0
+_RHO_STEP = 2.0
 _PROBE_EVERY = 10
 # Anderson acceleration: differences kept, and the Tikhonov term of the
 # least-squares solve relative to the trace of its Gram matrix
@@ -249,6 +257,24 @@ class _AdmmExit:
     iterations: int
     converged: bool
     probed: bool
+    rho: float
+    rho_changes: int
+
+
+def _balanced_rho(rho, base, r_norm, s_norm, Z_norm, U_norm):
+    """The OSQP penalty rho * sqrt((r / ||Z||) / (s / (rho ||U||))) that
+    equalizes the primal and dual residuals, each relative to its own scale,
+    clipped to ``_RHO_RANGE`` times ``base`` either side; None when it is
+    within a factor ``_RHO_STEP`` of rho or any of the four norms is 0.
+    Every ratio is unit-free, so the rule does not see the units of the
+    data."""
+    if not (r_norm > 0.0 and s_norm > 0.0 and Z_norm > 0.0 and U_norm > 0.0):
+        return None
+    target = rho * math.sqrt((r_norm / Z_norm) / (s_norm / (rho * U_norm)))
+    target = min(max(target, base / _RHO_RANGE), base * _RHO_RANGE)
+    if 1.0 / _RHO_STEP <= target / rho <= _RHO_STEP:
+        return None
+    return target
 
 
 class _Anderson:
@@ -333,8 +359,11 @@ def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context="
     accepted point's; otherwise the memory is cleared and the loop takes the
     plain step T(x) from the last accepted point. The memory is also cleared
     whenever rho changes, because the map changes with it. Every
-    ``_BALANCE_EVERY`` evaluations rho doubles or halves at a tenfold residual
-    imbalance, and the scaled duals are rescaled to keep rho * U invariant.
+    ``_BALANCE_EVERY`` evaluations rho is rebalanced on the normalized
+    residuals of the last accepted map value (``_balanced_rho``), not on the
+    current evaluation, which may be a rejected candidate; when rho moves,
+    the loop restarts from that map value with the scaled duals rescaled to
+    keep rho * U invariant.
 
     Every map evaluation, rejected candidates included, counts as one
     iteration, and each one meets the same tests: every ``_PROBE_EVERY``
@@ -354,7 +383,9 @@ def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context="
     x[0] = Z0
     aa = _Anderson(x.size)
     candidate = False  # x is an Anderson point awaiting the safeguard
-    g_ref = f_ref = None  # residual norm and map value of the last accepted point
+    # fixed-point residual norm, map value and step residuals of the last
+    # accepted point
+    g_ref = f_ref = r_ref = s_ref = None
     accepted = restarts = rho_changes = 0
     converged = probed = False
     for it in range(1, config.max_iterations + 1):  # max_iterations >= 1
@@ -376,18 +407,19 @@ def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context="
             x = f_ref
         else:
             accepted += candidate
-            g_ref, f_ref = g_norm, fx
+            g_ref, f_ref, r_ref, s_ref = g_norm, fx, r_norm, s_norm
             aa.push(fx.ravel(), g)
             step = aa.extrapolate()
             x = fx if step is None else step.reshape(fx.shape)
         candidate = x is not f_ref
         if it % _BALANCE_EVERY == 0:
-            factor = (2.0 if r_norm > _BALANCE_RATIO * s_norm
-                      else 0.5 if s_norm > _BALANCE_RATIO * r_norm else 1.0)
-            if factor != 1.0:
-                rho *= factor
+            target = _balanced_rho(rho, config.rho, r_ref, s_ref,
+                                   float(np.linalg.norm(f_ref[0])),
+                                   float(np.linalg.norm(f_ref[1:])))
+            if target is not None:
                 x = f_ref.copy()
-                x[1:] /= factor
+                x[1:] *= rho / target
+                rho = target
                 aa.clear()
                 candidate = False
                 rho_changes += 1
@@ -397,7 +429,7 @@ def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context="
         "converged" if converged else "probed" if probed else "stopped", it,
         accepted, restarts, rho_changes, rho, r_norm, s_norm, context,
     )
-    return _AdmmExit(fx[0], r_norm, s_norm, it, converged, probed)
+    return _AdmmExit(fx[0], r_norm, s_norm, it, converged, probed, rho, rho_changes)
 
 
 def _term_prox(term, weight, A):
@@ -505,6 +537,8 @@ def solve_optvb(problem, objective, config=None):
         min_eig_slack=linalg.min_eigenvalue(S_star),
         max_omega_violation=omega_violation,
         converged=exit_.converged,
+        rho_changes=exit_.rho_changes,
+        final_rho=exit_.rho,
     )
     result = BoundResult(S_star=S_star, B_star=B_star, report=report)
     if not exit_.converged:
@@ -656,7 +690,7 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
     else:
         # every feasible T is within tol of 0, and T = S is feasible
         log.debug("admissibility in closed form%s", context)
-        exit_ = _AdmmExit(np.zeros((0, 0)), 0.0, 0.0, 0, True, False)
+        exit_ = _AdmmExit(np.zeros((0, 0)), 0.0, 0.0, 0, True, False, config.rho, 0)
         witness = S.copy()
     # the slice fixes the omega entries of R X R^T, which differ from the
     # caller's by at most the dropped eigenvalues
@@ -670,6 +704,8 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
         min_eig_slack=linalg.min_eigenvalue(witness),
         max_omega_violation=0.0,
         converged=exit_.converged,
+        rho_changes=exit_.rho_changes,
+        final_rho=exit_.rho,
     )
     verdict = AdmissibilityVerdict(
         alpha=alpha,
@@ -710,6 +746,12 @@ def generalized_as_slack(A, omega, W):
     W must be diagonal with strictly positive entries. For designs where the
     unobservable pairs are exactly the within-unit pairs, this is the exact
     minimizer of the targeted objective <S, W>.
+
+    An unobservable diagonal index k pins S_kk = -A_kk. When an unobservable
+    pair (k, l) with A_kl != 0 also crosses it, the input is refused: for
+    A_kk >= 0 no positive semidefinite slack exists (S_kk <= 0 forces row k
+    to 0, but S_kl = -A_kl), and for A_kk < 0, which no covariance matrix
+    has, the closed form does not apply.
     """
     A = linalg.check_symmetric(A, name="A")
     W = np.asarray(W, dtype=float)
@@ -720,15 +762,35 @@ def generalized_as_slack(A, omega, W):
     w = np.diag(W)
     if np.any(w <= 0):
         raise NonPositiveWeight(f"diagonal weights must be positive, got min {w.min()!r}")
+    pairs = _checked_omega(omega, len(A))
+    pinned = {k for k, l in pairs if k == l}
     S = np.zeros_like(A)
-    for k, l in _checked_omega(omega, len(A)):
+    for k, l in pairs:
         if k == l:
-            S[k, k] = -A[k, k]
             continue
+        for i in (k, l):
+            if i in pinned and A[k, l] != 0.0:
+                _refuse_pinned_diagonal(A, i, (k, l))
         S[k, l] = S[l, k] = -A[k, l]
         S[k, k] += abs(A[k, l]) * math.sqrt(w[l] / w[k])
         S[l, l] += abs(A[k, l]) * math.sqrt(w[k] / w[l])
+    for k in pinned:
+        S[k, k] = -A[k, k]
     return S
+
+
+def _refuse_pinned_diagonal(A, k, pair):
+    """Raise for an unobservable diagonal index k crossed by an unobservable
+    pair with nonzero A."""
+    where = (f"diagonal index {k} is unobservable and so is pair {pair} with "
+             f"A = {A[pair]:.3e}")
+    if A[k, k] >= 0.0:
+        raise Infeasible(
+            f"{where}; S[{k},{k}] = -A[{k},{k}] <= 0 forces row {k} of a positive "
+            "semidefinite slack to 0, so no valid slack exists")
+    raise VarboundError(
+        f"{where}, but A[{k},{k}] = {A[k, k]:.3e} < 0, which no covariance matrix "
+        "has; the pairwise closed form does not apply")
 
 
 def targeting_from_vectors(vectors, gamma=0.0, dim=None):

@@ -342,6 +342,18 @@ class TestCli:
         assert metrics["slack_rank"] == int(np.sum(np.linalg.eigvalsh(B_PAIRWISE - A_ILLU) > 1e-7))
         assert metrics["omega_size"] == 4
 
+    def test_reports_carry_the_rho_path(self, tmp_path):
+        bout, aout = tmp_path / "bound", tmp_path / "adm"
+        assert run_cli("bound", "-c", "illustration", "-o", bout) == 0
+        assert run_cli("admissible", "-c", "illustration", "--slack", bout / "S.csv",
+                       "-o", aout) == 0
+        bound = json.loads((bout / "report.json").read_text())["metrics"]
+        adm = json.loads((aout / "report.json").read_text())["metrics"]
+        for changes, rho in ((bound["rho_changes"], bound["final_rho"]),
+                             (adm["solver_rho_changes"], adm["solver_final_rho"])):
+            assert isinstance(changes, int) and changes >= 0
+            assert 1e-2 <= rho <= 1e2
+
     @pytest.mark.parametrize("size", [2, 5])
     def test_admissible_slack_shape_checked(self, tmp_path, capsys, size):
         spath = tmp_path / "S.csv"
