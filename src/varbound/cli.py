@@ -152,14 +152,17 @@ def cmd_admissible(scn, args, out_dir, started, inputs):
         raise DimensionMismatch(
             f"slack shape {S.shape} does not match the scenario: n = {scn.n} needs "
             f"({2 * scn.n}, {2 * scn.n})")
-    problem, table, kwargs = _build(scn, args)
-    verdict = solver.test_admissibility(S, problem.omega, scn.solver)
+    # the verdict depends on S and Omega alone: build P2, not A
+    table = experiment.pair_observation_probabilities(
+        scn.design, scn.model, **_mode_kwargs(scn, args))
+    omega = experiment.unobservable_pairs(table, scn.threshold_c)
+    verdict = solver.test_admissibility(S, omega, scn.solver)
     metrics = {
         "alpha": verdict.alpha,
         "admissible": verdict.admissible,
         "early_exit": verdict.early_exit,
         "slack_rank": verdict.slack_rank,
-        "omega_size": len(problem.omega),
+        "omega_size": len(omega),
         **{f"solver_{k}": v for k, v in verdict.report.as_dict().items()},
     }
     outputs = {}

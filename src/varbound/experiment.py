@@ -14,12 +14,16 @@ blocks of assignment rows, in exact and Monte Carlo mode alike; only the
 weights differ (see ``_AssignmentBlocks``). Monte Carlo draws depend on the
 seed and the count alone. Each exposure rule (``_exposure_codes``) and each
 estimator (``_batch_coefficients``) is implemented once, on blocks of rows;
-the per-assignment functions run that code on a single row.
+the per-assignment functions run that code on a single row. Horvitz-Thompson's
+A is a function of P2 alone (``_ht_covariance``), so its build makes one pass
+over the assignments; the other estimators make a second pass for A.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -38,6 +42,8 @@ from .errors import (
     SupportTooLarge,
     ZeroExposureProbability,
 )
+
+log = logging.getLogger(__name__)
 
 Bits = tuple[int, ...]
 
@@ -657,18 +663,25 @@ class _AssignmentBlocks:
             {"mode": "exact"} if mode == "exact"
             else {"mode": "mc", "count": int(count), "seed": int(seed)}
         )
+        self.passes = self.rows = 0
 
     @property
     def provenance(self):
         return dict(self._provenance)
 
     def __iter__(self):
+        """One pass over the assignments; counts the pass in ``passes`` and
+        its rows in ``rows``."""
+        self.passes += 1
+        self.rows = 0
         if self.draws is None:
-            yield from _support_blocks(self.design, self.max_support)
-            return
-        for start in range(0, len(self.draws), BLOCK_ROWS):
-            part = self.draws[start:start + BLOCK_ROWS]
-            yield part, np.ones(len(part))
+            parts = _support_blocks(self.design, self.max_support)
+        else:
+            parts = (self.draws[s:s + BLOCK_ROWS] for s in range(0, len(self.draws), BLOCK_ROWS))
+            parts = ((Z, np.ones(len(Z))) for Z in parts)
+        for Z, w in parts:
+            self.rows += len(w)
+            yield Z, w
 
 
 def _weighted_moments(blocks, rows):
@@ -693,8 +706,7 @@ def pair_observation_probabilities(design, model, mode="exact", count=None, seed
                                    max_support=DEFAULT_SUPPORT_CAP):
     """SecondOrderTable of joint observation probabilities; the first-order
     probabilities are its diagonal, ``.pi``."""
-    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
-    return _second_order_table(model, blocks)
+    return _variance_build(design, model, None, mode, count, seed, max_support)[1]
 
 
 def _check_groups(kind, Z, sa, sb):
@@ -741,6 +753,42 @@ def _coefficient_covariance(spec, model, blocks, pi):
     return linalg.symmetrize(second - np.outer(mean, mean))
 
 
+def _ht_covariance(table):
+    """Horvitz-Thompson's A from the joint observation probabilities alone:
+    A_kl = s_k s_l (P2_kl / (pi_k pi_l) - 1), with s = (+1 on the first n
+    coordinates, -1 on the last n). A coordinate with pi = 0 is never
+    observed, so its coefficient is 0 and so are its row and column. In Monte
+    Carlo mode pi and P2 come from the same draws, so this is the empirical
+    covariance of the coefficient vectors, as in exact mode."""
+    pi = table.pi
+    seen = pi > 0.0
+    s = np.where(np.arange(len(pi)) < len(pi) // 2, 1.0, -1.0)
+    inv = np.divide(s, pi, out=np.zeros_like(pi), where=seen)
+    # exactly symmetric: P2 is, and so is each outer product
+    return table.P2 * np.outer(inv, inv) - np.outer(s * seen, s * seen)
+
+
+def _variance_build(design, model, spec, mode, count, seed, max_support):
+    """(A, SecondOrderTable, provenance) from one set of assignments.
+
+    P2 takes one pass. Horvitz-Thompson reads A off P2; every other estimator
+    averages its coefficient vectors in a second pass; ``spec=None`` builds P2
+    alone and returns A = None. Logs one debug line.
+    """
+    started = time.perf_counter()
+    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
+    table = _second_order_table(model, blocks)
+    if spec is None:
+        A, source = None, "not built"
+    elif spec.kind == "horvitz-thompson":
+        A, source = _ht_covariance(table), "from P2"
+    else:
+        A, source = _coefficient_covariance(spec, model, blocks, table.pi), "from coefficients"
+    log.debug("build: mode %s, %d rows, passes %d, A %s, %.3f s",
+              mode, blocks.rows, blocks.passes, source, time.perf_counter() - started)
+    return A, table, blocks.provenance
+
+
 def coefficient_covariance(design, model, spec, mode="exact", count=None, seed=None,
                            max_support=DEFAULT_SUPPORT_CAP):
     """Covariance matrix A of the estimator's coefficient vector.
@@ -750,9 +798,8 @@ def coefficient_covariance(design, model, spec, mode="exact", count=None, seed=N
     semidefinite by construction), with the first-order probabilities
     estimated from the same draws. Returns (A, provenance).
     """
-    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
-    pi = _second_order_table(model, blocks).pi
-    return _coefficient_covariance(spec, model, blocks, pi), blocks.provenance
+    A, _, provenance = _variance_build(design, model, spec, mode, count, seed, max_support)
+    return A, provenance
 
 
 def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
@@ -762,11 +809,9 @@ def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
     A and P2 come from the same enumeration or the same draws, so
     inverse-propensity weights and observation probabilities share provenance.
     """
-    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
-    table = _second_order_table(model, blocks)
+    A, table, provenance = _variance_build(design, model, spec, mode, count, seed, max_support)
     problem = VarianceProblem(
-        n=model.n, A=_coefficient_covariance(spec, model, blocks, table.pi),
-        omega=unobservable_pairs(table, threshold_c), provenance=blocks.provenance,
+        n=model.n, A=A, omega=unobservable_pairs(table, threshold_c), provenance=provenance,
         threshold_c=threshold_c,
     )
     return problem, table

@@ -30,7 +30,8 @@ def write_matrix(M, path, fmt=None):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        rows = "\n".join(",".join(f"{x:.17g}" for x in row) for row in M)
+        # Python floats format faster than numpy scalars, to the same text
+        rows = "\n".join(",".join(f"{x:.17g}" for x in row) for row in M.tolist())
         path.write_text(rows + "\n")
     else:
         path.write_text(json.dumps(M.tolist()) + "\n")
@@ -88,7 +89,7 @@ def write_vector(v, path):
     v = np.asarray(v, dtype=float)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(f"{x:.17g}" for x in v) + "\n")
+    path.write_text("\n".join(f"{x:.17g}" for x in v.tolist()) + "\n")
     return path
 
 

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from varbound.errors import (
     SupportTooLarge,
 )
 from varbound.estimation import (
+    LANCZOS_BLOCK,
     RDiagnostics,
     _power_iteration_opnorm,
     _r_moments,
@@ -422,6 +424,36 @@ class TestPowerIteration:
 
     def test_empty_operator(self):
         assert _power_iteration_opnorm(lambda v: v, 0) == 0.0
+
+    @pytest.mark.parametrize("dim", [65, 150, 300])
+    def test_basis_grows_past_its_first_block(self, dim):
+        # a negative tolerance never stops early, so the basis fills the
+        # whole space, past LANCZOS_BLOCK rows
+        M = self.random_psd(dim, dim, dim)
+        matvec, calls = self.counted(M)
+        top = float(np.linalg.eigvalsh(M)[-1])
+        assert _power_iteration_opnorm(matvec, dim, tol=-1.0) == pytest.approx(top, rel=1e-12)
+        assert len(calls) == dim > LANCZOS_BLOCK
+
+    def test_basis_memory_follows_the_steps_taken(self):
+        # a rank-two operator converges in a few steps; the basis must not be
+        # allocated for the dim x dim worst case (200 MB here)
+        dim = 5_000
+        u, v = np.random.default_rng(8).normal(size=(2, dim))
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return 2.0 * u * float(u @ x) + v * float(v @ x)
+
+        tracemalloc.start()
+        try:
+            _power_iteration_opnorm(matvec, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) <= 4
+        assert peak < 8 * dim * (LANCZOS_BLOCK + 16)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-6, 1e-3])
     @pytest.mark.parametrize("dim", [10, 40, 60])

@@ -1,5 +1,6 @@
 """Designs, exposures, estimators, and the variance-problem construction."""
 
+import logging
 import math
 import re
 
@@ -32,15 +33,19 @@ from varbound.errors import (
     RuleUndefined,
     SingularRegression,
     SupportTooLarge,
+    VarboundError,
     ZeroExposureProbability,
 )
 from varbound.experiment import (
     BLOCK_ROWS,
     ESTIMATOR_KINDS,
     VarianceProblem,
+    _AssignmentBlocks,
     _batch_coefficients,
+    _coefficient_covariance,
     _exposure_codes,
     _observation_matrix,
+    _second_order_table,
     _support_blocks,
 )
 from conftest import (
@@ -714,6 +719,153 @@ class TestVarianceProblem:
         )
         assert problem.provenance["mode"] == "mc"
         assert table.provenance["mode"] == "mc"
+
+
+def _ring(n):
+    return ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+
+
+def _mode_kwargs(mode, seed):
+    return {"mode": "mc", "count": 3_000, "seed": seed} if mode == "mc" else {}
+
+
+def _two_pass(design, model, spec, **kwargs):
+    """(A, SecondOrderTable) by two passes: P2 in the first, the coefficient
+    covariance in a second over the same assignments. The reference for every
+    estimator's build."""
+    blocks = _AssignmentBlocks(design, **kwargs)
+    table = _second_order_table(model, blocks)
+    return _coefficient_covariance(spec, model, blocks, table.pi), table
+
+
+class TestOnePassBuild:
+    """Horvitz-Thompson's A comes from P2 with no second pass; the other
+    estimators keep the coefficient pass."""
+
+    HT = EstimatorSpec(kind="horvitz-thompson")
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_ht_matches_the_per_assignment_oracle(self, mode):
+        rng = np.random.default_rng(12)
+        for i in range(12):
+            design, model, spec = random_scenario(rng)
+            kwargs = _mode_kwargs(mode, i)
+            problem, _ = build_variance_problem(design, model, spec, **kwargs)
+            if mode == "exact":
+                support = enumerate_assignments(design)
+            else:
+                draws = sample_assignments(
+                    design, np.random.SeedSequence(i, spawn_key=(0,)), kwargs["count"])
+                support = [(z, 1.0 / len(draws)) for z in draws]
+            dim = 2 * model.n
+            pi = np.zeros(dim)
+            for z, p in support:
+                pi[list(ref_observation_indices(model, z))] += p
+            second, mean = np.zeros((dim, dim)), np.zeros(dim)
+            for z, p in support:
+                V = ref_coefficient_vector(spec, model, z, pi)
+                second += p * np.outer(V, V)
+                mean += p * V
+            A = second - np.outer(mean, mean)
+            assert np.abs(problem.A - A).max() <= 1e-12 * np.abs(A).max()
+
+    @pytest.mark.parametrize("n, kwargs", [
+        (12, {}),
+        (40, {"mode": "mc", "count": 20_000, "seed": 1}),
+        (80, {"mode": "mc", "count": 20_000, "seed": 1}),
+    ], ids=["exact12", "mc40", "mc80"])
+    def test_ht_matches_the_coefficient_pass_on_the_ladder(self, n, kwargs):
+        design, model = Design.bernoulli(n, 0.5), _ring(n)
+        problem, table = build_variance_problem(design, model, self.HT, **kwargs)
+        A, reference = _two_pass(design, model, self.HT, **kwargs)
+        assert np.abs(problem.A - A).max() <= 1e-12 * np.abs(A).max()
+        assert np.array_equal(table.P2, reference.P2)
+        assert problem.omega == unobservable_pairs(reference)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_ht_matches_the_coefficient_pass_on_the_pool(self, mode):
+        rng = np.random.default_rng(2021)
+        for i in range(30):
+            design, model, spec = random_scenario(rng)
+            kwargs = _mode_kwargs(mode, i)
+            A, _ = coefficient_covariance(design, model, spec, **kwargs)
+            reference, _ = _two_pass(design, model, spec, **kwargs)
+            assert np.abs(A - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_other_estimators_are_bitwise_the_two_pass_build(self, mode):
+        rng = np.random.default_rng(5)
+        kinds = ("horvitz-thompson", "difference-in-means", "hajek")
+        for i in range(20):
+            design, model, spec = random_scenario(rng, estimators=kinds)
+            kwargs = _mode_kwargs(mode, i)
+            c = float(rng.choice([0.0, 0.2]))
+            try:
+                A, reference = _two_pass(design, model, spec, **kwargs)
+            except VarboundError as exc:
+                with pytest.raises(type(exc)):
+                    build_variance_problem(design, model, spec, c, **kwargs)
+                continue
+            problem, table = build_variance_problem(design, model, spec, c, **kwargs)
+            assert table.P2.tobytes() == reference.P2.tobytes()
+            assert problem.omega == unobservable_pairs(reference, c)
+            if spec.kind != "horvitz-thompson":
+                assert problem.A.tobytes() == A.tobytes()
+
+    @pytest.mark.parametrize("kind", ["difference-in-means", "ols", "lin", "greg"])
+    def test_fixed_scenario_is_bitwise_the_two_pass_build(self, kind):
+        n = 8
+        design, model = Design.complete(n, 4), ExposureModel.identity(n)
+        spec = EstimatorSpec(kind=kind, covariates=np.random.default_rng(3).normal(size=(n, 2)))
+        problem, table = build_variance_problem(design, model, spec)
+        A, reference = _two_pass(design, model, spec)
+        assert problem.A.tobytes() == A.tobytes()
+        assert table.P2.tobytes() == reference.P2.tobytes()
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_unobservable_coordinate_gets_zero_row_and_column(self, mode):
+        # unit 2 has no neighbours, so it is never indirectly exposed: pi = 0
+        # at coordinate 2 + n
+        n = 3
+        design = Design.bernoulli(n, 0.5)
+        model = ExposureModel.spillover([[1], [0], []])
+        kwargs = _mode_kwargs(mode, 4)
+        problem, table = build_variance_problem(design, model, self.HT, **kwargs)
+        assert table.pi[2 + n] == 0.0
+        assert np.all(problem.A[2 + n] == 0.0) and np.all(problem.A[:, 2 + n] == 0.0)
+        A, _ = _two_pass(design, model, self.HT, **kwargs)
+        assert np.abs(problem.A - A).max() <= 1e-12 * np.abs(A).max()
+        assert (2 + n, 2 + n) in problem.omega
+
+    def test_ht_builds_no_coefficient_vectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficient pass taken")
+
+        monkeypatch.setattr("varbound.experiment._batch_coefficients", refuse)
+        design, model = Design.bernoulli(6, 0.5), _ring(6)
+        build_variance_problem(design, model, self.HT)
+        coefficient_covariance(design, model, self.HT, mode="mc", count=500, seed=2)
+
+    @pytest.mark.parametrize("kind, source, passes", [
+        ("horvitz-thompson", "from P2", 1),
+        ("hajek", "from coefficients", 2),
+        (None, "not built", 1),
+    ])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_one_debug_line_per_build(self, caplog, kind, source, passes, mode):
+        design, model, _ = illustration_parts()
+        kwargs = _mode_kwargs(mode, 1)
+        with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
+            if kind is None:
+                pair_observation_probabilities(design, model, **kwargs)
+            else:
+                build_variance_problem(design, model, EstimatorSpec(kind=kind), **kwargs)
+        [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
+        assert record.levelno == logging.DEBUG
+        rows = kwargs.get("count", 2)
+        assert re.fullmatch(
+            rf"build: mode {mode}, {rows} rows, passes {passes}, A {source}, \d+\.\d{{3}} s",
+            record.getMessage())
 
 
 def _rule_scenario(rng, rule, two_label):

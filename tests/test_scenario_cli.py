@@ -16,6 +16,7 @@ from varbound import (
     pair_observation_probabilities,
     parse_scenario,
     r_covariance_opnorm,
+    solver,
 )
 from varbound.errors import (
     AsymmetricInput,
@@ -66,6 +67,22 @@ class TestMatrixIo:
         path = tmp_path / "v.csv"
         matrixio.write_vector(v, path)
         assert np.array_equal(matrixio.read_vector(path), v)
+
+    def test_text_is_17_significant_digits_of_each_entry(self, tmp_path):
+        # the text formatting numpy scalars one by one gives, byte for byte
+        rng = np.random.default_rng(9)
+        M = rng.normal(size=(4, 5)) * np.exp(rng.uniform(-30, 30, size=(4, 5)))
+        M[0, :4] = [-0.0, 5e-324, 2.5e-310, 1e300]
+        M[1, :3] = [3.0, -7.0, 0.0]
+        matrixio.write_matrix(M, tmp_path / "m.csv")
+        expected = "\n".join(",".join(f"{x:.17g}" for x in row) for row in M) + "\n"
+        assert (tmp_path / "m.csv").read_bytes() == expected.encode()
+        back = matrixio.read_matrix(tmp_path / "m.csv", symmetric=False)
+        assert back.tobytes() == M.tobytes()
+        v = M.ravel()
+        matrixio.write_vector(v, tmp_path / "v.csv")
+        assert (tmp_path / "v.csv").read_bytes() == ("\n".join(f"{x:.17g}" for x in v) + "\n").encode()
+        assert matrixio.read_vector(tmp_path / "v.csv").tobytes() == v.tobytes()
 
 
 class TestScenarioParsing:
@@ -354,6 +371,42 @@ class TestCli:
             assert isinstance(changes, int) and changes >= 0
             assert 1e-2 <= rho <= 1e2
 
+    def test_admissible_builds_omega_without_a(self, tmp_path, monkeypatch, capsys):
+        # difference-in-means on complete randomization: a full build would
+        # take the coefficient pass, the admissibility test needs Omega only
+        n = 6
+        doc = {"n": n, "design": {"kind": "complete-randomization", "m": 3},
+               "exposure": {"rule": "spillover",
+                            "adjacency": [[(i - 1) % n, (i + 1) % n] for i in range(n)]},
+               "estimator": {"kind": "difference-in-means"},
+               "mode": {"kind": "mc", "count": 4000, "seed": 3}}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bound", "-c", path, "-o", tmp_path / "bound") == 0
+        scn = parse_scenario(path)
+        problem, _ = build_variance_problem(scn.design, scn.model, scn.estimator,
+                                            mode="mc", count=4000, seed=3)
+        S_opt = matrixio.read_matrix(tmp_path / "bound" / "S.csv")
+        # a PSD bump off Omega makes the slack dominated
+        S_bump = S_opt + np.diag(np.eye(2 * n)[0])
+        expected = [solver.test_admissibility(S, problem.omega, scn.solver) for S in (S_opt, S_bump)]
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("admissible took the coefficient pass")
+
+        monkeypatch.setattr("varbound.experiment._batch_coefficients", refuse)
+        for name, S, verdict in zip(("opt", "bump"), (S_opt, S_bump), expected):
+            spath = tmp_path / f"{name}.csv"
+            matrixio.write_matrix(S, spath)
+            code = run_cli("admissible", "-c", path, "--slack", spath, "-o", tmp_path / name)
+            assert code == (0 if verdict.admissible else 3)
+            metrics = json.loads((tmp_path / name / "report.json").read_text())["metrics"]
+            assert metrics["alpha"] == verdict.alpha
+            assert metrics["admissible"] is verdict.admissible
+            assert metrics["omega_size"] == len(problem.omega)
+        assert expected[0].admissible and not expected[1].admissible
+
     @pytest.mark.parametrize("size", [2, 5])
     def test_admissible_slack_shape_checked(self, tmp_path, capsys, size):
         spath = tmp_path / "S.csv"
@@ -537,6 +590,7 @@ class TestCli:
         proc = self.run_child("-m", "varbound.cli", "demo", "illustration")
         assert proc.returncode == 0
         assert "DEBUG varbound.solver: consensus ADMM converged after" in proc.stderr
+        assert "DEBUG varbound.experiment: build: mode exact, 2 rows, passes 1, A from P2" in proc.stderr
 
     def test_estimate_imports_no_scipy(self, tmp_path, monkeypatch):
         # scipy is not a dependency, and importing its sparse solvers alone
