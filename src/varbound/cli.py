@@ -181,12 +181,15 @@ def cmd_estimate(scn, args, out_dir, started, inputs):
     if scn.realized is None:
         raise VarboundError("estimate needs realized data in the scenario")
     estimation.validate_realized(scn.realized, scn.model)
-    problem, table, kwargs = _build(scn, args)
-    if args.bound is not None:
+    if args.bound is None:
+        problem, table, kwargs = _build(scn, args)
+        B = _solve(scn, args, problem).B_star
+    else:
+        # the estimate and its diagnostics read P2 alone: build P2, not A
+        kwargs = _mode_kwargs(scn, args)
+        table = experiment.pair_observation_probabilities(scn.design, scn.model, **kwargs)
         B = matrixio.read_matrix(args.bound)
         inputs["bound"] = _digest(args.bound)
-    else:
-        B = _solve(scn, args, problem).B_star
     estimate = estimation.ht_bound_estimate(
         B, scn.realized, table, scn.n, threshold_c=scn.threshold_c
     )

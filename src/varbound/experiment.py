@@ -57,6 +57,11 @@ BLOCK_ROWS = 4096
 # regression coefficient computations
 REGRESSION_RCOND = 1e-10
 
+# an OLS or Lin design matrix Q whose normal matrix G = Q'Q has
+# ||G||_F ||G^-1||_F at most this is solved from the normal equations; the
+# rest take the singular value decomposition
+NORMAL_EQUATIONS_COND = 1e4
+
 SPILLOVER_DIRECT = "direct"
 SPILLOVER_INDIRECT = "indirect"
 SPILLOVER_ISOLATED = "isolated"
@@ -478,9 +483,44 @@ def _weighted_indicator(indicator, pi, kind):
     return np.divide(indicator, pi, out=np.zeros_like(indicator), where=indicator > 0)
 
 
-def _pinv_row(Q, row, what):
+def _pinv_row(Q, row, what, counts=None):
     """Row ``row`` of the pseudo-inverse of each matrix in the stack Q, with an
     identification check.
+
+    A matrix whose normal matrix G = Q'Q passes the screen
+    ||G||_F ||G^-1||_F <= NORMAL_EQUATIONS_COND gets the row from the normal
+    equations, Q G^-1 e_row, with one step of iterative refinement; G^-1 is
+    the inverse of G + eps tr(G) I, so a singular G fails the screen rather
+    than raising. The other matrices take ``_svd_pinv_row``, with its cutoff,
+    warning and singularity check. Each matrix's row depends on that matrix
+    alone, unless LAPACK finds some G + eps tr(G) I exactly singular: then the
+    whole stack takes the SVD. ``counts["svd_rows"]``, when given, adds up the
+    matrices that took the SVD.
+    """
+    Qt = Q.swapaxes(-1, -2)
+    G = Qt @ Q
+    p = G.shape[-1]
+    ridge = np.finfo(float).eps * np.trace(G, axis1=-2, axis2=-1)
+    try:
+        Ginv = np.linalg.inv(G + ridge[..., None, None] * np.eye(p))
+    except np.linalg.LinAlgError:
+        # an exactly singular G + ridge (a zero Q, say) fails the whole stack
+        Ginv = np.full_like(G, np.nan)
+    cond = np.linalg.norm(G, axis=(-2, -1)) * np.linalg.norm(Ginv, axis=(-2, -1))
+    fallback = ~(cond <= NORMAL_EQUATIONS_COND)  # NaN fails too
+    e = np.eye(p)[:, row:row + 1]
+    y = Ginv[..., :, row:row + 1]
+    y = y + Ginv @ (e - Qt @ (Q @ y))
+    coef = (Q @ y)[..., 0]
+    if counts is not None:
+        counts["svd_rows"] += int(np.count_nonzero(fallback))
+    if np.any(fallback):
+        coef[fallback] = _svd_pinv_row(Q[fallback], row, what)
+    return coef
+
+
+def _svd_pinv_row(Q, row, what):
+    """``_pinv_row`` by the singular value decomposition of each matrix.
 
     Uses a singular-value cutoff of REGRESSION_RCOND times each matrix's
     largest singular value; a cutoff that actually triggers emits a warning,
@@ -501,15 +541,16 @@ def _pinv_row(Q, row, what):
         warnings.warn(
             f"{what}: rank-deficient design matrix, pseudo-inverse cutoff applied",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return np.einsum("...r,...nr->...n", coef * inv_s, U)
 
 
-def _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi):
+def _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi, counts=None):
     """Per-unit coefficients c for ols / lin / greg (exposure-indicator
-    regressors), one row per assignment row of Z with indicators in_a, in_b."""
+    regressors), one row per assignment row of Z with indicators in_a, in_b;
+    ``counts`` goes to ``_pinv_row``."""
     outside = (in_a == 0) & (in_b == 0)
     if np.any(outside):
         bad, off = (int(i) for i in np.argwhere(outside)[0])
@@ -541,7 +582,7 @@ def _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi):
         Xdm = X - X.mean(axis=0, keepdims=True)
         Q = np.concatenate([ones, D, np.broadcast_to(Xdm, D.shape[:1] + X.shape), D * Xdm],
                            axis=-1)
-    return n * _pinv_row(Q, 1, spec.kind)
+    return n * _pinv_row(Q, 1, spec.kind, counts)
 
 
 def coefficient_vector(spec, model, z, pi):
@@ -720,8 +761,9 @@ def _check_groups(kind, Z, sa, sb):
         )
 
 
-def _batch_coefficients(spec, model, Z, pi):
-    """Coefficient vectors for assignment rows Z, one row each."""
+def _batch_coefficients(spec, model, Z, pi, counts=None):
+    """Coefficient vectors for assignment rows Z, one row each; ``counts``
+    goes to ``_pinv_row`` for ols and lin."""
     Z = np.asarray(Z, dtype=np.int64)
     n = Z.shape[1]
     obs = _observation_matrix(model, Z)
@@ -744,12 +786,13 @@ def _batch_coefficients(spec, model, Z, pi):
         _check_groups(spec.kind, Z, sa, sb)
         c = wa / sa - wb / sb
     else:
-        c = _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi)
+        c = _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi, counts)
     return np.concatenate([in_a * c, in_b * c], axis=1)
 
 
-def _coefficient_covariance(spec, model, blocks, pi):
-    mean, second = _weighted_moments(blocks, lambda Z: _batch_coefficients(spec, model, Z, pi))
+def _coefficient_covariance(spec, model, blocks, pi, counts=None):
+    mean, second = _weighted_moments(
+        blocks, lambda Z: _batch_coefficients(spec, model, Z, pi, counts))
     return linalg.symmetrize(second - np.outer(mean, mean))
 
 
@@ -773,7 +816,8 @@ def _variance_build(design, model, spec, mode, count, seed, max_support):
 
     P2 takes one pass. Horvitz-Thompson reads A off P2; every other estimator
     averages its coefficient vectors in a second pass; ``spec=None`` builds P2
-    alone and returns A = None. Logs one debug line.
+    alone and returns A = None. Logs one debug line; for ols and lin it counts
+    the rows whose regression took the SVD.
     """
     started = time.perf_counter()
     blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
@@ -783,7 +827,11 @@ def _variance_build(design, model, spec, mode, count, seed, max_support):
     elif spec.kind == "horvitz-thompson":
         A, source = _ht_covariance(table), "from P2"
     else:
-        A, source = _coefficient_covariance(spec, model, blocks, table.pi), "from coefficients"
+        counts = {"svd_rows": 0}
+        A = _coefficient_covariance(spec, model, blocks, table.pi, counts)
+        source = "from coefficients"
+        if spec.kind in ("ols", "lin"):
+            source += f", regression rows by SVD {counts['svd_rows']} of {blocks.rows}"
     log.debug("build: mode %s, %d rows, passes %d, A %s, %.3f s",
               mode, blocks.rows, blocks.passes, source, time.perf_counter() - started)
     return A, table, blocks.provenance

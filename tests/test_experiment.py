@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -45,8 +46,10 @@ from varbound.experiment import (
     _coefficient_covariance,
     _exposure_codes,
     _observation_matrix,
+    _pinv_row,
     _second_order_table,
     _support_blocks,
+    _svd_pinv_row,
 )
 from conftest import (
     A_ILLU,
@@ -867,6 +870,136 @@ class TestOnePassBuild:
             rf"build: mode {mode}, {rows} rows, passes {passes}, A {source}, \d+\.\d{{3}} s",
             record.getMessage())
 
+
+
+def _svd_only(monkeypatch):
+    """Send every OLS and Lin regression through the SVD, the reference the
+    normal equations are checked against."""
+    monkeypatch.setattr("varbound.experiment._pinv_row",
+                        lambda Q, row, what, counts=None: _svd_pinv_row(Q, row, what))
+
+
+def _outcome(run):
+    """(A or the exception type, rank-deficiency warnings) of one build."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run()
+        except VarboundError as exc:
+            result = type(exc)
+    return result, sum("rank-deficient" in str(w.message) for w in caught)
+
+
+class TestNormalEquations:
+    """OLS and Lin coefficients from the normal equations where the screen
+    passes them, from the SVD elsewhere, against the SVD everywhere."""
+
+    @pytest.mark.parametrize("kind", ["ols", "lin"])
+    def test_exact_build_shape_matches_the_svd(self, kind, monkeypatch, caplog):
+        # complete randomization n = 16, m = 8, two covariates: 12,870 rows
+        n = 16
+        design, model = Design.complete(n, 8), ExposureModel.identity(n)
+        spec = EstimatorSpec(kind=kind, covariates=np.random.default_rng(13).normal(size=(n, 2)))
+        Z = np.concatenate([Z for Z, _ in _support_blocks(design)])
+        pi = np.full(2 * n, 0.5)
+        with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
+            problem, _ = build_variance_problem(design, model, spec)
+        counts = {"svd_rows": 0}
+        c = _batch_coefficients(spec, model, Z, pi, counts)
+        assert counts["svd_rows"] == 0
+        [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
+        assert ", regression rows by SVD 0 of 12870, " in record.getMessage()
+        _svd_only(monkeypatch)
+        reference, _ = build_variance_problem(design, model, spec)
+        c_svd = _batch_coefficients(spec, model, Z, pi)
+        assert np.abs(c - c_svd).max() <= 1e-12 * np.abs(c_svd).max()
+        assert np.abs(problem.A - reference.A).max() <= 1e-12 * np.abs(reference.A).max()
+
+    @pytest.mark.parametrize("rule", ["identity", "spillover", "table"])
+    def test_random_pool_matches_the_svd(self, rule, monkeypatch):
+        # covariates: one or two normal columns, a duplicated column (the
+        # cutoff warns), or the contrast indicator of the first assignment
+        # (SingularRegression there); the warning and the error must come
+        # exactly where the SVD build gives them
+        rng = np.random.default_rng(2023)
+        scenarios, outcomes = [], set()
+        for i in range(16):
+            design, model = _rule_scenario(rng, rule, two_label=True)
+            n = model.n
+            x = rng.normal(size=(n, 2 if i % 4 == 1 else 1))
+            if i % 4 == 2:
+                x = np.hstack([x, x])
+            elif i % 4 == 3:
+                first = next(_support_blocks(design))[0][:1]
+                x = _observation_matrix(model, first)[0, :n, None].astype(float)
+            spec = EstimatorSpec(kind=("ols", "lin")[i // 4 % 2], covariates=x)
+            scenarios.append((design, model, spec))
+        got = [_outcome(lambda: build_variance_problem(*s)[0].A) for s in scenarios]
+        _svd_only(monkeypatch)
+        for s, (A, warned) in zip(scenarios, got):
+            reference, reference_warned = _outcome(lambda: build_variance_problem(*s)[0].A)
+            assert warned == reference_warned
+            if isinstance(reference, type):
+                assert A is reference
+            else:
+                assert np.abs(A - reference).max() <= 1e-12 * np.abs(reference).max()
+            outcomes.add(reference if isinstance(reference, type) else bool(warned))
+        assert outcomes == {False, True, SingularRegression}
+
+    def test_near_collinear_pair_takes_the_svd(self, caplog):
+        # two covariates 1e-5 apart: full rank, far past the screen
+        n = 6
+        x = np.random.default_rng(8).normal(size=n)
+        X = np.column_stack([x, x + 1e-5 * np.random.default_rng(9).normal(size=n)])
+        design, model = Design.complete(n, 3), ExposureModel.identity(n)
+        pi = _exact_pi(design, model)
+        Z = np.array([z for z, _ in enumerate_assignments(design)])
+        for kind in ("ols", "lin"):
+            spec = EstimatorSpec(kind=kind, covariates=X)
+            counts = {"svd_rows": 0}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                V = _batch_coefficients(spec, model, Z, pi, counts)
+            assert counts["svd_rows"] == len(Z)
+            ref = np.array([ref_coefficient_vector(spec, model, z, pi) for z in map(tuple, Z)])
+            assert np.abs(V - ref).max() <= 1e-12 * np.abs(ref).max()
+        with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
+            build_variance_problem(design, model, spec)
+        [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
+        assert ", regression rows by SVD 20 of 20, " in record.getMessage()
+
+    def test_mixed_block_rows_are_each_their_own(self):
+        # a covariate 1e-5 from the indicator of z* makes the design matrix
+        # near-collinear at z* and at its complement only: 2 of 20 rows take
+        # the SVD, the rest the normal equations
+        n = 6
+        z_star = np.array([1, 0, 1, 0, 1, 0])
+        x = z_star + 1e-5 * np.random.default_rng(4).normal(size=n)
+        spec = EstimatorSpec(kind="ols", covariates=x[:, None])
+        design, model = Design.complete(n, 3), ExposureModel.identity(n)
+        pi = _exact_pi(design, model)
+        Z = np.array([z for z, _ in enumerate_assignments(design)])
+        counts = {"svd_rows": 0}
+        batch = _batch_coefficients(spec, model, Z, pi, counts)
+        assert counts["svd_rows"] == 2
+        for r, z in enumerate(map(tuple, Z.tolist())):
+            alone = {"svd_rows": 0}
+            row = _batch_coefficients(spec, model, [z], pi, alone)[0]
+            assert alone["svd_rows"] == (z in (tuple(z_star), tuple(1 - z_star)))
+            assert row.tobytes() == batch[r].tobytes()
+            assert row.tobytes() == coefficient_vector(spec, model, z, pi).tobytes()
+            ref = ref_coefficient_vector(spec, model, z, pi)
+            assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_zero_design_matrix_takes_the_svd(self):
+        # a zero design matrix makes G + eps tr(G) I exactly singular: the
+        # stack goes to the SVD, which reports the zero matrix, as before
+        Q = np.stack([np.eye(3)[:, :2], np.zeros((3, 2))])
+        with pytest.raises(SingularRegression, match="design matrix is zero"):
+            _pinv_row(Q, 1, "ols")
+        counts = {"svd_rows": 0}
+        assert np.array_equal(_pinv_row(Q[:1], 1, "ols", counts), [[0.0, 1.0, 0.0]])
+        assert counts["svd_rows"] == 0
 
 def _rule_scenario(rng, rule, two_label):
     """A random complete-randomization scenario under one exposure rule.

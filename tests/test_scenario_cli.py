@@ -12,6 +12,7 @@ import pytest
 from varbound import (
     build_variance_problem,
     cli,
+    estimation,
     matrixio,
     pair_observation_probabilities,
     parse_scenario,
@@ -406,6 +407,48 @@ class TestCli:
             assert metrics["admissible"] is verdict.admissible
             assert metrics["omega_size"] == len(problem.omega)
         assert expected[0].admissible and not expected[1].admissible
+
+    def test_estimate_with_bound_builds_p2_without_a(self, tmp_path, monkeypatch, capsys):
+        # Hajek on complete randomization: a full build would take the
+        # coefficient pass; the estimate and Cov(R) read P2 alone
+        n = 6
+        doc = {"n": n, "design": {"kind": "complete-randomization", "m": 3},
+               "exposure": {"rule": "spillover",
+                            "adjacency": [[(i - 1) % n, (i + 1) % n] for i in range(n)]},
+               "estimator": {"kind": "hajek"},
+               "theta": np.linspace(1.0, 3.0, 2 * n).tolist(),
+               "realized": {"z": [1, 1, 0, 1, 0, 0],
+                            "outcomes": {"1": 1.0, "2": 2.0, "4": 1.5, "9": 0.5, "11": 3.0,
+                                         "12": 2.5}}}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bound", "-c", path, "-o", tmp_path / "bound") == 0
+        scn = parse_scenario(path)
+        _, table = build_variance_problem(scn.design, scn.model, scn.estimator)
+        B = matrixio.read_matrix(tmp_path / "bound" / "B.csv")
+        diag = r_covariance_opnorm(scn.design, scn.model, B, table)
+        expected = {
+            "bound_estimate": estimation.ht_bound_estimate(B, scn.realized, table, n),
+            "opnorm_cov_R": diag.opnorm_cov_R,
+            "opnorm_cov_R_mode": "exact",
+            "opnorm_cov_R_pairs": diag.provenance["pairs"],
+            "opnorm_cov_R_matvecs": diag.provenance["matvecs"],
+            "empirical_mse_at_theta": estimation.empirical_mse(
+                scn.design, scn.model, B, table, scn.theta),
+        }
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate --bound took the coefficient pass")
+
+        monkeypatch.setattr("varbound.experiment._batch_coefficients", refuse)
+        out = tmp_path / "est"
+        assert run_cli("estimate", "-c", path, "--bound", tmp_path / "bound" / "B.csv",
+                       "-o", out) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        assert payload["bound_estimate"] == expected["bound_estimate"]
+        assert {k: metrics[k] for k in expected} == expected
 
     @pytest.mark.parametrize("size", [2, 5])
     def test_admissible_slack_shape_checked(self, tmp_path, capsys, size):
