@@ -15,8 +15,10 @@ weights differ (see ``_AssignmentBlocks``). Monte Carlo draws depend on the
 seed and the count alone. Each exposure rule (``_exposure_codes``) and each
 estimator (``_batch_coefficients``) is implemented once, on blocks of rows;
 the per-assignment functions run that code on a single row. Horvitz-Thompson's
-A is a function of P2 alone (``_ht_covariance``), so its build makes one pass
-over the assignments; the other estimators make a second pass for A.
+A is a function of P2 alone (``_ht_covariance``), and difference in means, OLS
+and Lin average their coefficients in the P2 pass, so their builds make one
+pass over the assignments; Hajek and GREG weight by pi = diag(P2) and make a
+second pass for A.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ ESTIMATOR_KINDS = (
     "greg",
 )
 _REGRESSION_KINDS = ("ols", "lin", "greg")
+# estimators whose coefficient vectors do not read the exposure probabilities
+_PI_FREE_KINDS = ("difference-in-means", "ols", "lin")
 
 
 def _as_bits(z, n):
@@ -483,61 +487,109 @@ def _weighted_indicator(indicator, pi, kind):
     return np.divide(indicator, pi, out=np.zeros_like(indicator), where=indicator > 0)
 
 
-def _pinv_row(Q, row, what, counts=None):
-    """Row ``row`` of the pseudo-inverse of each matrix in the stack Q, with an
-    identification check.
+def _gauss_jordan_inverse(G, shift):
+    """Inverse of G_r + shift_r I for each matrix G_r in the stack G, by
+    Gauss-Jordan elimination without pivoting, vectorized along the stack.
+    Sound for positive definite matrices; a zero pivot leaves NaN or inf in
+    that matrix's inverse alone."""
+    A = np.moveaxis(G, 0, -1).copy()  # (p, p, stack): each step is whole-vector work
+    p = len(A)
+    A[range(p), range(p)] += shift
+    for k in range(p):
+        pivot = A[k, k].copy()
+        A[k, k] = 1.0
+        A[k] /= pivot
+        for i in range(p):
+            if i != k:
+                f = A[i, k].copy()
+                A[i, k] = 0.0
+                A[i] -= f * A[k]
+    return np.ascontiguousarray(np.moveaxis(A, -1, 0))
 
-    A matrix whose normal matrix G = Q'Q passes the screen
-    ||G||_F ||G^-1||_F <= NORMAL_EQUATIONS_COND gets the row from the normal
-    equations, Q G^-1 e_row, with one step of iterative refinement; G^-1 is
-    the inverse of G + eps tr(G) I, so a singular G fails the screen rather
-    than raising. The other matrices take ``_svd_pinv_row``, with its cutoff,
-    warning and singularity check. Each matrix's row depends on that matrix
-    alone, unless LAPACK finds some G + eps tr(G) I exactly singular: then the
-    whole stack takes the SVD. ``counts["svd_rows"]``, when given, adds up the
-    matrices that took the SVD.
+
+def _normal_matrices(q0, dq, D):
+    """Q'Q for the design matrix Q = q0 + D dq of each row of D, from per-unit
+    sufficient statistics: q0'q0 + sum_i D_i (q1_i q1_i' - q0_i q0_i'), with
+    q1 = q0 + dq and D_i in {0, 1}. The sum is a stacked matmul, one row of D
+    at a time, not D @ (...): a BLAS GEMM rounds a row differently depending
+    on how many rows it is given."""
+    n, p = q0.shape
+    q1 = q0 + dq
+    delta = (q1[:, :, None] * q1[:, None, :] - q0[:, :, None] * q0[:, None, :]).reshape(n, p * p)
+    return q0.T @ q0 + np.matmul(D[:, None, :], delta).reshape(len(D), p, p)
+
+
+def _pinv_row(q0, dq, D, row, what, counts=None):
+    """Row ``row`` of the pseudo-inverse of each design matrix in a stack, with
+    an identification check. Unit i's regressor row is q0_i + D_i dq_i, with
+    D_i in {0, 1} taken from one row of D per matrix, so Q y = q0 y + D dq y
+    and Q'v = q0'v + dq'(D v) never need Q itself.
+
+    The normal matrices G = Q'Q come from ``_normal_matrices``, and
+    Gauss-Jordan inverts G + eps tr(G) I along the stack. A matrix whose G
+    passes the screen ||G||_F ||G^-1||_F <= NORMAL_EQUATIONS_COND gets the row
+    from the normal equations, Q G^-1 e_row, after one step of iterative
+    refinement on the residual e_row - Q'(Q y) (from the data, which is more
+    accurate than e_row - G y). A singular G fails the screen on its own: a
+    zero pivot gives a NaN inverse and any other pivot a huge one, so no
+    matrix sends the whole stack to the SVD. Q is built only for the
+    matrices that fail; they take ``_svd_pinv_row``, with its cutoff, warning
+    and identification check. Every product is a stacked matmul, one matrix
+    at a time, so each matrix's row depends on that matrix alone, not on the
+    stack around it. ``counts["svd_rows"]``, when given, adds up the matrices
+    that took the SVD.
     """
-    Qt = Q.swapaxes(-1, -2)
-    G = Qt @ Q
-    p = G.shape[-1]
+    n, p = q0.shape
+    G = _normal_matrices(q0, dq, D)
     ridge = np.finfo(float).eps * np.trace(G, axis1=-2, axis2=-1)
-    try:
-        Ginv = np.linalg.inv(G + ridge[..., None, None] * np.eye(p))
-    except np.linalg.LinAlgError:
-        # an exactly singular G + ridge (a zero Q, say) fails the whole stack
-        Ginv = np.full_like(G, np.nan)
-    cond = np.linalg.norm(G, axis=(-2, -1)) * np.linalg.norm(Ginv, axis=(-2, -1))
+    qd = np.concatenate([q0, dq])
+    qd_t = np.ascontiguousarray(qd.T)
+
+    def fitted(y):  # Q y, (rows, n), for y of shape (rows, 1, p)
+        u = (y @ qd_t)[:, 0]
+        return u[:, :n] + D * u[:, n:]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Ginv = _gauss_jordan_inverse(G, ridge)
+        cond = np.linalg.norm(G, axis=(-2, -1)) * np.linalg.norm(Ginv, axis=(-2, -1))
+        y = Ginv[:, None, row]  # row `row` of G^-1, as a (1, p) row per matrix
+        f = fitted(y)[:, None]
+        y = y + (np.eye(p)[row] - np.concatenate([f, D[:, None] * f], axis=-1) @ qd) @ Ginv
+        coef = fitted(y)
     fallback = ~(cond <= NORMAL_EQUATIONS_COND)  # NaN fails too
-    e = np.eye(p)[:, row:row + 1]
-    y = Ginv[..., :, row:row + 1]
-    y = y + Ginv @ (e - Qt @ (Q @ y))
-    coef = (Q @ y)[..., 0]
     if counts is not None:
         counts["svd_rows"] += int(np.count_nonzero(fallback))
     if np.any(fallback):
-        coef[fallback] = _svd_pinv_row(Q[fallback], row, what)
+        Q = q0 + D[fallback][:, :, None] * dq
+        coef[fallback] = _svd_pinv_row(Q, row, what)
     return coef
 
 
 def _svd_pinv_row(Q, row, what):
-    """``_pinv_row`` by the singular value decomposition of each matrix.
+    """Row ``row`` of the pseudo-inverse of each matrix in the stack Q, by its
+    singular value decomposition.
 
     Uses a singular-value cutoff of REGRESSION_RCOND times each matrix's
-    largest singular value; a cutoff that actually triggers emits a warning,
-    and the requested coefficient must be orthogonal to the null space of Q or
-    the regression is reported as singular.
+    largest singular value; a cutoff that actually triggers emits a warning.
+    The requested coefficient e_row must lie in the span of the kept right
+    singular vectors, or the regression is reported as singular. That span
+    misses the dropped vectors and, when Q has more columns than rows, the
+    null space its reduced SVD does not return.
     """
     U, s, Vt = np.linalg.svd(Q, full_matrices=False)
     if s.shape[-1] == 0 or np.any(s[..., 0] == 0.0):
         raise SingularRegression(f"{what}: design matrix is zero")
     keep = s > REGRESSION_RCOND * s[..., :1]
     coef = Vt[..., :, row]
+    # e_row less its projection on the kept vectors, formed as a residual
+    # vector: 1 - sum of the kept Vt[j, row]^2 would lose half the digits
+    outside = -np.einsum("...j,...jp->...p", np.where(keep, coef, 0.0), Vt)
+    outside[..., row] += 1.0
+    if np.any(np.linalg.norm(outside, axis=-1) > 1e-8):
+        raise SingularRegression(
+            f"{what}: contrast coefficient lies in the null space of the design matrix"
+        )
     if not np.all(keep):
-        null_mass = np.linalg.norm(np.where(keep, 0.0, coef), axis=-1)
-        if np.any(null_mass > 1e-8):
-            raise SingularRegression(
-                f"{what}: contrast coefficient lies in the null space of the design matrix"
-            )
         warnings.warn(
             f"{what}: rank-deficient design matrix, pseudo-inverse cutoff applied",
             RuntimeWarning,
@@ -547,10 +599,25 @@ def _svd_pinv_row(Q, row, what):
     return np.einsum("...r,...nr->...n", coef * inv_s, U)
 
 
+def _regressor_rows(kind, X):
+    """(q0, dq) such that unit i's regressor row is q0_i + D_i dq_i, D_i its
+    contrast indicator: OLS regresses on (1, D, X), Lin on
+    (1, D, X - mean X, D (X - mean X))."""
+    n = len(X)
+    ones, zeros = np.ones((n, 1)), np.zeros((n, 1))
+    if kind == "ols":
+        return np.hstack([ones, zeros, X]), np.hstack([zeros, ones, np.zeros_like(X)])
+    Xdm = X - X.mean(axis=0, keepdims=True)
+    return (np.hstack([ones, zeros, Xdm, np.zeros_like(Xdm)]),
+            np.hstack([zeros, ones, np.zeros_like(Xdm), Xdm]))
+
+
 def _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi, counts=None):
     """Per-unit coefficients c for ols / lin / greg (exposure-indicator
-    regressors), one row per assignment row of Z with indicators in_a, in_b;
-    ``counts`` goes to ``_pinv_row``."""
+    regressors), one row per assignment row of Z with indicators in_a, in_b.
+    OLS and Lin take the coefficient on D = in_a from ``_pinv_row`` (given
+    ``counts``), with no design matrix formed unless the SVD needs it; see
+    ``_regressor_rows``. ``pi`` is read by greg alone."""
     outside = (in_a == 0) & (in_b == 0)
     if np.any(outside):
         bad, off = (int(i) for i in np.argwhere(outside)[0])
@@ -574,15 +641,7 @@ def _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi, counts=None):
         ra = np.einsum("rn,np->rp", 1.0 - wa, X)
         rb = np.einsum("rn,np->rp", 1.0 - wb, X)
         return wa - wb + (np.einsum("rp,rpn->rn", ra, Pa) - np.einsum("rp,rpn->rn", rb, Pb))
-    D = in_a[..., None]
-    ones = np.ones_like(D)
-    if spec.kind == "ols":
-        Q = np.concatenate([ones, D, np.broadcast_to(X, D.shape[:1] + X.shape)], axis=-1)
-    else:
-        Xdm = X - X.mean(axis=0, keepdims=True)
-        Q = np.concatenate([ones, D, np.broadcast_to(Xdm, D.shape[:1] + X.shape), D * Xdm],
-                           axis=-1)
-    return n * _pinv_row(Q, 1, spec.kind, counts)
+    return n * _pinv_row(*_regressor_rows(spec.kind, X), in_a, 1, spec.kind, counts)
 
 
 def coefficient_vector(spec, model, z, pi):
@@ -725,22 +784,35 @@ class _AssignmentBlocks:
             yield Z, w
 
 
-def _weighted_moments(blocks, rows):
-    """Weighted mean and second moment, E[x] and E[x x'], of the rows
-    x = rows(Z) over the (Z, w) blocks."""
-    total = mean = second = 0.0
+def _weighted_moments(blocks, *rows):
+    """Weighted mean and second moment, E[x] and E[x x'], of the rows x = f(Z)
+    of each function f in ``rows``, over the (Z, w) blocks in one pass. Within
+    a block the functions run in the order given. Returns (mean, second) for
+    one function and a list of such pairs for several."""
+    total = 0.0
+    sums = [[0.0, 0.0] for _ in rows]
     for Z, w in blocks:
-        X = rows(Z)
         total += w.sum()
-        mean = mean + w @ X
-        second = second + (X * w[:, None]).T @ X
-    return mean / total, second / total
+        for f, acc in zip(rows, sums):
+            X = f(Z)
+            acc[0] = acc[0] + w @ X
+            acc[1] = acc[1] + (X * w[:, None]).T @ X
+    moments = [(mean / total, second / total) for mean, second in sums]
+    return moments[0] if len(rows) == 1 else moments
+
+
+def _observation_rows(model):
+    return lambda Z: _observation_matrix(model, Z).astype(float)
+
+
+def _table_from(P2, provenance):
+    P2 = linalg.symmetrize(P2)
+    return SecondOrderTable(P2=P2, pi=np.diag(P2).copy(), provenance=provenance)
 
 
 def _second_order_table(model, blocks):
-    _, P2 = _weighted_moments(blocks, lambda Z: _observation_matrix(model, Z).astype(float))
-    P2 = linalg.symmetrize(P2)
-    return SecondOrderTable(P2=P2, pi=np.diag(P2).copy(), provenance=blocks.provenance)
+    _, P2 = _weighted_moments(blocks, _observation_rows(model))
+    return _table_from(P2, blocks.provenance)
 
 
 def pair_observation_probabilities(design, model, mode="exact", count=None, seed=None,
@@ -790,10 +862,13 @@ def _batch_coefficients(spec, model, Z, pi, counts=None):
     return np.concatenate([in_a * c, in_b * c], axis=1)
 
 
-def _coefficient_covariance(spec, model, blocks, pi, counts=None):
-    mean, second = _weighted_moments(
-        blocks, lambda Z: _batch_coefficients(spec, model, Z, pi, counts))
+def _covariance(mean, second):
     return linalg.symmetrize(second - np.outer(mean, mean))
+
+
+def _coefficient_covariance(spec, model, blocks, pi):
+    return _covariance(*_weighted_moments(
+        blocks, lambda Z: _batch_coefficients(spec, model, Z, pi)))
 
 
 def _ht_covariance(table):
@@ -814,24 +889,34 @@ def _ht_covariance(table):
 def _variance_build(design, model, spec, mode, count, seed, max_support):
     """(A, SecondOrderTable, provenance) from one set of assignments.
 
-    P2 takes one pass. Horvitz-Thompson reads A off P2; every other estimator
-    averages its coefficient vectors in a second pass; ``spec=None`` builds P2
-    alone and returns A = None. Logs one debug line; for ols and lin it counts
-    the rows whose regression took the SVD.
+    Estimators whose coefficients do not read pi (difference-in-means, ols,
+    lin) average P2 and their coefficient moments in the same pass.
+    Horvitz-Thompson reads A off P2; Hajek and greg need pi = diag(P2) first,
+    so they average their coefficients in a second pass. ``spec=None`` builds
+    P2 alone and returns A = None. Logs one debug line; for ols and lin it
+    counts the rows whose regression took the SVD.
     """
     started = time.perf_counter()
     blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
-    table = _second_order_table(model, blocks)
-    if spec is None:
-        A, source = None, "not built"
-    elif spec.kind == "horvitz-thompson":
-        A, source = _ht_covariance(table), "from P2"
-    else:
-        counts = {"svd_rows": 0}
-        A = _coefficient_covariance(spec, model, blocks, table.pi, counts)
+    counts = {"svd_rows": 0}
+    if spec is not None and spec.kind in _PI_FREE_KINDS:
+        # P2's rows first in each block: within a block, errors come as in two passes
+        (_, P2), moments = _weighted_moments(
+            blocks, _observation_rows(model),
+            lambda Z: _batch_coefficients(spec, model, Z, None, counts))
+        table, A = _table_from(P2, blocks.provenance), _covariance(*moments)
         source = "from coefficients"
-        if spec.kind in ("ols", "lin"):
-            source += f", regression rows by SVD {counts['svd_rows']} of {blocks.rows}"
+    else:
+        table = _second_order_table(model, blocks)
+        if spec is None:
+            A, source = None, "not built"
+        elif spec.kind == "horvitz-thompson":
+            A, source = _ht_covariance(table), "from P2"
+        else:
+            A = _coefficient_covariance(spec, model, blocks, table.pi)
+            source = "from coefficients"
+    if spec is not None and spec.kind in ("ols", "lin"):
+        source += f", regression rows by SVD {counts['svd_rows']} of {blocks.rows}"
     log.debug("build: mode %s, %d rows, passes %d, A %s, %.3f s",
               mode, blocks.rows, blocks.passes, source, time.perf_counter() - started)
     return A, table, blocks.provenance

@@ -45,8 +45,11 @@ from varbound.experiment import (
     _batch_coefficients,
     _coefficient_covariance,
     _exposure_codes,
+    _gauss_jordan_inverse,
+    _normal_matrices,
     _observation_matrix,
     _pinv_row,
+    _regressor_rows,
     _second_order_table,
     _support_blocks,
     _svd_pinv_row,
@@ -362,10 +365,11 @@ class TestCoefficientVector:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_support_consistency_all_kinds(self):
+        # n = 6: Lin's six regressors are identified under every assignment
         rng = np.random.default_rng(9)
-        n = 4
+        n = 6
         X = rng.normal(size=(n, 2))
-        design = Design.complete(n, 2)
+        design = Design.complete(n, 3)
         model = ExposureModel.identity(n)
         pi = _exact_pi(design, model)
         for kind in ("horvitz-thompson", "difference-in-means", "hajek", "ols", "lin", "greg"):
@@ -742,8 +746,9 @@ def _two_pass(design, model, spec, **kwargs):
 
 
 class TestOnePassBuild:
-    """Horvitz-Thompson's A comes from P2 with no second pass; the other
-    estimators keep the coefficient pass."""
+    """Horvitz-Thompson's A comes from P2 with no second pass; difference in
+    means, OLS and Lin average their coefficients in the P2 pass; Hajek and
+    GREG, which read pi, keep a second pass."""
 
     HT = EstimatorSpec(kind="horvitz-thompson")
 
@@ -870,13 +875,37 @@ class TestOnePassBuild:
             rf"build: mode {mode}, {rows} rows, passes {passes}, A {source}, \d+\.\d{{3}} s",
             record.getMessage())
 
+    @pytest.mark.parametrize("kind, passes", [
+        ("horvitz-thompson", 1),
+        ("difference-in-means", 1),
+        ("ols", 1),
+        ("lin", 1),
+        ("hajek", 2),
+        ("greg", 2),
+    ])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_passes_per_estimator(self, caplog, kind, passes, mode):
+        n = 6
+        design, model = Design.complete(n, 3), ExposureModel.identity(n)
+        spec = EstimatorSpec(kind=kind, covariates=np.random.default_rng(2).normal(size=(n, 1)))
+        kwargs = _mode_kwargs(mode, 3)
+        with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
+            build_variance_problem(design, model, spec, **kwargs)
+        [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
+        rows = kwargs.get("count", 20)
+        svd = f", regression rows by SVD 0 of {rows}" if kind in ("ols", "lin") else ""
+        assert re.fullmatch(
+            rf"build: mode {mode}, {rows} rows, passes {passes}, A from \w+{svd}, \d+\.\d{{3}} s",
+            record.getMessage())
 
 
 def _svd_only(monkeypatch):
     """Send every OLS and Lin regression through the SVD, the reference the
     normal equations are checked against."""
-    monkeypatch.setattr("varbound.experiment._pinv_row",
-                        lambda Q, row, what, counts=None: _svd_pinv_row(Q, row, what))
+    monkeypatch.setattr(
+        "varbound.experiment._pinv_row",
+        lambda q0, dq, D, row, what, counts=None: _svd_pinv_row(
+            q0 + D[:, :, None] * dq, row, what))
 
 
 def _outcome(run):
@@ -991,14 +1020,81 @@ class TestNormalEquations:
             ref = ref_coefficient_vector(spec, model, z, pi)
             assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("kind", ["ols", "lin"])
+    def test_exact_build_shape_matches_the_oracle(self, kind):
+        # complete randomization n = 16, m = 8, two covariates: A against the
+        # per-assignment oracle, and single rows bitwise the rows of a block
+        n = 16
+        design, model = Design.complete(n, 8), ExposureModel.identity(n)
+        spec = EstimatorSpec(kind=kind, covariates=np.random.default_rng(13).normal(size=(n, 2)))
+        problem, table = build_variance_problem(design, model, spec)
+        support = enumerate_assignments(design)
+        V = np.array([ref_coefficient_vector(spec, model, z, table.pi) for z, _ in support])
+        w = np.array([prob for _, prob in support])
+        mean = w @ V
+        A = (V * w[:, None]).T @ V - np.outer(mean, mean)
+        assert np.abs(problem.A - A).max() <= 1e-12 * np.abs(A).max()
+        Z = np.array([z for z, _ in support[:BLOCK_ROWS]])
+        batch = _batch_coefficients(spec, model, Z, table.pi)
+        for r in range(0, BLOCK_ROWS, 97):
+            assert coefficient_vector(spec, model, Z[r], table.pi).tobytes() == batch[r].tobytes()
+
+    def test_normal_matrices_are_q_transpose_q(self):
+        # G from per-unit statistics against Q'Q of the design matrices, on
+        # OLS and Lin under every exposure rule, covariates of three scales
+        rng = np.random.default_rng(31)
+        for i in range(24):
+            rule = ("identity", "spillover", "table")[i % 3]
+            design, model = _rule_scenario(rng, rule, two_label=True)
+            n = model.n
+            Z = np.concatenate([Z for Z, _ in _support_blocks(design)])
+            D = _observation_matrix(model, Z)[:, :n].astype(float)
+            X = rng.normal(size=(n, 1 + i % 2)) * rng.choice([0.1, 1.0, 10.0])
+            q0, dq = _regressor_rows(("ols", "lin")[i // 3 % 2], X)
+            Q = q0 + D[:, :, None] * dq
+            QtQ = Q.swapaxes(-1, -2) @ Q
+            scale = np.abs(QtQ).max(axis=(-2, -1), keepdims=True)
+            assert np.all(np.abs(_normal_matrices(q0, dq, D) - QtQ) <= 1e-14 * scale)
+
+    def test_gauss_jordan_inverse(self):
+        # the inverse of G + shift I per matrix; a zero pivot spoils its own
+        # matrix alone
+        rng = np.random.default_rng(6)
+        M = rng.normal(size=(40, 5, 5))
+        G = M @ M.swapaxes(-1, -2)
+        G[7] = 0.0
+        shift = rng.uniform(0.0, 1e-3, size=40)
+        shift[7] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Ginv = _gauss_jordan_inverse(G, shift)
+        assert not np.all(np.isfinite(Ginv[7]))
+        ok = np.arange(40) != 7
+        ref = np.linalg.inv(G[ok] + shift[ok, None, None] * np.eye(5))
+        assert np.abs(Ginv[ok] - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_wide_design_matrix_is_checked_for_identification(self):
+        # Lin with two covariates at n = 4: a 4 x 6 design matrix, whose
+        # reduced SVD holds four right singular vectors; e_1 has mass outside
+        # their span, so the regression is singular, not minimum-norm
+        q0, dq = _regressor_rows("lin", np.random.default_rng(4).normal(size=(4, 2)))
+        D = np.array([[1.0, 1.0, 0.0, 0.0]])
+        Q = q0 + D[:, :, None] * dq
+        assert np.linalg.norm(np.linalg.svd(Q[0])[2][4:, 1]) > 0.1
+        with pytest.raises(SingularRegression, match="null space"):
+            _svd_pinv_row(Q, 1, "lin")
+        with pytest.raises(SingularRegression, match="null space"):
+            _pinv_row(q0, dq, D, 1, "lin")
+
     def test_zero_design_matrix_takes_the_svd(self):
-        # a zero design matrix makes G + eps tr(G) I exactly singular: the
-        # stack goes to the SVD, which reports the zero matrix, as before
-        Q = np.stack([np.eye(3)[:, :2], np.zeros((3, 2))])
+        # the stack [eye(3)[:, :2], 0] as q0 = 0, dq = eye(3)[:, :2] with D = 1
+        # and D = 0: the zero matrix has a zero pivot, so its row alone fails
+        # the screen and goes to the SVD, which reports the zero matrix
+        q0, dq = np.zeros((3, 2)), np.eye(3)[:, :2]
+        D = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SingularRegression, match="design matrix is zero"):
-            _pinv_row(Q, 1, "ols")
+            _pinv_row(q0, dq, D, 1, "ols")
         counts = {"svd_rows": 0}
-        assert np.array_equal(_pinv_row(Q[:1], 1, "ols", counts), [[0.0, 1.0, 0.0]])
+        assert np.array_equal(_pinv_row(q0, dq, D[:1], 1, "ols", counts), [[0.0, 1.0, 0.0]])
         assert counts["svd_rows"] == 0
 
 def _rule_scenario(rng, rule, two_label):

@@ -23,6 +23,7 @@ from varbound.errors import (
     AsymmetricInput,
     DimensionError,
     ParseError,
+    SingularRegression,
     ValidationError,
 )
 from varbound.scenario import builtin_scenario_path, resolve_config_path
@@ -84,6 +85,23 @@ class TestMatrixIo:
         matrixio.write_vector(v, tmp_path / "v.csv")
         assert (tmp_path / "v.csv").read_bytes() == ("\n".join(f"{x:.17g}" for x in v) + "\n").encode()
         assert matrixio.read_vector(tmp_path / "v.csv").tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 40), (0, 3)])
+    def test_row_template_writes_the_per_number_text(self, tmp_path, shape):
+        # one "%.17g" template per row (one joined template per vector) gives
+        # the bytes of formatting every Python float on its own, specials too
+        rng = np.random.default_rng(sum(shape))
+        M = rng.normal(size=shape) * np.exp(rng.uniform(-700, 700, size=shape))
+        specials = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan]
+        k = min(M.size, len(specials))
+        M.flat[rng.choice(M.size, size=k, replace=False)] = specials[:k]
+        matrixio.write_matrix(M, tmp_path / "m.csv")
+        rows = "\n".join(",".join(f"{x:.17g}" for x in row) for row in M.tolist())
+        assert (tmp_path / "m.csv").read_bytes() == (rows + "\n").encode()
+        v = M.ravel()
+        matrixio.write_vector(v, tmp_path / "v.csv")
+        text = "\n".join(f"{x:.17g}" for x in v.tolist()) + "\n"
+        assert (tmp_path / "v.csv").read_bytes() == text.encode()
 
 
 class TestScenarioParsing:
@@ -237,14 +255,16 @@ class TestScenarioParsing:
         assert solver.rho == 2.0
 
     def test_covariates_from_csv_json_or_inline_agree(self, tmp_path):
-        X = np.random.default_rng(4).normal(size=(4, 2))
+        # n = 6, m = 3: Lin's six regressors are identified under every
+        # assignment (see test_lin_with_more_regressors_than_units_is_singular)
+        X = np.random.default_rng(4).normal(size=(6, 2))
         matrixio.write_matrix(X, tmp_path / "X.csv")
         matrixio.write_matrix(X, tmp_path / "X.json")
         problems = []
         for covariates in ("X.csv", "X.json", X.tolist()):
             doc = {
-                "n": 4,
-                "design": {"kind": "complete-randomization", "m": 2},
+                "n": 6,
+                "design": {"kind": "complete-randomization", "m": 3},
                 "exposure": {"rule": "identity"},
                 "estimator": {"kind": "lin", "covariates": covariates},
             }
@@ -254,6 +274,22 @@ class TestScenarioParsing:
             assert np.array_equal(scn.estimator.covariates, X)
             problems.append(build_variance_problem(scn.design, scn.model, scn.estimator)[0])
         assert all(np.array_equal(p.A, problems[0].A) for p in problems)
+
+    def test_lin_with_more_regressors_than_units_is_singular(self, tmp_path):
+        # Lin with two covariates has six regressors; with n = 4 units no
+        # design matrix identifies the contrast coefficient
+        doc = {
+            "n": 4,
+            "design": {"kind": "complete-randomization", "m": 2},
+            "exposure": {"rule": "identity"},
+            "estimator": {"kind": "lin",
+                          "covariates": np.random.default_rng(4).normal(size=(4, 2)).tolist()},
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        scn = parse_scenario(path)
+        with pytest.raises(SingularRegression, match="null space"):
+            build_variance_problem(scn.design, scn.model, scn.estimator)
 
     def test_resolve_config_falls_back_to_builtin(self, tmp_path):
         assert resolve_config_path("illustration").name == "illustration.json"
