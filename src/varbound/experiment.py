@@ -496,6 +496,9 @@ def _gauss_jordan_inverse(G, shift):
     p = len(A)
     A[range(p), range(p)] += shift
     for k in range(p):
+        # in place: setting A[k, k] = 1 first lets column k carry the
+        # identity's column k through the row operations, so that column k
+        # ends as the inverse's
         pivot = A[k, k].copy()
         A[k, k] = 1.0
         A[k] /= pivot
