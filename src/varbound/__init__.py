@@ -20,7 +20,6 @@ from .experiment import (
     SecondOrderTable,
     VarianceProblem,
     build_variance_problem,
-    coefficient_covariance,
     coefficient_vector,
     compute_estimand,
     compute_exposures,
@@ -32,13 +31,10 @@ from .experiment import (
     unobservable_pairs,
 )
 from .linalg import (
-    EigenSystem,
     entrywise_norm,
     loewner_dominates,
-    project_psd,
     quadratic_form_value,
     schatten_norm,
-    sym_eig,
 )
 from .matrixio import read_matrix, read_vector, write_matrix, write_vector
 from .scenario import Scenario, parse_scenario

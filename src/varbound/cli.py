@@ -116,14 +116,14 @@ def cmd_probe(scn, args, out_dir, started, inputs):
     return EXIT_OK, report
 
 
-def _solve(scn, args, problem):
+def _solve(scn, problem):
     objective = scn.objective or solver.Objective.frobenius_squared()
     return solver.solve_optvb(problem, objective, scn.solver)
 
 
 def cmd_bound(scn, args, out_dir, started, inputs):
     problem, table, kwargs = _build(scn, args)
-    result = _solve(scn, args, problem)
+    result = _solve(scn, problem)
     fmt = args.format
     outputs = {
         "S": str(matrixio.write_matrix(result.S_star, Path(out_dir) / f"S.{fmt}", fmt)),
@@ -144,8 +144,6 @@ def cmd_bound(scn, args, out_dir, started, inputs):
 
 
 def cmd_admissible(scn, args, out_dir, started, inputs):
-    if args.slack is None:
-        raise VarboundError("admissible needs --slack <matrix file>")
     S = matrixio.read_matrix(args.slack)
     inputs["slack"] = _digest(args.slack)
     if S.shape != (2 * scn.n, 2 * scn.n):
@@ -160,7 +158,6 @@ def cmd_admissible(scn, args, out_dir, started, inputs):
     metrics = {
         "alpha": verdict.alpha,
         "admissible": verdict.admissible,
-        "early_exit": verdict.early_exit,
         "slack_rank": verdict.slack_rank,
         "omega_size": len(omega),
         **{f"solver_{k}": v for k, v in verdict.report.as_dict().items()},
@@ -183,7 +180,7 @@ def cmd_estimate(scn, args, out_dir, started, inputs):
     estimation.validate_realized(scn.realized, scn.model)
     if args.bound is None:
         problem, table, kwargs = _build(scn, args)
-        B = _solve(scn, args, problem).B_star
+        B = _solve(scn, problem).B_star
     else:
         # the estimate and its diagnostics read P2 alone: build P2, not A
         kwargs = _mode_kwargs(scn, args)

@@ -196,8 +196,7 @@ def _r_vectors(obs, pairs):
 
 
 def _r_moments(model, blocks, pairs):
-    """Mean and second moment of the R rows over the blocks, and the number
-    of assignment rows averaged.
+    """Mean and second moment of the R rows over the blocks.
 
     Exact mode weights the float64 rows by their probabilities. In Monte
     Carlo mode every weight is one and each pair indicator is 0/1, so the
@@ -207,15 +206,8 @@ def _r_moments(model, blocks, pairs):
     apply once at the end.
     """
     if blocks.draws is None:
-        rows = 0
-
-        def r_rows(Z):
-            nonlocal rows
-            rows += len(Z)
-            return _r_vectors(_observation_matrix(model, Z), pairs)
-
-        mean, second = _weighted_moments(blocks, r_rows)
-        return mean, second, rows
+        return _weighted_moments(
+            blocks, lambda Z: _r_vectors(_observation_matrix(model, Z), pairs))
     k, l, scale = pairs
     # float64 from the start: a Python 0.0 plus a float32 array stays float32
     counts = np.zeros((len(k), len(k)))
@@ -225,7 +217,7 @@ def _r_moments(model, blocks, pairs):
         counts += ind.T @ ind
     rows = len(blocks.draws)
     # an indicator is its own square, so the diagonal counts are the column sums
-    return np.diag(counts) * scale / rows, counts * np.outer(scale, scale) / rows, rows
+    return np.diag(counts) * scale / rows, counts * np.outer(scale, scale) / rows
 
 
 def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
@@ -298,7 +290,7 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
         table = _second_order_table(model, blocks)
     _check_bound_shape(B, table)
     pairs = _r_pairs(B, table, support_tol)
-    mean, second, rows = _r_moments(model, blocks, pairs)
+    mean, second = _r_moments(model, blocks, pairs)
     matvecs = 0
 
     def cov_matvec(v):
@@ -308,7 +300,7 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
 
     top = _power_iteration_opnorm(cov_matvec, len(mean))
     log.debug("Cov(R): mode %s, %d rows, %d pairs, %d matvecs, %.3f s",
-              mode, rows, len(mean), matvecs, time.perf_counter() - started)
+              mode, blocks.rows, len(mean), matvecs, time.perf_counter() - started)
     provenance = {**blocks.provenance, "pairs": len(mean), "matvecs": matvecs}
     return RDiagnostics(opnorm_cov_R=max(top, 0.0), provenance=provenance)
 

@@ -728,7 +728,7 @@ def unobservable_pairs(table, c=0.0):
     returned as 0-based (k, l) tuples with k <= l; (k, k) marks a coordinate
     whose own observation probability is at most c.
     """
-    if c < 0:
+    if not c >= 0:
         raise InvalidDesign(f"threshold c must be nonnegative, got {c}")
     P2 = np.asarray(table.P2, dtype=float)
     dim = P2.shape[0]
@@ -869,11 +869,6 @@ def _covariance(mean, second):
     return linalg.symmetrize(second - np.outer(mean, mean))
 
 
-def _coefficient_covariance(spec, model, blocks, pi):
-    return _covariance(*_weighted_moments(
-        blocks, lambda Z: _batch_coefficients(spec, model, Z, pi)))
-
-
 def _ht_covariance(table):
     """Horvitz-Thompson's A from the joint observation probabilities alone:
     A_kl = s_k s_l (P2_kl / (pi_k pi_l) - 1), with s = (+1 on the first n
@@ -916,7 +911,8 @@ def _variance_build(design, model, spec, mode, count, seed, max_support):
         elif spec.kind == "horvitz-thompson":
             A, source = _ht_covariance(table), "from P2"
         else:
-            A = _coefficient_covariance(spec, model, blocks, table.pi)
+            A = _covariance(*_weighted_moments(
+                blocks, lambda Z: _batch_coefficients(spec, model, Z, table.pi)))
             source = "from coefficients"
     if spec is not None and spec.kind in ("ols", "lin"):
         source += f", regression rows by SVD {counts['svd_rows']} of {blocks.rows}"
@@ -925,25 +921,16 @@ def _variance_build(design, model, spec, mode, count, seed, max_support):
     return A, table, blocks.provenance
 
 
-def coefficient_covariance(design, model, spec, mode="exact", count=None, seed=None,
-                           max_support=DEFAULT_SUPPORT_CAP):
-    """Covariance matrix A of the estimator's coefficient vector.
-
-    Exact mode weights the enumerated support by probability; Monte Carlo mode
-    is the empirical covariance with the 1/count normalizer (positive
-    semidefinite by construction), with the first-order probabilities
-    estimated from the same draws. Returns (A, provenance).
-    """
-    A, _, provenance = _variance_build(design, model, spec, mode, count, seed, max_support)
-    return A, provenance
-
-
 def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
                            count=None, seed=None, max_support=DEFAULT_SUPPORT_CAP):
     """One-stop construction of (VarianceProblem, SecondOrderTable).
 
     A and P2 come from the same enumeration or the same draws, so
     inverse-propensity weights and observation probabilities share provenance.
+    A is the covariance of the estimator's coefficient vector: exact mode
+    weights the support by probability, and Monte Carlo mode takes the
+    empirical covariance with the 1/count normalizer, which is positive
+    semidefinite by construction.
     """
     A, table, provenance = _variance_build(design, model, spec, mode, count, seed, max_support)
     problem = VarianceProblem(

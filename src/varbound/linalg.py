@@ -9,7 +9,6 @@ positive-semidefiniteness decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,21 +43,6 @@ def check_symmetric(M, tol=SYMMETRY_TOL, name="matrix"):
     return symmetrize(M)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Spectral decomposition with eigenvalues sorted in descending order.
-
-    ``vectors`` holds orthonormal eigenvectors as columns, aligned with
-    ``values``; the input is reconstructed as ``Q diag(values) Q^T``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self):
-        return _from_eig(self.values, self.vectors)
-
-
 def _eigh(M):
     """Eigendecomposition of a matrix the caller knows to be symmetric: no
     input check, only the lower triangle is read, and the eigenvalues come in
@@ -79,12 +63,6 @@ def _from_eig(w, Q):
     return P @ P.T - N @ N.T
 
 
-def sym_eig(M):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    w, Q = _eigh(check_symmetric(M))
-    return EigenSystem(values=w[::-1], vectors=Q[:, ::-1])
-
-
 def eigenvalues(M):
     """Eigenvalues of a symmetric matrix (ascending, as computed)."""
     M = check_symmetric(M)
@@ -98,13 +76,9 @@ def min_eigenvalue(M):
     return float(eigenvalues(M)[0])
 
 
-def project_psd(M):
-    """Frobenius-nearest positive semidefinite matrix (eigenvalue clipping)."""
-    return _project_psd(check_symmetric(M))
-
-
 def _project_psd(M):
-    """project_psd of a matrix the caller knows to be symmetric."""
+    """Frobenius-nearest positive semidefinite matrix (eigenvalue clipping) of
+    a matrix the caller knows to be symmetric."""
     w, Q = _eigh(M)
     return _from_eig(np.maximum(w, 0.0), Q)
 
@@ -256,25 +230,16 @@ def prox_vector_pnorm(z, t, p, max_iter=200):
     return np.sign(z) * y_of(nu)
 
 
-def prox_schatten(M, t, p, shift=None):
-    """Prox of the Schatten p-norm of (X + shift), p in [1, inf].
+def _prox_schatten(Y, t, p):
+    """Prox of t times the Schatten p-norm, p in [1, inf], of a matrix Y the
+    caller knows to be symmetric; the result is exactly symmetric when Y is.
 
     p = 1 soft-thresholds eigenvalues, p = 2 is a radial shrinkage that needs
     no eigendecomposition, p = inf shrinks via the Moreau identity and an
     l1-ball projection of the eigenvalues, and general p runs an inner
-    iterative prox on the eigenvalue vector.
+    iterative prox on the eigenvalue vector. For a term on the bound,
+    ||X + A||, pass Y = V + A and subtract A from the result.
     """
-    if p < 1:
-        raise ValueError(f"Schatten prox needs p >= 1, got {p}")
-    M = np.asarray(M, dtype=float)
-    Y = M if shift is None else M + shift
-    X = _prox_schatten(Y if p == 2 else check_symmetric(Y), t, p)
-    return X if shift is None else X - shift
-
-
-def _prox_schatten(Y, t, p):
-    """prox_schatten of a matrix the caller knows to be symmetric, unshifted;
-    the result is exactly symmetric when Y is."""
     if p == 2:
         nrm = float(np.linalg.norm(Y))
         return np.zeros_like(Y) if nrm <= t else (1.0 - t / nrm) * Y

@@ -65,9 +65,17 @@ def _parse_rows(path):
     return np.asarray(rows, dtype=float)
 
 
+def _check_finite(x, path):
+    """Raise ParseError naming the first non-finite entry of x, if any."""
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        where = ", ".join(str(int(i) + 1) for i in bad[0])
+        raise ParseError(f"{path}: entry {where} (1-based) is {x[tuple(bad[0])]}, not finite")
+
+
 def read_matrix(path, fmt=None, symmetric=True):
-    """Read a matrix and, by default, validate that it is square and symmetric;
-    ``symmetric=False`` reads any rectangular matrix."""
+    """Read a matrix of finite numbers and, by default, validate that it is
+    square and symmetric; ``symmetric=False`` reads any rectangular matrix."""
     fmt = _infer_format(path, fmt)
     if fmt == "csv":
         M = _parse_rows(path)
@@ -79,6 +87,7 @@ def read_matrix(path, fmt=None, symmetric=True):
         M = np.asarray(data, dtype=float)
         if M.ndim != 2:
             raise DimensionError(f"{path}: expected a nested array matrix")
+    _check_finite(M, path)
     if not symmetric:
         return M
     if M.shape[0] != M.shape[1]:
@@ -95,8 +104,11 @@ def write_vector(v, path):
 
 
 def read_vector(path):
+    """Read a vector of finite numbers, one or more per line."""
     text = _read_text(path)
     try:
-        return np.asarray([float(x) for x in text.split()], dtype=float)
+        v = np.asarray([float(x) for x in text.split()], dtype=float)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    _check_finite(v, path)
+    return v

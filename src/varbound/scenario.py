@@ -119,7 +119,10 @@ def _resolve_matrix(value, base, pointer, findings, symmetric=True):
     try:
         if isinstance(value, str):
             return matrixio.read_matrix(_relative(base, value), symmetric=symmetric)
-        return np.asarray(value, dtype=float)
+        M = np.asarray(value, dtype=float)
+        if not np.all(np.isfinite(M)):
+            raise ValueError("entries must be finite")
+        return M
     except (VarboundError, ValueError) as exc:
         findings.add(pointer, exc)
         return None
@@ -326,6 +329,9 @@ def _parse_realized(doc, base, n, findings):
                 findings.add(f"/realized/outcomes/{key}", f"index out of range 1..{2 * n}")
                 return None
             converted[k - 1] = float(value)
+            if not math.isfinite(converted[k - 1]):
+                findings.add(f"/realized/outcomes/{key}", f"must be finite, got {value!r}")
+                return None
         return RealizedData(z=tuple(z), outcomes=converted)
     except InvalidDesign as exc:  # raised for z alone: entries other than 0 or 1
         findings.add("/realized/z", exc)
@@ -356,8 +362,8 @@ def parse_scenario(path):
     model = _parse_exposure(doc, n, findings)
     estimator = _parse_estimator(doc, path, findings)
     threshold_c = doc.get("threshold_c", 0.0)
-    if not isinstance(threshold_c, (int, float)) or threshold_c < 0:
-        findings.add("/threshold_c", f"must be a nonnegative number, got {threshold_c!r}")
+    if not isinstance(threshold_c, (int, float)) or not 0 <= threshold_c < math.inf:
+        findings.add("/threshold_c", f"must be a finite nonnegative number, got {threshold_c!r}")
         threshold_c = 0.0
     mode = _parse_mode(doc, findings)
     objective = _parse_objective(doc, path, findings)
@@ -373,6 +379,8 @@ def parse_scenario(path):
                 theta = np.asarray(raw_theta, dtype=float)
             if theta.shape != (2 * n,):
                 findings.add("/theta", f"length {theta.shape} != 2n = {2 * n}")
+            elif not np.all(np.isfinite(theta)):
+                findings.add("/theta", "entries must be finite")
         except (VarboundError, ValueError) as exc:
             findings.add("/theta", exc)
 

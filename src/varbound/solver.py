@@ -17,12 +17,13 @@ Frobenius² term is folded into the prox of another term, so the composite
 on the range of S: every feasible witness is T = R X R^T with S = R R^T and
 0 <= X <= I_r, so each step takes one r x r eigendecomposition, and the
 projection onto its pair constraints is a warm-started least-squares solve
-by conjugate gradients whose cost does not grow with the number of pairs.
-``SolverReport.iterations`` counts map evaluations, so it measures the
-eigendecomposition work of a solve. With ``VARBOUND_LOG=debug`` each solve
-logs one line on the ``varbound.solver`` logger: map evaluations, accepted
-accelerated steps, safeguard restarts, rho changes and final residuals; the
-reports carry the rho changes and the final rho too.
+by conjugate gradients whose cost does not grow with the number of pairs;
+it always runs to the optimum, and its verdict compares the optimum with
+1e-5 (1 + tr S). ``SolverReport.iterations`` counts map evaluations, so it
+measures the eigendecomposition work of a solve. With ``VARBOUND_LOG=debug``
+each solve logs one line on the ``varbound.solver`` logger: map evaluations,
+accepted accelerated steps, safeguard restarts, rho changes and final
+residuals; the reports carry the rho changes and the final rho too.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class SolverConfig:
                              f"got {iterations!r}")
         object.__setattr__(self, "max_iterations", int(iterations))
         for name in ("rho", "max_iterations", "eps_abs", "eps_rel", "feasibility_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"solver config field {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"solver config field {name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,6 @@ class AdmissibilityVerdict:
     alpha: float
     witness: np.ndarray
     admissible: bool
-    early_exit: bool
     slack_rank: int
     report: SolverReport
 
@@ -205,14 +205,10 @@ class AdmissibilityVerdict:
 # -- consensus ADMM core -----------------------------------------------------------
 
 
-def _normalize_omega(omega):
-    return {(k, l) if k <= l else (l, k) for k, l in omega}
-
-
 def _checked_omega(omega, dim):
     """The unordered pairs k <= l of omega, each index checked against the
     matrix dimension."""
-    pairs = _normalize_omega(omega)
+    pairs = {(k, l) if k <= l else (l, k) for k, l in omega}
     for k, l in pairs:
         if k < 0 or l >= dim:
             raise DimensionMismatch(
@@ -235,14 +231,13 @@ def _omega_index_arrays(ks, ls):
     return np.concatenate([ks, ls[off]]), np.concatenate([ls, ks[off]])
 
 
-# residual balancing (Stellato et al. 2020, OSQP) and the early-exit
-# probe run on fixed iteration grids, so every run stays bit-reproducible; rho
-# stays within _RHO_RANGE times the configured rho either side, and moves only
-# when the balanced rho differs from it by more than _RHO_STEP either way
+# residual balancing (Stellato et al. 2020, OSQP) runs on a fixed iteration
+# grid, so every run stays bit-reproducible; rho stays within _RHO_RANGE times
+# the configured rho either side, and moves only when the balanced rho differs
+# from it by more than _RHO_STEP either way
 _BALANCE_EVERY = 50
 _RHO_RANGE = 100.0
 _RHO_STEP = 2.0
-_PROBE_EVERY = 10
 # Anderson acceleration: differences kept, and the Tikhonov term of the
 # least-squares solve relative to the trace of its Gram matrix
 _AA_MEMORY = 5
@@ -256,7 +251,6 @@ class _AdmmExit:
     dual: float
     iterations: int
     converged: bool
-    probed: bool
     rho: float
     rho_changes: int
 
@@ -341,7 +335,7 @@ def _admm_map(x, blocks, rho, onto):
     return fx, float(np.linalg.norm(Xs)), dual
 
 
-def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context=""):
+def _consensus_admm(blocks, Z0, onto, config, accept=None, context=""):
     """Consensus ADMM over proximable blocks on an affine slice, with
     safeguarded Anderson acceleration.
 
@@ -366,15 +360,14 @@ def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context="
     keep rho * U invariant.
 
     Every map evaluation, rejected candidates included, counts as one
-    iteration, and each one meets the same tests: every ``_PROBE_EVERY``
-    iterations an optional probe sees its Z and may stop the run early; then
-    it stops when the primal residual <= eps_abs * dim + eps_rel * ||Z||_F,
-    the dual residual meets the analogous dual scale, and (when given) an
-    ``accept`` predicate holds on Z, so the caller's feasibility contract
-    holds at exit. The returned Z is always a map value, never an
-    extrapolation. All rules depend only on the iterates, so runs are
-    bit-reproducible. ``context`` is appended to the debug line, so a caller
-    can add its own fields and each solve still logs exactly one line.
+    iteration, and each one meets the same test: the loop stops when the
+    primal residual <= eps_abs * dim + eps_rel * ||Z||_F, the dual residual
+    meets the analogous dual scale, and (when given) an ``accept`` predicate
+    holds on Z, so the caller's feasibility contract holds at exit. The
+    returned Z is always a map value, never an extrapolation. All rules
+    depend only on the iterates, so runs are bit-reproducible. ``context`` is
+    appended to the debug line, so a caller can add its own fields and each
+    solve still logs exactly one line.
     """
     N = len(blocks)
     dim = Z0.shape[0]
@@ -387,13 +380,10 @@ def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context="
     # accepted point
     g_ref = f_ref = r_ref = s_ref = None
     accepted = restarts = rho_changes = 0
-    converged = probed = False
+    converged = False
     for it in range(1, config.max_iterations + 1):  # max_iterations >= 1
         fx, r_norm, s_norm = _admm_map(x, blocks, rho, onto)
         Z = fx[0]
-        if probe is not None and it % _PROBE_EVERY == 0 and probe(Z):
-            probed = True
-            break
         eps_pri = config.eps_abs * dim + config.eps_rel * float(np.linalg.norm(Z))
         eps_dual = config.eps_abs * dim + config.eps_rel * rho * float(np.linalg.norm(fx[1:]))
         if r_norm <= eps_pri and s_norm <= eps_dual and (accept is None or accept(Z)):
@@ -426,10 +416,10 @@ def _consensus_admm(blocks, Z0, onto, config, probe=None, accept=None, context="
     log.debug(
         "consensus ADMM %s after %d map evaluations: %d accelerated steps accepted, "
         "%d safeguard restarts, %d rho changes (final rho %.3g), primal %.3e, dual %.3e%s",
-        "converged" if converged else "probed" if probed else "stopped", it,
+        "converged" if converged else "stopped", it,
         accepted, restarts, rho_changes, rho, r_norm, s_norm, context,
     )
-    return _AdmmExit(fx[0], r_norm, s_norm, it, converged, probed, rho, rho_changes)
+    return _AdmmExit(fx[0], r_norm, s_norm, it, converged, rho, rho_changes)
 
 
 def _term_prox(term, weight, A):
@@ -610,13 +600,14 @@ def _range_slice(R, ks, ls):
     return onto
 
 
-def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=False):
+def test_admissibility(S, omega, config=None):
     """Search for a valid slack matrix dominated by S.
 
     Maximizes trace(S - T) over matrices T that agree with S on the
     unobservable pairs and satisfy 0 <= T <= S in the semidefinite order. A
     positive optimum certifies that the bound carrying S is dominated
-    (inadmissible); the maximizer is returned as the witness.
+    (inadmissible); the maximizer is returned as the witness. The verdict is
+    admissible when the optimum alpha is at most 1e-5 * (1 + trace S).
 
     T <= S forces the null space of S into that of T, so every feasible T is
     R X R^T with S = R R^T (R = V_r Lambda_r^(1/2) over the r eigenvalues of S
@@ -629,10 +620,6 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
     at most their sum. An S with r = 0 is answered in closed form: T = S, alpha
     = 0. The feasibility checks run on the d x d witness T, and the returned
     witness carries the caller's omega entries.
-
-    With ``early_exit`` the search stops as soon as a feasible iterate beats
-    the decision tolerance tenfold; the reported alpha is then only a lower
-    bound on the optimum.
 
     An omega slice that pins the box to its boundary may converge slowly or
     hit the iteration cap; the MaxIterations error then carries the best
@@ -651,8 +638,7 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
             "slack matrices must be positive semidefinite"
         )
     trace_S = float(np.trace(S))
-    if decision_tol is None:
-        decision_tol = 1e-5 * (1.0 + trace_S)
+    decision_tol = 1e-5 * (1.0 + trace_S)
 
     keep = w > tol
     lam = w[keep]
@@ -669,10 +655,6 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
         return (linalg.min_eigenvalue(T) >= -tol
                 and linalg.min_eigenvalue(S_r - T) >= -tol)
 
-    def certified_dominator(X):
-        gap = trace_S - float(np.trace(witness_of(X)))
-        return gap > 10.0 * decision_tol and witness_feasible(X)
-
     if rank:
         lam_hat = lam / lam[-1]
         L = np.diag(lam_hat)
@@ -681,16 +663,13 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
             lambda V, t: V - t * L,  # minimize trace(T) / lambda_max
         ]
         onto = _range_slice(Q[:, keep] * np.sqrt(lam_hat), ks, ls)
-        exit_ = _consensus_admm(
-            blocks, np.eye(rank), onto, config,
-            probe=certified_dominator if early_exit else None,
-            accept=witness_feasible, context=context,
-        )
+        exit_ = _consensus_admm(blocks, np.eye(rank), onto, config,
+                                accept=witness_feasible, context=context)
         witness = witness_of(exit_.Z)
     else:
         # every feasible T is within tol of 0, and T = S is feasible
         log.debug("admissibility in closed form%s", context)
-        exit_ = _AdmmExit(np.zeros((0, 0)), 0.0, 0.0, 0, True, False, config.rho, 0)
+        exit_ = _AdmmExit(np.zeros((0, 0)), 0.0, 0.0, 0, True, config.rho, 0)
         witness = S.copy()
     # the slice fixes the omega entries of R X R^T, which differ from the
     # caller's by at most the dropped eigenvalues
@@ -710,12 +689,11 @@ def test_admissibility(S, omega, config=None, decision_tol=None, early_exit=Fals
     verdict = AdmissibilityVerdict(
         alpha=alpha,
         witness=witness,
-        admissible=bool(alpha <= decision_tol) and not exit_.probed,
-        early_exit=exit_.probed,
+        admissible=bool(alpha <= decision_tol),
         slack_rank=rank,
         report=report,
     )
-    if not exit_.converged and not exit_.probed:
+    if not exit_.converged:
         raise MaxIterations(
             f"admissibility test hit {config.max_iterations} iterations "
             f"(primal {exit_.primal:.2e}, dual {exit_.dual:.2e})",

@@ -182,7 +182,7 @@ def ref_admissibility(S, omega, config=None):
     assert linalg.min_eigenvalue(S) >= -tol
     trace_S = float(np.trace(S))
     unit = _unit(S)
-    S_hat = (linalg.project_psd(S) if linalg.min_eigenvalue(S) < 0.0 else S) / unit
+    S_hat = (linalg._project_psd(S) if linalg.min_eigenvalue(S) < 0.0 else S) / unit
     rows, cols = _omega_index_arrays(*_omega_pairs(omega, len(S)))
     values = S_hat[rows, cols]
     eye = np.eye(len(S))

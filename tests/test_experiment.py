@@ -15,7 +15,6 @@ from varbound import (
     EstimatorSpec,
     ExposureModel,
     build_variance_problem,
-    coefficient_covariance,
     coefficient_vector,
     compute_estimand,
     compute_exposures,
@@ -43,7 +42,7 @@ from varbound.experiment import (
     VarianceProblem,
     _AssignmentBlocks,
     _batch_coefficients,
-    _coefficient_covariance,
+    _covariance,
     _exposure_codes,
     _gauss_jordan_inverse,
     _normal_matrices,
@@ -53,6 +52,7 @@ from varbound.experiment import (
     _second_order_table,
     _support_blocks,
     _svd_pinv_row,
+    _weighted_moments,
 )
 from conftest import (
     A_ILLU,
@@ -462,7 +462,7 @@ class TestRegressionOracles:
             scalar = coefficient_vector(spec, self.model, tuple(Z[0]), self.pi)
         assert np.allclose(batch[0], scalar, atol=1e-12)
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
-            coefficient_covariance(self.design, self.model, spec)
+            build_variance_problem(self.design, self.model, spec)
 
 
 class TestEstimatorValue:
@@ -502,36 +502,39 @@ class TestCovariance:
 
     def test_difference_in_means_gives_same_matrix(self):
         design, model, _ = illustration_parts()
-        A, _ = coefficient_covariance(design, model, EstimatorSpec(kind="difference-in-means"))
-        assert np.allclose(A, A_ILLU, atol=1e-12)
+        problem, _ = build_variance_problem(
+            design, model, EstimatorSpec(kind="difference-in-means"))
+        assert np.allclose(problem.A, A_ILLU, atol=1e-12)
 
     def test_point_mass_design(self):
         design = Design.explicit([((1, 0), 1.0)])
         model = ExposureModel.identity(2)
-        A, _ = coefficient_covariance(design, model, EstimatorSpec(kind="horvitz-thompson"))
-        assert np.allclose(A, 0.0, atol=1e-12)
+        problem, _ = build_variance_problem(
+            design, model, EstimatorSpec(kind="horvitz-thompson"))
+        assert np.allclose(problem.A, 0.0, atol=1e-12)
 
     def test_mc_close_to_exact(self):
         design, model, spec = illustration_parts()
-        A_mc, prov = coefficient_covariance(design, model, spec, mode="mc", count=100_000, seed=3)
-        assert np.abs(A_mc - A_ILLU).max() < 0.02
-        assert prov == {"mode": "mc", "count": 100_000, "seed": 3}
+        problem, _ = build_variance_problem(design, model, spec, mode="mc", count=100_000, seed=3)
+        assert np.abs(problem.A - A_ILLU).max() < 0.02
+        assert problem.provenance == {"mode": "mc", "count": 100_000, "seed": 3}
 
     def test_mc_rate_improves_with_count(self):
         design, model, spec = illustration_parts()
         err = {}
         for count in (1_000, 100_000):
-            A_mc, _ = coefficient_covariance(design, model, spec, mode="mc", count=count, seed=5)
-            err[count] = np.abs(A_mc - A_ILLU).max()
+            problem, _ = build_variance_problem(
+                design, model, spec, mode="mc", count=count, seed=5)
+            err[count] = np.abs(problem.A - A_ILLU).max()
         assert err[100_000] < err[1_000]
         # entrywise error at the larger count consistent with 1/sqrt(count)
         assert err[100_000] < 3.0 * 4.0 / math.sqrt(100_000)
 
     def test_mc_threads_deterministic(self):
         design, model, spec = illustration_parts()
-        one = coefficient_covariance(design, model, spec, mode="mc", count=9_999, seed=2)
-        two = coefficient_covariance(design, model, spec, mode="mc", count=9_999, seed=2)
-        assert np.array_equal(one[0], two[0])
+        one, _ = build_variance_problem(design, model, spec, mode="mc", count=9_999, seed=2)
+        two, _ = build_variance_problem(design, model, spec, mode="mc", count=9_999, seed=2)
+        assert np.array_equal(one.A, two.A)
 
     @pytest.mark.parametrize(
         "kind", ["horvitz-thompson", "difference-in-means", "hajek", "ols", "lin", "greg"]
@@ -605,7 +608,7 @@ class TestCovariance:
             )
             support = enumerate_assignments(design)
             pi = _exact_pi(design, model)
-            A, _ = coefficient_covariance(design, model, spec)
+            A = build_variance_problem(design, model, spec)[0].A
             n = model.n
             for _ in range(20):
                 theta = rng.normal(size=2 * n)
@@ -691,6 +694,13 @@ class TestOmega:
         # marginals are 0.5 > 0.3, so diagonals stay out
         assert (0, 0) not in omega
 
+    @pytest.mark.parametrize("c", [-0.1, math.nan])
+    def test_threshold_must_be_nonnegative(self, c):
+        design, model, _ = illustration_parts()
+        table = pair_observation_probabilities(design, model)
+        with pytest.raises(InvalidDesign, match="nonnegative"):
+            unobservable_pairs(table, c)
+
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_threshold(self, c1, c2):
@@ -742,7 +752,9 @@ def _two_pass(design, model, spec, **kwargs):
     estimator's build."""
     blocks = _AssignmentBlocks(design, **kwargs)
     table = _second_order_table(model, blocks)
-    return _coefficient_covariance(spec, model, blocks, table.pi), table
+    A = _covariance(*_weighted_moments(
+        blocks, lambda Z: _batch_coefficients(spec, model, Z, table.pi)))
+    return A, table
 
 
 class TestOnePassBuild:
@@ -796,7 +808,7 @@ class TestOnePassBuild:
         for i in range(30):
             design, model, spec = random_scenario(rng)
             kwargs = _mode_kwargs(mode, i)
-            A, _ = coefficient_covariance(design, model, spec, **kwargs)
+            A = build_variance_problem(design, model, spec, **kwargs)[0].A
             reference, _ = _two_pass(design, model, spec, **kwargs)
             assert np.abs(A - reference).max() <= 1e-12 * np.abs(reference).max()
 
@@ -852,7 +864,7 @@ class TestOnePassBuild:
         monkeypatch.setattr("varbound.experiment._batch_coefficients", refuse)
         design, model = Design.bernoulli(6, 0.5), _ring(6)
         build_variance_problem(design, model, self.HT)
-        coefficient_covariance(design, model, self.HT, mode="mc", count=500, seed=2)
+        build_variance_problem(design, model, self.HT, mode="mc", count=500, seed=2)
 
     @pytest.mark.parametrize("kind, source, passes", [
         ("horvitz-thompson", "from P2", 1),

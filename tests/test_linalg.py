@@ -24,64 +24,68 @@ def random_psd(rng, dim, rank=None):
 
 
 class TestEigenSystem:
+    """The eigensystem the solver runs on: ``_eigh`` (ascending eigenvalues)
+    and its reconstruction ``_from_eig``; ``check_symmetric`` guards the
+    public entry points."""
+
     def test_diagonal(self):
-        es = linalg.sym_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(es.values, [3.0, 1.0])
-        assert np.allclose(np.abs(es.vectors), np.eye(2))
+        w, Q = linalg._eigh(np.diag([3.0, 1.0]))
+        assert np.allclose(w, [1.0, 3.0])
+        assert np.allclose(np.abs(Q), np.eye(2)[::-1])
 
     def test_rank_one(self):
-        es = linalg.sym_eig(A_ILLU)
-        assert np.allclose(es.values, [4.0, 0, 0, 0], atol=1e-12)
-        lead = es.vectors[:, 0]
+        w, Q = linalg._eigh(A_ILLU)
+        assert np.allclose(w, [0, 0, 0, 4.0], atol=1e-12)
+        lead = Q[:, -1]
         # leading eigenvector is parallel to the generating vector
         assert np.allclose(np.abs(lead @ U_VEC), 2.0, atol=1e-12)
 
     def test_identity(self):
-        es = linalg.sym_eig(np.eye(5))
-        assert np.allclose(es.values, np.ones(5))
+        w, _ = linalg._eigh(np.eye(5))
+        assert np.allclose(w, np.ones(5))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reconstruction_and_orthonormality(self, seed):
         rng = np.random.default_rng(seed)
         M = random_symmetric(rng, 7, scale=3.0)
-        es = linalg.sym_eig(M)
+        w, Q = linalg._eigh(M)
         fro = np.linalg.norm(M)
-        assert np.linalg.norm(es.reconstruct() - M) <= 1e-9 * (1 + fro)
-        assert np.linalg.norm(es.vectors.T @ es.vectors - np.eye(7)) <= 1e-9
+        assert np.linalg.norm(linalg._from_eig(w, Q) - M) <= 1e-9 * (1 + fro)
+        assert np.linalg.norm(Q.T @ Q - np.eye(7)) <= 1e-9
 
     def test_rejects_asymmetric(self):
         with pytest.raises(AsymmetricInput):
-            linalg.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            linalg.check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
-            linalg.sym_eig(np.zeros((2, 3)))
+            linalg.check_symmetric(np.zeros((2, 3)))
 
 
 class TestProjectPsd:
     def test_clips_negative_eigenvalue(self):
-        assert np.allclose(linalg.project_psd(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]))
+        assert np.allclose(linalg._project_psd(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]))
 
     def test_psd_unchanged(self):
         rng = np.random.default_rng(0)
         M = random_psd(rng, 5)
-        assert np.allclose(linalg.project_psd(M), M, atol=1e-10 * (1 + np.linalg.norm(M)))
+        assert np.allclose(linalg._project_psd(M), M, atol=1e-10 * (1 + np.linalg.norm(M)))
 
     def test_negative_rank_one_goes_to_zero(self):
-        assert np.allclose(linalg.project_psd(-np.outer(U_VEC, U_VEC)), 0.0, atol=1e-12)
+        assert np.allclose(linalg._project_psd(-np.outer(U_VEC, U_VEC)), 0.0, atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         M = random_symmetric(rng, 6)
-        P = linalg.project_psd(M)
-        assert np.allclose(linalg.project_psd(P), P, atol=1e-10)
+        P = linalg._project_psd(M)
+        assert np.allclose(linalg._project_psd(P), P, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_projection_optimality(self, seed):
         # no PSD matrix is closer in Frobenius norm than the projection
         rng = np.random.default_rng(seed)
         M = random_symmetric(rng, 5, scale=2.0)
-        P = linalg.project_psd(M)
+        P = linalg._project_psd(M)
         for _ in range(20):
             X = random_psd(rng, 5, rank=int(rng.integers(1, 6)))
             assert np.linalg.norm(M - P) <= np.linalg.norm(M - X) + 1e-12
@@ -197,11 +201,11 @@ class TestProx:
         assert np.allclose(out, -np.eye(2))
 
     def test_nuclear_soft_threshold(self):
-        out = linalg.prox_schatten(np.diag([3.0, -1.0]), 1.0, 1)
+        out = linalg._prox_schatten(np.diag([3.0, -1.0]), 1.0, 1)
         assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_opnorm_shrinks_top_eigenvalue(self):
-        out = linalg.prox_schatten(np.diag([5.0, 1.0]), 1.0, math.inf)
+        out = linalg._prox_schatten(np.diag([5.0, 1.0]), 1.0, math.inf)
         assert np.allclose(out, np.diag([4.0, 1.0]), atol=1e-12)
 
     def test_opnorm_against_grid_oracle(self):
@@ -212,7 +216,7 @@ class TestProx:
                 val = max(abs(x1), abs(x2)) + ((x1 - 5) ** 2 + (x2 - 1) ** 2) / 2
                 if val < best_val:
                     best, best_val = (x1, x2), val
-        out = linalg.prox_schatten(np.diag([5.0, 1.0]), 1.0, math.inf)
+        out = linalg._prox_schatten(np.diag([5.0, 1.0]), 1.0, math.inf)
         assert np.allclose(np.diag(out), best, atol=2e-2)
 
     def test_frobenius_squared_closed_form(self):
@@ -232,7 +236,8 @@ class TestProx:
         M = random_symmetric(rng, dim, scale=2.0)
         A = random_psd(rng, dim)
         t = float(rng.uniform(0.2, 2.0))
-        X = linalg.prox_schatten(M, t, p, shift=A)
+        # a term on the bound M + A: the prox of the shifted matrix, shifted back
+        X = linalg._prox_schatten(M + A, t, p) - A
         value = _prox_objective(lambda Y: linalg.schatten_norm(Y + A, p), X, M, t)
         for _ in range(50):
             D = random_symmetric(rng, dim, scale=float(rng.uniform(0.001, 0.5)))
@@ -264,7 +269,6 @@ class TestProx:
         rng = np.random.default_rng(11)
         M = random_symmetric(rng, 5, scale=3.0)
         near_two = linalg.prox_vector_pnorm(np.linalg.eigvalsh(M), 0.8, 2.0000001)
-        es = linalg.sym_eig(M)
-        exact_two = linalg.prox_schatten(M, 0.8, 2)
+        exact_two = linalg._prox_schatten(M, 0.8, 2)
         exact_vals = np.sort(np.linalg.eigvalsh(exact_two))
         assert np.allclose(np.sort(near_two), exact_vals, atol=1e-6)

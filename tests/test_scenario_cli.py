@@ -1,6 +1,7 @@
 """Scenario files, matrix exchange formats, and the command-line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -63,6 +64,26 @@ class TestMatrixIo:
         path.write_text("1,2\nfoo,4\n")
         with pytest.raises(ParseError):
             matrixio.read_matrix(path)
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "1,inf\ninf,1\n"),
+        ("csv", "1,0\n0,nan\n"),
+        ("json", "[[1.0, NaN], [NaN, 1.0]]\n"),
+        ("json", "[[-Infinity, 0], [0, 1]]\n"),
+    ], ids=["csv-inf", "csv-nan", "json-nan", "json-inf"])
+    def test_non_finite_entries_rejected(self, tmp_path, fmt, text):
+        path = tmp_path / f"m.{fmt}"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="not finite"):
+            matrixio.read_matrix(path)
+        with pytest.raises(ParseError, match="not finite"):
+            matrixio.read_matrix(path, symmetric=False)
+
+    def test_non_finite_vector_rejected(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("1.0\nnan\n3.0\n")
+        with pytest.raises(ParseError, match="entry 2 .* not finite"):
+            matrixio.read_vector(path)
 
     def test_vector_round_trip(self, tmp_path):
         v = np.array([1.5, -2.25, 3e-17])
@@ -239,6 +260,32 @@ class TestScenarioParsing:
             parse_scenario(path)
         assert pointer in {ptr for ptr, _ in info.value.findings}
         assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("patch, pointer", [
+        ({"threshold_c": math.nan}, "/threshold_c"),
+        ({"threshold_c": math.inf}, "/threshold_c"),
+        ({"solver": {"eps_abs": math.inf}}, "/solver"),
+        ({"estimator": {"kind": "ols", "covariates": [[1.0], [math.inf]]}},
+         "/estimator/covariates"),
+        ({"objective": {"terms": [{"weight": 1.0, "term": "targeted",
+                                   "W": np.diag([1.0, math.nan, 1.0, 1.0]).tolist()}]}},
+         "/objective/terms/0/W"),
+    ], ids=["threshold-nan", "threshold-inf", "eps-inf", "covariates-inf", "W-nan"])
+    def test_non_finite_number_is_a_finding(self, tmp_path, patch, pointer):
+        # json.dumps writes the bare NaN / Infinity tokens, which json.loads reads back
+        doc = {
+            "n": 2,
+            "design": {"kind": "bernoulli", "p": 0.5},
+            "exposure": {"rule": "identity"},
+            "estimator": {"kind": "horvitz-thompson"},
+            **patch,
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert pointer in {ptr for ptr, _ in info.value.findings}
+        assert run_cli("bound", "-c", path, "-o", tmp_path / "out") == 2
 
     def test_integral_float_iterations_are_accepted(self, tmp_path):
         doc = {
@@ -493,6 +540,39 @@ class TestCli:
         assert run_cli("admissible", "-c", "illustration", "--slack", spath) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "(4, 4)" in err
+
+    def test_admissible_rejects_a_non_finite_slack(self, tmp_path, capsys):
+        S = np.eye(4)
+        S[0, 0] = np.inf
+        spath = tmp_path / "S.csv"
+        matrixio.write_matrix(S, spath)
+        assert run_cli("admissible", "-c", "illustration", "--slack", spath) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "not finite" in captured.err
+        assert "alpha" not in captured.out
+
+    @pytest.mark.parametrize("case", ["outcome", "theta", "theta-file"])
+    def test_estimate_rejects_non_finite_data(self, tmp_path, capsys, case):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        outcome = math.nan if case == "outcome" else 1.0
+        doc["realized"] = {"z": [1, 0], "outcomes": {"1": outcome, "4": 4.0}}
+        if case == "theta":
+            doc["theta"] = [1.0, 2.0, math.inf, 4.0]
+        elif case == "theta-file":
+            (tmp_path / "theta.csv").write_text("1\n2\nnan\n4\n")
+            doc["theta"] = "theta.csv"
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))  # writes the bare NaN / Infinity tokens
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        expected = "/realized/outcomes/1" if case == "outcome" else "/theta"
+        assert [ptr for ptr, _ in info.value.findings] == [expected]
+        out = tmp_path / "est"
+        assert run_cli("estimate", "-c", path, "-o", out) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and expected in captured.err
+        assert "bound_estimate" not in captured.out
+        assert not (out / "report.json").exists()
 
     def test_estimate_with_realized_data(self, tmp_path, capsys):
         doc = json.loads(builtin_scenario_path("illustration").read_text())
