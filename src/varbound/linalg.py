@@ -173,15 +173,6 @@ def prox_linear(M, t, W):
     return np.asarray(M, dtype=float) - t * np.asarray(W, dtype=float)
 
 
-def prox_frobenius_squared(M, t, shift):
-    """Prox of ||X + shift||_F^2: closed form (M - 2t shift) / (1 + 2t)."""
-    return (np.asarray(M, dtype=float) - 2.0 * t * shift) / (1.0 + 2.0 * t)
-
-
-def _soft_threshold(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 def prox_vector_pnorm(z, t, p, max_iter=200):
     """Prox of t * ||.||_p on a vector, for p in (1, inf).
 
@@ -235,19 +226,19 @@ def _prox_schatten(Y, t, p):
     caller knows to be symmetric; the result is exactly symmetric when Y is.
 
     p = 1 soft-thresholds eigenvalues, p = 2 is a radial shrinkage that needs
-    no eigendecomposition, p = inf shrinks via the Moreau identity and an
-    l1-ball projection of the eigenvalues, and general p runs an inner
-    iterative prox on the eigenvalue vector. For a term on the bound,
-    ||X + A||, pass Y = V + A and subtract A from the result.
+    no eigendecomposition, and general p runs an inner iterative prox on the
+    eigenvalues. p = inf subtracts (Moreau) the projection of Y onto the t-ball
+    of the nuclear norm, Q diag(u) Q^T with u the l1-ball projection of the
+    eigenvalues: a low-rank P P^T - N N^T, since u is nonzero only where the
+    prox moves an eigenvalue. For a term on the bound, ||X + A||, pass
+    Y = V + A and subtract A from the result.
     """
     if p == 2:
         nrm = float(np.linalg.norm(Y))
         return np.zeros_like(Y) if nrm <= t else (1.0 - t / nrm) * Y
     w, Q = _eigh(Y)
-    if p == 1:
-        lam = _soft_threshold(w, t)
-    elif math.isinf(p):
-        lam = w - project_l1_ball(w, t)
-    else:
-        lam = prox_vector_pnorm(w, t, p)
-    return _from_eig(lam, Q)
+    if math.isinf(p):
+        return Y - _from_eig(project_l1_ball(w, t), Q)
+    if p == 1:  # soft thresholding
+        return _from_eig(np.sign(w) * np.maximum(np.abs(w) - t, 0.0), Q)
+    return _from_eig(prox_vector_pnorm(w, t, p), Q)

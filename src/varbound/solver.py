@@ -12,18 +12,19 @@ units of the data), and speeds up its fixed-point map by safeguarded type-II
 Anderson acceleration (memory ``_AA_MEMORY``; the memory restarts when a
 candidate does not lower the fixed-point residual and whenever rho changes).
 For the bound program the projection writes the fixed entries. Every
-Frobenius² term is folded into the prox of another term, so the composite
-"operator norm + Frobenius²" runs two blocks. The admissibility test runs
-on the range of S: every feasible witness is T = R X R^T with S = R R^T and
-0 <= X <= I_r, so each step takes one r x r eigendecomposition, and the
-projection onto its pair constraints is a warm-started least-squares solve
-by conjugate gradients whose cost does not grow with the number of pairs;
-it always runs to the optimum, and its verdict compares the optimum with
-1e-5 (1 + tr S). ``SolverReport.iterations`` counts map evaluations, so it
-measures the eigendecomposition work of a solve. With ``VARBOUND_LOG=debug``
-each solve logs one line on the ``varbound.solver`` logger: map evaluations,
-accepted accelerated steps, safeguard restarts, rho changes and final
-residuals; the reports carry the rho changes and the final rho too.
+Frobenius² term is folded into the prox of another term (of the cone when
+there is none), so Frobenius² alone runs one block and the composite
+"operator norm + Frobenius²" two. The admissibility test runs on the range
+of S: every feasible witness is T = R X R^T with S = R R^T and 0 <= X <= I_r,
+so each step takes one r x r eigendecomposition, and the projection onto its
+pair constraints is a warm-started least-squares solve by conjugate
+gradients whose cost does not grow with the number of pairs; it always runs
+to the optimum, and its verdict compares the optimum with 1e-5 (1 + tr S).
+``SolverReport.iterations`` counts map evaluations, so it measures the
+eigendecomposition work of a solve. With ``VARBOUND_LOG=debug`` each solve
+logs one line on the ``varbound.solver`` logger: map evaluations, accepted
+accelerated steps, safeguard restarts, rho changes and final residuals; the
+reports carry the rho changes and the final rho too.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _term_is_strictly_monotone(term):
 
 def _term_value(term, S, A):
     if isinstance(term, FrobeniusSquaredTerm):
-        return linalg.schatten_norm(A + S, 2) ** 2
+        return float(np.sum(np.square(A + S)))
     if isinstance(term, SchattenTerm):
         return linalg.schatten_norm(A + S, term.p)
     if isinstance(term, TargetedTerm):
@@ -240,7 +241,7 @@ _RHO_RANGE = 100.0
 _RHO_STEP = 2.0
 # Anderson acceleration: differences kept, and the Tikhonov term of the
 # least-squares solve relative to the trace of its Gram matrix
-_AA_MEMORY = 5
+_AA_MEMORY = 10
 _AA_REG = 1e-10
 
 
@@ -322,17 +323,21 @@ class _Anderson:
 def _admm_map(x, blocks, rho, onto):
     """One consensus ADMM step on the state x = (Z, U_1, ..., U_N), stacked
     along the first axis; returns the new state and the primal and dual
-    residual norms of the step."""
+    residual norms of the step. The block outputs X_i go into the dual slots
+    of the new state, which then turn into X_i - Z and U_i."""
     Z, U = x[0], x[1:]
-    Xs = np.stack([block(Z - u, 1.0 / rho) for block, u in zip(blocks, U)])
     fx = np.empty_like(x)
-    Z_new = fx[0]
-    np.mean(Xs + U, axis=0, out=Z_new)
+    Z_new, Xs = fx[0], fx[1:]
+    for X, block, u in zip(Xs, blocks, U):
+        X[...] = block(Z - u, 1.0 / rho)
+    np.mean(Xs, axis=0, out=Z_new)
+    Z_new += np.mean(U, axis=0)
     onto(Z_new)
     Xs -= Z_new
-    np.add(U, Xs, out=fx[1:])
+    primal = float(np.linalg.norm(Xs))
+    Xs += U
     dual = rho * math.sqrt(len(blocks)) * float(np.linalg.norm(Z_new - Z))
-    return fx, float(np.linalg.norm(Xs)), dual
+    return fx, primal, dual
 
 
 def _consensus_admm(blocks, Z0, onto, config, accept=None, context=""):
@@ -434,27 +439,30 @@ def _term_prox(term, weight, A):
 
 
 def _objective_blocks(objective, A):
-    """One prox block per objective term, except that all Frobenius² terms,
-    w ||X + A||^2 in total, fold into the first other term f:
+    """The blocks of the bound program: the positive semidefinite projection,
+    then one prox per objective term, except that all Frobenius² terms,
+    w ||X + A||^2 in total, fold into the first other term's block f (the
+    projection's when there is none; folding a composite's into the
+    projection costs more map evaluations):
 
         prox_{t (f + w ||. + A||^2)}(V) = prox_{(t / c) f}((V - 2 t w A) / c),
 
-    with c = 1 + 2 t w. Frobenius² alone keeps its closed-form block."""
+    with c = 1 + 2 t w. So Frobenius² alone runs one block,
+    Pi_PSD((V - 2 t w A) / c)."""
     w = sum(weight for weight, term in objective.terms
             if isinstance(term, FrobeniusSquaredTerm))
-    others = [(weight, term) for weight, term in objective.terms
-              if not isinstance(term, FrobeniusSquaredTerm)]
-    if not others:
-        return [lambda V, t: linalg.prox_frobenius_squared(V, t * w, A)]
-    blocks = [_term_prox(term, weight, A) for weight, term in others]
+    blocks = [lambda V, t: linalg._project_psd(V)] + [
+        _term_prox(term, weight, A) for weight, term in objective.terms
+        if not isinstance(term, FrobeniusSquaredTerm)]
     if w:
-        inner = blocks[0]
+        host = 1 if len(blocks) > 1 else 0
+        inner = blocks[host]
 
         def folded(V, t):
             c = 1.0 + 2.0 * t * w
             return inner((V - 2.0 * t * w * A) / c, t / c)
 
-        blocks[0] = folded
+        blocks[host] = folded
     return blocks
 
 
@@ -474,8 +482,9 @@ def _unit(M):
 def solve_optvb(problem, objective, config=None):
     """Minimize the objective over the set of valid slack matrices.
 
-    Consensus ADMM with one block per objective term plus the positive
-    semidefinite cone; the unobservable entries are fixed to -A in the
+    Consensus ADMM over the blocks of ``_objective_blocks`` (the positive
+    semidefinite cone and the objective terms, with Frobenius² folded into
+    one of them); the unobservable entries are fixed to -A in the
     consensus step, so they are exact in the returned slack; any residual
     negative eigenvalue is reported, not re-projected. ``eps_abs`` and
     ``feasibility_tol`` are scaled by min(1, ||A||_F), so the answer does not
@@ -503,14 +512,14 @@ def solve_optvb(problem, objective, config=None):
                 "no positive semidefinite slack can cancel a positive diagonal "
                 "(drop the coordinate or lower the threshold c)"
             )
-    blocks = [lambda V, t: linalg._project_psd(V)] + _objective_blocks(objective, A)
+    blocks = _objective_blocks(objective, A)
     values = -A[rows, cols]
 
     def onto(Z):
         Z[rows, cols] = values
 
     def feasible_enough(Z):
-        return linalg.min_eigenvalue(Z) >= -config.feasibility_tol
+        return np.linalg.eigvalsh(Z)[0] >= -config.feasibility_tol
 
     exit_ = _consensus_admm(
         blocks, aronow_samii_slack(A, problem.omega), onto, config, accept=feasible_enough,
@@ -652,8 +661,8 @@ def test_admissibility(S, omega, config=None):
 
     def witness_feasible(X):
         T = witness_of(X)
-        return (linalg.min_eigenvalue(T) >= -tol
-                and linalg.min_eigenvalue(S_r - T) >= -tol)
+        return (np.linalg.eigvalsh(T)[0] >= -tol
+                and np.linalg.eigvalsh(S_r - T)[0] >= -tol)
 
     if rank:
         lam_hat = lam / lam[-1]

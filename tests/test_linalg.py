@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from varbound import linalg
 from varbound.errors import AsymmetricInput, DimensionMismatch
+from varbound.solver import Objective, _objective_blocks
 from conftest import A_ILLU, B_MINNORM, B_PAIRWISE, U_VEC
 
 
@@ -195,6 +196,13 @@ def _prox_objective(term_value, X, M, t):
     return term_value(X) + np.linalg.norm(X - M) ** 2 / (2 * t)
 
 
+def _frobenius_block(A):
+    """The bound program's one block for Frobenius² alone: the prox of the PSD
+    indicator plus ||X + A||^2."""
+    (block,) = _objective_blocks(Objective.frobenius_squared(), A)
+    return block
+
+
 class TestProx:
     def test_linear_closed_form(self):
         out = linalg.prox_linear(np.zeros((2, 2)), 1.0, np.eye(2))
@@ -220,12 +228,41 @@ class TestProx:
         assert np.allclose(np.diag(out), best, atol=2e-2)
 
     def test_frobenius_squared_closed_form(self):
+        # KKT of min ||X + A||^2 + ||X - M||^2 / (2t) over X >= 0: the
+        # gradient G is PSD and complementary to X
         rng = np.random.default_rng(3)
-        M = random_symmetric(rng, 4)
-        A = random_psd(rng, 4)
-        out = linalg.prox_frobenius_squared(M, 0.7, A)
-        grad = 2 * 0.7 * (out + A) + (out - M)
-        assert np.allclose(grad, 0.0, atol=1e-10)
+        M = random_symmetric(rng, 4, scale=3.0)
+        A = random_symmetric(rng, 4)
+        t = 0.7
+        out = _frobenius_block(A)(M, t)
+        assert np.linalg.eigvalsh(out)[0] >= -1e-12
+        assert 0 < np.linalg.matrix_rank(out, tol=1e-9) < 4
+        grad = 2 * t * (out + A) + (out - M)
+        assert np.linalg.eigvalsh(grad)[0] >= -1e-10
+        assert abs(np.sum(grad * out)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_opnorm_low_rank_update_matches_full_reconstruction(self, seed):
+        # a random input, one whose two bottom eigenvalues pass -tau as well
+        # as its two top ones pass tau, and one with ||w||_1 <= t (prox 0)
+        rng = np.random.default_rng(seed)
+        dim = 8
+        V, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        spread = (V * [-6.0, -5.8, -1.0, -0.5, 0.2, 0.7, 5.9, 6.0]) @ V.T
+        for Y, t in ((random_symmetric(rng, dim, scale=2.0), 1.5),
+                     (linalg.symmetrize(spread), 2.0),
+                     (random_symmetric(rng, dim), 1e3)):
+            w, Q = linalg._eigh(Y)
+            u = linalg.project_l1_ball(w, t)
+            full = (Q * (w - u)) @ Q.T
+            out = linalg._prox_schatten(Y, t, math.inf)
+            assert np.abs(out - full).max() <= 1e-12 * np.linalg.norm(Y)
+            assert np.array_equal(out, out.T)
+            if t == 2.0:
+                assert np.count_nonzero(u < 0) == np.count_nonzero(u > 0) == 2
+            if t == 1e3:
+                assert np.array_equal(u, w)
+                assert np.abs(out).max() <= 1e-12 * np.linalg.norm(Y)
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -256,13 +293,15 @@ class TestProx:
         t = 0.9
         X = linalg.prox_linear(M, t, W)
         val = _prox_objective(lambda Y: float(np.sum(Y * W)), X, M, t)
-        X2 = linalg.prox_frobenius_squared(M, t, A)
+        # Frobenius² alone folds into the PSD projection, so its competitors
+        # are the perturbed points projected back onto the cone
+        X2 = _frobenius_block(A)(M, t)
         val2 = _prox_objective(lambda Y: np.linalg.norm(Y + A) ** 2, X2, M, t)
         for _ in range(50):
             D = random_symmetric(rng, dim, scale=0.1)
             assert val <= _prox_objective(lambda Y: float(np.sum(Y * W)), X + D, M, t) + 1e-9
             assert val2 <= _prox_objective(
-                lambda Y: np.linalg.norm(Y + A) ** 2, X2 + D, M, t
+                lambda Y: np.linalg.norm(Y + A) ** 2, linalg._project_psd(X2 + D), M, t
             ) + 1e-9
 
     def test_general_p_agrees_with_special_cases(self):
