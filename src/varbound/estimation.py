@@ -12,11 +12,11 @@ weights: probabilities in exact mode, one per draw in Monte Carlo mode.
 Cov(R) lives on the unordered pairs of the support of the bound. Its second
 moment is one dense pairs x pairs matrix, filled one block of at most
 BLOCK_ROWS assignments at a time, so memory is that matrix plus one block of
-indicator rows. In Monte Carlo mode the block Gram is a matrix of integer
-counts of joint observation, computed exactly in float32 and scaled once at
-the end; exact mode weights float64 rows by their probabilities. The top
+indicator rows. Both modes take the same path: the 0/1 pair indicators go
+through ``experiment._weighted_moments``, which counts them in blocks of
+equal weights, and the 1 / P2 scales apply once at the end. The top
 eigenvalue comes from Lanczos with full reorthogonalization on the
-covariance's matvec, in both modes.
+covariance's matvec.
 """
 
 from __future__ import annotations
@@ -174,50 +174,25 @@ def ht_bound_estimate(B, data, table, n, threshold_c=0.0, support_tol=SUPPORT_TO
 def _r_pairs(B, table, support_tol=SUPPORT_TOL):
     """Coordinates of the inverse-propensity indicators: the unordered pairs
     k <= l on the support of B with P2[k, l] > 0, and the scale of each,
-    1 / P2[k, l] on the diagonal and sqrt(2) / P2[k, l] off it."""
+    1 / P2[k, l] on the diagonal and sqrt(2) / P2[k, l] off it, so that their
+    covariance has the nonzero spectrum of the full indicator vector's over
+    ordered pairs, which repeats each off-diagonal coordinate."""
     P2 = np.asarray(table.P2, dtype=float)
     k, l = np.nonzero(np.triu(_support_mask(B, support_tol) & (P2 > 0.0)))
     scale = np.where(k == l, 1.0, math.sqrt(2.0)) / P2[k, l]
     return k, l, scale
 
 
-def _r_vectors(obs, pairs):
-    """Rows of inverse-propensity indicators for observation rows ``obs``.
-
-    Coordinate (k, l) of ``pairs = (k, l, scale)`` is 1{k, l observed} times
-    its scale. The full indicator vector over ordered pairs repeats each
-    off-diagonal coordinate twice, so its covariance E C E' has the nonzero
-    spectrum of the covariance of these rows, whose off-diagonal coordinates
-    carry sqrt(2) instead.
-    """
-    k, l, scale = pairs
-    obs = obs.astype(float)
-    return obs[:, k] * obs[:, l] * scale
-
-
 def _r_moments(model, blocks, pairs):
-    """Mean and second moment of the R rows over the blocks.
-
-    Exact mode weights the float64 rows by their probabilities. In Monte
-    Carlo mode every weight is one and each pair indicator is 0/1, so the
-    second moment is diag(s) C diag(s) / N with C the integer counts of joint
-    observation: each block's float32 Gram is exact (its entries are at most
-    BLOCK_ROWS < 2^24), the counts accumulate in float64, and the scales s
-    apply once at the end.
-    """
-    if blocks.draws is None:
-        return _weighted_moments(
-            blocks, lambda Z: _r_vectors(_observation_matrix(model, Z), pairs))
+    """Mean and second moment of the R rows over the blocks: coordinate (k, l)
+    of ``pairs = (k, l, s)`` is 1{k, l observed} times s. The indicators go
+    through ``_weighted_moments`` as 0/1 rows; the scales apply after, as
+    s E[ind] and diag(s) E[ind ind'] diag(s)."""
     k, l, scale = pairs
-    # float64 from the start: a Python 0.0 plus a float32 array stays float32
-    counts = np.zeros((len(k), len(k)))
-    for Z, _ in blocks:
-        obs = _observation_matrix(model, Z)
-        ind = (obs[:, k] & obs[:, l]).astype(np.float32)
-        counts += ind.T @ ind
-    rows = len(blocks.draws)
-    # an indicator is its own square, so the diagonal counts are the column sums
-    return np.diag(counts) * scale / rows, counts * np.outer(scale, scale) / rows
+    mean, second = _weighted_moments(
+        blocks, lambda Z: (obs := _observation_matrix(model, Z))[:, k] & obs[:, l])
+    second *= np.outer(scale, scale)
+    return mean * scale, second
 
 
 def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
@@ -265,16 +240,13 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
                         seed=None, support_tol=SUPPORT_TOL):
     """Operator norm of Cov(R), the inverse-propensity indicator covariance.
 
-    Both modes average over the same assignment blocks: exact mode over the
-    enumerated design (capped at n <= 8) with probability weights, Monte
-    Carlo mode over sampled assignments from an exact float32 count Gram
-    (see ``_r_moments``). The indicators live on the unordered pairs of the
-    support of B, at most n(2n + 1) coordinates: entries within
-    ``support_tol`` (relative) of zero do not count. The moments take one
-    dense pairs x pairs matrix plus one block of BLOCK_ROWS indicator rows;
-    the top eigenvalue comes from Lanczos on the matvec of the covariance,
-    in both modes. When ``table`` is omitted it is computed in the matching
-    mode (for Monte Carlo, from the same draws that feed the covariance).
+    Both modes average over the same assignment blocks (see ``_r_moments``):
+    exact mode over the enumerated design (capped at n <= 8), Monte Carlo
+    mode over sampled assignments. The indicators live on the unordered pairs
+    of the support of B, at most n(2n + 1) coordinates: entries within
+    ``support_tol`` (relative) of zero do not count. When ``table`` is
+    omitted it is computed in the matching mode (for Monte Carlo, from the
+    same draws that feed the covariance).
 
     ``provenance`` records the mode (and the Monte Carlo count and seed),
     the number of pair coordinates and the number of matvecs.
@@ -299,8 +271,8 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
         return second @ v - mean * float(mean @ v)
 
     top = _power_iteration_opnorm(cov_matvec, len(mean))
-    log.debug("Cov(R): mode %s, %d rows, %d pairs, %d matvecs, %.3f s",
-              mode, blocks.rows, len(mean), matvecs, time.perf_counter() - started)
+    log.debug("Cov(R): mode %s, %d rows (%d counted), %d pairs, %d matvecs, %.3f s", mode,
+              blocks.rows, blocks.counted, len(mean), matvecs, time.perf_counter() - started)
     provenance = {**blocks.provenance, "pairs": len(mean), "matvecs": matvecs}
     return RDiagnostics(opnorm_cov_R=max(top, 0.0), provenance=provenance)
 

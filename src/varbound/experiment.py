@@ -28,7 +28,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -170,8 +170,8 @@ class Design:
         for z, prob in rows:
             bits = _as_bits(z, n)
             prob = float(prob)
-            if prob < -1e-15:
-                raise InvalidDesign(f"negative probability {prob} for {bits}")
+            if not (math.isfinite(prob) and prob >= -1e-15):
+                raise InvalidDesign(f"probability {prob} for {bits} is negative or not finite")
             merged[bits] = merged.get(bits, 0.0) + max(prob, 0.0)
         total = sum(merged.values())
         if abs(total - 1.0) > 1e-12:
@@ -182,10 +182,8 @@ class Design:
     def support_size(self):
         if self.kind == "bernoulli":
             return 2**self.n
-        if self.kind == "complete-randomization":
-            return math.comb(self.n, self.m)
-        if self.kind == "cluster":
-            return math.comb(len(self.clusters), self.m)
+        if self.kind in ("complete-randomization", "cluster"):
+            return math.comb(len(self.clusters or range(self.n)), self.m)
         if self.kind == "paired":
             return 2 ** len(self.pairs)
         if self.kind == "explicit":
@@ -217,10 +215,17 @@ def _support_rows(design, size):
     n = design.n
     starts = range(0, size, BLOCK_ROWS)
     if design.kind == "bernoulli":
+        # a block's rows share their first j units and run through every value
+        # of the rest: multiply the shared factors once, then double the list
+        # unit by unit, the products np.prod would form row by row, in order
         p = np.asarray(design.p)
         for s in starts:
             Z = _bit_rows(s, min(s + BLOCK_ROWS, size), n)
-            yield Z, np.prod(np.where(Z == 1, p, 1.0 - p), axis=1)
+            j = n - len(Z).bit_length() + 1
+            w = np.prod(np.where(Z[:1, :j] == 1, p[:j], 1.0 - p[:j]), axis=1)
+            for i in range(j, n):
+                w = np.stack([w * (1.0 - p[i]), w * p[i]], axis=1).ravel()
+            yield Z, w
     elif design.kind == "paired":
         # pairs are disjoint, so rows sort by the pairs in order of their
         # smaller unit, and within a pair treating the smaller unit sorts last
@@ -233,17 +238,25 @@ def _support_rows(design, size):
             Z[:, hi] = 1 - C
             yield Z, np.full(len(C), 1.0 / size)
     elif design.kind in ("complete-randomization", "cluster"):
-        # complete randomization treats m singleton clusters; clusters are
-        # disjoint, so rows sort like the cluster choice vectors with clusters
-        # in order of their smallest unit, which is lexicographic order of the
-        # untreated clusters
+        # complete randomization treats m singleton clusters. Rows sort like the
+        # cluster choice vectors (clusters in order of their smallest unit), by
+        # binary value sum 2^(K-1-c) over treated c: row r treats K-1-s for s in
+        # the r-th m-subset in colex order (rank sum_i comb(s_i, i), s_1 < ...),
+        # and leaves untreated those of the (size-1-r)-th (K-m)-subset
         groups = sorted(design.clusters or tuple((i,) for i in range(n)), key=min)
-        owner = _unit_clusters(groups, n)
-        untreated = combinations(range(len(groups)), len(groups) - design.m)
-        while rows := list(islice(untreated, BLOCK_ROWS)):
-            idx = np.array(rows, dtype=np.int64)
-            chosen = np.ones((len(rows), len(groups)), dtype=np.int64)
-            chosen[np.arange(len(rows))[:, None], idx] = 0
+        owner, K, m = _unit_clusters(groups, n), len(groups), design.m
+        k = min(m, K - m)  # unrank the smaller side
+        binom = [np.ones(K, dtype=np.int64)]  # binom[i][a] = comb(a, i), capped at size
+        for _ in range(k):  # comb(a, i) = sum of comb(x, i - 1) over x < a
+            binom.append(np.minimum(np.concatenate([[0], np.cumsum(binom[-1])[:-1]]), size))
+        for s in starts:
+            rows = np.arange(s, min(s + BLOCK_ROWS, size), dtype=np.int64)
+            rank = rows if k == m else size - 1 - rows
+            chosen = np.full((len(rows), K), int(k != m), dtype=np.int64)
+            for i in range(k, 0, -1):  # s_i: the largest a with comb(a, i) <= rank
+                a = np.searchsorted(binom[i], rank, side="right") - 1
+                rank = rank - binom[i][a]
+                chosen[np.arange(len(rows)), K - 1 - a] = int(k == m)
             yield np.take(chosen, owner, axis=1), np.full(len(rows), 1.0 / size)
     elif design.kind == "explicit":
         for s in starts:
@@ -405,13 +418,13 @@ def _exposure_codes(model, Z):
     if model.rule == "identity":
         return 1 - Z  # labels (1, 0)
     if model.rule == "spillover":
-        adj = np.zeros((n, n))  # float, so the neighbour count below runs through BLAS
+        adj = np.zeros((n, n), dtype=np.float32)
         for i, nbrs in enumerate(model.adjacency):
             adj[i, list(nbrs)] = 1.0
         # SPILLOVER_LABELS order: a treated unit is 0 (direct), an untreated one
-        # 2 (isolated) less 1 if it has a treated neighbour (indirect); int8
-        # arithmetic, as this runs on every block of the exact-mode build
-        return (Z == 0) * (np.int8(2) - (Z @ adj.T > 0))
+        # 2 (isolated) less 1 if it has a treated neighbour (indirect); this runs
+        # on every block: int8, and exact float32 counts by sgemm, not int64 @ float
+        return (Z == 0) * (np.int8(2) - (Z.astype(np.float32) @ adj.T > 0))
     if model.rule != "table":
         raise InvalidDesign(f"unknown exposure rule {model.rule!r}")
     rows = [model.table.get(z) for z in map(tuple, Z.tolist())]
@@ -766,17 +779,17 @@ class _AssignmentBlocks:
             {"mode": "exact"} if mode == "exact"
             else {"mode": "mc", "count": int(count), "seed": int(seed)}
         )
-        self.passes = self.rows = 0
+        self.passes = self.rows = self.counted = 0
 
     @property
     def provenance(self):
         return dict(self._provenance)
 
     def __iter__(self):
-        """One pass over the assignments; counts the pass in ``passes`` and
-        its rows in ``rows``."""
+        """One pass over the assignments; counts the pass in ``passes``, its
+        rows in ``rows`` and restarts ``counted`` (see ``_weighted_moments``)."""
         self.passes += 1
-        self.rows = 0
+        self.rows = self.counted = 0
         if self.draws is None:
             parts = _support_blocks(self.design, self.max_support)
         else:
@@ -791,21 +804,33 @@ def _weighted_moments(blocks, *rows):
     """Weighted mean and second moment, E[x] and E[x x'], of the rows x = f(Z)
     of each function f in ``rows``, over the (Z, w) blocks in one pass. Within
     a block the functions run in the order given. Returns (mean, second) for
-    one function and a list of such pairs for several."""
+    one function and a list of such pairs for several.
+
+    Boolean rows C are 0/1, and counted in a block whose weights all equal w0:
+    the exact float32 syrk C'C (counts <= BLOCK_ROWS < 2^24) adds up in float64
+    over the blocks of weight w0, and w0 times the sum (its diagonal for the
+    mean) joins the moments at the end. Other rows, and unequal-weight blocks,
+    take float64 weighted sums; ``blocks.counted`` adds up the rows counted."""
     total = 0.0
-    sums = [[0.0, 0.0] for _ in rows]
+    sums = [[0.0, 0.0, {}] for _ in rows]  # mean, second, w0 -> summed C'C
     for Z, w in blocks:
         total += w.sum()
         for f, acc in zip(rows, sums):
             X = f(Z)
-            acc[0] = acc[0] + w @ X
-            acc[1] = acc[1] + (X * w[:, None]).T @ X
+            if X.dtype == bool and w.min() == w.max():
+                X = X.astype(np.float32)
+                gram = acc[2].setdefault(w[0], np.zeros((X.shape[1],) * 2))
+                gram += X.T @ X
+                blocks.counted += len(w)
+            else:
+                X = X.astype(float, copy=False)
+                acc[0] += w @ X
+                acc[1] += (X * w[:, None]).T @ X
+    for acc in sums:
+        for w0, gram in acc.pop().items():
+            acc[:] = acc[0] + w0 * np.diag(gram), acc[1] + w0 * gram
     moments = [(mean / total, second / total) for mean, second in sums]
     return moments[0] if len(rows) == 1 else moments
-
-
-def _observation_rows(model):
-    return lambda Z: _observation_matrix(model, Z).astype(float)
 
 
 def _table_from(P2, provenance):
@@ -814,7 +839,7 @@ def _table_from(P2, provenance):
 
 
 def _second_order_table(model, blocks):
-    _, P2 = _weighted_moments(blocks, _observation_rows(model))
+    _, P2 = _weighted_moments(blocks, partial(_observation_matrix, model))
     return _table_from(P2, blocks.provenance)
 
 
@@ -891,33 +916,31 @@ def _variance_build(design, model, spec, mode, count, seed, max_support):
     lin) average P2 and their coefficient moments in the same pass.
     Horvitz-Thompson reads A off P2; Hajek and greg need pi = diag(P2) first,
     so they average their coefficients in a second pass. ``spec=None`` builds
-    P2 alone and returns A = None. Logs one debug line; for ols and lin it
-    counts the rows whose regression took the SVD.
+    P2 alone and returns A = None. Logs one debug line: the rows, those the P2
+    pass counted and, for ols and lin, those whose regression took the SVD.
     """
     started = time.perf_counter()
     blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
-    counts = {"svd_rows": 0}
+    counts, observed = {"svd_rows": 0}, partial(_observation_matrix, model)
     if spec is not None and spec.kind in _PI_FREE_KINDS:
         # P2's rows first in each block: within a block, errors come as in two passes
         (_, P2), moments = _weighted_moments(
-            blocks, _observation_rows(model),
-            lambda Z: _batch_coefficients(spec, model, Z, None, counts))
-        table, A = _table_from(P2, blocks.provenance), _covariance(*moments)
-        source = "from coefficients"
+            blocks, observed, lambda Z: _batch_coefficients(spec, model, Z, None, counts))
     else:
-        table = _second_order_table(model, blocks)
-        if spec is None:
-            A, source = None, "not built"
-        elif spec.kind == "horvitz-thompson":
-            A, source = _ht_covariance(table), "from P2"
-        else:
-            A = _covariance(*_weighted_moments(
-                blocks, lambda Z: _batch_coefficients(spec, model, Z, table.pi)))
-            source = "from coefficients"
+        (_, P2), moments = _weighted_moments(blocks, observed), None
+    table, counted = _table_from(P2, blocks.provenance), blocks.counted
+    if spec is None:
+        A, source = None, "not built"
+    elif spec.kind == "horvitz-thompson":
+        A, source = _ht_covariance(table), "from P2"
+    else:
+        A = _covariance(*(moments or _weighted_moments(
+            blocks, lambda Z: _batch_coefficients(spec, model, Z, table.pi))))
+        source = "from coefficients"
     if spec is not None and spec.kind in ("ols", "lin"):
         source += f", regression rows by SVD {counts['svd_rows']} of {blocks.rows}"
-    log.debug("build: mode %s, %d rows, passes %d, A %s, %.3f s",
-              mode, blocks.rows, blocks.passes, source, time.perf_counter() - started)
+    log.debug("build: mode %s, %d rows (%d counted), passes %d, A %s, %.3f s", mode,
+              blocks.rows, counted, blocks.passes, source, time.perf_counter() - started)
     return A, table, blocks.provenance
 
 

@@ -43,10 +43,17 @@ from varbound.estimation import (
     _power_iteration_opnorm,
     _r_moments,
     _r_pairs,
-    _r_vectors,
 )
 from varbound.experiment import _AssignmentBlocks, _observation_matrix, _weighted_moments
 from conftest import A_ILLU, B_MINNORM, random_scenario, ref_observation_indices
+
+
+def _r_vectors(obs, pairs):
+    """float64 rows of scaled pair indicators, obs[:, k] obs[:, l] s for
+    ``pairs = (k, l, s)``: the weighted reference for ``_r_moments``."""
+    k, l, scale = pairs
+    obs = obs.astype(float)
+    return obs[:, k] * obs[:, l] * scale
 
 
 def cluster_coin_design():
@@ -307,15 +314,17 @@ class TestRCovariance:
         # 4,099 blocks of 4,095 joint observations: the total passes 2^24,
         # where float32 can no longer hold odd integers
         class Repeated:
-            draws = range(4095 * 4099)
+            counted = 0
 
             def __iter__(self):
                 Z = np.ones((4095, 1), dtype=np.int64)
-                return ((Z, None) for _ in range(4099))
+                return ((Z, np.ones(4095)) for _ in range(4099))
 
         pairs = (np.array([0]), np.array([0]), np.array([1.0]))
-        mean, second = _r_moments(ExposureModel.identity(1), Repeated(), pairs)
+        blocks = Repeated()
+        mean, second = _r_moments(ExposureModel.identity(1), blocks, pairs)
         assert (mean[0], second[0, 0]) == (1.0, 1.0)
+        assert blocks.counted == 4095 * 4099
 
     def test_ring_n20_matches_dense_eigvalsh(self):
         # the estimate workload's Monte Carlo case: 800 pairs, 20,000 draws
@@ -380,8 +389,20 @@ class TestRCovariance:
         rows = kwargs.get("count", 8)
         [record] = [r for r in caplog.records if r.name == "varbound.estimation"]
         assert record.levelno == logging.DEBUG
-        assert (f"mode {prov['mode']}, {rows} rows, 6 pairs, {len(calls)} matvecs"
-                in record.getMessage())
+        assert (f"mode {prov['mode']}, {rows} rows ({rows} counted), 6 pairs, "
+                f"{len(calls)} matvecs" in record.getMessage())
+
+    @pytest.mark.parametrize("p, kwargs, rows, counted", [
+        (0.5, {}, 8, 8),
+        (0.4, {}, 8, 0),
+        (0.4, {"mode": "mc", "count": 3000, "seed": 1}, 3000, 3000),
+    ], ids=["fair-exact", "biased-exact", "biased-mc"])
+    def test_debug_log_counts_rows(self, p, kwargs, rows, counted, caplog):
+        design, model = Design.bernoulli(3, p), ExposureModel.identity(3)
+        with caplog.at_level(logging.DEBUG, logger="varbound.estimation"):
+            r_covariance_opnorm(design, model, 2 * np.eye(6), **kwargs)
+        [record] = [r for r in caplog.records if r.name == "varbound.estimation"]
+        assert f" {rows} rows ({counted} counted), 6 pairs, " in record.getMessage()
 
 
 class TestPowerIteration:

@@ -4,6 +4,8 @@ import logging
 import math
 import re
 import warnings
+from fractions import Fraction
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ from varbound.experiment import (
     _regressor_rows,
     _second_order_table,
     _support_blocks,
+    _support_rows,
     _svd_pinv_row,
     _weighted_moments,
 )
@@ -115,6 +118,54 @@ class TestEnumerate:
         assert zs == sorted(zs)
         assert sum(p for _, p in out) == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def _itertools_blocks(design):
+        """A complete or cluster design's support from ``itertools``, in
+        blocks of BLOCK_ROWS rows: row r leaves untreated the clusters of the
+        r-th (K - m)-combination, clusters in order of their smallest unit."""
+        groups = sorted(design.clusters or [(i,) for i in range(design.n)], key=min)
+        owner = np.empty(design.n, dtype=np.int64)
+        for c, units in enumerate(groups):
+            owner[list(units)] = c
+        untreated = combinations(range(len(groups)), len(groups) - design.m)
+        while rows := list(islice(untreated, BLOCK_ROWS)):
+            chosen = np.ones((len(rows), len(groups)), dtype=np.int64)
+            chosen[np.arange(len(rows))[:, None], np.array(rows, dtype=np.int64)] = 0
+            yield np.take(chosen, owner, axis=1)
+
+    def _check_unranked(self, design):
+        size = design.support_size()
+        got = list(_support_rows(design, size))
+        expected = list(self._itertools_blocks(design))
+        assert len(got) == len(expected)
+        for (Z, prob), ref in zip(got, expected):
+            assert Z.dtype == ref.dtype and Z.flags.c_contiguous
+            assert np.array_equal(Z, ref)
+            assert np.array_equal(prob, np.full(len(ref), 1.0 / size))
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_unranked_rows_match_itertools(self, K):
+        # every m, for singleton clusters and for K shuffled clusters of 2K units
+        rng = np.random.default_rng(K)
+        for m in range(K + 1):
+            self._check_unranked(Design.complete(K, m))
+            cuts = np.sort(rng.choice(np.arange(1, 2 * K), K - 1, replace=False))
+            self._check_unranked(Design.cluster(np.split(rng.permutation(2 * K), cuts), m))
+
+    @pytest.mark.parametrize("K, m", [(16, 8), (16, 1), (16, 15), (200, 2), (200, 198)])
+    def test_unranked_rows_match_itertools_across_blocks(self, K, m):
+        self._check_unranked(Design.complete(K, m))
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 13, 16, 20])
+    def test_bernoulli_weights_equal_the_row_products(self, n):
+        # bitwise: each row's product of its units' factors, in unit order
+        p = np.random.default_rng(n).random(n)
+        rows = 0
+        for Z, prob in _support_rows(Design.bernoulli(n, p), 2**n):
+            assert np.array_equal(prob, np.prod(np.where(Z == 1, p, 1.0 - p), axis=1))
+            rows += len(Z)
+        assert rows == 2**n
+
     def test_paired_always_one_treated_per_pair(self):
         out = enumerate_assignments(Design.paired([(0, 1), (2, 3)]))
         assert len(out) == 4
@@ -137,6 +188,11 @@ class TestEnumerate:
     def test_explicit_accepts_entries_equal_to_0_or_1(self):
         d = Design.explicit([((1.0, 0.0), 0.5), ((np.int64(0), True), 0.5)])
         assert d.table == (((0, 1), 0.5), ((1, 0), 0.5))
+
+    @pytest.mark.parametrize("prob", [math.nan, math.inf, -math.inf])
+    def test_explicit_rejects_non_finite_probabilities(self, prob):
+        with pytest.raises(InvalidDesign, match="not finite"):
+            Design.explicit([((1, 0), prob), ((0, 1), 1.0)])
 
     def test_invalid_designs(self):
         with pytest.raises(InvalidDesign):
@@ -757,6 +813,119 @@ def _two_pass(design, model, spec, **kwargs):
     return A, table
 
 
+def _observation_moments(blocks, model, dtype):
+    """E[x] and E[x x'] of the observation rows, given to the kernel as
+    ``dtype``: bool rows may be counted, float rows are always weighted."""
+    return _weighted_moments(blocks, lambda Z: _observation_matrix(model, Z).astype(dtype))
+
+
+class TestCountingKernel:
+    """0/1 rows in a block of equal weights are counted (a float32 Gram); float
+    rows, and every row of a block with unequal weights, are weighted."""
+
+    @staticmethod
+    def _assert_bitwise(got, expected):
+        for x, y in zip(got, expected):
+            assert np.array_equal(x, y)
+
+    def test_mc_pool_bitwise_equal_to_weighted(self):
+        rng = np.random.default_rng(41)
+        for i in range(20):
+            design, model, _ = random_scenario(rng)
+            blocks = _AssignmentBlocks(design, "mc", 5000, i)
+            counted = _observation_moments(blocks, model, bool)
+            assert blocks.counted == blocks.rows == 5000
+            self._assert_bitwise(counted, _observation_moments(blocks, model, float))
+            assert blocks.counted == 0
+
+    @pytest.mark.parametrize("n", [6, 13])
+    @pytest.mark.parametrize("model", [ExposureModel.identity, _ring], ids=["identity", "ring"])
+    def test_fair_coins_bitwise_equal_to_weighted(self, n, model):
+        # 13 units: two blocks
+        blocks = _AssignmentBlocks(Design.bernoulli(n, 0.5))
+        counted = _observation_moments(blocks, model(n), bool)
+        assert blocks.counted == blocks.rows == 2**n
+        self._assert_bitwise(counted, _observation_moments(blocks, model(n), float))
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    @pytest.mark.parametrize("model", [ExposureModel.identity, _ring], ids=["identity", "ring"])
+    def test_complete_randomization_against_exact_fractions(self, n, model):
+        # each counted entry is w0 c / total: within 2 eps (relative) of
+        # c / size, however many rows it counts, where the weighted sum adds c
+        # roundings; at the balanced m = n // 2 that leaves it no farther from
+        # the exact P2 than the weighted sum is, in total (short unbalanced
+        # supports at n = 8 can round the weighted sum luckier)
+        model = model(n)
+        eps = np.finfo(float).eps
+        for m in range(1, n):
+            blocks = _AssignmentBlocks(Design.complete(n, m))
+            _, counted = _observation_moments(blocks, model, bool)
+            _, weighted = _observation_moments(blocks, model, float)
+            assert np.abs(counted - weighted).max() <= 1e-14 * np.abs(weighted).max()
+            O = np.concatenate([_observation_matrix(model, Z) for Z, _ in blocks]).astype(int)
+            exact = [Fraction(int(c), blocks.rows) for c in (O.T @ O).ravel()]
+            err = [abs(Fraction(float(x)) - e) for x, e in zip(counted.ravel(), exact)]
+            assert all(d <= 2 * eps * e for d, e in zip(err, exact))
+            if m == n // 2:
+                assert sum(err) <= sum(abs(Fraction(float(x)) - e)
+                                       for x, e in zip(weighted.ravel(), exact))
+
+    @pytest.mark.parametrize("design", [
+        Design.bernoulli(13, 0.3),
+        Design.explicit([((1, 0, 1, 0), 0.1), ((0, 1, 0, 1), 0.2),
+                         ((1, 1, 0, 0), 0.3), ((0, 0, 1, 1), 0.4)]),
+    ], ids=["bernoulli-0.3", "explicit"])
+    def test_unequal_weights_take_the_weighted_path(self, design):
+        model = _ring(design.n)
+        blocks = _AssignmentBlocks(design)
+        counted = _observation_moments(blocks, model, bool)
+        assert blocks.counted == 0
+        self._assert_bitwise(counted, _observation_moments(blocks, model, float))
+
+    def test_equal_weights_are_read_per_block(self):
+        # 13 units, two blocks: the first half of the support (z_0 = 0) at
+        # one equal weight, the second half at unequal weights
+        Z = [tuple(z) for z, _ in enumerate_assignments(Design.bernoulli(13, 0.5))]
+        w = np.concatenate([np.full(4096, 0.5 / 4096), np.linspace(0.5, 1.5, 4096) * 0.5 / 4096])
+        design = Design.explicit(zip(Z, w / w.sum()))
+        model = ExposureModel.identity(13)
+        blocks = _AssignmentBlocks(design)
+        counted = _observation_moments(blocks, model, bool)
+        assert (blocks.counted, blocks.rows) == (4096, 8192)
+        weighted = _observation_moments(blocks, model, float)
+        for x, y in zip(counted, weighted):
+            assert np.abs(x - y).max() <= 1e-15
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_mixed_pass_equals_separate_passes(self, mode):
+        # Lin: counted observation rows and weighted coefficient rows in one pass
+        n = 8
+        design, model = Design.complete(n, 4), ExposureModel.identity(n)
+        spec = EstimatorSpec(kind="lin", covariates=np.random.default_rng(4).normal(size=(n, 2)))
+        blocks = _AssignmentBlocks(design, **_mode_kwargs(mode, 5))
+        obs = lambda Z: _observation_matrix(model, Z)  # noqa: E731
+        coef = lambda Z: _batch_coefficients(spec, model, Z, None)  # noqa: E731
+        together = _weighted_moments(blocks, obs, coef)
+        assert blocks.counted == blocks.rows
+        apart = [_weighted_moments(blocks, obs), _weighted_moments(blocks, coef)]
+        for got, expected in zip(together, apart):
+            self._assert_bitwise(got, expected)
+
+    @pytest.mark.parametrize("design, kind, mode, rows, counted", [
+        (Design.bernoulli(6, 0.5), "horvitz-thompson", "exact", 64, 64),
+        (Design.bernoulli(6, 0.3), "horvitz-thompson", "exact", 64, 0),
+        (Design.bernoulli(6, 0.3), "horvitz-thompson", "mc", 3000, 3000),
+        # the count is the P2 pass's, not the weighted coefficient pass's
+        (Design.complete(6, 3), "hajek", "exact", 20, 20),
+    ], ids=["fair-exact", "biased-exact", "biased-mc", "hajek-exact"])
+    def test_debug_line_counts_rows(self, caplog, design, kind, mode, rows, counted):
+        with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
+            build_variance_problem(design, _ring(6), EstimatorSpec(kind=kind),
+                                   **_mode_kwargs(mode, 2))
+        [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
+        assert f" {rows} rows ({counted} counted), " in record.getMessage()
+
+
 class TestOnePassBuild:
     """Horvitz-Thompson's A comes from P2 with no second pass; difference in
     means, OLS and Lin average their coefficients in the P2 pass; Hajek and
@@ -884,7 +1053,8 @@ class TestOnePassBuild:
         assert record.levelno == logging.DEBUG
         rows = kwargs.get("count", 2)
         assert re.fullmatch(
-            rf"build: mode {mode}, {rows} rows, passes {passes}, A {source}, \d+\.\d{{3}} s",
+            rf"build: mode {mode}, {rows} rows \({rows} counted\), passes {passes}, "
+            rf"A {source}, \d+\.\d{{3}} s",
             record.getMessage())
 
     @pytest.mark.parametrize("kind, passes", [
@@ -907,7 +1077,8 @@ class TestOnePassBuild:
         rows = kwargs.get("count", 20)
         svd = f", regression rows by SVD 0 of {rows}" if kind in ("ols", "lin") else ""
         assert re.fullmatch(
-            rf"build: mode {mode}, {rows} rows, passes {passes}, A from \w+{svd}, \d+\.\d{{3}} s",
+            rf"build: mode {mode}, {rows} rows \({rows} counted\), passes {passes}, "
+            rf"A from \w+{svd}, \d+\.\d{{3}} s",
             record.getMessage())
 
 

@@ -388,6 +388,18 @@ class TestCli:
         assert run_cli(*command, "-c", path) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [{"kind": "exact"}, {"kind": "mc", "count": 500, "seed": 1}],
+                             ids=["exact", "mc"])
+    def test_non_finite_explicit_probability_is_an_error(self, tmp_path, capsys, mode):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["design"]["probabilities"] = [math.nan, 1.0]
+        doc["mode"] = mode
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "not finite" in err
+
     def test_help_exits_cleanly(self, capsys):
         assert run_cli("--help") == 0
         assert "probe" in capsys.readouterr().out
@@ -744,12 +756,19 @@ class TestCli:
         assert proc.returncode == 0
         assert "[FAIL]" not in proc.stdout
 
+    def test_python_dash_m_varbound(self):
+        proc = self.run_child("-m", "varbound", "demo", "illustration")
+        assert proc.returncode == 0, proc.stderr
+        assert "[FAIL]" not in proc.stdout
+        assert self.run_child("-m", "varbound").returncode == 1
+
     def test_varbound_log_debug_shows_solver_progress(self, monkeypatch):
         monkeypatch.setenv("VARBOUND_LOG", "debug")
         proc = self.run_child("-m", "varbound.cli", "demo", "illustration")
         assert proc.returncode == 0
         assert "DEBUG varbound.solver: consensus ADMM converged after" in proc.stderr
-        assert "DEBUG varbound.experiment: build: mode exact, 2 rows, passes 1, A from P2" in proc.stderr
+        assert ("DEBUG varbound.experiment: build: mode exact, 2 rows (2 counted), passes 1, "
+                "A from P2") in proc.stderr
 
     def test_estimate_imports_no_scipy(self, tmp_path, monkeypatch):
         # scipy is not a dependency, and importing its sparse solvers alone
@@ -765,7 +784,7 @@ class TestCli:
         proc = self.run_child("-c", code, "estimate", "-c", str(path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
-        assert "DEBUG varbound.estimation: Cov(R): mode exact, 2 rows," in proc.stderr
+        assert "DEBUG varbound.estimation: Cov(R): mode exact, 2 rows (2 counted)," in proc.stderr
 
     def test_gamma_sweep_script(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "gamma_sweep.py"
