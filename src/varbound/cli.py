@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation, experiment, linalg, matrixio, solver
-from .errors import DimensionMismatch, VarboundError
+from .errors import DimensionMismatch, SupportTooLarge, VarboundError
 from .scenario import parse_scenario, resolve_config_path
 
 log = logging.getLogger("varbound")
@@ -195,15 +195,12 @@ def cmd_estimate(scn, args, out_dir, started, inputs):
         "seed": kwargs.get("seed"),
         "bound_estimate": estimate,
     }
-    try:
-        diag = estimation.r_covariance_opnorm(
-            scn.design, scn.model, B, table, mode="exact"
-        )
-    except VarboundError:
-        diag = estimation.r_covariance_opnorm(
-            scn.design, scn.model, B, table,
-            mode="mc", count=20000, seed=_seed(scn, args),
-        )
+    # Cov(R) counts the support when it has no more rows than the draws would
+    if scn.design.support_size() <= estimation.RCOV_DRAWS:
+        rcov = {"mode": "exact"}
+    else:
+        rcov = {"mode": "mc", "count": estimation.RCOV_DRAWS, "seed": _seed(scn, args)}
+    diag = estimation.r_covariance_opnorm(scn.design, scn.model, B, table, **rcov)
     sup_obs = max((abs(v) for v in scn.realized.outcomes.values()), default=0.0)
     metrics["opnorm_cov_R"] = diag.opnorm_cov_R
     metrics["opnorm_cov_R_mode"] = diag.provenance.get("mode")
@@ -223,7 +220,7 @@ def cmd_estimate(scn, args, out_dir, started, inputs):
                 scn.design, scn.model, B, table, scn.theta,
                 threshold_c=scn.threshold_c,
             )
-        except VarboundError:
+        except SupportTooLarge:
             metrics["empirical_mse_at_theta"] = None
     report = _report("estimate", inputs, {}, metrics, started)
     if out_dir is not None:

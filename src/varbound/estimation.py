@@ -14,7 +14,10 @@ moment is one dense pairs x pairs matrix, filled one block of at most
 BLOCK_ROWS assignments at a time, so memory is that matrix plus one block of
 indicator rows. Both modes take the same path: the 0/1 pair indicators go
 through ``experiment._weighted_moments``, which counts them in blocks of
-equal weights, and the 1 / P2 scales apply once at the end. The top
+equal weights, and the 1 / P2 scales apply once at the end. So the modes
+differ only in the rows they count, the design's support or the draws, and
+``varbound estimate`` picks by that count: Cov(R) is exact when the support
+has at most RCOV_DRAWS rows, and runs on RCOV_DRAWS draws otherwise. The top
 eigenvalue comes from Lanczos with full reorthogonalization on the
 covariance's matvec.
 """
@@ -37,7 +40,6 @@ from .errors import (
     InvalidDesign,
     MissingOutcome,
     NonConvergence,
-    SupportTooLarge,
 )
 from .experiment import (
     DEFAULT_SUPPORT_CAP,
@@ -53,9 +55,9 @@ from .experiment import (
 
 log = logging.getLogger(__name__)
 
-# exact Cov(R) enumerates up to 2^n assignments into a dense second moment of
-# up to n(2n + 1) pair coordinates per side; keep it desk sized
-EXACT_RCOV_UNIT_CAP = 8
+# Monte Carlo draws behind ``varbound estimate``'s Cov(R), and the largest
+# support it counts exactly instead
+RCOV_DRAWS = 20_000
 
 # a bound coefficient is treated as structurally zero below this fraction of
 # the largest coefficient
@@ -241,9 +243,10 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
     """Operator norm of Cov(R), the inverse-propensity indicator covariance.
 
     Both modes average over the same assignment blocks (see ``_r_moments``):
-    exact mode over the enumerated design (capped at n <= 8), Monte Carlo
-    mode over sampled assignments. The indicators live on the unordered pairs
-    of the support of B, at most n(2n + 1) coordinates: entries within
+    exact mode over the enumerated design, Monte Carlo mode over sampled
+    assignments, so the rows counted are the only cost difference between
+    them. The indicators live on the unordered pairs of the support of B, at
+    most n(2n + 1) coordinates: entries within
     ``support_tol`` (relative) of zero do not count. When ``table`` is
     omitted it is computed in the matching mode (for Monte Carlo, from the
     same draws that feed the covariance).
@@ -252,10 +255,6 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
     the number of pair coordinates and the number of matvecs.
     """
     B = linalg.check_symmetric(B, name="B")
-    if mode == "exact" and model.n > EXACT_RCOV_UNIT_CAP:
-        raise SupportTooLarge(
-            f"exact Cov(R) is capped at n <= {EXACT_RCOV_UNIT_CAP}, got n = {model.n}"
-        )
     started = time.perf_counter()
     blocks = _AssignmentBlocks(design, mode, count, seed)
     if table is None:

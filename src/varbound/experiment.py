@@ -696,7 +696,6 @@ class SecondOrderTable:
     first-order probabilities pi = diag(P2)."""
 
     P2: np.ndarray
-    pi: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -707,6 +706,10 @@ class SecondOrderTable:
         d = np.diag(P2)
         if np.any(P2 > np.minimum.outer(d, d) + 1e-12):
             raise InvalidDesign("P2[k, l] cannot exceed min(P2[k, k], P2[l, l])")
+
+    @property
+    def pi(self):
+        return np.diag(self.P2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -834,8 +837,7 @@ def _weighted_moments(blocks, *rows):
 
 
 def _table_from(P2, provenance):
-    P2 = linalg.symmetrize(P2)
-    return SecondOrderTable(P2=P2, pi=np.diag(P2).copy(), provenance=provenance)
+    return SecondOrderTable(P2=linalg.symmetrize(P2), provenance=provenance)
 
 
 def _second_order_table(model, blocks):

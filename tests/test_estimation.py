@@ -35,7 +35,6 @@ from varbound.errors import (
     InvalidDesign,
     MissingOutcome,
     NonConvergence,
-    SupportTooLarge,
 )
 from varbound.estimation import (
     LANCZOS_BLOCK,
@@ -240,14 +239,6 @@ class TestRCovariance:
         )
         assert empirical_mse(design, model, B, theta=theta) == pytest.approx(with_table)
 
-    def test_exact_unit_cap(self):
-        n = 9
-        design = Design.bernoulli(n, 0.5)
-        model = ExposureModel.identity(n)
-        table = build_variance_problem(design, model, EstimatorSpec(kind="horvitz-thompson"))[1]
-        with pytest.raises(SupportTooLarge):
-            r_covariance_opnorm(design, model, np.eye(2 * n), table)
-
     def test_mc_threads_deterministic(self):
         design = Design.bernoulli(3, 0.5)
         model = ExposureModel.identity(3)
@@ -326,22 +317,29 @@ class TestRCovariance:
         assert (mean[0], second[0, 0]) == (1.0, 1.0)
         assert blocks.counted == 4095 * 4099
 
-    def test_ring_n20_matches_dense_eigvalsh(self):
-        # the estimate workload's Monte Carlo case: 800 pairs, 20,000 draws
-        n, count, seed = 20, 20_000, 0
+    @staticmethod
+    def _check_ring_against_dense_eigvalsh(n, mode, count=None, seed=None):
         design = Design.bernoulli(n, 0.5)
         model = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
-        table = pair_observation_probabilities(design, model, "mc", count, seed)
+        table = pair_observation_probabilities(design, model, mode, count, seed)
         B = _compatible_bound(np.random.default_rng(8), table)
         pairs = _r_pairs(B, table)
+        blocks = _AssignmentBlocks(design, mode, count, seed)
         mean, second = _weighted_moments(
-            _AssignmentBlocks(design, "mc", count, seed),
-            lambda Z: _r_vectors(_observation_matrix(model, Z), pairs),
-        )
+            blocks, lambda Z: _r_vectors(_observation_matrix(model, Z), pairs))
         dense = float(np.linalg.eigvalsh(second - np.outer(mean, mean))[-1])
-        diag = r_covariance_opnorm(design, model, B, table, "mc", count, seed)
+        diag = r_covariance_opnorm(design, model, B, table, mode, count, seed)
         assert diag.opnorm_cov_R == pytest.approx(dense, rel=1e-12)
         assert diag.provenance["pairs"] == len(mean)
+        return blocks
+
+    def test_ring_n20_matches_dense_eigvalsh(self):
+        # the estimate workload's Monte Carlo case: 800 pairs, 20,000 draws
+        self._check_ring_against_dense_eigvalsh(20, "mc", 20_000, 0)
+
+    def test_ring_n12_exact_matches_dense_eigvalsh(self):
+        # the estimate workload's exact case: all 4,096 assignments, 288 pairs
+        assert self._check_ring_against_dense_eigvalsh(12, "exact").rows == 4096
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_repeated_calls_bitwise_equal(self, mode):

@@ -14,6 +14,7 @@ from varbound import (
     build_variance_problem,
     cli,
     estimation,
+    linalg,
     matrixio,
     pair_observation_probabilities,
     parse_scenario,
@@ -23,6 +24,7 @@ from varbound import (
 from varbound.errors import (
     AsymmetricInput,
     DimensionError,
+    InvalidDesign,
     ParseError,
     SingularRegression,
     ValidationError,
@@ -348,6 +350,31 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def _identity_estimate_doc(n, z, mode):
+    """An estimate scenario: Bernoulli(0.5), identity exposure, Horvitz-Thompson,
+    realized z with outcome 1 + i at unit i's revealed coordinate."""
+    return {"n": n, "design": {"kind": "bernoulli", "p": 0.5}, "exposure": {"rule": "identity"},
+            "estimator": {"kind": "horvitz-thompson"}, "mode": mode,
+            "realized": {"z": z, "outcomes": {str(i + 1 + (0 if z[i] else n)): 1.0 + i
+                                              for i in range(n)}}}
+
+
+def _estimate_with_bound(tmp_path, capsys, doc, **mode):
+    """Run ``estimate`` on ``doc`` with the bound 0.5 on every jointly observed
+    pair plus the identity; ``mode`` rebuilds the scenario's P2. Returns the
+    scenario, P2 table, bound and report metrics."""
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    scn = parse_scenario(path)
+    table = pair_observation_probabilities(scn.design, scn.model, **mode)
+    B = np.where(table.P2 > 0, 0.5, 0.0) + np.eye(2 * scn.n)
+    matrixio.write_matrix(B, tmp_path / "B.csv")
+    out = tmp_path / "est"
+    assert run_cli("estimate", "-c", path, "--bound", tmp_path / "B.csv", "-o", out) == 0
+    capsys.readouterr()
+    return scn, table, B, json.loads((out / "report.json").read_text())["metrics"]
+
+
 class TestCli:
     def test_demo_illustration(self, capsys):
         assert run_cli("demo", "illustration") == 0
@@ -671,29 +698,13 @@ class TestCli:
         assert outs[0]["design_compatible"] is True
 
     def test_estimate_draws_cov_r_with_the_scenario_seed(self, tmp_path, capsys):
-        # n = 9 is past the exact Cov(R) cap, so estimate falls back to 20,000
-        # Monte Carlo draws; they must come from the scenario's seed
-        n = 9
-        doc = {
-            "n": n,
-            "design": {"kind": "bernoulli", "p": 0.5},
-            "exposure": {"rule": "identity"},
-            "estimator": {"kind": "horvitz-thompson"},
-            "mode": {"kind": "mc", "count": 2000, "seed": 5},
-            "realized": {"z": [1, 0] * 4 + [1],
-                         "outcomes": {str(i + 1 + (0 if i % 2 == 0 else n)): 1.0 + i
-                                      for i in range(n)}},
-        }
-        path = tmp_path / "mc.json"
-        path.write_text(json.dumps(doc))
-        scn = parse_scenario(path)
-        table = pair_observation_probabilities(scn.design, scn.model, mode="mc", count=2000, seed=5)
-        B = np.where(table.P2 > 0, 0.5, 0.0) + np.eye(2 * n)
-        matrixio.write_matrix(B, tmp_path / "B.csv")
-        out = tmp_path / "est"
-        assert run_cli("estimate", "-c", path, "--bound", tmp_path / "B.csv", "-o", out) == 0
-        capsys.readouterr()
-        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        # 2^15 = 32,768 assignments are more rows than 20,000 draws, so
+        # estimate takes Cov(R) by Monte Carlo; the draws must come from the
+        # scenario's seed
+        n = 15
+        doc = _identity_estimate_doc(n, [1, 0] * 7 + [1], {"kind": "mc", "count": 2000, "seed": 5})
+        scn, table, B, metrics = _estimate_with_bound(tmp_path, capsys, doc,
+                                                      mode="mc", count=2000, seed=5)
         expected = r_covariance_opnorm(scn.design, scn.model, B, table,
                                        mode="mc", count=20000, seed=5)
         assert metrics["seed"] == 5
@@ -701,6 +712,63 @@ class TestCli:
         assert metrics["opnorm_cov_R"] == expected.opnorm_cov_R
         assert metrics["opnorm_cov_R_pairs"] == expected.provenance["pairs"]
         assert metrics["opnorm_cov_R_matvecs"] == expected.provenance["matvecs"]
+
+    @pytest.mark.parametrize("case", ["ring12-exact", "complete16-mc"])
+    def test_estimate_counts_cov_r_exactly_up_to_the_draw_count(self, tmp_path, capsys, case):
+        # 4,096 and C(16, 8) = 12,870 assignments are fewer rows than 20,000
+        # draws, so Cov(R) counts the support, whatever the scenario's mode
+        if case == "ring12-exact":
+            n = 12
+            doc = {"n": n, "design": {"kind": "bernoulli", "p": 0.5},
+                   "exposure": {"rule": "spillover",
+                                "adjacency": [[(i - 1) % n, (i + 1) % n] for i in range(n)]},
+                   "estimator": {"kind": "horvitz-thompson"}, "mode": {"kind": "exact"},
+                   # unit 3k is treated and reveals 3k; its neighbours reveal 3k +- 1 + n
+                   "realized": {"z": [1, 0, 0] * 4,
+                                "outcomes": {str(i + 1 + (0 if i % 3 == 0 else n)): 1.0 + i
+                                             for i in range(n)}}}
+            mode = {}
+        else:
+            n = 16
+            doc = _identity_estimate_doc(n, [1, 0] * 8, {"kind": "mc", "count": 2000, "seed": 5})
+            doc["design"] = {"kind": "complete-randomization", "m": 8}
+            mode = {"mode": "mc", "count": 2000, "seed": 5}
+        scn, table, B, metrics = _estimate_with_bound(tmp_path, capsys, doc, **mode)
+        expected = r_covariance_opnorm(scn.design, scn.model, B, table)
+        assert metrics["opnorm_cov_R_mode"] == "exact"
+        assert metrics["opnorm_cov_R"] == expected.opnorm_cov_R
+        assert metrics["opnorm_cov_R_pairs"] == expected.provenance["pairs"]
+        assert metrics["opnorm_cov_R_matvecs"] == expected.provenance["matvecs"]
+
+    def test_estimate_reports_null_mse_past_the_support_cap(self, tmp_path, capsys):
+        # 2^21 assignments are past the 2^20 enumeration cap: the empirical
+        # MSE at theta reads null, and the rest of the report stands
+        n = 21
+        doc = _identity_estimate_doc(n, [1, 0] * 10 + [1], {"kind": "mc", "count": 500, "seed": 5})
+        doc["theta"] = np.linspace(1.0, 2.0, 2 * n).tolist()
+        scn, _, B, metrics = _estimate_with_bound(tmp_path, capsys, doc,
+                                                  mode="mc", count=500, seed=5)
+        assert metrics["empirical_mse_at_theta"] is None
+        assert metrics["bound_value_at_theta"] == pytest.approx(
+            linalg.quadratic_form_value(B, scn.theta, n))
+        assert metrics["opnorm_cov_R_mode"] == "mc"
+
+    def test_estimate_mse_failure_other_than_support_size_is_an_error(
+            self, tmp_path, capsys, monkeypatch):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["theta"] = [1.0, 2.0, 3.0, 4.0]
+        doc["realized"] = {"z": [1, 0], "outcomes": {"1": 1.0, "4": 4.0}}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+
+        def fail(*args, **kwargs):
+            raise InvalidDesign("broken design")
+
+        monkeypatch.setattr(estimation, "empirical_mse", fail)
+        out = tmp_path / "est"
+        assert run_cli("estimate", "-c", path, "-o", out) == 2
+        assert "error: broken design" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_seed_flag_overrides_scenario_seed(self, tmp_path):
         doc = {
