@@ -16,9 +16,9 @@ seed and the count alone. Each exposure rule (``_exposure_codes``) and each
 estimator (``_batch_coefficients``) is implemented once, on blocks of rows;
 the per-assignment functions run that code on a single row. Horvitz-Thompson's
 A is a function of P2 alone (``_ht_covariance``), and difference in means, OLS
-and Lin average their coefficients in the P2 pass, so their builds make one
-pass over the assignments; Hajek and GREG weight by pi = diag(P2) and make a
-second pass for A.
+and Lin average their coefficients in the P2 pass, from its observation rows,
+so their builds make one pass over the assignments; Hajek and GREG weight by
+pi = diag(P2) and make a second pass for A.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ BLOCK_ROWS = 4096
 # regression coefficient computations
 REGRESSION_RCOND = 1e-10
 
-# an OLS or Lin design matrix Q whose normal matrix G = Q'Q has
-# ||G||_F ||G^-1||_F at most this is solved from the normal equations; the
-# rest take the singular value decomposition
-NORMAL_EQUATIONS_COND = 1e4
+# OLS and Lin rows whose systems pass this conditioning screen take their
+# coefficients in closed form, the rest the SVD (see _regression_rows)
+CLOSED_FORM_COND = 1e2
 
 SPILLOVER_DIRECT = "direct"
 SPILLOVER_INDIRECT = "indirect"
@@ -473,15 +472,12 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise InvalidDesign(f"unknown estimator kind {self.kind!r}")
-        if self.kind in _REGRESSION_KINDS:
-            if self.covariates is None:
-                raise InvalidDesign(f"{self.kind} needs a covariate matrix")
+        if self.kind in _REGRESSION_KINDS and self.covariates is None:
+            raise InvalidDesign(f"{self.kind} needs a covariate matrix")
+        if self.covariates is not None:
             X = np.asarray(self.covariates, dtype=float)
-            if X.ndim != 2:
+            if X.ndim != 2 and self.kind in _REGRESSION_KINDS:
                 raise InvalidDesign("covariates must be a 2-d array")
-            object.__setattr__(self, "covariates", X)
-        elif self.covariates is not None:
-            X = np.asarray(self.covariates, dtype=float)
             object.__setattr__(self, "covariates", X)
 
 
@@ -500,18 +496,15 @@ def _weighted_indicator(indicator, pi, kind):
     return np.divide(indicator, pi, out=np.zeros_like(indicator), where=indicator > 0)
 
 
-def _gauss_jordan_inverse(G, shift):
-    """Inverse of G_r + shift_r I for each matrix G_r in the stack G, by
-    Gauss-Jordan elimination without pivoting, vectorized along the stack.
-    Sound for positive definite matrices; a zero pivot leaves NaN or inf in
-    that matrix's inverse alone."""
+def _gauss_jordan_inverse(G):
+    """Inverse of each matrix G_r in the stack G, by Gauss-Jordan elimination
+    without pivoting, vectorized along the stack. Sound for positive definite
+    matrices; a zero pivot leaves NaN or inf in that matrix's inverse alone."""
     A = np.moveaxis(G, 0, -1).copy()  # (p, p, stack): each step is whole-vector work
     p = len(A)
-    A[range(p), range(p)] += shift
     for k in range(p):
-        # in place: setting A[k, k] = 1 first lets column k carry the
-        # identity's column k through the row operations, so that column k
-        # ends as the inverse's
+        # in place: setting A[k, k] = 1 first lets column k carry the identity's
+        # column k through the row operations, so that it ends as the inverse's
         pivot = A[k, k].copy()
         A[k, k] = 1.0
         A[k] /= pivot
@@ -523,62 +516,68 @@ def _gauss_jordan_inverse(G, shift):
     return np.ascontiguousarray(np.moveaxis(A, -1, 0))
 
 
-def _normal_matrices(q0, dq, D):
-    """Q'Q for the design matrix Q = q0 + D dq of each row of D, from per-unit
-    sufficient statistics: q0'q0 + sum_i D_i (q1_i q1_i' - q0_i q0_i'), with
-    q1 = q0 + dq and D_i in {0, 1}. The sum is a stacked matmul, one row of D
-    at a time, not D @ (...): a BLAS GEMM rounds a row differently depending
-    on how many rows it is given."""
-    n, p = q0.shape
-    q1 = q0 + dq
-    delta = (q1[:, :, None] * q1[:, None, :] - q0[:, :, None] * q0[:, None, :]).reshape(n, p * p)
-    return q0.T @ q0 + np.matmul(D[:, None, :], delta).reshape(len(D), p, p)
+def _prepare_regression(kind, X):
+    """``_regression_rows``' per-build matrices, on covariates centred and
+    scaled to unit norm (same spans; the screen sees correlation, not units).
+    OLS: M_W and whether W'W passes the screen. Lin: Xc' and per-unit rows
+    (Xc_i Xc_i', Xc_i, 1) that sum over an arm to its (S, t, size)."""
+    n = len(X)
+    Xc = X - X.mean(axis=0)
+    Xc = Xc / np.maximum(np.linalg.norm(Xc, axis=0), np.finfo(float).tiny)
+    if kind == "ols":
+        W = np.column_stack([np.full(n, 1.0 / math.sqrt(n)), Xc])
+        ok = np.linalg.cond(W.T @ W, "fro") <= CLOSED_FORM_COND
+        return np.eye(n) - W @ np.linalg.pinv(W), ok
+    units = np.column_stack([(Xc[:, :, None] * Xc[:, None, :]).reshape(n, -1), Xc, np.ones(n)])
+    return np.ascontiguousarray(Xc.T), np.ascontiguousarray(units.T)
 
 
-def _pinv_row(q0, dq, D, row, what, counts=None):
-    """Row ``row`` of the pseudo-inverse of each design matrix in a stack, with
-    an identification check. Unit i's regressor row is q0_i + D_i dq_i, with
-    D_i in {0, 1} taken from one row of D per matrix, so Q y = q0 y + D dq y
-    and Q'v = q0'v + dq'(D v) never need Q itself.
-
-    The normal matrices G = Q'Q come from ``_normal_matrices``, and
-    Gauss-Jordan inverts G + eps tr(G) I along the stack. A matrix whose G
-    passes the screen ||G||_F ||G^-1||_F <= NORMAL_EQUATIONS_COND gets the row
-    from the normal equations, Q G^-1 e_row, after one step of iterative
-    refinement on the residual e_row - Q'(Q y) (from the data, which is more
-    accurate than e_row - G y). A singular G fails the screen on its own: a
-    zero pivot gives a NaN inverse and any other pivot a huge one, so no
-    matrix sends the whole stack to the SVD. Q is built only for the
-    matrices that fail; they take ``_svd_pinv_row``, with its cutoff, warning
-    and identification check. Every product is a stacked matmul, one matrix
-    at a time, so each matrix's row depends on that matrix alone, not on the
-    stack around it. ``counts["svd_rows"]``, when given, adds up the matrices
-    that took the SVD.
-    """
-    n, p = q0.shape
-    G = _normal_matrices(q0, dq, D)
-    ridge = np.finfo(float).eps * np.trace(G, axis1=-2, axis2=-1)
-    qd = np.concatenate([q0, dq])
-    qd_t = np.ascontiguousarray(qd.T)
-
-    def fitted(y):  # Q y, (rows, n), for y of shape (rows, 1, p)
-        u = (y @ qd_t)[:, 0]
-        return u[:, :n] + D * u[:, n:]
-
+def _regression_rows(kind, X, in_a, in_b, work):
+    """n times the coefficient on D = in_a (in_b = 1 - in_a) of each row's OLS
+    or Lin regression (``_design_matrices``), in Frisch-Waugh-Lovell closed form:
+    OLS's is n M_W D / (D'M_W D), M_W the residual maker of W = (1, X); Lin's
+    is the treated arm's intercept less the control arm's, weights n r / (r'r)
+    with r = 1 - Xc b the arm's ones less their fit on its centred covariates,
+    S b = t for S = Xc'Xc and t = Xc'1 over the arm. A row passes the screen
+    when each S has ||S||_F ||S^-1||_F <= CLOSED_FORM_COND and D'M_W D or each
+    r'r is at least D'D or the arm's size over CLOSED_FORM_COND (and, for OLS,
+    W'W passes); the rest take ``_svd_pinv_row`` and count in
+    ``work.svd_rows``. Per-row work is elementwise, axis sums and einsum, never
+    BLAS, so a row does not depend on the rows around it."""
+    rows, n = in_a.shape
+    if work.prepared is None:
+        work.prepared = _prepare_regression(kind, X)
+    c, D = work.array("c", rows, n), work.array("D", rows, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        Ginv = _gauss_jordan_inverse(G, ridge)
-        cond = np.linalg.norm(G, axis=(-2, -1)) * np.linalg.norm(Ginv, axis=(-2, -1))
-        y = Ginv[:, None, row]  # row `row` of G^-1, as a (1, p) row per matrix
-        f = fitted(y)[:, None]
-        y = y + (np.eye(p)[row] - np.concatenate([f, D[:, None] * f], axis=-1) @ qd) @ Ginv
-        coef = fitted(y)
-    fallback = ~(cond <= NORMAL_EQUATIONS_COND)  # NaN fails too
-    if counts is not None:
-        counts["svd_rows"] += int(np.count_nonzero(fallback))
+        if kind == "ols":
+            M, ok = work.prepared
+            np.copyto(D, in_a)
+            np.einsum("rn,mn->rm", D, M, out=c)  # M_W D
+            q = np.einsum("rn,rn->r", c, c)  # D'M_W D = |M_W D|^2
+            ok = ok & (q > 0) & (in_a.sum(axis=1) <= CLOSED_FORM_COND * q)
+            c *= (n / q)[:, None]
+        else:
+            XcT, units = work.prepared
+            k, ok = len(XcT), np.ones(rows, dtype=bool)
+            for arm, r in ((in_a, c), (in_b, D)):
+                np.copyto(D, arm)
+                stats = np.einsum("rn,jn->rj", D, units)  # (S, t, size) over the arm
+                S = stats[:, :k * k].reshape(rows, k, k)
+                Sinv = _gauss_jordan_inverse(S)
+                b = np.einsum("rij,rj->ri", Sinv, stats[:, k * k:-1])
+                np.subtract(1.0, np.einsum("rk,kn->rn", b, XcT, out=r), out=r)
+                r *= arm
+                rr = np.einsum("rn,rn->r", r, r)  # 1'r as r'r: rounding in b is second order
+                cond2 = np.einsum("rij,rij->r", S, S) * np.einsum("rij,rij->r", Sinv, Sinv)
+                ok &= (cond2 <= CLOSED_FORM_COND**2) & (rr > 0)
+                ok &= stats[:, -1] <= CLOSED_FORM_COND * rr
+                r *= (n / rr)[:, None]
+            c -= D
+    fallback = ~ok
+    work.svd_rows += int(np.count_nonzero(fallback))
     if np.any(fallback):
-        Q = q0 + D[fallback][:, :, None] * dq
-        coef[fallback] = _svd_pinv_row(Q, row, what)
-    return coef
+        c[fallback] = n * _svd_pinv_row(_design_matrices(kind, X, in_a[fallback]), 1, kind)
+    return c
 
 
 def _svd_pinv_row(Q, row, what):
@@ -592,9 +591,7 @@ def _svd_pinv_row(Q, row, what):
     misses the dropped vectors and, when Q has more columns than rows, the
     null space its reduced SVD does not return.
     """
-    U, s, Vt = np.linalg.svd(Q, full_matrices=False)
-    if s.shape[-1] == 0 or np.any(s[..., 0] == 0.0):
-        raise SingularRegression(f"{what}: design matrix is zero")
+    U, s, Vt = np.linalg.svd(Q, full_matrices=False)  # Q holds a column of ones
     keep = s > REGRESSION_RCOND * s[..., :1]
     coef = Vt[..., :, row]
     # e_row less its projection on the kept vectors, formed as a residual
@@ -615,49 +612,12 @@ def _svd_pinv_row(Q, row, what):
     return np.einsum("...r,...nr->...n", coef * inv_s, U)
 
 
-def _regressor_rows(kind, X):
-    """(q0, dq) such that unit i's regressor row is q0_i + D_i dq_i, D_i its
-    contrast indicator: OLS regresses on (1, D, X), Lin on
-    (1, D, X - mean X, D (X - mean X))."""
-    n = len(X)
-    ones, zeros = np.ones((n, 1)), np.zeros((n, 1))
-    if kind == "ols":
-        return np.hstack([ones, zeros, X]), np.hstack([zeros, ones, np.zeros_like(X)])
-    Xdm = X - X.mean(axis=0, keepdims=True)
-    return (np.hstack([ones, zeros, Xdm, np.zeros_like(Xdm)]),
-            np.hstack([zeros, ones, np.zeros_like(Xdm), Xdm]))
-
-
-def _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi, counts=None):
-    """Per-unit coefficients c for ols / lin / greg (exposure-indicator
-    regressors), one row per assignment row of Z with indicators in_a, in_b.
-    OLS and Lin take the coefficient on D = in_a from ``_pinv_row`` (given
-    ``counts``), with no design matrix formed unless the SVD needs it; see
-    ``_regressor_rows``. ``pi`` is read by greg alone."""
-    outside = (in_a == 0) & (in_b == 0)
-    if np.any(outside):
-        bad, off = (int(i) for i in np.argwhere(outside)[0])
-        raise IncompatibleEstimator(
-            f"{spec.kind}: unit {off} realized exposure "
-            f"{compute_exposures(model, Z[bad])[off]!r}, outside the "
-            "contrast; regression estimators need two-label exposures"
-        )
-    n = model.n
-    X = spec.covariates
-    if X.shape[0] != n:
-        raise DimensionMismatch(f"covariates have {X.shape[0]} rows, expected {n}")
-    if spec.kind == "greg":
-        # inverse-propensity core plus a regression adjustment
-        wa = _weighted_indicator(in_a, pi[:n], "greg")
-        wb = _weighted_indicator(in_b, pi[n:], "greg")
-        Pa = np.linalg.pinv(X * in_a[..., None], rcond=REGRESSION_RCOND)
-        Pb = np.linalg.pinv(X * in_b[..., None], rcond=REGRESSION_RCOND)
-        # (1 - w) X by einsum, not matmul: BLAS rounds a row differently
-        # depending on how many rows it is given
-        ra = np.einsum("rn,np->rp", 1.0 - wa, X)
-        rb = np.einsum("rn,np->rp", 1.0 - wb, X)
-        return wa - wb + (np.einsum("rp,rpn->rn", ra, Pa) - np.einsum("rp,rpn->rn", rb, Pb))
-    return n * _pinv_row(*_regressor_rows(spec.kind, X), in_a, 1, spec.kind, counts)
+def _design_matrices(kind, X, D):
+    """The design matrix of each row of the 0/1 matrix D: OLS regresses on
+    (1, D, X), Lin on (1, D, Xc, D Xc) with Xc = X - mean X."""
+    D = D[:, :, None].astype(float)
+    X = np.broadcast_to(X if kind == "ols" else X - X.mean(axis=0), D.shape[:2] + X.shape[1:])
+    return np.concatenate([np.ones_like(D), D, X] + ([D * X] if kind == "lin" else []), axis=-1)
 
 
 def coefficient_vector(spec, model, z, pi):
@@ -747,14 +707,9 @@ def unobservable_pairs(table, c=0.0):
     if not c >= 0:
         raise InvalidDesign(f"threshold c must be nonnegative, got {c}")
     P2 = np.asarray(table.P2, dtype=float)
-    dim = P2.shape[0]
-    n = dim // 2
-    pairs = {(i, i + n) for i in range(n)}
-    ks, ls = np.nonzero(P2 <= c)
-    for k, l in zip(ks.tolist(), ls.tolist()):
-        if k <= l:
-            pairs.add((k, l))
-    return frozenset(pairs)
+    n = len(P2) // 2
+    ks, ls = np.nonzero(np.triu(P2 <= c))
+    return frozenset({(i, i + n) for i in range(n)} | set(zip(ks.tolist(), ls.tolist())))
 
 
 class _AssignmentBlocks:
@@ -863,18 +818,33 @@ def _check_groups(kind, Z, sa, sb):
         )
 
 
-def _batch_coefficients(spec, model, Z, pi, counts=None):
-    """Coefficient vectors for assignment rows Z, one row each; ``counts``
-    goes to ``_pinv_row`` for ols and lin."""
+class _CoefficientPass:
+    """What a pass carries across coefficient blocks: ``svd_rows`` (OLS and Lin
+    rows that took the SVD), ``prepared`` (``_prepare_regression``'s matrices)
+    and float arrays that each block overwrites."""
+
+    def __init__(self):
+        self.svd_rows, self.prepared, self._arrays = 0, None, {}
+
+    def array(self, name, rows, cols):
+        a = self._arrays.get(name)
+        if a is None or len(a) < rows:
+            a = self._arrays[name] = np.empty((rows, cols))
+        return a[:rows]
+
+
+def _batch_coefficients(spec, model, Z, pi, work=None, obs=None):
+    """Coefficient vectors for assignment rows Z, one row each, in an array of
+    ``work`` (a ``_CoefficientPass``, fresh when None) that its next block
+    overwrites; ``obs``, when given, is ``_observation_matrix(model, Z)``."""
     Z = np.asarray(Z, dtype=np.int64)
     n = Z.shape[1]
-    obs = _observation_matrix(model, Z)
-    in_a = obs[:, :n].astype(float)
-    in_b = obs[:, n:].astype(float)
+    work = _CoefficientPass() if work is None else work
+    obs = _observation_matrix(model, Z) if obs is None else obs
+    in_a, in_b = obs[:, :n], obs[:, n:]
     if spec.kind == "horvitz-thompson":
-        c = _weighted_indicator(in_a, pi[:n], spec.kind) - _weighted_indicator(
-            in_b, pi[n:], spec.kind
-        )
+        c = (_weighted_indicator(in_a, pi[:n], spec.kind)
+             - _weighted_indicator(in_b, pi[n:], spec.kind))
     elif spec.kind == "difference-in-means":
         na = in_a.sum(axis=1, keepdims=True)
         nb = in_b.sum(axis=1, keepdims=True)
@@ -887,9 +857,34 @@ def _batch_coefficients(spec, model, Z, pi, counts=None):
         sb = wb.mean(axis=1, keepdims=True)
         _check_groups(spec.kind, Z, sa, sb)
         c = wa / sa - wb / sb
-    else:
-        c = _regression_unit_coefficients(spec, model, Z, in_a, in_b, pi, counts)
-    return np.concatenate([in_a * c, in_b * c], axis=1)
+    else:  # regression on exposure indicators: ols, lin, greg
+        outside = ~(in_a | in_b)
+        if np.any(outside):
+            bad, off = (int(i) for i in np.argwhere(outside)[0])
+            raise IncompatibleEstimator(
+                f"{spec.kind}: unit {off} realized exposure "
+                f"{compute_exposures(model, Z[bad])[off]!r}, outside the "
+                "contrast; regression estimators need two-label exposures"
+            )
+        X = spec.covariates
+        if X.shape[0] != n:
+            raise DimensionMismatch(f"covariates have {X.shape[0]} rows, expected {n}")
+        if spec.kind != "greg":
+            c = _regression_rows(spec.kind, X, in_a, in_b, work)
+        else:  # inverse-propensity core plus a regression adjustment
+            wa = _weighted_indicator(in_a, pi[:n], "greg")
+            wb = _weighted_indicator(in_b, pi[n:], "greg")
+            Pa = np.linalg.pinv(X * in_a[..., None], rcond=REGRESSION_RCOND)
+            Pb = np.linalg.pinv(X * in_b[..., None], rcond=REGRESSION_RCOND)
+            # (1 - w) X by einsum, not matmul: BLAS rounds a row differently
+            # depending on how many rows it is given
+            ra = np.einsum("rn,np->rp", 1.0 - wa, X)
+            rb = np.einsum("rn,np->rp", 1.0 - wb, X)
+            c = wa - wb + (np.einsum("rp,rpn->rn", ra, Pa) - np.einsum("rp,rpn->rn", rb, Pb))
+    V = work.array("V", len(Z), 2 * n)
+    np.multiply(in_b, c, out=V[:, n:])
+    np.multiply(in_a, c, out=V[:, :n])
+    return V
 
 
 def _covariance(mean, second):
@@ -923,13 +918,18 @@ def _variance_build(design, model, spec, mode, count, seed, max_support):
     """
     started = time.perf_counter()
     blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
-    counts, observed = {"svd_rows": 0}, partial(_observation_matrix, model)
+    work, last = _CoefficientPass(), []
+
+    def observed(Z):  # P2's rows, which the coefficients of the same block reuse
+        last.append(_observation_matrix(model, Z))
+        return last[-1]
+
     if spec is not None and spec.kind in _PI_FREE_KINDS:
         # P2's rows first in each block: within a block, errors come as in two passes
-        (_, P2), moments = _weighted_moments(
-            blocks, observed, lambda Z: _batch_coefficients(spec, model, Z, None, counts))
+        (_, P2), moments = _weighted_moments(blocks, observed, lambda Z: _batch_coefficients(
+            spec, model, Z, None, work, last.pop()))
     else:
-        (_, P2), moments = _weighted_moments(blocks, observed), None
+        (_, P2), moments = _weighted_moments(blocks, partial(_observation_matrix, model)), None
     table, counted = _table_from(P2, blocks.provenance), blocks.counted
     if spec is None:
         A, source = None, "not built"
@@ -937,10 +937,10 @@ def _variance_build(design, model, spec, mode, count, seed, max_support):
         A, source = _ht_covariance(table), "from P2"
     else:
         A = _covariance(*(moments or _weighted_moments(
-            blocks, lambda Z: _batch_coefficients(spec, model, Z, table.pi))))
+            blocks, lambda Z: _batch_coefficients(spec, model, Z, table.pi, work))))
         source = "from coefficients"
     if spec is not None and spec.kind in ("ols", "lin"):
-        source += f", regression rows by SVD {counts['svd_rows']} of {blocks.rows}"
+        source += f", regression rows by SVD {work.svd_rows} of {blocks.rows}"
     log.debug("build: mode %s, %d rows (%d counted), passes %d, A %s, %.3f s", mode,
               blocks.rows, counted, blocks.passes, source, time.perf_counter() - started)
     return A, table, blocks.provenance

@@ -3,13 +3,14 @@
 import logging
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varbound import (
@@ -46,11 +47,11 @@ from varbound.experiment import (
     _batch_coefficients,
     _covariance,
     _exposure_codes,
+    _CoefficientPass,
+    _design_matrices,
     _gauss_jordan_inverse,
-    _normal_matrices,
     _observation_matrix,
-    _pinv_row,
-    _regressor_rows,
+    _regression_rows,
     _second_order_table,
     _support_blocks,
     _support_rows,
@@ -1082,13 +1083,68 @@ class TestOnePassBuild:
             record.getMessage())
 
 
+def _svd_rows(kind, X, in_a):
+    """n times the coefficient row on D = in_a from the SVD of each row's
+    design matrix: the reference the closed forms are checked against."""
+    return len(X) * _svd_pinv_row(_design_matrices(kind, X, in_a), 1, kind)
+
+
 def _svd_only(monkeypatch):
-    """Send every OLS and Lin regression through the SVD, the reference the
-    normal equations are checked against."""
+    """Send every OLS and Lin regression through the SVD."""
     monkeypatch.setattr(
-        "varbound.experiment._pinv_row",
-        lambda q0, dq, D, row, what, counts=None: _svd_pinv_row(
-            q0 + D[:, :, None] * dq, row, what))
+        "varbound.experiment._regression_rows",
+        lambda kind, X, in_a, in_b, work: _svd_rows(kind, X, in_a))
+
+
+def _assert_rows_match_the_svd(kind, X, D):
+    """The closed-form rows of the 0/1 rows D against ``_svd_rows``, row by
+    row: within 1e-12 of the largest SVD entry where the SVD identifies the
+    coefficient, SingularRegression from both where it does not. The rows
+    that pass, as one block, are bitwise those rows one at a time. Returns
+    how many rows the closed forms sent to the SVD."""
+    good, refs = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for r in range(len(D)):
+            try:
+                refs.append(_svd_rows(kind, X, D[r:r + 1])[0])
+            except SingularRegression:
+                with pytest.raises(SingularRegression):
+                    _regression_rows(kind, X, D[r:r + 1], ~D[r:r + 1], _CoefficientPass())
+            else:
+                good.append(r)
+        work = _CoefficientPass()
+        block = _regression_rows(kind, X, D[good], ~D[good], work).copy()
+        for row, ref, r in zip(block, refs, good):
+            assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+            alone = _regression_rows(kind, X, D[r:r + 1], ~D[r:r + 1], _CoefficientPass())
+            assert alone.tobytes() == row.tobytes()
+    return work.svd_rows
+
+
+@st.composite
+def _regression_cases(draw):
+    """(design, model, kind, X): complete randomization or Bernoulli over
+    n <= 8 units, the identity exposure or the two-label spillover of the
+    complete graph, OLS or Lin, and k <= 3 normal covariates, each on a scale
+    of 0.1, 1 or 10; the covariates may repeat a column, put two columns
+    1e-7 apart, or copy an assignment row."""
+    n = draw(st.integers(2, 8))
+    design = draw(st.sampled_from([
+        Design.complete(n, draw(st.integers(0, n))), Design.bernoulli(n, draw(st.sampled_from([0.3, 0.5])))]))
+    model = draw(st.sampled_from([
+        ExposureModel.identity(n),
+        ExposureModel.spillover([[j for j in range(n) if j != i] for i in range(n)])]))
+    k = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, k)) * rng.choice([0.1, 1.0, 10.0], size=k)
+    shape = draw(st.sampled_from(["normal", "repeat", "near", "assignment"]))
+    if shape in ("repeat", "near") and k >= 2:
+        X[:, 1] = X[:, 0] + (1e-7 * rng.normal(size=n) if shape == "near" else 0.0)
+    elif shape == "assignment" and k >= 1:
+        Z = next(_support_blocks(design))[0]
+        X[:, 0] = Z[rng.integers(len(Z))]
+    return design, model, draw(st.sampled_from(["ols", "lin"])), X
 
 
 def _outcome(run):
@@ -1103,8 +1159,9 @@ def _outcome(run):
 
 
 class TestNormalEquations:
-    """OLS and Lin coefficients from the normal equations where the screen
-    passes them, from the SVD elsewhere, against the SVD everywhere."""
+    """OLS and Lin coefficients from the closed forms of their normal
+    equations where the screen passes them, from the SVD elsewhere, against
+    the SVD everywhere."""
 
     @pytest.mark.parametrize("kind", ["ols", "lin"])
     def test_exact_build_shape_matches_the_svd(self, kind, monkeypatch, caplog):
@@ -1116,9 +1173,9 @@ class TestNormalEquations:
         pi = np.full(2 * n, 0.5)
         with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
             problem, _ = build_variance_problem(design, model, spec)
-        counts = {"svd_rows": 0}
-        c = _batch_coefficients(spec, model, Z, pi, counts)
-        assert counts["svd_rows"] == 0
+        work = _CoefficientPass()
+        c = _batch_coefficients(spec, model, Z, pi, work)
+        assert work.svd_rows == 0
         [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
         assert ", regression rows by SVD 0 of 12870, " in record.getMessage()
         _svd_only(monkeypatch)
@@ -1168,11 +1225,11 @@ class TestNormalEquations:
         Z = np.array([z for z, _ in enumerate_assignments(design)])
         for kind in ("ols", "lin"):
             spec = EstimatorSpec(kind=kind, covariates=X)
-            counts = {"svd_rows": 0}
+            work = _CoefficientPass()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                V = _batch_coefficients(spec, model, Z, pi, counts)
-            assert counts["svd_rows"] == len(Z)
+                V = _batch_coefficients(spec, model, Z, pi, work)
+            assert work.svd_rows == len(Z)
             ref = np.array([ref_coefficient_vector(spec, model, z, pi) for z in map(tuple, Z)])
             assert np.abs(V - ref).max() <= 1e-12 * np.abs(ref).max()
         with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
@@ -1183,7 +1240,7 @@ class TestNormalEquations:
     def test_mixed_block_rows_are_each_their_own(self):
         # a covariate 1e-5 from the indicator of z* makes the design matrix
         # near-collinear at z* and at its complement only: 2 of 20 rows take
-        # the SVD, the rest the normal equations
+        # the SVD, the rest the closed form
         n = 6
         z_star = np.array([1, 0, 1, 0, 1, 0])
         x = z_star + 1e-5 * np.random.default_rng(4).normal(size=n)
@@ -1191,13 +1248,13 @@ class TestNormalEquations:
         design, model = Design.complete(n, 3), ExposureModel.identity(n)
         pi = _exact_pi(design, model)
         Z = np.array([z for z, _ in enumerate_assignments(design)])
-        counts = {"svd_rows": 0}
-        batch = _batch_coefficients(spec, model, Z, pi, counts)
-        assert counts["svd_rows"] == 2
+        work = _CoefficientPass()
+        batch = _batch_coefficients(spec, model, Z, pi, work)
+        assert work.svd_rows == 2
         for r, z in enumerate(map(tuple, Z.tolist())):
-            alone = {"svd_rows": 0}
+            alone = _CoefficientPass()
             row = _batch_coefficients(spec, model, [z], pi, alone)[0]
-            assert alone["svd_rows"] == (z in (tuple(z_star), tuple(1 - z_star)))
+            assert alone.svd_rows == (z in (tuple(z_star), tuple(1 - z_star)))
             assert row.tobytes() == batch[r].tobytes()
             assert row.tobytes() == coefficient_vector(spec, model, z, pi).tobytes()
             ref = ref_coefficient_vector(spec, model, z, pi)
@@ -1222,63 +1279,106 @@ class TestNormalEquations:
         for r in range(0, BLOCK_ROWS, 97):
             assert coefficient_vector(spec, model, Z[r], table.pi).tobytes() == batch[r].tobytes()
 
-    def test_normal_matrices_are_q_transpose_q(self):
-        # G from per-unit statistics against Q'Q of the design matrices, on
-        # OLS and Lin under every exposure rule, covariates of three scales
+    def test_closed_forms_are_the_svd_rows(self):
+        # the closed-form rows against the SVD of each row's design matrix,
+        # on OLS and Lin under every exposure rule, covariates of three scales
         rng = np.random.default_rng(31)
         for i in range(24):
             rule = ("identity", "spillover", "table")[i % 3]
             design, model = _rule_scenario(rng, rule, two_label=True)
             n = model.n
             Z = np.concatenate([Z for Z, _ in _support_blocks(design)])
-            D = _observation_matrix(model, Z)[:, :n].astype(float)
             X = rng.normal(size=(n, 1 + i % 2)) * rng.choice([0.1, 1.0, 10.0])
-            q0, dq = _regressor_rows(("ols", "lin")[i // 3 % 2], X)
-            Q = q0 + D[:, :, None] * dq
-            QtQ = Q.swapaxes(-1, -2) @ Q
-            scale = np.abs(QtQ).max(axis=(-2, -1), keepdims=True)
-            assert np.all(np.abs(_normal_matrices(q0, dq, D) - QtQ) <= 1e-14 * scale)
+            _assert_rows_match_the_svd(
+                ("ols", "lin")[i // 3 % 2], X, _observation_matrix(model, Z)[:, :n])
+
+    @given(_regression_cases())
+    @example((Design.complete(5, 2), ExposureModel.identity(5), "lin",
+              np.random.default_rng(3).normal(size=(5, 2))))  # two treated for two covariates
+    @settings(max_examples=100, deadline=None)
+    def test_closed_forms_match_the_svd_on_random_designs(self, case):
+        # every assignment row whose units all carry a contrasted label: the
+        # closed form within 1e-12 of the SVD, or SingularRegression from
+        # both; without covariates OLS and Lin are difference in means
+        design, model, kind, X = case
+        n = model.n
+        Z = np.concatenate([Z for Z, _ in _support_blocks(design)])
+        obs = _observation_matrix(model, Z)
+        D = obs[:, :n][np.all(obs[:, :n] | obs[:, n:], axis=1)]
+        _assert_rows_match_the_svd(kind, X, D)
+        if X.shape[1] == 0:
+            try:
+                dim, _ = build_variance_problem(
+                    design, model, EstimatorSpec(kind="difference-in-means"))
+            except DegenerateAssignment:
+                return
+            problem, _ = build_variance_problem(design, model, EstimatorSpec(kind=kind, covariates=X))
+            assert np.abs(problem.A - dim.A).max() <= 1e-13 * np.abs(dim.A).max()
+
+    @pytest.mark.parametrize("kind", ["ols", "lin"])
+    def test_coefficient_block_allocates_little_beyond_its_output(self, kind):
+        # one 4,096-row block of the n = 16, m = 8, two-covariate build: its
+        # traced peak, observation matrix included, is at most 3x the 1 MB
+        # block of coefficient vectors it returns
+        n = 16
+        design, model = Design.complete(n, 8), ExposureModel.identity(n)
+        spec = EstimatorSpec(kind=kind, covariates=np.random.default_rng(13).normal(size=(n, 2)))
+        Z = next(_support_blocks(design))[0]
+        tracemalloc.start()
+        try:
+            V = _batch_coefficients(spec, model, Z, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert V.shape == (BLOCK_ROWS, 2 * n)
+        assert peak <= 3 * V.nbytes
 
     def test_gauss_jordan_inverse(self):
-        # the inverse of G + shift I per matrix; a zero pivot spoils its own
-        # matrix alone
+        # the inverse of each matrix in the stack; a zero pivot spoils its
+        # own matrix alone
         rng = np.random.default_rng(6)
         M = rng.normal(size=(40, 5, 5))
         G = M @ M.swapaxes(-1, -2)
         G[7] = 0.0
         shift = rng.uniform(0.0, 1e-3, size=40)
         shift[7] = 0.0
+        G += shift[:, None, None] * np.eye(5)
         with np.errstate(divide="ignore", invalid="ignore"):
-            Ginv = _gauss_jordan_inverse(G, shift)
+            Ginv = _gauss_jordan_inverse(G)
         assert not np.all(np.isfinite(Ginv[7]))
         ok = np.arange(40) != 7
-        ref = np.linalg.inv(G[ok] + shift[ok, None, None] * np.eye(5))
+        ref = np.linalg.inv(G[ok])
         assert np.abs(Ginv[ok] - ref).max() <= 1e-9 * np.abs(ref).max()
 
     def test_wide_design_matrix_is_checked_for_identification(self):
         # Lin with two covariates at n = 4: a 4 x 6 design matrix, whose
         # reduced SVD holds four right singular vectors; e_1 has mass outside
-        # their span, so the regression is singular, not minimum-norm
-        q0, dq = _regressor_rows("lin", np.random.default_rng(4).normal(size=(4, 2)))
+        # their span, so the regression is singular, not minimum-norm. Each
+        # arm has two units for two covariates, so its ones are its fit.
+        X = np.random.default_rng(4).normal(size=(4, 2))
         D = np.array([[1.0, 1.0, 0.0, 0.0]])
-        Q = q0 + D[:, :, None] * dq
+        Q = _design_matrices("lin", X, D)
         assert np.linalg.norm(np.linalg.svd(Q[0])[2][4:, 1]) > 0.1
         with pytest.raises(SingularRegression, match="null space"):
             _svd_pinv_row(Q, 1, "lin")
         with pytest.raises(SingularRegression, match="null space"):
-            _pinv_row(q0, dq, D, 1, "lin")
+            _regression_rows("lin", X, D == 1, D == 0, _CoefficientPass())
 
-    def test_zero_design_matrix_takes_the_svd(self):
-        # the stack [eye(3)[:, :2], 0] as q0 = 0, dq = eye(3)[:, :2] with D = 1
-        # and D = 0: the zero matrix has a zero pivot, so its row alone fails
-        # the screen and goes to the SVD, which reports the zero matrix
-        q0, dq = np.zeros((3, 2)), np.eye(3)[:, :2]
-        D = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(SingularRegression, match="design matrix is zero"):
-            _pinv_row(q0, dq, D, 1, "ols")
-        counts = {"svd_rows": 0}
-        assert np.array_equal(_pinv_row(q0, dq, D[:1], 1, "ols", counts), [[0.0, 1.0, 0.0]])
-        assert counts["svd_rows"] == 0
+    @pytest.mark.parametrize("kind", ["ols", "lin"])
+    def test_empty_arm_takes_the_svd(self, kind):
+        # n = 2 without covariates: D = (1, 1) leaves the control arm empty,
+        # so D'M_W D and the arm's 1'r are 0; its row alone fails the screen
+        # and goes to the SVD, which finds D's coefficient unidentified. The
+        # row D = (1, 0) is the difference in means, exactly.
+        X = np.zeros((2, 0))
+        D = np.array([[True, False], [True, True]])
+        with pytest.raises(SingularRegression, match="null space"):
+            _regression_rows(kind, X, D, ~D, _CoefficientPass())
+        work = _CoefficientPass()
+        c = _regression_rows(kind, X, D[:1], ~D[:1], work)
+        assert np.abs(c - [[2.0, -2.0]]).max() <= (0.0 if kind == "lin" else 1e-14)
+        assert work.svd_rows == 0
+
 
 def _rule_scenario(rng, rule, two_label):
     """A random complete-randomization scenario under one exposure rule.
