@@ -48,7 +48,8 @@ class NonConvergence(VarboundError):
 
 
 class DimensionMismatch(VarboundError):
-    """Matrix or vector dimensions do not agree."""
+    """Matrix or vector dimensions do not agree, or a matrix file does not
+    hold a matrix of the expected shape."""
 
 
 class AsymmetricInput(VarboundError):
@@ -124,7 +125,3 @@ class ValidationError(VarboundError):
         self.findings = list(findings)
         lines = "; ".join(f"{ptr}: {msg}" for ptr, msg in self.findings)
         super().__init__(f"invalid scenario ({lines})")
-
-
-class DimensionError(VarboundError):
-    """A matrix file does not hold a square matrix."""

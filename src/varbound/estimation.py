@@ -42,7 +42,6 @@ from .errors import (
     NonConvergence,
 )
 from .experiment import (
-    DEFAULT_SUPPORT_CAP,
     _as_bits,
     _as_theta,
     _AssignmentBlocks,
@@ -132,14 +131,14 @@ def _check_bound_shape(B, table):
         raise DimensionMismatch(f"B shape {B.shape} != P2 shape {shape}")
 
 
-def check_bound_compatible(B, table, threshold_c=0.0, support_tol=SUPPORT_TOL):
-    """Raise IncompatibleBound if B has weight on a pair observed with
-    probability at most threshold_c. ``support_tol`` sets the relative size
-    below which a coefficient counts as structurally zero."""
-    B = linalg.check_symmetric(B, name="B")
+def _check_bound_compatible(B, support, table, threshold_c):
+    """Raise IncompatibleBound if the symmetric B has weight on a pair observed
+    with probability at most threshold_c; ``support`` is ``_support_mask(B)``,
+    whose tolerance sets the relative size below which a coefficient counts
+    as structurally zero."""
     _check_bound_shape(B, table)
     P2 = np.asarray(table.P2, dtype=float)
-    bad = _support_mask(B, support_tol) & (P2 <= threshold_c)
+    bad = support & (P2 <= threshold_c)
     if np.any(bad):
         k, l = (int(x) for x in np.argwhere(bad)[0])
         raise IncompatibleBound(
@@ -157,7 +156,8 @@ def ht_bound_estimate(B, data, table, n, threshold_c=0.0, support_tol=SUPPORT_TO
     pair with joint observation probability at most ``threshold_c``.
     """
     B = linalg.check_symmetric(B, name="B")
-    check_bound_compatible(B, table, threshold_c, support_tol)
+    support = _support_mask(B, support_tol)
+    _check_bound_compatible(B, support, table, threshold_c)
     P2 = np.asarray(table.P2, dtype=float)
     idx = sorted(data.outcomes)
     if any(not 0 <= k < B.shape[0] for k in idx):
@@ -165,7 +165,7 @@ def ht_bound_estimate(B, data, table, n, threshold_c=0.0, support_tol=SUPPORT_TO
     vals = np.array([data.outcomes[k] for k in idx])
     sub_B = B[np.ix_(idx, idx)]
     sub_P = P2[np.ix_(idx, idx)]
-    mask = _support_mask(B, support_tol)[np.ix_(idx, idx)]
+    mask = support[np.ix_(idx, idx)]
     total = 0.0
     if np.any(mask):
         outer = np.outer(vals, vals)
@@ -326,7 +326,7 @@ def mse_upper_bound(diag, theta_stats, B, n, p=1.0, q=math.inf):
 
 
 def empirical_mse(design, model, B, table=None, theta=None, mode="exact", count=None,
-                  seed=None, threshold_c=0.0, max_support=DEFAULT_SUPPORT_CAP):
+                  seed=None, threshold_c=0.0):
     """Mean squared error of the bound estimator around the true bound value.
 
     The weighted average, over the enumerated design (exact) or sampled
@@ -338,15 +338,16 @@ def empirical_mse(design, model, B, table=None, theta=None, mode="exact", count=
     """
     if theta is None:
         raise InvalidDesign("empirical_mse needs a full outcome vector theta")
-    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
+    blocks = _AssignmentBlocks(design, mode, count, seed)
     if table is None:
         table = _second_order_table(model, blocks)
     B = linalg.check_symmetric(B, name="B")
-    check_bound_compatible(B, table, threshold_c)
+    support = _support_mask(B)
+    _check_bound_compatible(B, support, table, threshold_c)
     theta = np.asarray(theta, dtype=float)
     n = model.n
     target = linalg.quadratic_form_value(B, theta, n)
-    M = np.divide(B, table.P2, out=np.zeros_like(B), where=_support_mask(B))
+    M = np.divide(B, table.P2, out=np.zeros_like(B), where=support)
 
     def error(Z):
         Y = _observation_matrix(model, Z) * theta

@@ -49,6 +49,7 @@ log = logging.getLogger(__name__)
 
 Bits = tuple[int, ...]
 
+# the largest support enumerated exactly; larger designs need Monte Carlo mode
 DEFAULT_SUPPORT_CAP = 1 << 20
 
 # assignment rows per block in every moment computation; bounds the memory of
@@ -266,18 +267,18 @@ def _support_rows(design, size):
         raise InvalidDesign(f"unknown design kind {design.kind!r}")
 
 
-def _support_blocks(design, max_support=DEFAULT_SUPPORT_CAP):
+def _support_blocks(design):
     """The design's support as (Z, probabilities) blocks of at most BLOCK_ROWS
     rows, in lexicographic order of the rows, zero-probability rows skipped.
 
     Raises SupportTooLarge before the first block when the support exceeds
-    ``max_support``, and InvalidDesign after the last block when the
+    ``DEFAULT_SUPPORT_CAP``, and InvalidDesign after the last block when the
     probabilities do not sum to one within 1e-12.
     """
     size = design.support_size()
-    if size > max_support:
+    if size > DEFAULT_SUPPORT_CAP:
         raise SupportTooLarge(
-            f"{design.kind} design has support {size} > cap {max_support}; "
+            f"{design.kind} design has support {size} > cap {DEFAULT_SUPPORT_CAP}; "
             "use Monte Carlo sampling"
         )
     total = 0.0
@@ -292,17 +293,17 @@ def _support_blocks(design, max_support=DEFAULT_SUPPORT_CAP):
         raise InvalidDesign(f"enumerated probabilities sum to {total!r}")
 
 
-def enumerate_assignments(design, max_support=DEFAULT_SUPPORT_CAP):
+def enumerate_assignments(design):
     """Full support of a design as (assignment, probability) pairs.
 
     The list is sorted lexicographically by assignment bits and the
     probabilities sum to one within 1e-12. Raises SupportTooLarge when the
-    support exceeds ``max_support`` (use sampling instead) and skips
+    support exceeds ``DEFAULT_SUPPORT_CAP`` (use sampling instead) and skips
     zero-probability assignments.
     """
     return [
         (tuple(z), prob)
-        for Z, probs in _support_blocks(design, max_support)
+        for Z, probs in _support_blocks(design)
         for z, prob in zip(Z.tolist(), probs.tolist())
     ]
 
@@ -723,13 +724,12 @@ class _AssignmentBlocks:
     alone.
     """
 
-    def __init__(self, design, mode="exact", count=None, seed=None,
-                 max_support=DEFAULT_SUPPORT_CAP):
+    def __init__(self, design, mode="exact", count=None, seed=None):
         if mode not in ("exact", "mc"):
             raise InvalidDesign(f"mode must be 'exact' or 'mc', got {mode!r}")
         if mode == "mc" and (count is None or seed is None):
             raise InvalidDesign("mc mode needs count and seed")
-        self.design, self.max_support = design, max_support
+        self.design = design
         self.draws = None if mode == "exact" else sample_assignments(
             design, np.random.SeedSequence(seed, spawn_key=(0,)), count
         )
@@ -749,7 +749,7 @@ class _AssignmentBlocks:
         self.passes += 1
         self.rows = self.counted = 0
         if self.draws is None:
-            parts = _support_blocks(self.design, self.max_support)
+            parts = _support_blocks(self.design)
         else:
             parts = (self.draws[s:s + BLOCK_ROWS] for s in range(0, len(self.draws), BLOCK_ROWS))
             parts = ((Z, np.ones(len(Z))) for Z in parts)
@@ -800,11 +800,10 @@ def _second_order_table(model, blocks):
     return _table_from(P2, blocks.provenance)
 
 
-def pair_observation_probabilities(design, model, mode="exact", count=None, seed=None,
-                                   max_support=DEFAULT_SUPPORT_CAP):
+def pair_observation_probabilities(design, model, mode="exact", count=None, seed=None):
     """SecondOrderTable of joint observation probabilities; the first-order
     probabilities are its diagonal, ``.pi``."""
-    return _variance_build(design, model, None, mode, count, seed, max_support)[1]
+    return _variance_build(design, model, None, mode, count, seed)[1]
 
 
 def _check_groups(kind, Z, sa, sb):
@@ -906,7 +905,7 @@ def _ht_covariance(table):
     return table.P2 * np.outer(inv, inv) - np.outer(s * seen, s * seen)
 
 
-def _variance_build(design, model, spec, mode, count, seed, max_support):
+def _variance_build(design, model, spec, mode, count, seed):
     """(A, SecondOrderTable, provenance) from one set of assignments.
 
     Estimators whose coefficients do not read pi (difference-in-means, ols,
@@ -917,7 +916,7 @@ def _variance_build(design, model, spec, mode, count, seed, max_support):
     pass counted and, for ols and lin, those whose regression took the SVD.
     """
     started = time.perf_counter()
-    blocks = _AssignmentBlocks(design, mode, count, seed, max_support)
+    blocks = _AssignmentBlocks(design, mode, count, seed)
     work, last = _CoefficientPass(), []
 
     def observed(Z):  # P2's rows, which the coefficients of the same block reuse
@@ -947,7 +946,7 @@ def _variance_build(design, model, spec, mode, count, seed, max_support):
 
 
 def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
-                           count=None, seed=None, max_support=DEFAULT_SUPPORT_CAP):
+                           count=None, seed=None):
     """One-stop construction of (VarianceProblem, SecondOrderTable).
 
     A and P2 come from the same enumeration or the same draws, so
@@ -957,7 +956,7 @@ def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
     empirical covariance with the 1/count normalizer, which is positive
     semidefinite by construction.
     """
-    A, table, provenance = _variance_build(design, model, spec, mode, count, seed, max_support)
+    A, table, provenance = _variance_build(design, model, spec, mode, count, seed)
     problem = VarianceProblem(
         n=model.n, A=A, omega=unobservable_pairs(table, threshold_c), provenance=provenance,
         threshold_c=threshold_c,

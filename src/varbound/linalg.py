@@ -168,11 +168,6 @@ def project_l1_ball(v, radius):
     return np.sign(v) * np.maximum(a - tau, 0.0)
 
 
-def prox_linear(M, t, W):
-    """Prox of <X, W>: closed form M - t W."""
-    return np.asarray(M, dtype=float) - t * np.asarray(W, dtype=float)
-
-
 def prox_vector_pnorm(z, t, p, max_iter=200):
     """Prox of t * ||.||_p on a vector, for p in (1, inf).
 

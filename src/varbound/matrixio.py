@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, ParseError
+from .errors import DimensionMismatch, ParseError
 
 _FORMATS = ("csv", "json")
 
@@ -61,7 +61,7 @@ def _parse_rows(path):
         raise ParseError(f"{path}: empty matrix file")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise DimensionError(f"{path}: ragged rows")
+        raise DimensionMismatch(f"{path}: ragged rows")
     return np.asarray(rows, dtype=float)
 
 
@@ -86,12 +86,12 @@ def read_matrix(path, fmt=None, symmetric=True):
             raise ParseError(f"{path}: {exc}") from exc
         M = np.asarray(data, dtype=float)
         if M.ndim != 2:
-            raise DimensionError(f"{path}: expected a nested array matrix")
+            raise DimensionMismatch(f"{path}: expected a nested array matrix")
     _check_finite(M, path)
     if not symmetric:
         return M
     if M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{path}: matrix is {M.shape[0]} x {M.shape[1]}, not square")
+        raise DimensionMismatch(f"{path}: matrix is {M.shape[0]} x {M.shape[1]}, not square")
     return linalg.check_symmetric(M, name=str(path))
 
 

@@ -16,10 +16,14 @@ Frobenius² term is folded into the prox of another term (of the cone when
 there is none), so Frobenius² alone runs one block and the composite
 "operator norm + Frobenius²" two. The admissibility test runs on the range
 of S: every feasible witness is T = R X R^T with S = R R^T and 0 <= X <= I_r,
-so each step takes one r x r eigendecomposition, and the projection onto its
-pair constraints is a warm-started least-squares solve by conjugate
-gradients whose cost does not grow with the number of pairs; it always runs
-to the optimum, and its verdict compares the optimum with 1e-5 (1 + tr S).
+so it runs one block, the box projection of V - t L, which is the prox of
+the linear objective <L, X> plus the box indicator (Parikh & Boyd 2014,
+Proximal Algorithms, 2.2): one r x r eigendecomposition per step. The
+projection onto its pair constraints is a warm-started least-squares solve
+by conjugate gradients whose cost does not grow with the number of pairs; it
+always runs to the optimum, and its verdict compares the optimum with
+1e-5 (1 + tr S). The bound program keeps its targeted term as a block of
+its own: unlike the unitless X program, its scale follows the units of A.
 ``SolverReport.iterations`` counts map evaluations, so it measures the
 eigendecomposition work of a solve. With ``VARBOUND_LOG=debug`` each solve
 logs one line on the ``varbound.solver`` logger: map evaluations, accepted
@@ -33,6 +37,7 @@ import logging
 import math
 import warnings
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -206,30 +211,19 @@ class AdmissibilityVerdict:
 # -- consensus ADMM core -----------------------------------------------------------
 
 
-def _checked_omega(omega, dim):
+def _omega_index(omega, dim):
     """The unordered pairs k <= l of omega, each index checked against the
-    matrix dimension."""
-    pairs = {(k, l) if k <= l else (l, k) for k, l in omega}
+    matrix dimension, sorted, as index arrays (ks, ls), and the row and
+    column indices (rows, cols) of their entries in both triangles."""
+    pairs = sorted({(k, l) if k <= l else (l, k) for k, l in omega})
     for k, l in pairs:
         if k < 0 or l >= dim:
             raise DimensionMismatch(
                 f"unobservable pair ({k}, {l}) is out of range for a {dim}x{dim} matrix")
-    return pairs
-
-
-def _omega_pairs(omega, dim):
-    """The checked pairs of omega, sorted, as two index arrays k <= l."""
-    pairs = sorted(_checked_omega(omega, dim))
     ks = np.array([k for k, _ in pairs], dtype=np.intp)
     ls = np.array([l for _, l in pairs], dtype=np.intp)
-    return ks, ls
-
-
-def _omega_index_arrays(ks, ls):
-    """Row and column indices of every omega entry, both triangles, from the
-    pair arrays of ``_omega_pairs``."""
     off = ks != ls
-    return np.concatenate([ks, ls[off]]), np.concatenate([ls, ks[off]])
+    return ks, ls, np.concatenate([ks, ls[off]]), np.concatenate([ls, ks[off]])
 
 
 # residual balancing (Stellato et al. 2020, OSQP) runs on a fixed iteration
@@ -427,11 +421,35 @@ def _consensus_admm(blocks, Z0, onto, config, accept=None, context=""):
     return _AdmmExit(fx[0], r_norm, s_norm, it, converged, rho, rho_changes)
 
 
+def _finish(exit_, program, make_result, objective_value, min_eig_slack, max_omega_violation):
+    """The program's result, ``make_result(report)``, with the SolverReport of
+    the loop's exit state and the program's certificate; raises MaxIterations
+    carrying that result when the loop did not converge."""
+    result = make_result(SolverReport(
+        iterations=exit_.iterations,
+        primal_residual=exit_.primal,
+        dual_residual=exit_.dual,
+        objective_value=objective_value,
+        min_eig_slack=min_eig_slack,
+        max_omega_violation=max_omega_violation,
+        converged=exit_.converged,
+        rho_changes=exit_.rho_changes,
+        final_rho=exit_.rho,
+    ))
+    if not exit_.converged:
+        raise MaxIterations(
+            f"{program} hit {exit_.iterations} iterations "
+            f"(primal {exit_.primal:.2e}, dual {exit_.dual:.2e})",
+            result=result,
+        )
+    return result
+
+
 def _term_prox(term, weight, A):
     """Prox closure for one weighted targeted or Schatten term at step t."""
     if isinstance(term, TargetedTerm):
         W = weight * term.W
-        return lambda V, t: linalg.prox_linear(V, t, W)
+        return lambda V, t: V - t * W
     if isinstance(term, SchattenTerm):
         p = term.p
         return lambda V, t: linalg._prox_schatten(V + A, t * weight, p) - A
@@ -504,9 +522,9 @@ def solve_optvb(problem, objective, config=None):
     unit = _unit(A)
     config = replace(config, eps_abs=config.eps_abs * unit,
                      feasibility_tol=config.feasibility_tol * unit)
-    rows, cols = _omega_index_arrays(*_omega_pairs(problem.omega, len(A)))
-    for k, l in problem.omega:
-        if k == l and A[k, k] > config.feasibility_tol:
+    ks, ls, rows, cols = _omega_index(problem.omega, len(A))
+    for k in ks[ks == ls].tolist():
+        if A[k, k] > config.feasibility_tol:
             raise Infeasible(
                 f"diagonal index {k} is unobservable but A[{k},{k}] = {A[k, k]:.3e} > 0; "
                 "no positive semidefinite slack can cancel a positive diagonal "
@@ -526,27 +544,9 @@ def solve_optvb(problem, objective, config=None):
     )
 
     S_star = exit_.Z
-    B_star = A + S_star
     omega_violation = float(np.abs(S_star[rows, cols] + A[rows, cols]).max()) if rows.size else 0.0
-    report = SolverReport(
-        iterations=exit_.iterations,
-        primal_residual=exit_.primal,
-        dual_residual=exit_.dual,
-        objective_value=objective.value(S_star, A),
-        min_eig_slack=linalg.min_eigenvalue(S_star),
-        max_omega_violation=omega_violation,
-        converged=exit_.converged,
-        rho_changes=exit_.rho_changes,
-        final_rho=exit_.rho,
-    )
-    result = BoundResult(S_star=S_star, B_star=B_star, report=report)
-    if not exit_.converged:
-        raise MaxIterations(
-            f"bound solver hit {config.max_iterations} iterations "
-            f"(primal {exit_.primal:.2e}, dual {exit_.dual:.2e})",
-            result=result,
-        )
-    return result
+    return _finish(exit_, "bound solver", partial(BoundResult, S_star, A + S_star),
+                   objective.value(S_star, A), linalg.min_eigenvalue(S_star), omega_violation)
 
 
 def _range_slice(R, ks, ls):
@@ -621,14 +621,16 @@ def test_admissibility(S, omega, config=None):
     T <= S forces the null space of S into that of T, so every feasible T is
     R X R^T with S = R R^T (R = V_r Lambda_r^(1/2) over the r eigenvalues of S
     above tol = feasibility_tol * max(1, ||S||_F)) and 0 <= X <= I_r. The
-    program is solved in X: minimize <Lambda_r / lambda_max, X> over that box,
-    subject to the omega entries of R X R^T, by consensus ADMM with an r x r
-    box projection, a linear prox and the projection onto the omega slice
-    (``_range_slice``). It is unitless, so its iterations do not depend on the
-    units of S. Eigenvalues of S within tol are dropped, which moves alpha by
-    at most their sum. An S with r = 0 is answered in closed form: T = S, alpha
-    = 0. The feasibility checks run on the d x d witness T, and the returned
-    witness carries the caller's omega entries.
+    program is solved in X: minimize <L, X>, L = Lambda_r / lambda_max, over
+    that box, subject to the omega entries of R X R^T, by consensus ADMM with
+    one block, the prox of <L, .> plus the box indicator, which is the r x r
+    box projection of V - t L, and the projection onto the omega slice
+    (``_range_slice``) in the consensus step. It is unitless, so its
+    iterations do not depend on the units of S. Eigenvalues of S within tol
+    are dropped, which moves alpha by at most their sum. An S with r = 0 is
+    answered in closed form: T = S, alpha = 0. The feasibility checks run on
+    the d x d witness T, and the returned witness carries the caller's omega
+    entries.
 
     An omega slice that pins the box to its boundary may converge slowly or
     hit the iteration cap; the MaxIterations error then carries the best
@@ -637,8 +639,7 @@ def test_admissibility(S, omega, config=None):
     """
     config = config or SolverConfig()
     S = linalg.check_symmetric(S, name="S")
-    ks, ls = _omega_pairs(omega, len(S))
-    rows, cols = _omega_index_arrays(ks, ls)
+    ks, ls, rows, cols = _omega_index(omega, len(S))
     tol = config.feasibility_tol * max(1.0, float(np.linalg.norm(S)))
     w, Q = linalg._eigh(S)
     if w.size and w[0] < -tol:
@@ -666,11 +667,8 @@ def test_admissibility(S, omega, config=None):
 
     if rank:
         lam_hat = lam / lam[-1]
-        L = np.diag(lam_hat)
-        blocks = [
-            lambda V, t: linalg._project_unit_box(V),
-            lambda V, t: V - t * L,  # minimize trace(T) / lambda_max
-        ]
+        L = np.diag(lam_hat)  # <L, X> = trace(T) / lambda_max
+        blocks = [lambda V, t: linalg._project_unit_box(V - t * L)]
         onto = _range_slice(Q[:, keep] * np.sqrt(lam_hat), ks, ls)
         exit_ = _consensus_admm(blocks, np.eye(rank), onto, config,
                                 accept=witness_feasible, context=context)
@@ -684,31 +682,9 @@ def test_admissibility(S, omega, config=None):
     # caller's by at most the dropped eigenvalues
     witness[rows, cols] = S[rows, cols]
     alpha = trace_S - float(np.trace(witness))
-    report = SolverReport(
-        iterations=exit_.iterations,
-        primal_residual=exit_.primal,
-        dual_residual=exit_.dual,
-        objective_value=alpha,
-        min_eig_slack=linalg.min_eigenvalue(witness),
-        max_omega_violation=0.0,
-        converged=exit_.converged,
-        rho_changes=exit_.rho_changes,
-        final_rho=exit_.rho,
-    )
-    verdict = AdmissibilityVerdict(
-        alpha=alpha,
-        witness=witness,
-        admissible=bool(alpha <= decision_tol),
-        slack_rank=rank,
-        report=report,
-    )
-    if not exit_.converged:
-        raise MaxIterations(
-            f"admissibility test hit {config.max_iterations} iterations "
-            f"(primal {exit_.primal:.2e}, dual {exit_.dual:.2e})",
-            result=verdict,
-        )
-    return verdict
+    make_verdict = partial(AdmissibilityVerdict, alpha, witness, bool(alpha <= decision_tol), rank)
+    return _finish(exit_, "admissibility test", make_verdict,
+                   alpha, linalg.min_eigenvalue(witness), 0.0)
 
 
 # -- closed-form bounds and targeting matrices ---------------------------------------
@@ -749,10 +725,10 @@ def generalized_as_slack(A, omega, W):
     w = np.diag(W)
     if np.any(w <= 0):
         raise NonPositiveWeight(f"diagonal weights must be positive, got min {w.min()!r}")
-    pairs = _checked_omega(omega, len(A))
-    pinned = {k for k, l in pairs if k == l}
+    ks, ls, _, _ = _omega_index(omega, len(A))
+    pinned = set(ks[ks == ls].tolist())
     S = np.zeros_like(A)
-    for k, l in pairs:
+    for k, l in zip(ks.tolist(), ls.tolist()):
         if k == l:
             continue
         for i in (k, l):
@@ -848,7 +824,7 @@ def validate_bound(A, B, omega, tol=1e-7):
     if A.shape != B.shape:
         raise DimensionMismatch(f"A shape {A.shape} != B shape {B.shape}")
     min_eig_gap = linalg.min_eigenvalue(linalg.symmetrize(B - A))
-    rows, cols = _omega_index_arrays(*_omega_pairs(omega, len(A)))
+    _, _, rows, cols = _omega_index(omega, len(A))
     max_entry = float(np.abs(B[rows, cols]).max()) if rows.size else 0.0
     return BoundValidation(
         conservative=bool(min_eig_gap >= -tol),

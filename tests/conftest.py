@@ -15,7 +15,7 @@ from varbound import (
 )
 from varbound.errors import MaxIterations
 from varbound.experiment import REGRESSION_RCOND
-from varbound.solver import _consensus_admm, _omega_index_arrays, _omega_pairs, _unit
+from varbound.solver import _consensus_admm, _omega_index, _unit
 
 # reference matrices for the two-voter example: one of two units is targeted
 # at random, the other is indirectly exposed through their tie
@@ -183,7 +183,7 @@ def ref_admissibility(S, omega, config=None):
     trace_S = float(np.trace(S))
     unit = _unit(S)
     S_hat = (linalg._project_psd(S) if linalg.min_eigenvalue(S) < 0.0 else S) / unit
-    rows, cols = _omega_index_arrays(*_omega_pairs(omega, len(S)))
+    _, _, rows, cols = _omega_index(omega, len(S))
     values = S_hat[rows, cols]
     eye = np.eye(len(S))
     blocks = [

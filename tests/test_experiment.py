@@ -88,9 +88,6 @@ class TestEnumerate:
     def test_support_cap(self):
         with pytest.raises(SupportTooLarge):
             enumerate_assignments(Design.bernoulli(30, 0.5))
-        # explicit cap override
-        with pytest.raises(SupportTooLarge):
-            enumerate_assignments(Design.bernoulli(4, 0.5), max_support=8)
 
     def test_probabilities_sum_to_one(self):
         for d in (

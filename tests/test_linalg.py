@@ -203,11 +203,14 @@ def _frobenius_block(A):
     return block
 
 
-class TestProx:
-    def test_linear_closed_form(self):
-        out = linalg.prox_linear(np.zeros((2, 2)), 1.0, np.eye(2))
-        assert np.allclose(out, -np.eye(2))
+def _linear_block(W, A):
+    """The bound program's block for a targeted term <X, W>: the prox of the
+    linear term, V - t W."""
+    _, block = _objective_blocks(Objective.targeted(W), A)
+    return block
 
+
+class TestProx:
     def test_nuclear_soft_threshold(self):
         out = linalg._prox_schatten(np.diag([3.0, -1.0]), 1.0, 1)
         assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
@@ -291,7 +294,7 @@ class TestProx:
         A = random_psd(rng, dim)
         W = random_symmetric(rng, dim)
         t = 0.9
-        X = linalg.prox_linear(M, t, W)
+        X = _linear_block(W, A)(M, t)
         val = _prox_objective(lambda Y: float(np.sum(Y * W)), X, M, t)
         # Frobenius² alone folds into the PSD projection, so its competitors
         # are the perturbed points projected back onto the cone

@@ -23,7 +23,7 @@ from varbound import (
 )
 from varbound.errors import (
     AsymmetricInput,
-    DimensionError,
+    DimensionMismatch,
     InvalidDesign,
     ParseError,
     SingularRegression,
@@ -47,7 +47,7 @@ class TestMatrixIo:
     def test_nonsquare_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2,3,4\n5,6,7,8\n9,10,11,12\n")
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionMismatch):
             matrixio.read_matrix(path)
 
     def test_asymmetric_rejected(self, tmp_path):
