@@ -48,23 +48,6 @@ def _digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _report(command, inputs, outputs, metrics, started):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "metrics": metrics,
-        "wall_time_s": time.monotonic() - started,
-    }
-
-
-def _write_report(report, out_dir):
-    path = Path(out_dir) / "report.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _seed(scn, args):
     """The run's Monte Carlo seed: --seed, else the scenario's, else 0."""
     return args.seed if args.seed is not None else scn.mode.get("seed", 0)
@@ -92,7 +75,7 @@ def _build(scn, args):
     return problem, table, kwargs
 
 
-def cmd_probe(scn, args, out_dir, started, inputs):
+def cmd_probe(scn, args, out_dir, inputs):
     problem, table, kwargs = _build(scn, args)
     fmt = args.format
     outputs = {
@@ -111,9 +94,7 @@ def cmd_probe(scn, args, out_dir, started, inputs):
         "trace_A": float(np.trace(problem.A)),
         "min_eig_A": linalg.min_eigenvalue(problem.A),
     }
-    report = _report("probe", inputs, outputs, metrics, started)
-    _write_report(report, out_dir)
-    return EXIT_OK, report
+    return EXIT_OK, outputs, metrics
 
 
 def _solve(scn, problem):
@@ -121,7 +102,7 @@ def _solve(scn, problem):
     return solver.solve_optvb(problem, objective, scn.solver)
 
 
-def cmd_bound(scn, args, out_dir, started, inputs):
+def cmd_bound(scn, args, out_dir, inputs):
     problem, table, kwargs = _build(scn, args)
     result = _solve(scn, problem)
     fmt = args.format
@@ -138,12 +119,10 @@ def cmd_bound(scn, args, out_dir, started, inputs):
         **result.report.as_dict(),
         **check.as_dict(),
     }
-    report = _report("bound", inputs, outputs, metrics, started)
-    _write_report(report, out_dir)
-    return EXIT_OK, report
+    return EXIT_OK, outputs, metrics
 
 
-def cmd_admissible(scn, args, out_dir, started, inputs):
+def cmd_admissible(scn, args, out_dir, inputs):
     S = matrixio.read_matrix(args.slack)
     inputs["slack"] = _digest(args.slack)
     if S.shape != (2 * scn.n, 2 * scn.n):
@@ -164,17 +143,13 @@ def cmd_admissible(scn, args, out_dir, started, inputs):
     }
     outputs = {}
     if out_dir is not None:
-        outputs["witness"] = str(
-            matrixio.write_matrix(verdict.witness, Path(out_dir) / f"witness.{args.format}", args.format)
-        )
-    report = _report("admissible", inputs, outputs, metrics, started)
-    if out_dir is not None:
-        _write_report(report, out_dir)
+        path = Path(out_dir) / f"witness.{args.format}"
+        outputs["witness"] = str(matrixio.write_matrix(verdict.witness, path, args.format))
     print(json.dumps({"alpha": verdict.alpha, "admissible": verdict.admissible}))
-    return (EXIT_OK if verdict.admissible else EXIT_INADMISSIBLE), report
+    return (EXIT_OK if verdict.admissible else EXIT_INADMISSIBLE), outputs, metrics
 
 
-def cmd_estimate(scn, args, out_dir, started, inputs):
+def cmd_estimate(scn, args, out_dir, inputs):
     if scn.realized is None:
         raise VarboundError("estimate needs realized data in the scenario")
     estimation.validate_realized(scn.realized, scn.model)
@@ -222,11 +197,8 @@ def cmd_estimate(scn, args, out_dir, started, inputs):
             )
         except SupportTooLarge:
             metrics["empirical_mse_at_theta"] = None
-    report = _report("estimate", inputs, {}, metrics, started)
-    if out_dir is not None:
-        _write_report(report, out_dir)
     print(json.dumps({"bound_estimate": estimate}))
-    return EXIT_OK, report
+    return EXIT_OK, {}, metrics
 
 
 def _print_matrix(name, M):
@@ -234,14 +206,14 @@ def _print_matrix(name, M):
     print(np.array2string(np.asarray(M), precision=6, suppress_small=True))
 
 
-def cmd_demo(args, out_dir, started):
+def cmd_demo(args):
     """Reproduce the two-voter worked example end to end and check every step."""
     if args.name != "illustration":
         raise VarboundError(f"unknown demo {args.name!r}; available: illustration")
-    checks = []
+    checks = {}
 
     def check(label, ok):
-        checks.append((label, bool(ok)))
+        checks[label] = bool(ok)
         print(f"[{'PASS' if ok else 'FAIL'}] {label}")
 
     design = experiment.Design.explicit([((1, 0), 0.5), ((0, 1), 0.5)])
@@ -298,14 +270,7 @@ def cmd_demo(args, out_dir, started):
     check(f"bound estimator is unbiased by enumeration (max gap {worst:.2e})",
           worst < 1e-10)
 
-    ok = all(flag for _, flag in checks)
-    if out_dir is not None:
-        report = _report(
-            "demo", {}, {},
-            {label: flag for label, flag in checks}, started,
-        )
-        _write_report(report, out_dir)
-    return EXIT_OK if ok else EXIT_ERROR
+    return (EXIT_OK if all(checks.values()) else EXIT_ERROR), {}, checks
 
 
 def scn_config():
@@ -368,22 +333,25 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     started = time.monotonic()
-    out_dir = args.out
+    out_dir, inputs = args.out, {}
     try:
         if args.command == "demo":
-            return cmd_demo(args, out_dir, started)
-        config_path = resolve_config_path(args.config)
-        scn = parse_scenario(config_path)
-        inputs = {"config": _digest(config_path)}
-        if out_dir is None and args.command in ("probe", "bound"):
-            out_dir = "out"
-        handler = {
-            "probe": cmd_probe,
-            "bound": cmd_bound,
-            "admissible": cmd_admissible,
-            "estimate": cmd_estimate,
-        }[args.command]
-        code, report = handler(scn, args, out_dir, started, inputs)
+            code, outputs, metrics = cmd_demo(args)
+        else:
+            config_path = resolve_config_path(args.config)
+            scn = parse_scenario(config_path)
+            inputs["config"] = _digest(config_path)
+            if out_dir is None and args.command in ("probe", "bound"):
+                out_dir = "out"
+            handler = {"probe": cmd_probe, "bound": cmd_bound, "admissible": cmd_admissible,
+                       "estimate": cmd_estimate}[args.command]
+            code, outputs, metrics = handler(scn, args, out_dir, inputs)
+        if out_dir is not None:  # the one report.json of every command
+            report = {"command": args.command, "inputs": inputs, "outputs": outputs,
+                      "metrics": metrics, "wall_time_s": time.monotonic() - started}
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            (Path(out_dir) / "report.json").write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n")
         log.info("%s finished with exit code %d", args.command, code)
         return code
     except VarboundError as exc:

@@ -1,9 +1,11 @@
 """Estimating a variance bound from realized data, and the precision
 diagnostics that guide which bound to pick in the first place.
 
-The estimator is inverse-pair-probability weighting over the observed
-coordinates of theta: a bound whose coefficients vanish on every never-jointly-
-observed pair is estimated without bias.
+The estimator weights each observed pair by 1 / P2: with y the observed
+outcomes (0 elsewhere) and M = B / P2 on the support of B, it is y' M y / n^2,
+one kernel for a realized assignment (``ht_bound_estimate``) and for every
+assignment (``empirical_mse``). A bound whose coefficients vanish on every
+never-jointly-observed pair is estimated without bias.
 
 The diagnostics Cov(R) and the empirical MSE average over the same
 assignment blocks as the design moments in ``experiment``, with the same
@@ -17,9 +19,8 @@ through ``experiment._weighted_moments``, which counts them in blocks of
 equal weights, and the 1 / P2 scales apply once at the end. So the modes
 differ only in the rows they count, the design's support or the draws, and
 ``varbound estimate`` picks by that count: Cov(R) is exact when the support
-has at most RCOV_DRAWS rows, and runs on RCOV_DRAWS draws otherwise. The top
-eigenvalue comes from Lanczos with full reorthogonalization on the
-covariance's matvec.
+has at most RCOV_DRAWS rows, and runs on RCOV_DRAWS draws otherwise. Its top
+eigenvalue comes from Lanczos with full reorthogonalization.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .experiment import (
     _as_theta,
     _AssignmentBlocks,
     _observation_matrix,
-    _second_order_table,
+    _variance_build,
     _weighted_moments,
     enumerate_assignments,  # noqa: F401  (in this namespace; the benchmark tracer wraps it here)
     observation_indices,
@@ -131,12 +132,14 @@ def _check_bound_shape(B, table):
         raise DimensionMismatch(f"B shape {B.shape} != P2 shape {shape}")
 
 
-def _check_bound_compatible(B, support, table, threshold_c):
-    """Raise IncompatibleBound if the symmetric B has weight on a pair observed
-    with probability at most threshold_c; ``support`` is ``_support_mask(B)``,
-    whose tolerance sets the relative size below which a coefficient counts
-    as structurally zero."""
+def _estimator_matrix(B, table, threshold_c, support_tol=SUPPORT_TOL):
+    """M = B / P2 on the support of the symmetric B (``_support_mask``) and 0
+    elsewhere, so that the bound estimate from outcomes y, zero where not
+    observed, is y' M y / n^2 (``_bound_estimates``). Raises DimensionMismatch
+    when B and P2 differ in shape, and IncompatibleBound if B has weight on a
+    pair observed with probability at most threshold_c."""
     _check_bound_shape(B, table)
+    support = _support_mask(B, support_tol)
     P2 = np.asarray(table.P2, dtype=float)
     bad = support & (P2 <= threshold_c)
     if np.any(bad):
@@ -146,31 +149,30 @@ def _check_bound_compatible(B, support, table, threshold_c):
             f"probability {P2[k, l]!r} <= {threshold_c}; the bound cannot be "
             "estimated without bias under this design"
         )
+    return np.divide(B, P2, out=np.zeros_like(B), where=support)
+
+
+def _bound_estimates(M, Y, n):
+    """The bound estimate y' M y / n^2 of each row y of Y."""
+    return np.einsum("ij,ij->i", Y @ M, Y) / float(n) ** 2
 
 
 def ht_bound_estimate(B, data, table, n, threshold_c=0.0, support_tol=SUPPORT_TOL):
     """Inverse-pair-probability estimate of the bound value theta' B theta / n^2.
 
     Sums B[k, l] theta_k theta_l / P2[k, l] over pairs of observed indices,
-    skipping structurally zero coefficients. The bound must vanish on every
+    skipping structurally zero coefficients: y' M y / n^2 with y the observed
+    outcomes (0 elsewhere) and M from ``_estimator_matrix``, the kernel
+    ``empirical_mse`` runs on every assignment. The bound must vanish on every
     pair with joint observation probability at most ``threshold_c``.
     """
-    B = linalg.check_symmetric(B, name="B")
-    support = _support_mask(B, support_tol)
-    _check_bound_compatible(B, support, table, threshold_c)
-    P2 = np.asarray(table.P2, dtype=float)
+    M = _estimator_matrix(linalg.check_symmetric(B, name="B"), table, threshold_c, support_tol)
     idx = sorted(data.outcomes)
-    if any(not 0 <= k < B.shape[0] for k in idx):
-        raise MissingOutcome(f"outcome index outside 0..{B.shape[0] - 1}: {idx}")
-    vals = np.array([data.outcomes[k] for k in idx])
-    sub_B = B[np.ix_(idx, idx)]
-    sub_P = P2[np.ix_(idx, idx)]
-    mask = support[np.ix_(idx, idx)]
-    total = 0.0
-    if np.any(mask):
-        outer = np.outer(vals, vals)
-        total = float(np.sum(sub_B[mask] * outer[mask] / sub_P[mask]))
-    return total / float(n) ** 2
+    if any(not 0 <= k < len(M) for k in idx):
+        raise MissingOutcome(f"outcome index outside 0..{len(M) - 1}: {idx}")
+    y = np.zeros((1, len(M)))
+    y[0, idx] = [data.outcomes[k] for k in idx]
+    return float(_bound_estimates(M, y, n)[0])
 
 
 def _r_pairs(B, table, support_tol=SUPPORT_TOL):
@@ -191,8 +193,8 @@ def _r_moments(model, blocks, pairs):
     through ``_weighted_moments`` as 0/1 rows; the scales apply after, as
     s E[ind] and diag(s) E[ind ind'] diag(s)."""
     k, l, scale = pairs
-    mean, second = _weighted_moments(
-        blocks, lambda Z: (obs := _observation_matrix(model, Z))[:, k] & obs[:, l])
+    [(mean, second)] = _weighted_moments(
+        blocks, lambda Z: ((obs := _observation_matrix(model, Z))[:, k] & obs[:, l],))
     second *= np.outer(scale, scale)
     return mean * scale, second
 
@@ -258,7 +260,7 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
     started = time.perf_counter()
     blocks = _AssignmentBlocks(design, mode, count, seed)
     if table is None:
-        table = _second_order_table(model, blocks)
+        table = _variance_build(blocks, model, None)[1]
     _check_bound_shape(B, table)
     pairs = _r_pairs(B, table, support_tol)
     mean, second = _r_moments(model, blocks, pairs)
@@ -340,20 +342,17 @@ def empirical_mse(design, model, B, table=None, theta=None, mode="exact", count=
         raise InvalidDesign("empirical_mse needs a full outcome vector theta")
     blocks = _AssignmentBlocks(design, mode, count, seed)
     if table is None:
-        table = _second_order_table(model, blocks)
+        table = _variance_build(blocks, model, None)[1]
     B = linalg.check_symmetric(B, name="B")
-    support = _support_mask(B)
-    _check_bound_compatible(B, support, table, threshold_c)
+    M = _estimator_matrix(B, table, threshold_c)
     theta = np.asarray(theta, dtype=float)
-    n = model.n
-    target = linalg.quadratic_form_value(B, theta, n)
-    M = np.divide(B, table.P2, out=np.zeros_like(B), where=support)
+    target = linalg.quadratic_form_value(B, theta, model.n)
 
     def error(Z):
         Y = _observation_matrix(model, Z) * theta
-        return (np.einsum("ij,ij->i", Y @ M, Y) / float(n) ** 2 - target)[:, None]
+        return ((_bound_estimates(M, Y, model.n) - target)[:, None],)
 
-    _, mse = _weighted_moments(blocks, error)
+    [(_, mse)] = _weighted_moments(blocks, error)
     return float(mse[0, 0])
 
 

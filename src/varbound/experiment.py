@@ -28,7 +28,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -758,23 +757,25 @@ class _AssignmentBlocks:
             yield Z, w
 
 
-def _weighted_moments(blocks, *rows):
-    """Weighted mean and second moment, E[x] and E[x x'], of the rows x = f(Z)
-    of each function f in ``rows``, over the (Z, w) blocks in one pass. Within
-    a block the functions run in the order given. Returns (mean, second) for
-    one function and a list of such pairs for several.
+def _weighted_moments(blocks, rows):
+    """Weighted mean and second moment, E[x] and E[x x'], over the (Z, w)
+    blocks in one pass, of each matrix of rows x in the tuple ``rows(Z)``.
+    Returns a list with one (mean, second) pair per matrix, in tuple order.
 
     Boolean rows C are 0/1, and counted in a block whose weights all equal w0:
     the exact float32 syrk C'C (counts <= BLOCK_ROWS < 2^24) adds up in float64
     over the blocks of weight w0, and w0 times the sum (its diagonal for the
     mean) joins the moments at the end. Other rows, and unequal-weight blocks,
-    take float64 weighted sums; ``blocks.counted`` adds up the rows counted."""
-    total = 0.0
-    sums = [[0.0, 0.0, {}] for _ in rows]  # mean, second, w0 -> summed C'C
+    take float64 weighted sums; ``blocks.counted`` adds up the rows counted.
+    Each matrix is dropped from the tuple once read, so a boolean matrix is
+    freed as soon as its float32 copy exists, and the copy once counted."""
+    total, sums = 0.0, []  # per matrix: mean, second, w0 -> summed C'C
     for Z, w in blocks:
         total += w.sum()
-        for f, acc in zip(rows, sums):
-            X = f(Z)
+        Xs = list(rows(Z))
+        sums = sums or [[0.0, 0.0, {}] for _ in Xs]
+        for i, acc in enumerate(sums):
+            X, Xs[i] = Xs[i], None  # now the only reference
             if X.dtype == bool and w.min() == w.max():
                 X = X.astype(np.float32)
                 gram = acc[2].setdefault(w[0], np.zeros((X.shape[1],) * 2))
@@ -784,26 +785,17 @@ def _weighted_moments(blocks, *rows):
                 X = X.astype(float, copy=False)
                 acc[0] += w @ X
                 acc[1] += (X * w[:, None]).T @ X
+            del X  # before the next matrix, or the next block's rows
     for acc in sums:
         for w0, gram in acc.pop().items():
             acc[:] = acc[0] + w0 * np.diag(gram), acc[1] + w0 * gram
-    moments = [(mean / total, second / total) for mean, second in sums]
-    return moments[0] if len(rows) == 1 else moments
-
-
-def _table_from(P2, provenance):
-    return SecondOrderTable(P2=linalg.symmetrize(P2), provenance=provenance)
-
-
-def _second_order_table(model, blocks):
-    _, P2 = _weighted_moments(blocks, partial(_observation_matrix, model))
-    return _table_from(P2, blocks.provenance)
+    return [(mean / total, second / total) for mean, second in sums]
 
 
 def pair_observation_probabilities(design, model, mode="exact", count=None, seed=None):
     """SecondOrderTable of joint observation probabilities; the first-order
     probabilities are its diagonal, ``.pi``."""
-    return _variance_build(design, model, None, mode, count, seed)[1]
+    return _variance_build(_AssignmentBlocks(design, mode, count, seed), model, None)[1]
 
 
 def _check_groups(kind, Z, sa, sb):
@@ -905,44 +897,42 @@ def _ht_covariance(table):
     return table.P2 * np.outer(inv, inv) - np.outer(s * seen, s * seen)
 
 
-def _variance_build(design, model, spec, mode, count, seed):
-    """(A, SecondOrderTable, provenance) from one set of assignments.
+def _variance_build(blocks, model, spec):
+    """(A, SecondOrderTable) from one set of assignments, the ``blocks``.
 
-    Estimators whose coefficients do not read pi (difference-in-means, ols,
-    lin) average P2 and their coefficient moments in the same pass.
-    Horvitz-Thompson reads A off P2; Hajek and greg need pi = diag(P2) first,
-    so they average their coefficients in a second pass. ``spec=None`` builds
-    P2 alone and returns A = None. Logs one debug line: the rows, those the P2
-    pass counted and, for ols and lin, those whose regression took the SVD.
+    Each block's observation matrix is formed once: P2 counts it, and the
+    estimators whose coefficients do not read pi (difference-in-means, ols,
+    lin) take their coefficients from it in the same pass. Horvitz-Thompson
+    reads A off P2; Hajek and greg need pi = diag(P2) first, so they average
+    their coefficients in a second pass. ``spec=None`` builds P2 alone and
+    returns A = None. Logs one debug line: the rows, those the P2 pass counted
+    and, for ols and lin, those whose regression took the SVD.
     """
     started = time.perf_counter()
-    blocks = _AssignmentBlocks(design, mode, count, seed)
-    work, last = _CoefficientPass(), []
+    work = _CoefficientPass()
+    one_pass = spec is not None and spec.kind in _PI_FREE_KINDS
 
-    def observed(Z):  # P2's rows, which the coefficients of the same block reuse
-        last.append(_observation_matrix(model, Z))
-        return last[-1]
+    def rows(Z):
+        obs = _observation_matrix(model, Z)
+        return (obs, _batch_coefficients(spec, model, Z, None, work, obs)) if one_pass else (obs,)
 
-    if spec is not None and spec.kind in _PI_FREE_KINDS:
-        # P2's rows first in each block: within a block, errors come as in two passes
-        (_, P2), moments = _weighted_moments(blocks, observed, lambda Z: _batch_coefficients(
-            spec, model, Z, None, work, last.pop()))
-    else:
-        (_, P2), moments = _weighted_moments(blocks, partial(_observation_matrix, model)), None
-    table, counted = _table_from(P2, blocks.provenance), blocks.counted
+    (_, P2), *moments = _weighted_moments(blocks, rows)
+    table = SecondOrderTable(P2=linalg.symmetrize(P2), provenance=blocks.provenance)
+    counted = blocks.counted
     if spec is None:
         A, source = None, "not built"
     elif spec.kind == "horvitz-thompson":
         A, source = _ht_covariance(table), "from P2"
     else:
         A = _covariance(*(moments or _weighted_moments(
-            blocks, lambda Z: _batch_coefficients(spec, model, Z, table.pi, work))))
+            blocks, lambda Z: (_batch_coefficients(spec, model, Z, table.pi, work),)))[0])
         source = "from coefficients"
     if spec is not None and spec.kind in ("ols", "lin"):
         source += f", regression rows by SVD {work.svd_rows} of {blocks.rows}"
-    log.debug("build: mode %s, %d rows (%d counted), passes %d, A %s, %.3f s", mode,
-              blocks.rows, counted, blocks.passes, source, time.perf_counter() - started)
-    return A, table, blocks.provenance
+    log.debug("build: mode %s, %d rows (%d counted), passes %d, A %s, %.3f s",
+              table.provenance["mode"], blocks.rows, counted, blocks.passes, source,
+              time.perf_counter() - started)
+    return A, table
 
 
 def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
@@ -956,9 +946,10 @@ def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
     empirical covariance with the 1/count normalizer, which is positive
     semidefinite by construction.
     """
-    A, table, provenance = _variance_build(design, model, spec, mode, count, seed)
+    blocks = _AssignmentBlocks(design, mode, count, seed)
+    A, table = _variance_build(blocks, model, spec)
     problem = VarianceProblem(
-        n=model.n, A=A, omega=unobservable_pairs(table, threshold_c), provenance=provenance,
-        threshold_c=threshold_c,
+        n=model.n, A=A, omega=unobservable_pairs(table, threshold_c),
+        provenance=blocks.provenance, threshold_c=threshold_c,
     )
     return problem, table

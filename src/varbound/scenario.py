@@ -133,12 +133,21 @@ def _relative(base, value):
     return path if path.is_absolute() else Path(base).parent / path
 
 
+def _has_bool(value):
+    """Whether a JSON value is, or nests, a boolean (which Python takes as 0 or 1)."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def _parse_design(doc, n, findings):
     raw = doc.get("design")
     if not isinstance(raw, dict):
         findings.add("/design", "missing or not an object")
         return None
     kind = raw.get("kind")
+    for key in ("p", "m", "clusters", "pairs", "probabilities"):
+        if _has_bool(raw.get(key)):
+            findings.add("/design", f"{key} must hold numbers, got {raw[key]!r}")
+            return None
     try:
         if kind == "bernoulli":
             return Design.bernoulli(n, raw.get("p", 0.5))
@@ -328,6 +337,9 @@ def _parse_realized(doc, base, n, findings):
             if not 1 <= k <= 2 * n:
                 findings.add(f"/realized/outcomes/{key}", f"index out of range 1..{2 * n}")
                 return None
+            if k - 1 in converted:
+                findings.add(f"/realized/outcomes/{key}", f"coordinate {k} given twice")
+                return None
             converted[k - 1] = float(value)
             if not math.isfinite(converted[k - 1]):
                 findings.add(f"/realized/outcomes/{key}", f"must be finite, got {value!r}")
@@ -354,7 +366,7 @@ def parse_scenario(path):
         findings.add("", "scenario must be a JSON object")
         findings.raise_if_any()
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # type, not isinstance: a JSON boolean is an int
         findings.add("/n", f"must be a positive integer, got {n!r}")
         findings.raise_if_any()
 
@@ -362,7 +374,7 @@ def parse_scenario(path):
     model = _parse_exposure(doc, n, findings)
     estimator = _parse_estimator(doc, path, findings)
     threshold_c = doc.get("threshold_c", 0.0)
-    if not isinstance(threshold_c, (int, float)) or not 0 <= threshold_c < math.inf:
+    if type(threshold_c) not in (int, float) or not 0 <= threshold_c < math.inf:  # nor a boolean
         findings.add("/threshold_c", f"must be a finite nonnegative number, got {threshold_c!r}")
         threshold_c = 0.0
     mode = _parse_mode(doc, findings)

@@ -14,9 +14,11 @@ from varbound import (
     Objective,
     RealizedData,
     SolverConfig,
+    aronow_samii_slack,
     build_variance_problem,
     empirical_mse,
     enumerate_assignments,
+    estimation,
     estimation_gamma,
     estimator_value,
     ht_bound_estimate,
@@ -269,7 +271,7 @@ class TestRCovariance:
                 obs = _observation_matrix(model, Z).astype(float)
                 return (obs[:, :, None] * obs[:, None, :] / P2).reshape(len(Z), -1) * support
 
-            mean, second = _weighted_moments(blocks, ordered_rows)
+            [(mean, second)] = _weighted_moments(blocks, lambda Z: (ordered_rows(Z),))
             dense = float(np.linalg.eigvalsh(linalg.symmetrize(second - np.outer(mean, mean)))[-1])
             got = r_covariance_opnorm(design, model, B, table, mode, count, seed).opnorm_cov_R
             assert got == pytest.approx(dense, rel=1e-12 if mode == "exact" else 1e-10)
@@ -295,8 +297,8 @@ class TestRCovariance:
             pairs = _r_pairs(_compatible_bound(rng, table), table)
             mean, second = _r_moments(model, blocks, pairs)
             assert blocks.rows == 5000
-            ref_mean, ref_second = _weighted_moments(
-                blocks, lambda Z: _r_vectors(_observation_matrix(model, Z), pairs))
+            [(ref_mean, ref_second)] = _weighted_moments(
+                blocks, lambda Z: (_r_vectors(_observation_matrix(model, Z), pairs),))
             scale = float(np.abs(ref_second).max())
             assert np.abs(mean - ref_mean).max() <= 1e-14 * float(np.abs(ref_mean).max())
             assert np.abs(second - ref_second).max() <= 1e-14 * scale
@@ -325,8 +327,8 @@ class TestRCovariance:
         B = _compatible_bound(np.random.default_rng(8), table)
         pairs = _r_pairs(B, table)
         blocks = _AssignmentBlocks(design, mode, count, seed)
-        mean, second = _weighted_moments(
-            blocks, lambda Z: _r_vectors(_observation_matrix(model, Z), pairs))
+        [(mean, second)] = _weighted_moments(
+            blocks, lambda Z: (_r_vectors(_observation_matrix(model, Z), pairs),))
         dense = float(np.linalg.eigvalsh(second - np.outer(mean, mean))[-1])
         diag = r_covariance_opnorm(design, model, B, table, mode, count, seed)
         assert diag.opnorm_cov_R == pytest.approx(dense, rel=1e-12)
@@ -528,15 +530,38 @@ class TestPerAssignmentOracle:
             # the pair layout (sqrt(2) off the diagonal), so the quadratic
             # form of Cov(R) at v is n^4 Var(estimate)
             pairs = _r_pairs(B, table)
-            mean, second = _weighted_moments(
+            [(mean, second)] = _weighted_moments(
                 _AssignmentBlocks(design),
-                lambda Z: _r_vectors(_observation_matrix(model, Z), pairs),
+                lambda Z: (_r_vectors(_observation_matrix(model, Z), pairs),),
             )
             k, l, _ = pairs
             v = np.where(k == l, 1.0, math.sqrt(2.0)) * (B * np.outer(theta, theta))[k, l]
             cov_form = float(v @ second @ v - (mean @ v) ** 2)
             var = float(probs @ (ests - probs @ ests) ** 2) * n**4
             assert cov_form == pytest.approx(var, rel=1e-12, abs=1e-12 * float(v @ second @ v))
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_one_estimate_kernel_on_the_pool(self, mode, monkeypatch):
+        # ht_bound_estimate on each row that empirical_mse averages over (the
+        # support, or the draws) matches that row of empirical_mse's batch
+        batches, kernel = [], estimation._bound_estimates
+        monkeypatch.setattr(estimation, "_bound_estimates",
+                            lambda M, Y, n: batches.append(kernel(M, Y, n)) or batches[-1])
+        rng, theta_rng = np.random.default_rng(2021), np.random.default_rng(6)
+        for i in range(30):
+            design, model, spec = random_scenario(rng)
+            count, seed = (None, None) if mode == "exact" else (400, i)
+            problem, table = build_variance_problem(design, model, spec, 0.0, mode, count, seed)
+            B = problem.A + aronow_samii_slack(problem.A, problem.omega)
+            theta = theta_rng.normal(size=2 * model.n)
+            batches.clear()
+            empirical_mse(design, model, B, table, theta, mode, count, seed)
+            batch = np.concatenate(batches)
+            Z = np.concatenate([Z for Z, _ in _AssignmentBlocks(design, mode, count, seed)])
+            single = np.array([ht_bound_estimate(B, observe(model, z, theta), table, model.n)
+                               for z in Z])
+            assert len(single) == len(batch)
+            assert np.all(np.abs(single - batch) <= 1e-15 * np.abs(batch)), i
 
 
 class TestMseUpperBound:

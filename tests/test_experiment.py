@@ -52,10 +52,10 @@ from varbound.experiment import (
     _gauss_jordan_inverse,
     _observation_matrix,
     _regression_rows,
-    _second_order_table,
     _support_blocks,
     _support_rows,
     _svd_pinv_row,
+    _variance_build,
     _weighted_moments,
 )
 from conftest import (
@@ -805,16 +805,16 @@ def _two_pass(design, model, spec, **kwargs):
     covariance in a second over the same assignments. The reference for every
     estimator's build."""
     blocks = _AssignmentBlocks(design, **kwargs)
-    table = _second_order_table(model, blocks)
+    table = _variance_build(blocks, model, None)[1]
     A = _covariance(*_weighted_moments(
-        blocks, lambda Z: _batch_coefficients(spec, model, Z, table.pi)))
+        blocks, lambda Z: (_batch_coefficients(spec, model, Z, table.pi),))[0])
     return A, table
 
 
 def _observation_moments(blocks, model, dtype):
     """E[x] and E[x x'] of the observation rows, given to the kernel as
     ``dtype``: bool rows may be counted, float rows are always weighted."""
-    return _weighted_moments(blocks, lambda Z: _observation_matrix(model, Z).astype(dtype))
+    return _weighted_moments(blocks, lambda Z: (_observation_matrix(model, Z).astype(dtype),))[0]
 
 
 class TestCountingKernel:
@@ -894,6 +894,30 @@ class TestCountingKernel:
         for x, y in zip(counted, weighted):
             assert np.abs(x - y).max() <= 1e-15
 
+    def test_counting_frees_each_boolean_block(self):
+        # one block of 800 fresh boolean columns, as Cov(R) counts at n = 20:
+        # the traced peak holds the float32 copy and the Gram matrices (the
+        # float64 sum and the float32 product), not the boolean block as well
+        class OneBlock:
+            counted = 0
+
+            def __iter__(self):
+                yield np.zeros((BLOCK_ROWS, 1)), np.full(BLOCK_ROWS, 1.0 / BLOCK_ROWS)
+
+        rng, cols = np.random.default_rng(3), 800
+        rows = lambda Z: (rng.integers(0, 2, (len(Z), cols), dtype=np.uint8).view(bool),)  # noqa: E731
+        _weighted_moments(OneBlock(), rows)
+        tracemalloc.start()
+        try:
+            [(mean, _)] = _weighted_moments(OneBlock(), rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mean.shape == (cols,)
+        block = BLOCK_ROWS * cols  # bytes of one boolean block
+        float32, grams = 4 * block, cols * cols * (8 + 4)
+        assert peak < float32 + grams + block // 2
+
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_mixed_pass_equals_separate_passes(self, mode):
         # Lin: counted observation rows and weighted coefficient rows in one pass
@@ -903,9 +927,10 @@ class TestCountingKernel:
         blocks = _AssignmentBlocks(design, **_mode_kwargs(mode, 5))
         obs = lambda Z: _observation_matrix(model, Z)  # noqa: E731
         coef = lambda Z: _batch_coefficients(spec, model, Z, None)  # noqa: E731
-        together = _weighted_moments(blocks, obs, coef)
+        together = _weighted_moments(blocks, lambda Z: (obs(Z), coef(Z)))
         assert blocks.counted == blocks.rows
-        apart = [_weighted_moments(blocks, obs), _weighted_moments(blocks, coef)]
+        apart = [_weighted_moments(blocks, lambda Z: (obs(Z),))[0],
+                 _weighted_moments(blocks, lambda Z: (coef(Z),))[0]]
         for got, expected in zip(together, apart):
             self._assert_bitwise(got, expected)
 

@@ -186,6 +186,45 @@ class TestScenarioParsing:
         scn = parse_scenario(path)
         assert scn.realized.outcomes == {0: 3.25, 3: -0.5}
 
+    @pytest.mark.parametrize("patch, pointer", [
+        ({"n": True}, "/n"),
+        ({"threshold_c": True}, "/threshold_c"),
+        ({"design": {"kind": "complete-randomization", "m": True}}, "/design"),
+        ({"design": {"kind": "bernoulli", "p": False}}, "/design"),
+        ({"design": {"kind": "bernoulli", "p": [0.5, True]}}, "/design"),
+    ], ids=["n", "threshold", "m", "p", "p-list"])
+    def test_boolean_is_not_a_number(self, tmp_path, patch, pointer):
+        # Python reads a JSON boolean as the integer 0 or 1
+        doc = {
+            "n": 2,
+            "design": {"kind": "bernoulli", "p": 0.5},
+            "exposure": {"rule": "identity"},
+            "estimator": {"kind": "horvitz-thompson"},
+            **patch,
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == [pointer]
+        out = tmp_path / "out"
+        assert run_cli("probe", "-c", path, "-o", out) == 2
+        assert not out.exists()
+
+    def test_repeated_outcome_coordinate_is_a_finding(self, tmp_path, capsys):
+        # "01" names coordinate 1 again: the last value must not silently win
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["realized"] = {"z": [1, 0], "outcomes": {"1": 5.0, "01": 7.0, "4": 2.0}}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == ["/realized/outcomes/01"]
+        assert run_cli("estimate", "-c", path, "-o", tmp_path / "est") == 2
+        captured = capsys.readouterr()
+        assert "/realized/outcomes/01" in captured.err
+        assert "bound_estimate" not in captured.out
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("{nope")
@@ -447,6 +486,39 @@ class TestCli:
         report = json.loads((bout / "report.json").read_text())
         assert report["metrics"]["design_compatible"] is True
         assert report["metrics"]["conservative"] is True
+
+    def test_one_report_writer(self, tmp_path, capsys, monkeypatch):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["realized"] = {"z": [1, 0], "outcomes": {"1": 1.0, "4": 4.0}}
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(doc))
+        runs = {  # bound first: admissible tests its slack
+            "bound": (["-c", cfg], {"config"}),
+            "probe": (["-c", cfg], {"config"}),
+            "admissible": (["-c", cfg, "--slack", tmp_path / "bound" / "S.csv"],
+                           {"config", "slack"}),
+            "estimate": (["-c", cfg], {"config"}),
+            "demo": (["illustration"], set()),
+        }
+        for command, (argv, inputs) in runs.items():
+            assert run_cli(command, *argv, "-o", tmp_path / command) == 0
+            report = json.loads((tmp_path / command / "report.json").read_text())
+            assert set(report) == {"command", "inputs", "outputs", "metrics", "wall_time_s"}
+            assert report["command"] == command and set(report["inputs"]) == inputs
+            assert report["metrics"] and report["wall_time_s"] >= 0
+        # without -o, nothing is written, here or in the default "out"
+        quiet = tmp_path / "quiet"
+        quiet.mkdir()
+        monkeypatch.chdir(quiet)
+        for command in ("admissible", "estimate", "demo"):
+            assert run_cli(command, *runs[command][0]) == 0
+        assert not any(quiet.iterdir())
+        # an error exit writes nothing
+        ones = tmp_path / "ones.csv"
+        matrixio.write_matrix(np.ones((4, 4)), ones)  # weight on unobservable pairs
+        assert run_cli("estimate", "-c", cfg, "--bound", ones, "-o", tmp_path / "failed") == 2
+        assert not (tmp_path / "failed").exists()
+        capsys.readouterr()
 
     def test_bound_metrics_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
