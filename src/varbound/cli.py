@@ -27,7 +27,7 @@ import numpy as np
 
 from . import estimation, experiment, linalg, matrixio, solver
 from .errors import DimensionMismatch, SupportTooLarge, VarboundError
-from .scenario import parse_scenario, resolve_config_path
+from .scenario import builtin_scenario_path, parse_scenario, resolve_config_path
 
 log = logging.getLogger("varbound")
 
@@ -216,10 +216,8 @@ def cmd_demo(args):
         checks[label] = bool(ok)
         print(f"[{'PASS' if ok else 'FAIL'}] {label}")
 
-    design = experiment.Design.explicit([((1, 0), 0.5), ((0, 1), 0.5)])
-    model = experiment.ExposureModel.spillover([[1], [0]])
-    spec = experiment.EstimatorSpec(kind="horvitz-thompson")
-    problem, table = experiment.build_variance_problem(design, model, spec)
+    scn = parse_scenario(builtin_scenario_path("illustration"))
+    problem, table, _ = _build(scn, args)
 
     u = np.array([1.0, -1.0, 1.0, -1.0])
     expected_A = np.outer(u, u)
@@ -227,13 +225,9 @@ def cmd_demo(args):
     check("covariance matrix equals the rank-one worked example",
           np.allclose(problem.A, expected_A, atol=1e-12))
 
-    B_frob = np.array(
-        [[2.0, 0, 0, -2], [0, 2, -2, 0], [0, -2, 2, 0], [-2, 0, 0, 2]]
-    )
-    B_pair = np.array(
-        [[3.0, 0, 0, -1], [0, 3, -1, 0], [0, -1, 3, 0], [-1, 0, 0, 3]]
-    )
-    result = solver.solve_optvb(problem, solver.Objective.frobenius_squared(), scn_config())
+    B_frob = np.array([[2.0, 0, 0, -2], [0, 2, -2, 0], [0, -2, 2, 0], [-2, 0, 0, 2]])
+    B_pair = np.array([[3.0, 0, 0, -1], [0, 3, -1, 0], [0, -1, 3, 0], [-1, 0, 0, 3]])
+    result = _solve(scn, problem)
     _print_matrix("B (frobenius objective)", result.B_star)
     check("frobenius objective returns the minimum-norm bound",
           np.allclose(result.B_star, B_frob, atol=1e-5))
@@ -248,11 +242,11 @@ def cmd_demo(args):
         v = solver.validate_bound(problem.A, B, problem.omega, 1e-8)
         check(f"{name} bound is conservative and design compatible", v.valid)
 
-    verdict_pair = solver.test_admissibility(S_as, problem.omega, scn_config())
+    verdict_pair = solver.test_admissibility(S_as, problem.omega, scn.solver)
     print(f"alpha (pairwise slack) = {verdict_pair.alpha:.6f}")
     check("pairwise bound is dominated (alpha = 4)",
           not verdict_pair.admissible and abs(verdict_pair.alpha - 4.0) < 1e-4)
-    verdict_frob = solver.test_admissibility(B_frob - problem.A, problem.omega, scn_config())
+    verdict_frob = solver.test_admissibility(B_frob - problem.A, problem.omega, scn.solver)
     check("minimum-norm bound is admissible", verdict_frob.admissible)
 
     rng = np.random.default_rng(20240817)
@@ -262,20 +256,15 @@ def cmd_demo(args):
         target = linalg.quadratic_form_value(result.B_star, theta, 2)
         mean = sum(
             prob * estimation.ht_bound_estimate(
-                result.B_star, estimation.observe(model, z, theta), table, 2
+                result.B_star, estimation.observe(scn.model, z, theta), table, 2
             )
-            for z, prob in experiment.enumerate_assignments(design)
+            for z, prob in experiment.enumerate_assignments(scn.design)
         )
         worst = max(worst, abs(mean - target))
     check(f"bound estimator is unbiased by enumeration (max gap {worst:.2e})",
           worst < 1e-10)
 
     return (EXIT_OK if all(checks.values()) else EXIT_ERROR), {}, checks
-
-
-def scn_config():
-    """Tight deterministic settings for the self-checking demo."""
-    return solver.SolverConfig(eps_abs=1e-11, eps_rel=1e-9)
 
 
 def _seed_arg(text):

@@ -104,11 +104,21 @@ class _Findings:
 
 
 def _load_json(path):
+    """The JSON document at ``path``; a key repeated within one object is an error."""
+
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} is repeated within one object")
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or a repeated key
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -178,6 +188,9 @@ def _parse_exposure(doc, n, findings):
             return ExposureModel.identity(n)
         if rule == "spillover":
             adjacency = raw["adjacency"]
+            if _has_bool(adjacency):
+                findings.add("/exposure/adjacency", f"must hold unit indices, got {adjacency!r}")
+                return None
             if len(adjacency) != n:
                 findings.add("/exposure/adjacency", f"has {len(adjacency)} rows, expected {n}")
                 return None
@@ -216,11 +229,10 @@ def _parse_estimator(doc, base, findings):
 def _parse_p(value, pointer, findings):
     if value in ("inf", "Infinity", "infinity"):
         return math.inf
-    try:
+    if type(value) in (int, float):  # a number, not a boolean or a string
         return float(value)
-    except (TypeError, ValueError):
-        findings.add(pointer, f"bad Schatten exponent {value!r}")
-        return None
+    findings.add(pointer, f"bad Schatten exponent {value!r}")
+    return None
 
 
 def _parse_objective(doc, base, findings):
@@ -235,6 +247,9 @@ def _parse_objective(doc, base, findings):
     for i, item in enumerate(terms):
         ptr = f"/objective/terms/{i}"
         weight = item.get("weight", 1.0)
+        if type(weight) not in (int, float):  # nor a boolean
+            findings.add(f"{ptr}/weight", f"must be a number, got {weight!r}")
+            return None
         name = item.get("term")
         try:
             if name == "schatten":

@@ -2,33 +2,29 @@
 
 The central program picks a slack matrix S that is positive semidefinite,
 cancels the variance matrix A on every unobservable pair, and minimizes a
-convex objective; the bound is B = A + S. Both this program and the
-admissibility test are solved with one consensus ADMM loop over closed-form
-proximal maps and cone projections, so no external conic solver is needed.
-The loop projects onto the affine slice of the unobservable pairs in its
-consensus step, sets rho on a fixed grid from the normalized primal and dual
-residuals of its last accepted point (the OSQP rule, which does not see the
-units of the data), and speeds up its fixed-point map by safeguarded type-II
-Anderson acceleration (memory ``_AA_MEMORY``; the memory restarts when a
-candidate does not lower the fixed-point residual and whenever rho changes).
-For the bound program the projection writes the fixed entries. Every
-Frobenius² term is folded into the prox of another term (of the cone when
-there is none), so Frobenius² alone runs one block and the composite
-"operator norm + Frobenius²" two. The admissibility test runs on the range
-of S: every feasible witness is T = R X R^T with S = R R^T and 0 <= X <= I_r,
-so it runs one block, the box projection of V - t L, which is the prox of
-the linear objective <L, X> plus the box indicator (Parikh & Boyd 2014,
-Proximal Algorithms, 2.2): one r x r eigendecomposition per step. The
-projection onto its pair constraints is a warm-started least-squares solve
-by conjugate gradients whose cost does not grow with the number of pairs; it
-always runs to the optimum, and its verdict compares the optimum with
-1e-5 (1 + tr S). The bound program keeps its targeted term as a block of
-its own: unlike the unitless X program, its scale follows the units of A.
-``SolverReport.iterations`` counts map evaluations, so it measures the
-eigendecomposition work of a solve. With ``VARBOUND_LOG=debug`` each solve
-logs one line on the ``varbound.solver`` logger: map evaluations, accepted
-accelerated steps, safeguard restarts, rho changes and final residuals; the
-reports carry the rho changes and the final rho too.
+convex objective; the bound is B = A + S. Each objective term owns its math:
+its value, whether it is strictly monotone (without such a term the program
+may return an inadmissible bound) and its proximal block (Parikh & Boyd 2014,
+Proximal Algorithms). Frobenius² terms have no block of their own: they fold
+into another term's block (the cone's when there is none), so Frobenius²
+alone runs one block and "operator norm + Frobenius²" two.
+
+The bound program and the admissibility test share one consensus ADMM loop
+over closed-form proximal maps and cone projections, so no external conic
+solver is needed. Its consensus step projects onto the affine slice of the
+unobservable pairs. It sets rho on a fixed grid from the normalized residuals
+of its last accepted point (the OSQP rule, which does not see the units of
+the data), and speeds up its fixed-point map by safeguarded type-II Anderson
+acceleration. The admissibility test runs on the range of S: every feasible
+witness is T = R X R^T with S = R R^T and 0 <= X <= I_r, so it runs one
+block, the box projection of V - t L (the prox of <L, X> plus the box
+indicator, ibid. 2.2), one r x r eigendecomposition per step. It projects
+onto its pair constraints by warm-started conjugate gradients whose cost does
+not grow with the number of pairs. ``SolverReport.iterations`` counts map
+evaluations, the eigendecomposition work of a solve. With
+``VARBOUND_LOG=debug`` each solve logs one line on the ``varbound.solver``
+logger: map evaluations, accepted accelerated steps, safeguard restarts, rho
+changes (the reports carry them and the final rho too) and final residuals.
 """
 
 from __future__ import annotations
@@ -66,8 +62,19 @@ class SchattenTerm:
     p: float
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:  # nor NaN
             raise UnsupportedObjective(f"Schatten term needs p >= 1, got {self.p}")
+
+    def value(self, S, A):
+        return linalg.schatten_norm(A + S, self.p)
+
+    def strictly_monotone(self):
+        return not math.isinf(self.p)
+
+    def prox(self, weight, A):
+        """The block of weight * ||. + A||_p: its prox at step t."""
+        p = self.p
+        return lambda V, t: linalg._prox_schatten(V + A, t * weight, p) - A
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,41 +89,39 @@ class TargetedTerm:
     def __post_init__(self):
         object.__setattr__(self, "W", linalg.check_symmetric(self.W, name="W"))
 
+    def value(self, S, A):
+        return float(np.sum(S * self.W))
+
+    def strictly_monotone(self):
+        band = linalg.ZERO_BAND * max(1.0, float(np.linalg.norm(self.W)))
+        return linalg.min_eigenvalue(self.W) > band
+
+    def prox(self, weight, A):
+        """The block of weight * <., W>: its prox at step t, V - t weight W."""
+        W = weight * self.W
+        return lambda V, t: V - t * W
+
 
 @dataclass(frozen=True)
 class FrobeniusSquaredTerm:
-    """Squared Frobenius norm of the bound B = A + S; strictly monotone."""
+    """Squared Frobenius norm of the bound B = A + S; strictly monotone. It has
+    no block of its own: ``_objective_blocks`` folds it into another one."""
+
+    def value(self, S, A):
+        return float(np.sum(np.square(A + S)))
+
+    def strictly_monotone(self):
+        return True
 
 
 Term = SchattenTerm | TargetedTerm | FrobeniusSquaredTerm
 
 
-def _term_is_strictly_monotone(term):
-    if isinstance(term, FrobeniusSquaredTerm):
-        return True
-    if isinstance(term, SchattenTerm):
-        return not math.isinf(term.p)
-    if isinstance(term, TargetedTerm):
-        band = linalg.ZERO_BAND * max(1.0, float(np.linalg.norm(term.W)))
-        return linalg.min_eigenvalue(term.W) > band
-    raise UnsupportedObjective(f"unknown objective term {term!r}")
-
-
-def _term_value(term, S, A):
-    if isinstance(term, FrobeniusSquaredTerm):
-        return float(np.sum(np.square(A + S)))
-    if isinstance(term, SchattenTerm):
-        return linalg.schatten_norm(A + S, term.p)
-    if isinstance(term, TargetedTerm):
-        return float(np.sum(S * term.W))
-    raise UnsupportedObjective(f"unknown objective term {term!r}")
-
-
 @dataclass(frozen=True)
 class Objective:
-    """Weighted sum of convex terms; every weight must be positive and at least
-    one term must be strictly monotone, otherwise the program may return an
-    inadmissible bound."""
+    """Weighted sum of convex terms; every weight must be positive and finite,
+    and at least one term must be strictly monotone, otherwise the program may
+    return an inadmissible bound."""
 
     terms: tuple[tuple[float, Term], ...]
 
@@ -124,9 +129,10 @@ class Objective:
         if not self.terms:
             raise UnsupportedObjective("objective needs at least one term")
         for weight, term in self.terms:
-            if not weight > 0:
-                raise UnsupportedObjective(f"term weights must be positive, got {weight}")
-            if not isinstance(term, (SchattenTerm, TargetedTerm, FrobeniusSquaredTerm)):
+            if not 0 < weight < math.inf:
+                raise UnsupportedObjective(
+                    f"term weights must be positive and finite, got {weight}")
+            if not isinstance(term, Term):
                 raise UnsupportedObjective(f"unknown objective term {term!r}")
         object.__setattr__(self, "terms", tuple(self.terms))
 
@@ -147,10 +153,10 @@ class Objective:
         return Objective(terms=tuple(weighted_terms))
 
     def value(self, S, A):
-        return sum(w * _term_value(t, S, A) for w, t in self.terms)
+        return sum(w * t.value(S, A) for w, t in self.terms)
 
     def is_strictly_monotone(self):
-        return any(_term_is_strictly_monotone(t) for _, t in self.terms)
+        return any(t.strictly_monotone() for _, t in self.terms)
 
 
 # -- solver configuration and results ---------------------------------------------
@@ -237,17 +243,6 @@ _RHO_STEP = 2.0
 # least-squares solve relative to the trace of its Gram matrix
 _AA_MEMORY = 10
 _AA_REG = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class _AdmmExit:
-    Z: np.ndarray
-    primal: float
-    dual: float
-    iterations: int
-    converged: bool
-    rho: float
-    rho_changes: int
 
 
 def _balanced_rho(rho, base, r_norm, s_norm, Z_norm, U_norm):
@@ -367,6 +362,9 @@ def _consensus_admm(blocks, Z0, onto, config, accept=None, context=""):
     depend only on the iterates, so runs are bit-reproducible. ``context`` is
     appended to the debug line, so a caller can add its own fields and each
     solve still logs exactly one line.
+
+    Returns (Z, loop), where ``loop`` holds the SolverReport fields of the
+    loop: iterations, residuals, convergence and the rho path.
     """
     N = len(blocks)
     dim = Z0.shape[0]
@@ -418,42 +416,22 @@ def _consensus_admm(blocks, Z0, onto, config, accept=None, context=""):
         "converged" if converged else "stopped", it,
         accepted, restarts, rho_changes, rho, r_norm, s_norm, context,
     )
-    return _AdmmExit(fx[0], r_norm, s_norm, it, converged, rho, rho_changes)
+    return fx[0], dict(iterations=it, primal_residual=r_norm, dual_residual=s_norm,
+                       converged=converged, rho_changes=rho_changes, final_rho=rho)
 
 
-def _finish(exit_, program, make_result, objective_value, min_eig_slack, max_omega_violation):
+def _finish(loop, program, make_result, **certificate):
     """The program's result, ``make_result(report)``, with the SolverReport of
-    the loop's exit state and the program's certificate; raises MaxIterations
+    the loop fields and the program's certificate; raises MaxIterations
     carrying that result when the loop did not converge."""
-    result = make_result(SolverReport(
-        iterations=exit_.iterations,
-        primal_residual=exit_.primal,
-        dual_residual=exit_.dual,
-        objective_value=objective_value,
-        min_eig_slack=min_eig_slack,
-        max_omega_violation=max_omega_violation,
-        converged=exit_.converged,
-        rho_changes=exit_.rho_changes,
-        final_rho=exit_.rho,
-    ))
-    if not exit_.converged:
+    result = make_result(SolverReport(**loop, **certificate))
+    if not loop["converged"]:
         raise MaxIterations(
-            f"{program} hit {exit_.iterations} iterations "
-            f"(primal {exit_.primal:.2e}, dual {exit_.dual:.2e})",
+            f"{program} hit {loop['iterations']} iterations (primal "
+            f"{loop['primal_residual']:.2e}, dual {loop['dual_residual']:.2e})",
             result=result,
         )
     return result
-
-
-def _term_prox(term, weight, A):
-    """Prox closure for one weighted targeted or Schatten term at step t."""
-    if isinstance(term, TargetedTerm):
-        W = weight * term.W
-        return lambda V, t: V - t * W
-    if isinstance(term, SchattenTerm):
-        p = term.p
-        return lambda V, t: linalg._prox_schatten(V + A, t * weight, p) - A
-    raise UnsupportedObjective(f"unknown objective term {term!r}")
 
 
 def _objective_blocks(objective, A):
@@ -467,11 +445,10 @@ def _objective_blocks(objective, A):
 
     with c = 1 + 2 t w. So Frobenius² alone runs one block,
     Pi_PSD((V - 2 t w A) / c)."""
-    w = sum(weight for weight, term in objective.terms
-            if isinstance(term, FrobeniusSquaredTerm))
+    frobenius = FrobeniusSquaredTerm()
+    w = sum(weight for weight, term in objective.terms if term == frobenius)
     blocks = [lambda V, t: linalg._project_psd(V)] + [
-        _term_prox(term, weight, A) for weight, term in objective.terms
-        if not isinstance(term, FrobeniusSquaredTerm)]
+        term.prox(weight, A) for weight, term in objective.terms if term != frobenius]
     if w:
         host = 1 if len(blocks) > 1 else 0
         inner = blocks[host]
@@ -510,9 +487,7 @@ def solve_optvb(problem, objective, config=None):
     """
     config = config or SolverConfig()
     if not objective.is_strictly_monotone():
-        has_opnorm = any(
-            isinstance(t, SchattenTerm) and math.isinf(t.p) for _, t in objective.terms
-        )
+        has_opnorm = SchattenTerm(math.inf) in [t for _, t in objective.terms]
         hint = (
             " (the operator norm alone can return a dominated bound; compose it "
             "with a small frobenius-squared term)" if has_opnorm else ""
@@ -522,14 +497,8 @@ def solve_optvb(problem, objective, config=None):
     unit = _unit(A)
     config = replace(config, eps_abs=config.eps_abs * unit,
                      feasibility_tol=config.feasibility_tol * unit)
-    ks, ls, rows, cols = _omega_index(problem.omega, len(A))
-    for k in ks[ks == ls].tolist():
-        if A[k, k] > config.feasibility_tol:
-            raise Infeasible(
-                f"diagonal index {k} is unobservable but A[{k},{k}] = {A[k, k]:.3e} > 0; "
-                "no positive semidefinite slack can cancel a positive diagonal "
-                "(drop the coordinate or lower the threshold c)"
-            )
+    _, _, rows, cols = _omega_index(problem.omega, len(A))
+    S0 = aronow_samii_slack(A, problem.omega)  # refuses an infeasible omega
     blocks = _objective_blocks(objective, A)
     values = -A[rows, cols]
 
@@ -539,14 +508,12 @@ def solve_optvb(problem, objective, config=None):
     def feasible_enough(Z):
         return np.linalg.eigvalsh(Z)[0] >= -config.feasibility_tol
 
-    exit_ = _consensus_admm(
-        blocks, aronow_samii_slack(A, problem.omega), onto, config, accept=feasible_enough,
-    )
-
-    S_star = exit_.Z
+    S_star, loop = _consensus_admm(blocks, S0, onto, config, accept=feasible_enough)
     omega_violation = float(np.abs(S_star[rows, cols] + A[rows, cols]).max()) if rows.size else 0.0
-    return _finish(exit_, "bound solver", partial(BoundResult, S_star, A + S_star),
-                   objective.value(S_star, A), linalg.min_eigenvalue(S_star), omega_violation)
+    return _finish(loop, "bound solver", partial(BoundResult, S_star, A + S_star),
+                   objective_value=objective.value(S_star, A),
+                   min_eig_slack=linalg.min_eigenvalue(S_star),
+                   max_omega_violation=omega_violation)
 
 
 def _range_slice(R, ks, ls):
@@ -670,21 +637,22 @@ def test_admissibility(S, omega, config=None):
         L = np.diag(lam_hat)  # <L, X> = trace(T) / lambda_max
         blocks = [lambda V, t: linalg._project_unit_box(V - t * L)]
         onto = _range_slice(Q[:, keep] * np.sqrt(lam_hat), ks, ls)
-        exit_ = _consensus_admm(blocks, np.eye(rank), onto, config,
-                                accept=witness_feasible, context=context)
-        witness = witness_of(exit_.Z)
+        X, loop = _consensus_admm(blocks, np.eye(rank), onto, config,
+                                  accept=witness_feasible, context=context)
+        witness = witness_of(X)
     else:
         # every feasible T is within tol of 0, and T = S is feasible
         log.debug("admissibility in closed form%s", context)
-        exit_ = _AdmmExit(np.zeros((0, 0)), 0.0, 0.0, 0, True, config.rho, 0)
+        loop = dict(iterations=0, primal_residual=0.0, dual_residual=0.0, converged=True,
+                    rho_changes=0, final_rho=config.rho)
         witness = S.copy()
     # the slice fixes the omega entries of R X R^T, which differ from the
     # caller's by at most the dropped eigenvalues
     witness[rows, cols] = S[rows, cols]
     alpha = trace_S - float(np.trace(witness))
     make_verdict = partial(AdmissibilityVerdict, alpha, witness, bool(alpha <= decision_tol), rank)
-    return _finish(exit_, "admissibility test", make_verdict,
-                   alpha, linalg.min_eigenvalue(witness), 0.0)
+    return _finish(loop, "admissibility test", make_verdict, objective_value=alpha,
+                   min_eig_slack=linalg.min_eigenvalue(witness), max_omega_violation=0.0)
 
 
 # -- closed-form bounds and targeting matrices ---------------------------------------
@@ -710,11 +678,12 @@ def generalized_as_slack(A, omega, W):
     unobservable pairs are exactly the within-unit pairs, this is the exact
     minimizer of the targeted objective <S, W>.
 
-    An unobservable diagonal index k pins S_kk = -A_kk. When an unobservable
-    pair (k, l) with A_kl != 0 also crosses it, the input is refused: for
-    A_kk >= 0 no positive semidefinite slack exists (S_kk <= 0 forces row k
-    to 0, but S_kl = -A_kl), and for A_kk < 0, which no covariance matrix
-    has, the closed form does not apply.
+    An unobservable diagonal index k pins S_kk = -A_kk, so A_kk > 0 is
+    refused as infeasible. When an unobservable pair (k, l) with A_kl != 0
+    also crosses it, the input is refused too: for A_kk = 0 no positive
+    semidefinite slack exists (S_kk = 0 forces row k to 0, but
+    S_kl = -A_kl), and for A_kk < 0, which no covariance matrix has, the
+    closed form does not apply.
     """
     A = linalg.check_symmetric(A, name="A")
     W = np.asarray(W, dtype=float)
@@ -727,6 +696,12 @@ def generalized_as_slack(A, omega, W):
         raise NonPositiveWeight(f"diagonal weights must be positive, got min {w.min()!r}")
     ks, ls, _, _ = _omega_index(omega, len(A))
     pinned = set(ks[ks == ls].tolist())
+    for k in sorted(pinned):
+        if A[k, k] > 0.0:
+            raise Infeasible(
+                f"diagonal index {k} is unobservable but A[{k},{k}] = {A[k, k]:.3e} > 0; "
+                "no positive semidefinite slack can cancel a positive diagonal "
+                "(drop the coordinate or lower the threshold c)")
     S = np.zeros_like(A)
     for k, l in zip(ks.tolist(), ls.tolist()):
         if k == l:
@@ -774,8 +749,7 @@ def targeting_from_vectors(vectors, gamma=0.0, dim=None):
         if v.shape != (dim,):
             raise DimensionMismatch(f"vector shape {v.shape} != ({dim},)")
         W += q * np.outer(v, v)
-    band = linalg.ZERO_BAND * max(1.0, float(np.linalg.norm(W)))
-    if linalg.min_eigenvalue(W) <= band:
+    if not TargetedTerm(W).strictly_monotone():
         warnings.warn(
             "targeting matrix is not positive definite; the targeted program "
             "alone may return a dominated bound",

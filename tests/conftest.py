@@ -199,10 +199,10 @@ def ref_admissibility(S, omega, config=None):
         return (linalg.min_eigenvalue(Z) >= -tol
                 and linalg.min_eigenvalue(S_hat - Z) >= -tol)
 
-    exit_ = _consensus_admm(blocks, S_hat, onto, config, accept=witness_feasible)
-    if not exit_.converged:
+    Z, loop = _consensus_admm(blocks, S_hat, onto, config, accept=witness_feasible)
+    if not loop["converged"]:
         raise MaxIterations("reference admissibility program did not converge")
-    witness = unit * exit_.Z
+    witness = unit * Z
     witness[rows, cols] = S[rows, cols]
     alpha = trace_S - float(np.trace(witness))
     return alpha, witness, bool(alpha <= 1e-5 * (1.0 + trace_S))

@@ -192,7 +192,12 @@ class TestScenarioParsing:
         ({"design": {"kind": "complete-randomization", "m": True}}, "/design"),
         ({"design": {"kind": "bernoulli", "p": False}}, "/design"),
         ({"design": {"kind": "bernoulli", "p": [0.5, True]}}, "/design"),
-    ], ids=["n", "threshold", "m", "p", "p-list"])
+        ({"objective": {"terms": [{"weight": True, "term": "frobenius-squared"}]}},
+         "/objective/terms/0/weight"),
+        ({"objective": {"terms": [{"term": "schatten", "p": True}]}}, "/objective/terms/0/p"),
+        ({"exposure": {"rule": "spillover", "adjacency": [[True], [False]]}},
+         "/exposure/adjacency"),
+    ], ids=["n", "threshold", "m", "p", "p-list", "weight", "schatten-p", "adjacency"])
     def test_boolean_is_not_a_number(self, tmp_path, patch, pointer):
         # Python reads a JSON boolean as the integer 0 or 1
         doc = {
@@ -210,6 +215,39 @@ class TestScenarioParsing:
         out = tmp_path / "out"
         assert run_cli("probe", "-c", path, "-o", out) == 2
         assert not out.exists()
+
+    def test_infinite_objective_weight_is_a_finding(self, tmp_path, capsys):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["objective"] = {"terms": [{"weight": math.inf, "term": "frobenius-squared"}]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))  # the weight is written as Infinity
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == ["/objective"]
+        assert run_cli("bound", "-c", path, "-o", tmp_path / "out") == 2
+        assert "/objective: term weights must be positive and finite" in capsys.readouterr().err
+
+    def test_repeated_key_is_an_error(self, tmp_path):
+        # JSON readers keep the last value of a repeated key: n would read 3
+        text = builtin_scenario_path("illustration").read_text().replace('"n": 2', '"n": 2, "n": 3')
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="key 'n' is repeated"):
+            parse_scenario(path)
+        assert run_cli("bound", "-c", path, "-o", tmp_path / "out") == 2
+
+    def test_repeated_key_in_realized_file_is_a_finding(self, tmp_path):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["realized"] = "realized.json"
+        (tmp_path / "realized.json").write_text(
+            '{"z": [1, 0], "outcomes": {"1": 1.0, "4": 4.0}, "z": [0, 1]}')
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == ["/realized"]
+        assert "key 'z' is repeated" in info.value.findings[0][1]
+        assert run_cli("estimate", "-c", path, "-o", tmp_path / "out") == 2
 
     def test_repeated_outcome_coordinate_is_a_finding(self, tmp_path, capsys):
         # "01" names coordinate 1 again: the last value must not silently win

@@ -62,9 +62,24 @@ class TestObjective:
         with pytest.raises(UnsupportedObjective):
             Objective.composite([])
 
+    def test_weights_must_be_finite(self):
+        with pytest.raises(UnsupportedObjective, match="finite"):
+            Objective.composite([(math.inf, FrobeniusSquaredTerm())])
+        with pytest.raises(UnsupportedObjective, match="finite"):
+            Objective.schatten(2, weight=math.inf)
+
+    def test_terms_must_be_term_objects(self):
+        # a term name is input for the scenario parser, not a term
+        with pytest.raises(UnsupportedObjective, match="unknown objective term"):
+            Objective.composite([(1.0, "frobenius-squared")])
+
     def test_schatten_exponent_validated(self):
         with pytest.raises(UnsupportedObjective):
             Objective.schatten(0.5)
+
+    def test_schatten_exponent_nan_refused(self):
+        with pytest.raises(UnsupportedObjective):
+            Objective.schatten(math.nan)
 
     def test_monotonicity_classification(self):
         assert Objective.schatten(1).is_strictly_monotone()
@@ -384,6 +399,22 @@ class TestClosedForms:
         A[0, 0] = -1.0  # no covariance matrix; a PSD slack may exist
         with pytest.raises(VarboundError, match="closed form does not apply"):
             generalized_as_slack(A, omega, np.diag([1.0, 2.0, 3.0]))
+
+    def test_unobservable_diagonal_with_positive_variance_is_refused(self):
+        # unit 2 is treated with probability 0.05 <= c, so Omega pins (2, 2)
+        # with A_22 = 19 while every pair through index 2 has A = 0; the
+        # pairwise slack used to return S_22 = -19, which is not PSD
+        problem, _ = build_variance_problem(
+            Design.bernoulli(3, [0.5, 0.5, 0.05]), ExposureModel.spillover([[1], [0], []]),
+            EstimatorSpec(kind="horvitz-thompson"), threshold_c=0.1)
+        assert (2, 2) in problem.omega and problem.A[2, 2] == pytest.approx(19.0)
+        message = r"diagonal index 2 is unobservable but A\[2,2\] = 1.900e\+01 > 0"
+        with pytest.raises(Infeasible, match=message):
+            aronow_samii_slack(problem.A, problem.omega)
+        with pytest.raises(Infeasible, match=message):
+            generalized_as_slack(problem.A, problem.omega, np.diag(np.arange(1.0, 7.0)))
+        with pytest.raises(Infeasible, match=message):
+            solve_optvb(problem, Objective.frobenius_squared())
 
     def test_unobservable_diagonal_without_pair_mass(self):
         # pairs through the pinned index with A = 0 book nothing on it
