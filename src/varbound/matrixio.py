@@ -59,18 +59,43 @@ def _parse_rows(path):
             raise ParseError(f"{path}:{line_no}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DimensionMismatch(f"{path}: ragged rows")
-    return np.asarray(rows, dtype=float)
+    return rows
 
 
-def _check_finite(x, path):
-    """Raise ParseError naming the first non-finite entry of x, if any."""
+def _is_number(x):
+    """Whether ``x`` is a number as json.loads reads one: an int or a float. A
+    boolean (an int to Python), a string or null is not."""
+    return type(x) in (int, float)
+
+
+def _error(where, message):
+    return ParseError(f"{where}: {message}" if where else message)
+
+
+def _finite_array(rows, where=None):
+    """``rows``, numbers or nested lists of them, as a float array. ParseError,
+    naming ``where`` when given, if the rows are ragged or an entry is not finite."""
+    try:
+        x = np.asarray(rows, dtype=float)
+    except ValueError as exc:  # numpy refuses an inhomogeneous shape
+        raise _error(where, "ragged rows") from exc
     bad = np.argwhere(~np.isfinite(x))
     if bad.size:
-        where = ", ".join(str(int(i) + 1) for i in bad[0])
-        raise ParseError(f"{path}: entry {where} (1-based) is {x[tuple(bad[0])]}, not finite")
+        entry = ", ".join(str(int(i) + 1) for i in bad[0])
+        raise _error(where, f"entry {entry} (1-based) is {x[tuple(bad[0])]}, not finite")
+    return x
+
+
+def _json_array(data, where=None):
+    """Nested arrays of JSON numbers as a finite float array (see
+    _finite_array); any other entry, such as a boolean, raises ParseError."""
+    entries = [data]
+    for x in entries:  # grows as arrays are opened
+        if type(x) is list:
+            entries.extend(x)
+        elif not _is_number(x):
+            raise _error(where, f"{json.dumps(x)} is not a JSON number")
+    return _finite_array(data, where)
 
 
 def read_matrix(path, fmt=None, symmetric=True):
@@ -78,16 +103,15 @@ def read_matrix(path, fmt=None, symmetric=True):
     square and symmetric; ``symmetric=False`` reads any rectangular matrix."""
     fmt = _infer_format(path, fmt)
     if fmt == "csv":
-        M = _parse_rows(path)
+        M = _finite_array(_parse_rows(path), path)
     else:
         try:
             data = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        M = np.asarray(data, dtype=float)
-        if M.ndim != 2:
-            raise DimensionMismatch(f"{path}: expected a nested array matrix")
-    _check_finite(M, path)
+        M = _json_array(data, path)
+    if M.ndim != 2:
+        raise DimensionMismatch(f"{path}: expected a nested array matrix")
     if not symmetric:
         return M
     if M.shape[0] != M.shape[1]:
@@ -107,8 +131,7 @@ def read_vector(path):
     """Read a vector of finite numbers, one or more per line."""
     text = _read_text(path)
     try:
-        v = np.asarray([float(x) for x in text.split()], dtype=float)
+        values = [float(x) for x in text.split()]
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    _check_finite(v, path)
-    return v
+    return _finite_array(values, path)

@@ -30,6 +30,15 @@ Schema sketch::
 
 Adjacency lists are 0-based. Realized outcome keys are 1-based, matching the
 theta coordinate convention used in reports, and convert to 0-based inside.
+
+Three readers decide what a value is, and raise a finding at the value's
+pointer when it is not: an object; a number, a JSON int or float (not a
+boolean, a numeric string or null) or arrays of them; an integer, an integral
+JSON number (2.0 reads as 2, 2.7 and "2" do not). What counts as a JSON number
+is matrixio's rule, which inline matrices and theta share with matrix files.
+Findings are raised where they are found; ``_Findings.read`` records them,
+and records a library constructor's error or a missing field at the pointer of
+the section it reads.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrixio
-from .errors import InvalidDesign, ParseError, ValidationError, VarboundError
+from .errors import ParseError, ValidationError, VarboundError
 from .estimation import RealizedData
 from .experiment import Design, EstimatorSpec, ExposureModel
 from .solver import (
@@ -89,18 +98,67 @@ def resolve_config_path(spec):
         raise ParseError(f"config {spec!r} is neither a file nor a built-in scenario")
 
 
+def _finding(pointer, message):
+    return ValidationError([(pointer, str(message))])
+
+
+def _at(pointer, parse, *args, **kwargs):
+    """``parse(*args, **kwargs)``, raising what it raises as a finding: a
+    reader's at the pointer it names, a missing field or any other error at
+    ``pointer``."""
+    try:
+        return parse(*args, **kwargs)
+    except ValidationError:
+        raise
+    except KeyError as exc:
+        raise _finding(pointer, f"missing field {exc}") from None
+    except (VarboundError, TypeError, ValueError) as exc:
+        raise _finding(pointer, exc) from None
+
+
 class _Findings:
     """Collects (json-pointer, message) validation findings."""
 
     def __init__(self):
         self.items = []
 
-    def add(self, pointer, message):
-        self.items.append((pointer, str(message)))
+    def read(self, pointer, parse, *args, **kwargs):
+        """``_at(pointer, parse, ...)``, or None with its finding recorded."""
+        try:
+            return _at(pointer, parse, *args, **kwargs)
+        except ValidationError as exc:
+            self.items += exc.findings
+            return None
 
     def raise_if_any(self):
         if self.items:
             raise ValidationError(self.items)
+
+
+def _object(value, pointer):
+    if type(value) is dict:
+        return value
+    raise _finding(pointer, f"must be an object, got {value!r}")
+
+
+def _number(value, pointer):
+    """A JSON number, or arrays of them with each entry read at its own pointer."""
+    if type(value) is list:
+        return [_number(x, f"{pointer}/{i}") for i, x in enumerate(value)]
+    if matrixio._is_number(value):
+        return value
+    raise _finding(pointer, f"must be a number, got {value!r}")
+
+
+def _integer(value, pointer, low=0, depth=0):
+    """An integral JSON number of at least ``low``, as an int; with ``depth``,
+    arrays of them nested that deep, read at ``pointer`` as a whole."""
+    if depth and type(value) is list:
+        return [_integer(x, pointer, low, depth - 1) for x in value]
+    if not depth and matrixio._is_number(value) and value % 1 == 0 and value >= low:
+        return int(value)
+    raise _finding(pointer, f"must be {'an array' if depth else f'an integer >= {low}'}, "
+                            f"got {value!r}")
 
 
 def _load_json(path):
@@ -122,314 +180,188 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _resolve_matrix(value, base, pointer, findings, symmetric=True):
-    """A matrix given inline as nested arrays or as a path relative to the
-    config; a file must hold a symmetric square matrix unless ``symmetric`` is
-    false."""
-    try:
-        if isinstance(value, str):
-            return matrixio.read_matrix(_relative(base, value), symmetric=symmetric)
-        M = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(M)):
-            raise ValueError("entries must be finite")
-        return M
-    except (VarboundError, ValueError) as exc:
-        findings.add(pointer, exc)
-        return None
-
-
 def _relative(base, value):
     path = Path(value)
     return path if path.is_absolute() else Path(base).parent / path
 
 
-def _has_bool(value):
-    """Whether a JSON value is, or nests, a boolean (which Python takes as 0 or 1)."""
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+def _matrix(value, base, pointer, symmetric=True):
+    """A matrix given inline as nested arrays or as a path relative to the
+    config; a file must hold a symmetric square matrix unless ``symmetric`` is
+    false. A reader: what the matrix fails is a finding at ``pointer``."""
+    if isinstance(value, str):
+        return _at(pointer, matrixio.read_matrix, _relative(base, value), symmetric=symmetric)
+    return _at(pointer, matrixio._json_array, value)
 
 
-def _parse_design(doc, n, findings):
-    raw = doc.get("design")
-    if not isinstance(raw, dict):
-        findings.add("/design", "missing or not an object")
-        return None
+def _design(raw, n):
+    raw = _object(raw, "/design")
     kind = raw.get("kind")
-    for key in ("p", "m", "clusters", "pairs", "probabilities"):
-        if _has_bool(raw.get(key)):
-            findings.add("/design", f"{key} must hold numbers, got {raw[key]!r}")
-            return None
-    try:
-        if kind == "bernoulli":
-            return Design.bernoulli(n, raw.get("p", 0.5))
-        if kind == "complete-randomization":
-            return Design.complete(n, int(raw["m"]))
-        if kind == "cluster":
-            return Design.cluster(raw["clusters"], int(raw["m"]))
-        if kind == "paired":
-            return Design.paired(raw["pairs"])
-        if kind == "explicit":
-            return Design.explicit(list(zip(raw["assignments"], raw["probabilities"])))
-        findings.add("/design/kind", f"unknown design kind {kind!r}")
-    except KeyError as exc:
-        findings.add("/design", f"missing field {exc}")
-    except (VarboundError, TypeError, ValueError) as exc:
-        findings.add("/design", exc)
-    return None
+    if kind == "bernoulli":
+        design = Design.bernoulli(n, _number(raw.get("p", 0.5), "/design/p"))
+    elif kind == "complete-randomization":
+        design = Design.complete(n, _integer(raw["m"], "/design/m"))
+    elif kind == "cluster":
+        design = Design.cluster(_integer(raw["clusters"], "/design/clusters", depth=2),
+                                _integer(raw["m"], "/design/m"))
+    elif kind == "paired":
+        design = Design.paired(_integer(raw["pairs"], "/design/pairs", depth=2))
+    elif kind == "explicit":
+        assignments = _integer(raw["assignments"], "/design/assignments", depth=2)
+        probabilities = _number(raw["probabilities"], "/design/probabilities")
+        design = Design.explicit(list(zip(assignments, probabilities, strict=True)))
+    else:
+        raise _finding("/design/kind", f"unknown design kind {kind!r}")
+    if design.n != n:
+        raise ValueError(f"design is for {design.n} units, scenario says {n}")
+    return design
 
 
-def _parse_exposure(doc, n, findings):
-    raw = doc.get("exposure")
-    if not isinstance(raw, dict):
-        findings.add("/exposure", "missing or not an object")
-        return None
+def _exposure(raw, n):
+    raw = _object(raw, "/exposure")
     rule = raw.get("rule")
-    try:
-        if rule == "identity":
-            return ExposureModel.identity(n)
-        if rule == "spillover":
-            adjacency = raw["adjacency"]
-            if _has_bool(adjacency):
-                findings.add("/exposure/adjacency", f"must hold unit indices, got {adjacency!r}")
-                return None
-            if len(adjacency) != n:
-                findings.add("/exposure/adjacency", f"has {len(adjacency)} rows, expected {n}")
-                return None
-            contrast = tuple(raw.get("contrast", ("direct", "indirect")))
-            return ExposureModel.spillover(adjacency, contrast)
-        if rule == "table":
-            entries = raw["entries"]
-            table = {tuple(e["assignment"]): tuple(e["labels"]) for e in entries}
-            return ExposureModel.from_table(
-                n, tuple(raw["labels"]), table, tuple(raw["contrast"])
-            )
-        findings.add("/exposure/rule", f"unknown exposure rule {rule!r}")
-    except KeyError as exc:
-        findings.add("/exposure", f"missing field {exc}")
-    except (VarboundError, TypeError, ValueError) as exc:
-        findings.add("/exposure", exc)
-    return None
+    if rule == "identity":
+        return ExposureModel.identity(n)
+    if rule == "spillover":
+        adjacency = _integer(raw["adjacency"], "/exposure/adjacency", depth=2)
+        if len(adjacency) != n:
+            raise _finding("/exposure/adjacency", f"has {len(adjacency)} rows, expected {n}")
+        contrast = tuple(raw.get("contrast", ("direct", "indirect")))
+        return ExposureModel.spillover(adjacency, contrast)
+    if rule == "table":
+        table = {}
+        for i, entry in enumerate(raw["entries"]):
+            pointer = f"/exposure/entries/{i}"
+            z = tuple(_integer(_object(entry, pointer)["assignment"], f"{pointer}/assignment",
+                               depth=1))
+            if z in table:
+                raise _finding(f"{pointer}/assignment", f"assignment {list(z)} is given twice")
+            table[z] = tuple(entry["labels"])
+        return ExposureModel.from_table(n, tuple(raw["labels"]), table, tuple(raw["contrast"]))
+    raise _finding("/exposure/rule", f"unknown exposure rule {rule!r}")
 
 
-def _parse_estimator(doc, base, findings):
-    raw = doc.get("estimator")
-    if not isinstance(raw, dict):
-        findings.add("/estimator", "missing or not an object")
-        return None
+def _estimator(raw, base, n):
+    raw = _object(raw, "/estimator")
     covariates = None
     if "covariates" in raw:
-        covariates = _resolve_matrix(raw["covariates"], base, "/estimator/covariates", findings,
-                                     symmetric=False)
-    try:
-        return EstimatorSpec(kind=raw.get("kind", ""), covariates=covariates)
-    except VarboundError as exc:
-        findings.add("/estimator", exc)
-        return None
+        covariates = _matrix(raw["covariates"], base, "/estimator/covariates", symmetric=False)
+        if len(covariates) != n:
+            raise _finding("/estimator/covariates", f"{len(covariates)} rows, expected {n}")
+    return EstimatorSpec(kind=raw.get("kind", ""), covariates=covariates)
 
 
-def _parse_p(value, pointer, findings):
-    if value in ("inf", "Infinity", "infinity"):
-        return math.inf
-    if type(value) in (int, float):  # a number, not a boolean or a string
-        return float(value)
-    findings.add(pointer, f"bad Schatten exponent {value!r}")
-    return None
+def _threshold(value):
+    c = _number(value, "/threshold_c")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"must be a finite nonnegative number, got {c!r}")
+    return float(c)
 
 
-def _parse_objective(doc, base, findings):
-    raw = doc.get("objective")
-    if raw is None:
-        return None
-    terms = raw.get("terms")
+def _mode(raw):
+    kind = _object(raw, "/mode").get("kind")
+    if kind == "exact":
+        return {"kind": "exact"}
+    if kind != "mc":
+        raise ValueError("must be {'kind': 'exact'} or {'kind': 'mc', ...}")
+    if "count" not in raw:
+        raise _finding("/mode/count", "mc mode needs a sample count")
+    return {"kind": "mc", "count": _integer(raw["count"], "/mode/count", 1),
+            "seed": _integer(raw.get("seed", 0), "/mode/seed")}
+
+
+def _term(item, pointer, base):
+    """One (weight, term) pair of the objective."""
+    item = _object(item, pointer)
+    weight = float(_number(item.get("weight", 1.0), f"{pointer}/weight"))
+    name = item.get("term")
+    if name == "schatten":
+        p = item.get("p", 2)
+        p = math.inf if p in ("inf", "Infinity", "infinity") else _number(p, f"{pointer}/p")
+        return weight, SchattenTerm(p=float(p))
+    if name == "targeted":
+        return weight, TargetedTerm(W=_matrix(item.get("W"), base, f"{pointer}/W"))
+    if name == "frobenius-squared":
+        return weight, FrobeniusSquaredTerm()
+    raise _finding(f"{pointer}/term", f"unknown term {name!r}")
+
+
+def _objective(raw, base):
+    terms = _object(raw, "/objective").get("terms")
     if not isinstance(terms, list) or not terms:
-        findings.add("/objective/terms", "must be a nonempty list")
-        return None
-    parsed = []
-    for i, item in enumerate(terms):
-        ptr = f"/objective/terms/{i}"
-        weight = item.get("weight", 1.0)
-        if type(weight) not in (int, float):  # nor a boolean
-            findings.add(f"{ptr}/weight", f"must be a number, got {weight!r}")
-            return None
-        name = item.get("term")
-        try:
-            if name == "schatten":
-                p = _parse_p(item.get("p", 2), f"{ptr}/p", findings)
-                if p is None:
-                    return None
-                parsed.append((float(weight), SchattenTerm(p=p)))
-            elif name == "targeted":
-                W = _resolve_matrix(item.get("W"), base, f"{ptr}/W", findings)
-                if W is None:
-                    return None
-                parsed.append((float(weight), TargetedTerm(W=W)))
-            elif name == "frobenius-squared":
-                parsed.append((float(weight), FrobeniusSquaredTerm()))
-            else:
-                findings.add(f"{ptr}/term", f"unknown term {name!r}")
-                return None
-        except (VarboundError, TypeError, ValueError) as exc:
-            findings.add(ptr, exc)
-            return None
-    try:
-        return Objective.composite(parsed)
-    except VarboundError as exc:
-        findings.add("/objective", exc)
-        return None
+        raise _finding("/objective/terms", "must be a nonempty list")
+    return Objective.composite(
+        [_at(f"/objective/terms/{i}", _term, item, f"/objective/terms/{i}", base)
+         for i, item in enumerate(terms)])
 
 
 _SOLVER_KEYS = ("rho", "max_iterations", "eps_abs", "eps_rel", "feasibility_tol")
 
 
-def _parse_solver(doc, findings):
-    raw = doc.get("solver", {})
-    if not isinstance(raw, dict):
-        findings.add("/solver", "must be an object")
-        return SolverConfig()
-    values = {}
-    for key, value in raw.items():
-        pointer = f"/solver/{key}"
-        if key not in _SOLVER_KEYS:
-            findings.add(pointer, "unknown solver option")
-        elif key == "max_iterations":
-            values[key] = _integer(value, 1, pointer, findings)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            values[key] = float(value)
-        else:
-            findings.add(pointer, f"must be a number, got {value!r}")
-    try:
-        return SolverConfig(**{key: v for key, v in values.items() if v is not None})
-    except ValueError as exc:
-        findings.add("/solver", exc)
-        return SolverConfig()
+def _solver_option(key, value):
+    pointer = f"/solver/{key}"
+    if key not in _SOLVER_KEYS:
+        raise _finding(pointer, "unknown solver option")
+    if key == "max_iterations":
+        return _integer(value, pointer, 1)
+    return float(_number(value, pointer))
 
 
-def _integer(value, low, pointer, findings):
-    """``value`` as an int of at least ``low`` (an integral JSON number), or a
-    finding and None."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if integral and not isinstance(value, bool) and value >= low:
-        return int(value)
-    findings.add(pointer, f"must be an integer >= {low}, got {value!r}")
-    return None
+def _theta(value, base, n):
+    theta = (matrixio.read_vector(_relative(base, value)) if isinstance(value, str)
+             else matrixio._json_array(value))
+    if theta.shape != (2 * n,):
+        raise ValueError(f"length {theta.shape} != 2n = {2 * n}")
+    return theta
 
 
-def _parse_mode(doc, findings):
-    raw = doc.get("mode", {"kind": "exact"})
-    if not isinstance(raw, dict) or raw.get("kind") not in ("exact", "mc"):
-        findings.add("/mode", "must be {'kind': 'exact'} or {'kind': 'mc', ...}")
-        return {"kind": "exact"}
-    if raw["kind"] == "mc":
-        out = {"kind": "mc"}
-        if "count" not in raw:
-            findings.add("/mode/count", "mc mode needs a sample count")
-        else:
-            out["count"] = _integer(raw["count"], 1, "/mode/count", findings)
-        out["seed"] = _integer(raw.get("seed", 0), 0, "/mode/seed", findings)
-        return out
-    return {"kind": "exact"}
-
-
-def _parse_realized(doc, base, n, findings):
-    raw = doc.get("realized")
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        try:
-            raw = _load_json(_relative(base, raw))
-        except ParseError as exc:
-            findings.add("/realized", exc)
-            return None
-    try:
-        z = raw["z"]
-        outcomes = raw["outcomes"]
-        if len(z) != n:
-            findings.add("/realized/z", f"length {len(z)} != n = {n}")
-            return None
-        # outcome keys are 1-based in files
-        converted = {}
-        for key, value in outcomes.items():
-            k = int(key)
-            if not 1 <= k <= 2 * n:
-                findings.add(f"/realized/outcomes/{key}", f"index out of range 1..{2 * n}")
-                return None
-            if k - 1 in converted:
-                findings.add(f"/realized/outcomes/{key}", f"coordinate {k} given twice")
-                return None
-            converted[k - 1] = float(value)
-            if not math.isfinite(converted[k - 1]):
-                findings.add(f"/realized/outcomes/{key}", f"must be finite, got {value!r}")
-                return None
-        return RealizedData(z=tuple(z), outcomes=converted)
-    except InvalidDesign as exc:  # raised for z alone: entries other than 0 or 1
-        findings.add("/realized/z", exc)
-        return None
-    except (KeyError, TypeError, ValueError) as exc:
-        findings.add("/realized", exc)
-        return None
+def _realized(raw, base, n):
+    """Realized data inline or in a JSON file; outcome keys are 1-based
+    coordinates in ASCII digits ("01" names coordinate 1 again)."""
+    raw = _object(_load_json(_relative(base, raw)) if isinstance(raw, str) else raw, "/realized")
+    z = _integer(raw["z"], "/realized/z", depth=1)
+    if len(z) != n:
+        raise _finding("/realized/z", f"length {len(z)} != n = {n}")
+    outcomes = {}
+    for key, value in _object(raw["outcomes"], "/realized/outcomes").items():
+        pointer = f"/realized/outcomes/{key}"
+        k = int(key) if key.isascii() and key.isdigit() else 0  # int() reads "1_0" and " 1"
+        if not 1 <= k <= 2 * n:
+            raise _finding(pointer, f"must name a coordinate 1..{2 * n} in decimal digits")
+        if k - 1 in outcomes:
+            raise _finding(pointer, f"coordinate {k} given twice")
+        outcomes[k - 1] = float(_number(value, pointer))
+        if not math.isfinite(outcomes[k - 1]):
+            raise _finding(pointer, f"must be finite, got {value!r}")
+    return _at("/realized/z", RealizedData, z=tuple(z), outcomes=outcomes)  # only z can fail
 
 
 def parse_scenario(path):
     """Parse and fully validate a scenario file.
 
     Raises ParseError for malformed JSON and ValidationError carrying every
-    finding (JSON-pointer, message) otherwise.
+    finding (JSON-pointer, message) otherwise; a bad ``n`` stops the parse.
     """
     path = Path(path)
-    doc = _load_json(path)
+    doc = _object(_load_json(path), "")
+    n = _integer(doc.get("n"), "/n", 1)
     findings = _Findings()
-    if not isinstance(doc, dict):
-        findings.add("", "scenario must be a JSON object")
-        findings.raise_if_any()
-    n = doc.get("n")
-    if type(n) is not int or n < 1:  # type, not isinstance: a JSON boolean is an int
-        findings.add("/n", f"must be a positive integer, got {n!r}")
-        findings.raise_if_any()
-
-    design = _parse_design(doc, n, findings)
-    model = _parse_exposure(doc, n, findings)
-    estimator = _parse_estimator(doc, path, findings)
-    threshold_c = doc.get("threshold_c", 0.0)
-    if type(threshold_c) not in (int, float) or not 0 <= threshold_c < math.inf:  # nor a boolean
-        findings.add("/threshold_c", f"must be a finite nonnegative number, got {threshold_c!r}")
-        threshold_c = 0.0
-    mode = _parse_mode(doc, findings)
-    objective = _parse_objective(doc, path, findings)
-    solver = _parse_solver(doc, findings)
-
-    theta = None
-    if "theta" in doc:
-        raw_theta = doc["theta"]
-        try:
-            if isinstance(raw_theta, str):
-                theta = matrixio.read_vector(_relative(path, raw_theta))
-            else:
-                theta = np.asarray(raw_theta, dtype=float)
-            if theta.shape != (2 * n,):
-                findings.add("/theta", f"length {theta.shape} != 2n = {2 * n}")
-            elif not np.all(np.isfinite(theta)):
-                findings.add("/theta", "entries must be finite")
-        except (VarboundError, ValueError) as exc:
-            findings.add("/theta", exc)
-
-    realized = _parse_realized(doc, path, n, findings)
-
-    if design is not None and design.n != n:
-        findings.add("/design", f"design is for {design.n} units, scenario says {n}")
-    if model is not None and model.n != n:
-        findings.add("/exposure", f"exposure model is for {model.n} units, scenario says {n}")
-    if (
-        estimator is not None
-        and estimator.covariates is not None
-        and estimator.covariates.shape[0] != n
-    ):
-        findings.add(
-            "/estimator/covariates",
-            f"{estimator.covariates.shape[0]} rows, expected {n}",
-        )
-
+    read = findings.read
+    design = read("/design", _design, doc.get("design"), n)
+    model = read("/exposure", _exposure, doc.get("exposure"), n)
+    estimator = read("/estimator", _estimator, doc.get("estimator"), path, n)
+    threshold_c = read("/threshold_c", _threshold, doc.get("threshold_c", 0.0))
+    mode = read("/mode", _mode, doc.get("mode", {"kind": "exact"}))
+    objective = (read("/objective", _objective, doc["objective"], path)
+                 if "objective" in doc else None)
+    options = read("/solver", _object, doc.get("solver", {}), "/solver") or {}
+    options = {key: read(f"/solver/{key}", _solver_option, key, v) for key, v in options.items()}
+    solver = read("/solver", SolverConfig, **{k: v for k, v in options.items() if v is not None})
+    theta = read("/theta", _theta, doc["theta"], path, n) if "theta" in doc else None
+    realized = (read("/realized", _realized, doc["realized"], path, n)
+                if "realized" in doc else None)
     findings.raise_if_any()
     return Scenario(
-        n=n, design=design, model=model, estimator=estimator,
-        threshold_c=float(threshold_c), mode=mode, objective=objective,
-        solver=solver, theta=theta, realized=realized,
+        n=n, design=design, model=model, estimator=estimator, threshold_c=threshold_c,
+        mode=mode, objective=objective, solver=solver, theta=theta, realized=realized,
     )

@@ -67,19 +67,25 @@ class TestMatrixIo:
         with pytest.raises(ParseError):
             matrixio.read_matrix(path)
 
-    @pytest.mark.parametrize("fmt, text", [
-        ("csv", "1,inf\ninf,1\n"),
-        ("csv", "1,0\n0,nan\n"),
-        ("json", "[[1.0, NaN], [NaN, 1.0]]\n"),
-        ("json", "[[-Infinity, 0], [0, 1]]\n"),
-    ], ids=["csv-inf", "csv-nan", "json-nan", "json-inf"])
-    def test_non_finite_entries_rejected(self, tmp_path, fmt, text):
+    @pytest.mark.parametrize("fmt, text, match", [
+        ("csv", "1,inf\ninf,1\n", "not finite"),
+        ("csv", "1,0\n0,nan\n", "not finite"),
+        ("json", "[[1.0, NaN], [NaN, 1.0]]\n", "not finite"),
+        ("json", "[[-Infinity, 0], [0, 1]]\n", "not finite"),
+        ("json", "[[1, 0], [0]]\n", "ragged rows"),
+        ("json", "[[1, true], [true, 1]]\n", "true is not a JSON number"),
+        ("json", '[[1, "1"], ["1", 1]]\n', '"1" is not a JSON number'),
+    ], ids=["csv-inf", "csv-nan", "json-nan", "json-inf", "json-ragged", "json-bool",
+            "json-text"])
+    def test_non_finite_entries_rejected(self, tmp_path, fmt, text, match):
+        # JSON matrix files take JSON numbers only, as inline scenario values do
         path = tmp_path / f"m.{fmt}"
         path.write_text(text)
-        with pytest.raises(ParseError, match="not finite"):
+        with pytest.raises(ParseError, match=match):
             matrixio.read_matrix(path)
-        with pytest.raises(ParseError, match="not finite"):
+        with pytest.raises(ParseError, match=match):
             matrixio.read_matrix(path, symmetric=False)
+        assert run_cli("admissible", "-c", "illustration", "--slack", path) == 2
 
     def test_non_finite_vector_rejected(self, tmp_path):
         path = tmp_path / "v.csv"
@@ -189,15 +195,26 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("patch, pointer", [
         ({"n": True}, "/n"),
         ({"threshold_c": True}, "/threshold_c"),
-        ({"design": {"kind": "complete-randomization", "m": True}}, "/design"),
-        ({"design": {"kind": "bernoulli", "p": False}}, "/design"),
-        ({"design": {"kind": "bernoulli", "p": [0.5, True]}}, "/design"),
+        ({"design": {"kind": "complete-randomization", "m": True}}, "/design/m"),
+        ({"design": {"kind": "bernoulli", "p": False}}, "/design/p"),
+        ({"design": {"kind": "bernoulli", "p": [0.5, True]}}, "/design/p/1"),
         ({"objective": {"terms": [{"weight": True, "term": "frobenius-squared"}]}},
          "/objective/terms/0/weight"),
         ({"objective": {"terms": [{"term": "schatten", "p": True}]}}, "/objective/terms/0/p"),
         ({"exposure": {"rule": "spillover", "adjacency": [[True], [False]]}},
          "/exposure/adjacency"),
-    ], ids=["n", "threshold", "m", "p", "p-list", "weight", "schatten-p", "adjacency"])
+        ({"theta": [1.0, True, 0.0, 0.0]}, "/theta"),
+        ({"realized": {"z": [1, 0], "outcomes": {"1": True}}}, "/realized/outcomes/1"),
+        ({"realized": {"z": [True, False], "outcomes": {"1": 1.0}}}, "/realized/z"),
+        ({"design": {"kind": "explicit", "assignments": [[True, False], [0, 1]],
+                     "probabilities": [0.5, 0.5]}}, "/design/assignments"),
+        ({"objective": {"terms": [{"term": "targeted",
+                                   "W": [[1, 0, 0, 0], [0, True, 0, 0], [0, 0, 1, 0],
+                                         [0, 0, 0, 1]]}]}}, "/objective/terms/0/W"),
+        ({"estimator": {"kind": "ols", "covariates": [[1.0], [True]]}},
+         "/estimator/covariates"),
+    ], ids=["n", "threshold", "m", "p", "p-list", "weight", "schatten-p", "adjacency", "theta",
+            "outcome", "realized-z", "assignments", "W", "covariates"])
     def test_boolean_is_not_a_number(self, tmp_path, patch, pointer):
         # Python reads a JSON boolean as the integer 0 or 1
         doc = {
@@ -263,6 +280,64 @@ class TestScenarioParsing:
         assert "/realized/outcomes/01" in captured.err
         assert "bound_estimate" not in captured.out
 
+    @pytest.mark.parametrize("assignments, probabilities", [
+        ([[1, 0], [0, 1], [1, 1]], [0.5, 0.5]),
+        ([[1, 0], [0, 1]], [0.5, 0.5, 0.0]),
+    ], ids=["extra-assignment", "extra-probability"])
+    def test_explicit_design_rows_must_pair_up(self, tmp_path, assignments, probabilities):
+        # zip() would drop the unpaired rows and build a different design
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["design"].update(assignments=assignments, probabilities=probabilities)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == ["/design"]
+        assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("again", [[1, 0], [1.0, 0]], ids=["same", "integral-float"])
+    def test_repeated_table_assignment_is_a_finding(self, tmp_path, again):
+        # the last entry must not silently win
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["exposure"] = {"rule": "table", "labels": ["a", "b"], "contrast": ["a", "b"],
+                           "entries": [{"assignment": [1, 0], "labels": ["a", "b"]},
+                                       {"assignment": [0, 1], "labels": ["b", "a"]},
+                                       {"assignment": again, "labels": ["b", "b"]}]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == ["/exposure/entries/2/assignment"]
+        assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("key, written", [
+        ("1", "+1"), ("1", " 1"), ("1", "\uff11"), ("10", "1_0"),
+    ], ids=["plus", "space", "fullwidth", "underscore"])
+    def test_outcome_key_is_ascii_digits(self, tmp_path, key, written):
+        # Python's int() reads each of these as a coordinate
+        doc = _identity_estimate_doc(5, [1, 0, 0, 0, 0], {"kind": "exact"})
+        outcomes = doc["realized"]["outcomes"]
+        outcomes[written] = outcomes.pop(key)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == [f"/realized/outcomes/{written}"]
+        assert run_cli("estimate", "-c", path, "-o", tmp_path / "est") == 2
+
+    def test_readme_scenario_parses(self, tmp_path):
+        # the scenario document README shows, with the theta file it names
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A scenario is one JSON document:", 1)[1]
+        text = block.split("```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(text)
+        matrixio.write_vector(np.arange(2 * doc["n"], dtype=float), tmp_path / doc["theta"])
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        scn = parse_scenario(path)
+        assert scn.n == doc["n"] and scn.theta.tolist() == list(range(2 * doc["n"]))
+        assert scn.realized.z == tuple(doc["realized"]["z"])
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("{nope")
@@ -322,9 +397,21 @@ class TestScenarioParsing:
         ({"solver": {"max_iterations": 0}}, "/solver/max_iterations"),
         ({"solver": {"rho": True}}, "/solver/rho"),
         ({"solver": {"eps_abs": "1e-9"}}, "/solver/eps_abs"),
+        ({"objective": [1]}, "/objective"),
+        ({"objective": {"terms": [1]}}, "/objective/terms/0"),
+        ({"realized": {"z": [1, 0], "outcomes": [1, 2]}}, "/realized/outcomes"),
+        ({"design": {"kind": "complete-randomization", "m": 2.7}}, "/design/m"),
+        ({"design": {"kind": "complete-randomization", "m": "1"}}, "/design/m"),
+        ({"exposure": {"rule": "spillover", "adjacency": [[1.5], [0]]}}, "/exposure/adjacency"),
+        ({"exposure": {"rule": "spillover", "adjacency": [["1"], [0]]}}, "/exposure/adjacency"),
+        ({"design": {"kind": "bernoulli", "p": "0.5"}}, "/design/p"),
+        ({"theta": ["1", 2, 3, 4]}, "/theta"),
+        ({"realized": {"z": [1, 0], "outcomes": {"1": "3"}}}, "/realized/outcomes/1"),
     ], ids=["count-zero", "count-text", "seed-negative", "rho-zero", "rho-text",
             "iterations-fraction", "iterations-bool", "iterations-text", "iterations-zero",
-            "rho-bool", "eps-text"])
+            "rho-bool", "eps-text", "objective-list", "term-number", "outcomes-list",
+            "m-fraction", "m-text", "adjacency-fraction", "adjacency-text", "p-text",
+            "theta-text", "outcome-text"])
     def test_bad_mode_or_solver_value_is_a_finding(self, tmp_path, patch, pointer):
         doc = {
             "n": 2,
