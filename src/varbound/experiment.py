@@ -18,7 +18,12 @@ the per-assignment functions run that code on a single row. Horvitz-Thompson's
 A is a function of P2 alone (``_ht_covariance``), and difference in means, OLS
 and Lin average their coefficients in the P2 pass, from its observation rows,
 so their builds make one pass over the assignments; Hajek and GREG weight by
-pi = diag(P2) and make a second pass for A.
+pi = diag(P2) and make a second pass for A. Exact builds of P2 alone or of
+Horvitz-Thompson's A, under a Bernoulli, paired, complete or cluster design
+and the identity or spillover rule, read P2 off local patterns instead when
+those are fewer rows than the support (``_local_plan``): P2_kl depends only on
+the units that set k's and l's exposures, so each unit pair enumerates the
+patterns of those units alone, weighted by their closed-form marginal.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ log = logging.getLogger(__name__)
 
 Bits = tuple[int, ...]
 
-# the largest support enumerated exactly; larger designs need Monte Carlo mode
+# the most rows an exact build enumerates: the design's assignments, or the
+# local patterns of the local path (``_local_plan``); beyond it, Monte Carlo mode
 DEFAULT_SUPPORT_CAP = 1 << 20
 
 # assignment rows per block in every moment computation; bounds the memory of
@@ -182,7 +188,7 @@ class Design:
         if self.kind == "bernoulli":
             return 2**self.n
         if self.kind in ("complete-randomization", "cluster"):
-            return math.comb(len(self.clusters or range(self.n)), self.m)
+            return math.comb(len(self.clusters) if self.clusters else self.n, self.m)
         if self.kind == "paired":
             return 2 ** len(self.pairs)
         if self.kind == "explicit":
@@ -409,6 +415,15 @@ class ExposureModel:
         )
 
 
+def _adjacency(model, n):
+    """Float32 (n, n) 0/1 matrix of the spillover rule: row i marks the
+    neighbours of unit i."""
+    adj = np.zeros((n, n), dtype=np.float32)
+    for i, nbrs in enumerate(model.adjacency):
+        adj[i, list(nbrs)] = 1.0
+    return adj
+
+
 def _exposure_codes(model, Z):
     """Integer (rows, n) matrix: entry (r, i) is the index in ``model.labels`` of
     unit i's exposure under assignment row r of Z."""
@@ -417,9 +432,7 @@ def _exposure_codes(model, Z):
     if model.rule == "identity":
         return 1 - Z  # labels (1, 0)
     if model.rule == "spillover":
-        adj = np.zeros((n, n), dtype=np.float32)
-        for i, nbrs in enumerate(model.adjacency):
-            adj[i, list(nbrs)] = 1.0
+        adj = _adjacency(model, n)
         # SPILLOVER_LABELS order: a treated unit is 0 (direct), an untreated one
         # 2 (isolated) less 1 if it has a treated neighbour (indirect); this runs
         # on every block: int8, and exact float32 counts by sgemm, not int64 @ float
@@ -897,16 +910,137 @@ def _ht_covariance(table):
     return table.P2 * np.outer(inv, inv) - np.outer(s * seen, s * seen)
 
 
+def _unit_coins(design):
+    """Index of the coin that sets each unit's assignment: its pair (paired),
+    its cluster (cluster) or the unit itself (Bernoulli and complete)."""
+    groups = design.pairs or design.clusters
+    return _unit_clusters(groups, design.n) if groups else np.arange(design.n)
+
+
+def _reach_pairs(design, model):
+    """The unit pairs (i <= j) whose P2 entries the local path enumerates, as
+    index arrays I and J, the sizes |U| of their unions U = R_i | R_j, and the
+    reach matrix R (row i marks R_i: unit i and, under spillover, the
+    neighbours whose assignments set its exposure). Under the product designs
+    a pair whose reach sets share no coin (a unit under Bernoulli, a pair
+    under paired) is independent, P2 = pi_k pi_l, and is left out."""
+    n = design.n
+    R = np.eye(n, dtype=np.float32)
+    if model.rule == "spillover":
+        R += _adjacency(model, n)
+    near = np.ones((n, n), dtype=bool)
+    if design.kind in ("bernoulli", "paired"):
+        coins = R @ np.eye(n, dtype=np.float32)[_unit_coins(design)]
+        near = coins @ coins.T > 0
+    I, J = np.nonzero(np.triu(near))
+    size = R.sum(axis=1)  # exact float32 counts, as the intersections R R'
+    sizes = (size[I] + size[J] - (R @ R.T)[I, J]).astype(np.int64)
+    return I, J, sizes, R > 0
+
+
+def _local_weights(design, U, bits):
+    """Marginal probability of each local pattern, the rows of ``bits`` on the
+    units in the rows of ``U``: a product over units (Bernoulli) or over the
+    pairs that meet U (paired), or C(K - k, m - s) / C(K, m) when the pattern
+    meets k of the K clusters (units, under complete randomization) and treats
+    s of them. A pattern that splits a cluster, or treats both or neither unit
+    of a pair, has probability 0."""
+    if design.kind == "bernoulli":
+        p = np.asarray(design.p)[U]
+        return np.prod(np.sort(np.where(bits == 1, p, 1.0 - p), axis=1), axis=1)
+    u = U.shape[1]
+    coin = _unit_coins(design)[U]
+    twin = (coin[:, :, None] == coin[:, None, :]) & np.triu(np.ones((u, u), dtype=bool), 1)
+    same = bits[:, :, None] == bits[:, None, :]
+    ok = ~np.any(twin & (same if design.kind == "paired" else ~same), axis=(1, 2))
+    first = ~twin.any(axis=1)  # a unit of U whose coin no earlier unit of U shares
+    k = first.sum(axis=1)
+    if design.kind == "paired":
+        return np.where(ok, 0.5**k, 0.0)
+    K, m = len(design.clusters) if design.clusters else design.n, design.m
+    table = [[math.comb(K - a, m - s) / math.comb(K, m) if s <= m and a <= K else 0.0
+              for s in range(u + 1)] for a in range(u + 1)]
+    return np.where(ok, np.array(table)[k, (bits * first).sum(axis=1)], 0.0)
+
+
+def _local_p2(design, model, I, J, sizes, R):
+    """P2 from local patterns: pair (i, j) with |U| = u reads its entries at
+    coordinates (i, j, i + n, j + n) off the 2^u patterns of U, each embedded
+    in a zero row, evaluated by ``_observation_matrix`` and weighted by its
+    marginal (``_local_weights``). Pairs of one size run together, BLOCK_ROWS
+    rows at a time. Pairs left out (see ``_reach_pairs``) take pi_k pi_l.
+    A pattern's factors are multiplied, and a pair's terms added, in sorted
+    order, so that relabeling the units permutes P2 exactly (for pairs whose
+    patterns fit in one block)."""
+    n = design.n
+
+    def corners(i, j):
+        return (i, j), (i, j + n), (i + n, j), (i + n, j + n)
+
+    sums = np.zeros((4, len(I)))  # each pair's entries, in the order of corners
+    for u in np.flatnonzero(np.bincount(sizes)).tolist():
+        at = np.flatnonzero(sizes == u)
+        per, span = max(1, BLOCK_ROWS >> u), min(1 << u, BLOCK_ROWS)  # pairs, patterns
+        for a in range(0, len(at), per):
+            pairs = at[a:a + per]
+            U = np.repeat(np.nonzero(R[I[pairs]] | R[J[pairs]])[1].reshape(-1, u), span, axis=0)
+            i, j = np.repeat(I[pairs], span), np.repeat(J[pairs], span)
+            for b in range(0, 1 << u, span):
+                bits = np.tile(_bit_rows(b, b + span, u), (len(pairs), 1))
+                Z = np.zeros((len(bits), n), dtype=np.int64)
+                np.put_along_axis(Z, U, bits, axis=1)
+                obs, w = _observation_matrix(model, Z), _local_weights(design, U, bits)
+                rows = np.arange(len(bits))
+                for c, (x, y) in enumerate(corners(i, j)):
+                    terms = (w * (obs[rows, x] & obs[rows, y])).reshape(len(pairs), span)
+                    sums[c, pairs] += np.sort(terms, axis=1).sum(axis=1)
+    on = I == J
+    pi = np.zeros(2 * n)
+    pi[I[on]], pi[I[on] + n] = sums[0, on], sums[3, on]
+    P2 = np.outer(pi, pi) if design.kind in ("bernoulli", "paired") else np.zeros((2 * n,) * 2)
+    for c, (x, y) in enumerate(corners(I, J)):
+        P2[x, y] = P2[y, x] = sums[c]
+    return P2
+
+
+def _local_plan(blocks, model, spec):
+    """The local path's (I, J, sizes, R) and its row count, sum of 2^|U| over
+    the pairs it enumerates, when it serves this build: exact mode, P2 alone
+    or Horvitz-Thompson, a Bernoulli, paired, complete or cluster design,
+    the identity or spillover rule, and fewer rows than the design's support.
+    None otherwise. Raises SupportTooLarge when those rows exceed
+    ``DEFAULT_SUPPORT_CAP``."""
+    design = blocks.design
+    if not (blocks.draws is None and (spec is None or spec.kind == "horvitz-thompson")
+            and design.kind in ("bernoulli", "paired", "complete-randomization", "cluster")
+            and model.rule in ("identity", "spillover") and model.n == design.n):
+        return None
+    support = design.support_size()
+    plan = _reach_pairs(design, model)
+    rows = sum(c << u for u, c in enumerate(np.bincount(plan[2]).tolist()))
+    if rows >= support:
+        return None
+    if rows > DEFAULT_SUPPORT_CAP:
+        raise SupportTooLarge(
+            f"exact P2 needs {rows} local pattern rows > cap {DEFAULT_SUPPORT_CAP}; "
+            "use Monte Carlo sampling"
+        )
+    return plan, rows
+
+
 def _variance_build(blocks, model, spec):
-    """(A, SecondOrderTable) from one set of assignments, the ``blocks``.
+    """(A, SecondOrderTable) from one set of assignments, the ``blocks``, or
+    from local patterns (``_local_plan``, ``_local_p2``) where those serve.
 
     Each block's observation matrix is formed once: P2 counts it, and the
     estimators whose coefficients do not read pi (difference-in-means, ols,
     lin) take their coefficients from it in the same pass. Horvitz-Thompson
     reads A off P2; Hajek and greg need pi = diag(P2) first, so they average
     their coefficients in a second pass. ``spec=None`` builds P2 alone and
-    returns A = None. Logs one debug line: the rows, those the P2 pass counted
-    and, for ols and lin, those whose regression took the SVD.
+    returns A = None. Logs one debug line: the path (local, enumerated or
+    drawn), its rows (local patterns; or assignments, those the P2 pass
+    counted, and passes) and, for ols and lin, the rows whose regression took
+    the SVD.
     """
     started = time.perf_counter()
     work = _CoefficientPass()
@@ -916,8 +1050,13 @@ def _variance_build(blocks, model, spec):
         obs = _observation_matrix(model, Z)
         return (obs, _batch_coefficients(spec, model, Z, None, work, obs)) if one_pass else (obs,)
 
-    (_, P2), *moments = _weighted_moments(blocks, rows)
-    table = SecondOrderTable(P2=linalg.symmetrize(P2), provenance=blocks.provenance)
+    local = _local_plan(blocks, model, spec)
+    if local is None:
+        (_, P2), *moments = _weighted_moments(blocks, rows)
+        P2 = linalg.symmetrize(P2)
+    else:
+        P2, moments = _local_p2(blocks.design, model, *local[0]), []
+    table = SecondOrderTable(P2=P2, provenance=blocks.provenance)
     counted = blocks.counted
     if spec is None:
         A, source = None, "not built"
@@ -929,8 +1068,11 @@ def _variance_build(blocks, model, spec):
         source = "from coefficients"
     if spec is not None and spec.kind in ("ols", "lin"):
         source += f", regression rows by SVD {work.svd_rows} of {blocks.rows}"
-    log.debug("build: mode %s, %d rows (%d counted), passes %d, A %s, %.3f s",
-              table.provenance["mode"], blocks.rows, counted, blocks.passes, source,
+    mode = table.provenance["mode"]
+    path = (f"path local, {local[1]} rows" if local else
+            f"path {'enumerated' if mode == 'exact' else 'drawn'}, {blocks.rows} rows "
+            f"({counted} counted), passes {blocks.passes}")
+    log.debug("build: mode %s, %s, A %s, %.3f s", mode, path, source,
               time.perf_counter() - started)
     return A, table
 

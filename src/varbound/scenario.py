@@ -345,6 +345,9 @@ def parse_scenario(path):
     path = Path(path)
     doc = _object(_load_json(path), "")
     n = _integer(doc.get("n"), "/n", 1)
+    if (2 * n) ** 2 > np.iinfo(np.intp).max:
+        raise _finding("/n", f"{n} units are too many: a {2 * n} x {2 * n} matrix "
+                             "cannot be indexed")
     findings = _Findings()
     read = findings.read
     design = read("/design", _design, doc.get("design"), n)

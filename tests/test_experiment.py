@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -23,6 +24,7 @@ from varbound import (
     compute_exposures,
     enumerate_assignments,
     estimator_value,
+    linalg,
     observation_indices,
     pair_observation_probabilities,
     sample_assignments,
@@ -42,6 +44,7 @@ from varbound.errors import (
 from varbound.experiment import (
     BLOCK_ROWS,
     ESTIMATOR_KINDS,
+    SecondOrderTable,
     VarianceProblem,
     _AssignmentBlocks,
     _batch_coefficients,
@@ -50,7 +53,10 @@ from varbound.experiment import (
     _CoefficientPass,
     _design_matrices,
     _gauss_jordan_inverse,
+    _ht_covariance,
+    _local_p2,
     _observation_matrix,
+    _reach_pairs,
     _regression_rows,
     _support_blocks,
     _support_rows,
@@ -88,6 +94,11 @@ class TestEnumerate:
     def test_support_cap(self):
         with pytest.raises(SupportTooLarge):
             enumerate_assignments(Design.bernoulli(30, 0.5))
+
+    def test_support_size_of_a_huge_design(self):
+        n = 10**30
+        assert Design.complete(n, 2).support_size() == n * (n - 1) // 2
+        assert Design(kind="cluster", n=n, m=1, clusters=((0,), (1,))).support_size() == 2
 
     def test_probabilities_sum_to_one(self):
         for d in (
@@ -1075,8 +1086,9 @@ class TestOnePassBuild:
         [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
         assert record.levelno == logging.DEBUG
         rows = kwargs.get("count", 2)
+        path = "enumerated" if mode == "exact" else "drawn"
         assert re.fullmatch(
-            rf"build: mode {mode}, {rows} rows \({rows} counted\), passes {passes}, "
+            rf"build: mode {mode}, path {path}, {rows} rows \({rows} counted\), passes {passes}, "
             rf"A {source}, \d+\.\d{{3}} s",
             record.getMessage())
 
@@ -1099,10 +1111,248 @@ class TestOnePassBuild:
         [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
         rows = kwargs.get("count", 20)
         svd = f", regression rows by SVD 0 of {rows}" if kind in ("ols", "lin") else ""
+        path = "enumerated" if mode == "exact" else "drawn"
         assert re.fullmatch(
-            rf"build: mode {mode}, {rows} rows \({rows} counted\), passes {passes}, "
+            rf"build: mode {mode}, path {path}, {rows} rows \({rows} counted\), passes {passes}, "
             rf"A from \w+{svd}, \d+\.\d{{3}} s",
             record.getMessage())
+
+
+def _ring_with_chords(n, chords=()):
+    """The ring's spillover rule, plus an edge (both ways) for each chord."""
+    adjacency = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
+    for a, b in chords:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return ExposureModel.spillover([sorted(nbrs) for nbrs in adjacency])
+
+
+def _enumerated_p2(design, model):
+    """P2 by the enumeration's pass: ``_weighted_moments`` over the exact
+    support, on ``_observation_matrix`` rows."""
+    [(_, P2)] = _weighted_moments(_AssignmentBlocks(design),
+                                  lambda Z: (_observation_matrix(model, Z),))
+    return linalg.symmetrize(P2)
+
+
+def _local_table(design, model):
+    """P2 from the local patterns, whatever the build would route to."""
+    return _local_p2(design, model, *_reach_pairs(design, model))
+
+
+def _assert_local_matches_enumeration(design, model, bitwise):
+    """P2, A and Omega from the local table against the enumeration: bitwise
+    where every weight is dyadic, else P2 within 1e-14 relative entrywise
+    with the same zero pattern, and Omega equal. A = P2 / (pi pi') - 1
+    divides by two probabilities, which carries the enumeration's own
+    rounding (up to 1.1e-14 of A's largest entry against exact fractions at
+    n = 10, where the local A is within 2e-16) into A: A agrees within 5e-14
+    of its largest entry."""
+    local, enumerated = _local_table(design, model), _enumerated_p2(design, model)
+    tables = [SecondOrderTable(P2) for P2 in (local, enumerated)]
+    A, A_ref = (_ht_covariance(t) for t in tables)
+    if bitwise:
+        assert local.tobytes() == enumerated.tobytes()
+        assert A.tobytes() == A_ref.tobytes()
+    else:
+        assert np.array_equal(local == 0, enumerated == 0)
+        assert np.all(np.abs(local - enumerated) <= 1e-14 * np.abs(enumerated))
+        assert np.abs(A - A_ref).max() <= 5e-14 * np.abs(A_ref).max()
+    for c in (0.0, 0.2):
+        assert unobservable_pairs(tables[0], c) == unobservable_pairs(tables[1], c)
+
+
+def _ring_designs(n):
+    """(design, bitwise) for each design kind on n units (n even)."""
+    half = n // 2
+    return [
+        (Design.bernoulli(n, 0.5), True),
+        (Design.bernoulli(n, 0.3), False),
+        (Design.bernoulli(n, np.linspace(0.1, 0.9, n)), False),
+        (Design.paired([(i, i + half) for i in range(half)]), True),
+        (Design.complete(n, half - 1), False),
+        (Design.cluster([(i, i + half) for i in range(half)], half // 2), False),
+    ]
+
+
+def _relabeled(design, model, perm):
+    """The same experiment with unit perm[i] renamed i: the Bernoulli
+    probabilities, the pairs, the clusters and the adjacency follow it."""
+    new = np.argsort(perm)  # new[old unit] = its new label
+    rename = lambda units: [int(new[u]) for u in units]  # noqa: E731
+    if design.kind == "bernoulli":
+        design = Design.bernoulli(design.n, np.asarray(design.p)[perm])
+    elif design.kind == "paired":
+        design = Design.paired([rename(pair) for pair in design.pairs])
+    elif design.kind == "cluster":
+        design = Design.cluster([rename(c) for c in design.clusters], design.m)
+    if model.rule == "spillover":
+        model = ExposureModel.spillover([rename(model.adjacency[u]) for u in perm])
+    return design, model
+
+
+def _relabel_coordinates(perm):
+    """The coordinate permutation of a unit permutation, and the map of an
+    Omega pair onto its relabeled pair."""
+    n = len(perm)
+    coords = np.concatenate([perm, perm + n])
+    new = np.argsort(coords)
+    return coords, lambda pairs: {tuple(sorted((int(new[k]), int(new[l])))) for k, l in pairs}
+
+
+class TestLocalMoments:
+    """Exact Horvitz-Thompson P2 from each unit pair's local patterns, checked
+    against the enumeration, Monte Carlo draws and relabeled units."""
+
+    HT = EstimatorSpec(kind="horvitz-thompson")
+
+    @pytest.mark.parametrize("n", [6, 10, 16])
+    @pytest.mark.parametrize("rule", ["identity", "spillover"])
+    def test_matches_enumeration_on_the_ring(self, n, rule):
+        model = ExposureModel.identity(n) if rule == "identity" else _ring(n)
+        for design, bitwise in _ring_designs(n):
+            _assert_local_matches_enumeration(design, model, bitwise)
+
+    def test_matches_enumeration_on_the_pool(self):
+        # every pool design, under the identity rule and the ring's spillover
+        rng = np.random.default_rng(2021)
+        seen = set()
+        for _ in range(60):
+            design, _, _ = random_scenario(rng)
+            n = design.n
+            ring = ExposureModel.spillover([[1], [0]] if n == 2 else
+                                           [[(i - 1) % n, (i + 1) % n] for i in range(n)])
+            for model in (ExposureModel.identity(n), ring):
+                bitwise = design.kind == "paired"
+                _assert_local_matches_enumeration(design, model, bitwise)
+                seen.add((design.kind, model.rule))
+        assert len(seen) == 8
+
+    @pytest.mark.parametrize("design", [
+        Design.bernoulli(8, np.linspace(0.1, 0.9, 8)), Design.complete(8, 3),
+    ], ids=["bernoulli", "complete"])
+    def test_within_four_eps_of_exact_fractions(self, design):
+        # the local sums run over at most 2^6 patterns a pair: each P2 entry is
+        # within 4 eps (relative) of the exact probability
+        n, model = 8, _ring(8)
+        support = enumerate_assignments(design)
+        if design.kind == "bernoulli":
+            p = [Fraction(x) for x in design.p]
+            probs = [math.prod(p[i] if z[i] else 1 - p[i] for i in range(n)) for z, _ in support]
+        else:
+            probs = [Fraction(1, len(support))] * len(support)
+        O = _observation_matrix(model, np.array([z for z, _ in support]))
+        exact = [[sum((w for w, o in zip(probs, O) if o[k] and o[l]), Fraction(0))
+                  for l in range(2 * n)] for k in range(2 * n)]
+        local = _local_table(design, model)
+        eps = np.finfo(float).eps
+        for k in range(2 * n):
+            for l in range(2 * n):
+                assert abs(Fraction(float(local[k, l])) - exact[k][l]) <= 4 * eps * exact[k][l]
+
+    @pytest.mark.parametrize("spec", [HT, None], ids=["ht", "p2"])
+    def test_ring_at_n160_builds_exactly_in_under_a_second(self, spec, caplog):
+        # 2^160 assignments; 8,960 local patterns. The ring looks the same from
+        # every unit, and pairs three or more apart are independent, so each
+        # entry is the n = 16 ring's entry at the same ring distance
+        n, small = 160, 16
+        design, model = Design.bernoulli(n, 0.5), _ring(n)
+        started = time.perf_counter()
+        with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
+            if spec is None:
+                table = pair_observation_probabilities(design, model)
+            else:
+                problem, table = build_variance_problem(design, model, spec)
+        assert time.perf_counter() - started < 1.0
+        assert "path local, 8960 rows" in caplog.records[-1].getMessage()
+        P2 = _enumerated_p2(Design.bernoulli(small, 0.5), _ring(small))
+        k = np.arange(2 * n)
+        d = (k[None, :] - k[:, None]) % n  # ring distance of the units of (k, l)
+        d = np.minimum(np.minimum(d, n - d), small // 2)  # three or more: independent
+        first = k // n  # 0 for coordinates i, 1 for i + n
+        expected = P2[small * first[:, None], d + small * first[None, :]]
+        assert np.array_equal(table.P2, expected)
+        if spec is not None:
+            assert np.array_equal(problem.A, _ht_covariance(table))
+            assert problem.omega == unobservable_pairs(table)
+
+    def test_monte_carlo_within_six_standard_errors_of_exact(self):
+        n, count = 40, 20_000
+        design, model = Design.bernoulli(n, 0.5), _ring(n)
+        exact = pair_observation_probabilities(design, model).P2
+        mc = pair_observation_probabilities(design, model, mode="mc", count=count, seed=8).P2
+        sure = (exact == 0) | (exact == 1)
+        assert np.array_equal(mc[sure], exact[sure])
+        se = np.sqrt(exact * (1 - exact) / count)
+        assert np.all(np.abs(mc - exact)[~sure] <= 6 * se[~sure])
+
+    @pytest.mark.parametrize("rule", ["identity", "spillover"])
+    def test_relabeling_permutes_p2_a_and_omega_exactly(self, rule):
+        # chords make the relabeling no symmetry of the graph
+        n = 12
+        rng = np.random.default_rng(25)
+        model = (ExposureModel.identity(n) if rule == "identity"
+                 else _ring_with_chords(n, [(0, 5), (2, 9), (3, 7)]))
+        designs = [
+            Design.bernoulli(n, rng.uniform(0.2, 0.8, n)),
+            Design.paired([(i, i + 6) for i in range(6)]),
+            Design.complete(n, 5),
+            Design.cluster([(0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)], 2),
+        ]
+        for design in designs:
+            perm = rng.permutation(n)
+            coords, rename = _relabel_coordinates(perm)
+            other = _relabeled(design, model, perm)
+            problem, table = build_variance_problem(design, model, self.HT)
+            moved, moved_table = build_variance_problem(*other, self.HT)
+            index = np.ix_(coords, coords)
+            assert np.array_equal(moved_table.P2, table.P2[index])
+            assert np.array_equal(moved.A, problem.A[index])
+            assert moved.omega == rename(problem.omega)
+            assert np.array_equal(_local_table(*other), _local_table(design, model)[index])
+
+    def test_relabeling_permutes_lin_on_the_full_path(self):
+        # Lin's A sums float coefficient rows in the support's order, which a
+        # relabeling changes: A agrees within 1e-12 of its largest entry
+        n = 10
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(n, 2))
+        design, model = Design.complete(n, 5), ExposureModel.identity(n)
+        perm = rng.permutation(n)
+        coords, rename = _relabel_coordinates(perm)
+        problem, table = build_variance_problem(design, model, EstimatorSpec("lin", X))
+        moved, moved_table = build_variance_problem(
+            *_relabeled(design, model, perm), EstimatorSpec("lin", X[perm]))
+        index = np.ix_(coords, coords)
+        assert np.array_equal(moved_table.P2, table.P2[index])
+        assert np.abs(moved.A - problem.A[index]).max() <= 1e-12 * np.abs(problem.A).max()
+        assert moved.omega == rename(problem.omega)
+
+    @pytest.mark.parametrize("design, model, spec, path", [
+        (Design.bernoulli(12, 0.5), _ring(12), HT, "path local, 672 rows"),
+        (Design.bernoulli(12, 0.5), _ring(12), None, "path local, 672 rows"),
+        # 336 local rows against 64 assignments
+        (Design.bernoulli(6, 0.5), _ring(6), HT, "path enumerated, 64 rows"),
+        (Design.complete(8, 4), ExposureModel.identity(8),
+         EstimatorSpec("difference-in-means"), "path enumerated, 70 rows"),
+        (Design.explicit([((1, 0), 0.5), ((0, 1), 0.5)]), ExposureModel.identity(2), HT,
+         "path enumerated, 2 rows"),
+    ], ids=["ht", "p2-alone", "fewer-assignments", "other-estimator", "explicit"])
+    def test_debug_line_names_the_path(self, caplog, design, model, spec, path):
+        with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
+            if spec is None:
+                pair_observation_probabilities(design, model)
+            else:
+                build_variance_problem(design, model, spec)
+        [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
+        assert f"build: mode exact, {path}" in record.getMessage()
+
+    def test_local_rows_past_the_cap(self):
+        # complete randomization couples every pair: about 1.3 million local
+        # patterns on the ring at n = 200, against C(200, 100) assignments
+        n = 200
+        with pytest.raises(SupportTooLarge, match="local pattern rows"):
+            build_variance_problem(Design.complete(n, n // 2), _ring(n), self.HT)
 
 
 def _svd_rows(kind, X, in_a):

@@ -233,6 +233,27 @@ class TestScenarioParsing:
         assert run_cli("probe", "-c", path, "-o", out) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("design", [
+        {"kind": "bernoulli", "p": 0.5}, {"kind": "complete-randomization", "m": 1},
+    ], ids=["bernoulli", "complete"])
+    def test_huge_n_is_a_finding(self, tmp_path, capsys, design):
+        # 2n x 2n matrices are indexed by intp: past that n is a finding at
+        # /n, not an OverflowError from building the design
+        largest = math.isqrt(np.iinfo(np.intp).max) // 2
+        doc = {"design": design, "exposure": {"rule": "identity"},
+               "estimator": {"kind": "horvitz-thompson"}}
+        path = tmp_path / "s.json"
+        for n in (largest + 1, 10**30):
+            path.write_text(json.dumps({"n": n, **doc}))
+            with pytest.raises(ValidationError) as info:
+                parse_scenario(path)
+            assert [ptr for ptr, _ in info.value.findings] == ["/n"]
+            assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
+            assert "/n: " in capsys.readouterr().err
+        if design["kind"] != "bernoulli":  # a Bernoulli design lists one p per unit
+            path.write_text(json.dumps({"n": largest, **doc}))
+            assert parse_scenario(path).design.support_size() == largest
+
     def test_infinite_objective_weight_is_a_finding(self, tmp_path, capsys):
         doc = json.loads(builtin_scenario_path("illustration").read_text())
         doc["objective"] = {"terms": [{"weight": math.inf, "term": "frobenius-squared"}]}
@@ -1032,7 +1053,8 @@ class TestCli:
         proc = self.run_child("-m", "varbound.cli", "demo", "illustration")
         assert proc.returncode == 0
         assert "DEBUG varbound.solver: consensus ADMM converged after" in proc.stderr
-        assert ("DEBUG varbound.experiment: build: mode exact, 2 rows (2 counted), passes 1, "
+        assert ("DEBUG varbound.experiment: build: mode exact, path enumerated, 2 rows "
+                "(2 counted), passes 1, "
                 "A from P2") in proc.stderr
 
     def test_estimate_imports_no_scipy(self, tmp_path, monkeypatch):
