@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation, experiment, linalg, matrixio, solver
-from .errors import DimensionMismatch, SupportTooLarge, VarboundError
+from .errors import DimensionMismatch, VarboundError
 from .scenario import builtin_scenario_path, parse_scenario, resolve_config_path
 
 log = logging.getLogger("varbound")
@@ -175,7 +175,8 @@ def cmd_estimate(scn, args, out_dir, inputs):
         rcov = {"mode": "exact"}
     else:
         rcov = {"mode": "mc", "count": estimation.RCOV_DRAWS, "seed": _seed(scn, args)}
-    diag = estimation.r_covariance_opnorm(scn.design, scn.model, B, table, **rcov)
+    # ht_bound_estimate has checked B at threshold_c; Cov(R) refuses only P2 = 0
+    diag = estimation.r_covariance_opnorm(scn.design, scn.model, B, table, **rcov, theta=scn.theta)
     sup_obs = max((abs(v) for v in scn.realized.outcomes.values()), default=0.0)
     metrics["opnorm_cov_R"] = diag.opnorm_cov_R
     metrics["opnorm_cov_R_mode"] = diag.provenance.get("mode")
@@ -190,13 +191,7 @@ def cmd_estimate(scn, args, out_dir, inputs):
     if scn.theta is not None:
         # full outcome vector supplied: report oracle diagnostics too
         metrics["bound_value_at_theta"] = linalg.quadratic_form_value(B, scn.theta, scn.n)
-        try:
-            metrics["empirical_mse_at_theta"] = estimation.empirical_mse(
-                scn.design, scn.model, B, table, scn.theta,
-                threshold_c=scn.threshold_c,
-            )
-        except SupportTooLarge:
-            metrics["empirical_mse_at_theta"] = None
+        metrics["empirical_mse_at_theta"] = diag.empirical_mse
     print(json.dumps({"bound_estimate": estimate}))
     return EXIT_OK, {}, metrics
 

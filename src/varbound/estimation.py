@@ -2,14 +2,14 @@
 diagnostics that guide which bound to pick in the first place.
 
 The estimator weights each observed pair by 1 / P2: with y the observed
-outcomes (0 elsewhere) and M = B / P2 on the support of B, it is y' M y / n^2,
-one kernel for a realized assignment (``ht_bound_estimate``) and for every
-assignment (``empirical_mse``). A bound whose coefficients vanish on every
+outcomes (0 elsewhere) and M = B / P2 on the support of B, it is y' M y / n^2
+(``ht_bound_estimate``). A bound whose coefficients vanish on every
 never-jointly-observed pair is estimated without bias.
 
-The diagnostics Cov(R) and the empirical MSE average over the same
-assignment blocks as the design moments in ``experiment``, with the same
-weights: probabilities in exact mode, one per draw in Monte Carlo mode.
+The diagnostics Cov(R) and the empirical MSE come from one pass over the
+same assignment blocks as the design moments in ``experiment``, with the same
+weights: probabilities in exact mode, one per draw in Monte Carlo mode. The
+estimate is linear in R, so its MSE is a function of Cov(R)'s two moments.
 
 Cov(R) lives on the unordered pairs of the support of the bound. Its second
 moment is one dense pairs x pairs matrix, filled one block of at most
@@ -111,36 +111,29 @@ def validate_realized(data, model):
 
 @dataclass(frozen=True, eq=False)
 class RDiagnostics:
-    """Operator norm of the covariance of the inverse-propensity indicators."""
+    """Operator norm of the covariance of the inverse-propensity indicators,
+    and the bound estimator's MSE from the same moments when theta is given."""
 
     opnorm_cov_R: float
     provenance: dict = field(default_factory=dict)
+    empirical_mse: float | None = None
 
     def __post_init__(self):
         if self.opnorm_cov_R < 0:
             raise InvalidDesign("operator norm cannot be negative")
 
 
-def _support_mask(B, support_tol=SUPPORT_TOL):
-    scale = float(np.abs(B).max()) if B.size else 0.0
-    return np.abs(B) > support_tol * max(1.0, scale)
-
-
-def _check_bound_shape(B, table):
-    shape = np.shape(table.P2)
-    if B.shape != shape:
-        raise DimensionMismatch(f"B shape {B.shape} != P2 shape {shape}")
-
-
 def _estimator_matrix(B, table, threshold_c, support_tol=SUPPORT_TOL):
-    """M = B / P2 on the support of the symmetric B (``_support_mask``) and 0
-    elsewhere, so that the bound estimate from outcomes y, zero where not
-    observed, is y' M y / n^2 (``_bound_estimates``). Raises DimensionMismatch
-    when B and P2 differ in shape, and IncompatibleBound if B has weight on a
-    pair observed with probability at most threshold_c."""
-    _check_bound_shape(B, table)
-    support = _support_mask(B, support_tol)
+    """M = B / P2 on the support of the symmetric B (its entries above
+    support_tol max(1, max |B|)) and 0 elsewhere, so that the bound estimate
+    from outcomes y, zero where not observed, is y' M y / n^2
+    (``ht_bound_estimate``). Raises DimensionMismatch when B and P2 differ in
+    shape, and IncompatibleBound if B has weight on a pair observed with
+    probability at most threshold_c."""
     P2 = np.asarray(table.P2, dtype=float)
+    if B.shape != P2.shape:
+        raise DimensionMismatch(f"B shape {B.shape} != P2 shape {P2.shape}")
+    support = np.abs(B) > support_tol * max(1.0, float(np.abs(B).max()) if B.size else 0.0)
     bad = support & (P2 <= threshold_c)
     if np.any(bad):
         k, l = (int(x) for x in np.argwhere(bad)[0])
@@ -152,19 +145,14 @@ def _estimator_matrix(B, table, threshold_c, support_tol=SUPPORT_TOL):
     return np.divide(B, P2, out=np.zeros_like(B), where=support)
 
 
-def _bound_estimates(M, Y, n):
-    """The bound estimate y' M y / n^2 of each row y of Y."""
-    return np.einsum("ij,ij->i", Y @ M, Y) / float(n) ** 2
-
-
 def ht_bound_estimate(B, data, table, n, threshold_c=0.0, support_tol=SUPPORT_TOL):
     """Inverse-pair-probability estimate of the bound value theta' B theta / n^2.
 
     Sums B[k, l] theta_k theta_l / P2[k, l] over pairs of observed indices,
     skipping structurally zero coefficients: y' M y / n^2 with y the observed
-    outcomes (0 elsewhere) and M from ``_estimator_matrix``, the kernel
-    ``empirical_mse`` runs on every assignment. The bound must vanish on every
-    pair with joint observation probability at most ``threshold_c``.
+    outcomes (0 elsewhere) and M from ``_estimator_matrix``. The bound must
+    vanish on every pair with joint observation probability at most
+    ``threshold_c``.
     """
     M = _estimator_matrix(linalg.check_symmetric(B, name="B"), table, threshold_c, support_tol)
     idx = sorted(data.outcomes)
@@ -172,18 +160,18 @@ def ht_bound_estimate(B, data, table, n, threshold_c=0.0, support_tol=SUPPORT_TO
         raise MissingOutcome(f"outcome index outside 0..{len(M) - 1}: {idx}")
     y = np.zeros((1, len(M)))
     y[0, idx] = [data.outcomes[k] for k in idx]
-    return float(_bound_estimates(M, y, n)[0])
+    return float(np.einsum("ij,ij->i", y @ M, y)[0]) / float(n) ** 2
 
 
-def _r_pairs(B, table, support_tol=SUPPORT_TOL):
+def _r_pairs(B, table, threshold_c=0.0, support_tol=SUPPORT_TOL):
     """Coordinates of the inverse-propensity indicators: the unordered pairs
-    k <= l on the support of B with P2[k, l] > 0, and the scale of each,
-    1 / P2[k, l] on the diagonal and sqrt(2) / P2[k, l] off it, so that their
-    covariance has the nonzero spectrum of the full indicator vector's over
-    ordered pairs, which repeats each off-diagonal coordinate."""
-    P2 = np.asarray(table.P2, dtype=float)
-    k, l = np.nonzero(np.triu(_support_mask(B, support_tol) & (P2 > 0.0)))
-    scale = np.where(k == l, 1.0, math.sqrt(2.0)) / P2[k, l]
+    k <= l on the support of ``_estimator_matrix`` (which checks B against
+    ``threshold_c``), and the scale of each, 1 / P2[k, l] on the diagonal and
+    sqrt(2) / P2[k, l] off it, so that their covariance has the nonzero
+    spectrum of the full indicator vector's over ordered pairs, which repeats
+    each off-diagonal coordinate."""
+    k, l = np.nonzero(np.triu(_estimator_matrix(B, table, threshold_c, support_tol)))
+    scale = np.where(k == l, 1.0, math.sqrt(2.0)) / np.asarray(table.P2, dtype=float)[k, l]
     return k, l, scale
 
 
@@ -197,6 +185,29 @@ def _r_moments(model, blocks, pairs):
         blocks, lambda Z: ((obs := _observation_matrix(model, Z))[:, k] & obs[:, l],))
     second *= np.outer(scale, scale)
     return mean * scale, second
+
+
+def _r_pass(design, model, B, table, mode, count, seed, threshold_c, support_tol):
+    """The one pass behind Cov(R) and the MSE: (B, blocks, pairs, mean, second),
+    with the table built from the blocks when it is omitted."""
+    B = linalg.check_symmetric(B, name="B")
+    blocks = _AssignmentBlocks(design, mode, count, seed)
+    if table is None:
+        table = _variance_build(blocks, model, None)[1]
+    pairs = _r_pairs(B, table, threshold_c, support_tol)
+    return B, blocks, pairs, *_r_moments(model, blocks, pairs)
+
+
+def _mse(B, theta, n, pairs, mean, second):
+    """E[(estimate - t)^2] around t = theta' B theta / n^2, from the R moments.
+    The estimate is c . R with c_p = B[k, l] theta_k theta_l / n^2, times
+    sqrt(2) off the diagonal, so the MSE is c' Cov(R) c + (c . E[R] - t)^2."""
+    theta = np.asarray(theta, dtype=float)
+    k, l, _ = pairs
+    c = np.where(k == l, 1.0, math.sqrt(2.0)) * B[k, l] * theta[k] * theta[l] / float(n) ** 2
+    expected = float(mean @ c)
+    bias = expected - linalg.quadratic_form_value(B, theta, n)
+    return float(c @ (second @ c)) - expected**2 + bias**2
 
 
 def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
@@ -241,29 +252,26 @@ def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
 
 
 def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
-                        seed=None, support_tol=SUPPORT_TOL):
+                        seed=None, support_tol=SUPPORT_TOL, theta=None):
     """Operator norm of Cov(R), the inverse-propensity indicator covariance.
 
     Both modes average over the same assignment blocks (see ``_r_moments``):
     exact mode over the enumerated design, Monte Carlo mode over sampled
     assignments, so the rows counted are the only cost difference between
     them. The indicators live on the unordered pairs of the support of B, at
-    most n(2n + 1) coordinates: entries within
-    ``support_tol`` (relative) of zero do not count. When ``table`` is
-    omitted it is computed in the matching mode (for Monte Carlo, from the
-    same draws that feed the covariance).
+    most n(2n + 1) coordinates: entries within ``support_tol`` (relative) of
+    zero do not count, and B must vanish where P2 = 0 (IncompatibleBound).
+    When ``table`` is omitted it is computed in the matching mode (for Monte
+    Carlo, from the same draws that feed the covariance).
 
     ``provenance`` records the mode (and the Monte Carlo count and seed),
-    the number of pair coordinates and the number of matvecs.
+    the number of pair coordinates and the number of matvecs. Given a full
+    outcome vector ``theta``, ``empirical_mse`` holds the bound estimator's
+    MSE from the same moments (see ``empirical_mse``); None otherwise.
     """
-    B = linalg.check_symmetric(B, name="B")
     started = time.perf_counter()
-    blocks = _AssignmentBlocks(design, mode, count, seed)
-    if table is None:
-        table = _variance_build(blocks, model, None)[1]
-    _check_bound_shape(B, table)
-    pairs = _r_pairs(B, table, support_tol)
-    mean, second = _r_moments(model, blocks, pairs)
+    B, blocks, pairs, mean, second = _r_pass(design, model, B, table, mode, count, seed,
+                                             0.0, support_tol)
     matvecs = 0
 
     def cov_matvec(v):
@@ -275,7 +283,8 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
     log.debug("Cov(R): mode %s, %d rows (%d counted), %d pairs, %d matvecs, %.3f s", mode,
               blocks.rows, blocks.counted, len(mean), matvecs, time.perf_counter() - started)
     provenance = {**blocks.provenance, "pairs": len(mean), "matvecs": matvecs}
-    return RDiagnostics(opnorm_cov_R=max(top, 0.0), provenance=provenance)
+    mse = None if theta is None else _mse(B, theta, model.n, pairs, mean, second)
+    return RDiagnostics(opnorm_cov_R=max(top, 0.0), provenance=provenance, empirical_mse=mse)
 
 
 def _conjugate(p, q):
@@ -333,27 +342,16 @@ def empirical_mse(design, model, B, table=None, theta=None, mode="exact", count=
 
     The weighted average, over the enumerated design (exact) or sampled
     assignments (mc), of (estimate(z) - value)^2 with value =
-    theta' B theta / n^2. Each estimate is the row-wise quadratic form
-    y' M y / n^2 with y the observed coordinates of theta and M = B / P2 on
-    the support of B. When ``table`` is omitted it is computed in the matching
+    theta' B theta / n^2, from the R moments behind Cov(R) (``_mse``). The
+    bound must vanish on every pair observed with probability at most
+    ``threshold_c``. When ``table`` is omitted it is computed in the matching
     mode, from the same enumeration or draws.
     """
     if theta is None:
         raise InvalidDesign("empirical_mse needs a full outcome vector theta")
-    blocks = _AssignmentBlocks(design, mode, count, seed)
-    if table is None:
-        table = _variance_build(blocks, model, None)[1]
-    B = linalg.check_symmetric(B, name="B")
-    M = _estimator_matrix(B, table, threshold_c)
-    theta = np.asarray(theta, dtype=float)
-    target = linalg.quadratic_form_value(B, theta, model.n)
-
-    def error(Z):
-        Y = _observation_matrix(model, Z) * theta
-        return ((_bound_estimates(M, Y, model.n) - target)[:, None],)
-
-    [(_, mse)] = _weighted_moments(blocks, error)
-    return float(mse[0, 0])
+    B, _, pairs, mean, second = _r_pass(design, model, B, table, mode, count, seed,
+                                        threshold_c, SUPPORT_TOL)
+    return _mse(B, theta, model.n, pairs, mean, second)
 
 
 def estimation_gamma(diag, sup_theta):

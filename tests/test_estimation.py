@@ -276,6 +276,27 @@ class TestRCovariance:
             got = r_covariance_opnorm(design, model, B, table, mode, count, seed).opnorm_cov_R
             assert got == pytest.approx(dense, rel=1e-12 if mode == "exact" else 1e-10)
 
+    def test_incompatible_bound_rejected(self):
+        # unit 0 is never treated and untreated at once: weight on that pair
+        # cannot be estimated, and dropping it would report the Cov(R) of a
+        # different bound
+        design, model = Design.bernoulli(2, 0.5), ExposureModel.identity(2)
+        table = pair_observation_probabilities(design, model)
+        B = B_MINNORM.copy()
+        B[0, 2] = B[2, 0] = 1.0
+        assert table.P2[0, 2] == 0.0
+        for given in (table, None):
+            with pytest.raises(IncompatibleBound, match=r"B\[0,2\]"):
+                r_covariance_opnorm(design, model, B, given)
+
+    def test_empirical_mse_from_the_same_moments(self, illustration):
+        design, model, table = illustration["design"], illustration["model"], illustration["table"]
+        theta = np.array([1.0, 2.0, 3.0, 4.0])
+        assert r_covariance_opnorm(design, model, B_MINNORM, table).empirical_mse is None
+        diag = r_covariance_opnorm(design, model, B_MINNORM, table, theta=theta)
+        assert diag.empirical_mse == empirical_mse(design, model, B_MINNORM, table, theta)
+        assert diag.empirical_mse == pytest.approx(16.0, rel=1e-12)
+
     def test_pair_layout_is_upper_triangle_of_support(self):
         design, model = cluster_coin_design()
         table = pair_observation_probabilities(design, model)
@@ -541,12 +562,10 @@ class TestPerAssignmentOracle:
             assert cov_form == pytest.approx(var, rel=1e-12, abs=1e-12 * float(v @ second @ v))
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
-    def test_one_estimate_kernel_on_the_pool(self, mode, monkeypatch):
-        # ht_bound_estimate on each row that empirical_mse averages over (the
-        # support, or the draws) matches that row of empirical_mse's batch
-        batches, kernel = [], estimation._bound_estimates
-        monkeypatch.setattr(estimation, "_bound_estimates",
-                            lambda M, Y, n: batches.append(kernel(M, Y, n)) or batches[-1])
+    def test_one_estimate_kernel_on_the_pool(self, mode):
+        # the MSE from the R moments is the weighted mean squared error of
+        # ht_bound_estimate on each row empirical_mse averages over (the
+        # support, or the draws)
         rng, theta_rng = np.random.default_rng(2021), np.random.default_rng(6)
         for i in range(30):
             design, model, spec = random_scenario(rng)
@@ -554,14 +573,14 @@ class TestPerAssignmentOracle:
             problem, table = build_variance_problem(design, model, spec, 0.0, mode, count, seed)
             B = problem.A + aronow_samii_slack(problem.A, problem.omega)
             theta = theta_rng.normal(size=2 * model.n)
-            batches.clear()
-            empirical_mse(design, model, B, table, theta, mode, count, seed)
-            batch = np.concatenate(batches)
-            Z = np.concatenate([Z for Z, _ in _AssignmentBlocks(design, mode, count, seed)])
+            target = linalg.quadratic_form_value(B, theta, model.n)
+            mse = empirical_mse(design, model, B, table, theta, mode, count, seed)
+            rows = list(_AssignmentBlocks(design, mode, count, seed))
+            w = np.concatenate([w for _, w in rows])
             single = np.array([ht_bound_estimate(B, observe(model, z, theta), table, model.n)
-                               for z in Z])
-            assert len(single) == len(batch)
-            assert np.all(np.abs(single - batch) <= 1e-15 * np.abs(batch)), i
+                               for Z, _ in rows for z in Z])
+            oracle = float(w @ (single - target) ** 2) / float(w.sum())
+            assert abs(mse - oracle) <= 1e-12 * max(mse, target**2), i
 
 
 class TestMseUpperBound:
@@ -659,6 +678,21 @@ class TestEmpiricalMse:
         table = pair_observation_probabilities(design, model, **mc)
         assert got == empirical_mse(design, model, B, table, theta, **mc)
         assert 0.0 < got < np.inf
+
+    def test_incompatible_bound_rejected(self):
+        # the R pairs alone would drop such weight and bias the MSE silently
+        design, model = Design.bernoulli(2, 0.5), ExposureModel.identity(2)
+        table = pair_observation_probabilities(design, model)
+        never = B_MINNORM.copy()
+        never[0, 2] = never[2, 0] = 1.0  # P2[0, 2] = 0
+        with pytest.raises(IncompatibleBound, match=r"B\[0,2\]"):
+            empirical_mse(design, model, never, table, np.ones(4))
+        rare = np.zeros((4, 4))
+        rare[0, 1] = rare[1, 0] = rare[0, 0] = rare[1, 1] = 1.0
+        # P2[0, 1] = 1/4 is fine at c = 0 but refused at c = 0.3
+        assert empirical_mse(design, model, rare, table, np.ones(4)) >= 0.0
+        with pytest.raises(IncompatibleBound, match=r"B\[0,1\]"):
+            empirical_mse(design, model, rare, table, np.ones(4), threshold_c=0.3)
 
     def test_dominated_by_error_bound(self, illustration):
         # normalized error never exceeds the uniform-form bound once the

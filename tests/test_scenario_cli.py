@@ -24,7 +24,6 @@ from varbound import (
 from varbound.errors import (
     AsymmetricInput,
     DimensionMismatch,
-    InvalidDesign,
     ParseError,
     SingularRegression,
     ValidationError,
@@ -544,6 +543,20 @@ def _identity_estimate_doc(n, z, mode):
                                               for i in range(n)}}}
 
 
+def _ring12_estimate_doc():
+    """An exact estimate scenario on the n = 12 ring: Bernoulli(0.5), spillover
+    exposure, Horvitz-Thompson. Unit 3k is treated and reveals 3k; its
+    neighbours reveal 3k +- 1 + n."""
+    n = 12
+    return {"n": n, "design": {"kind": "bernoulli", "p": 0.5},
+            "exposure": {"rule": "spillover",
+                         "adjacency": [[(i - 1) % n, (i + 1) % n] for i in range(n)]},
+            "estimator": {"kind": "horvitz-thompson"}, "mode": {"kind": "exact"},
+            "realized": {"z": [1, 0, 0] * 4,
+                         "outcomes": {str(i + 1 + (0 if i % 3 == 0 else n)): 1.0 + i
+                                      for i in range(n)}}}
+
+
 def _estimate_with_bound(tmp_path, capsys, doc, **mode):
     """Run ``estimate`` on ``doc`` with the bound 0.5 on every jointly observed
     pair plus the identity; ``mode`` rebuilds the scenario's P2. Returns the
@@ -936,16 +949,7 @@ class TestCli:
         # 4,096 and C(16, 8) = 12,870 assignments are fewer rows than 20,000
         # draws, so Cov(R) counts the support, whatever the scenario's mode
         if case == "ring12-exact":
-            n = 12
-            doc = {"n": n, "design": {"kind": "bernoulli", "p": 0.5},
-                   "exposure": {"rule": "spillover",
-                                "adjacency": [[(i - 1) % n, (i + 1) % n] for i in range(n)]},
-                   "estimator": {"kind": "horvitz-thompson"}, "mode": {"kind": "exact"},
-                   # unit 3k is treated and reveals 3k; its neighbours reveal 3k +- 1 + n
-                   "realized": {"z": [1, 0, 0] * 4,
-                                "outcomes": {str(i + 1 + (0 if i % 3 == 0 else n)): 1.0 + i
-                                             for i in range(n)}}}
-            mode = {}
+            doc, mode = _ring12_estimate_doc(), {}
         else:
             n = 16
             doc = _identity_estimate_doc(n, [1, 0] * 8, {"kind": "mc", "count": 2000, "seed": 5})
@@ -958,35 +962,33 @@ class TestCli:
         assert metrics["opnorm_cov_R_pairs"] == expected.provenance["pairs"]
         assert metrics["opnorm_cov_R_matvecs"] == expected.provenance["matvecs"]
 
-    def test_estimate_reports_null_mse_past_the_support_cap(self, tmp_path, capsys):
-        # 2^21 assignments are past the 2^20 enumeration cap: the empirical
-        # MSE at theta reads null, and the rest of the report stands
+    def test_estimate_reports_mc_mse_past_the_draw_count(self, tmp_path, capsys):
+        # 2^21 assignments are more rows than 20,000 draws: the empirical MSE
+        # at theta comes from Cov(R)'s draws, in its mode and with its seed
         n = 21
         doc = _identity_estimate_doc(n, [1, 0] * 10 + [1], {"kind": "mc", "count": 500, "seed": 5})
         doc["theta"] = np.linspace(1.0, 2.0, 2 * n).tolist()
-        scn, _, B, metrics = _estimate_with_bound(tmp_path, capsys, doc,
-                                                  mode="mc", count=500, seed=5)
-        assert metrics["empirical_mse_at_theta"] is None
+        scn, table, B, metrics = _estimate_with_bound(tmp_path, capsys, doc,
+                                                      mode="mc", count=500, seed=5)
+        assert metrics["empirical_mse_at_theta"] == estimation.empirical_mse(
+            scn.design, scn.model, B, table, scn.theta,
+            mode="mc", count=estimation.RCOV_DRAWS, seed=5)
         assert metrics["bound_value_at_theta"] == pytest.approx(
             linalg.quadratic_form_value(B, scn.theta, n))
         assert metrics["opnorm_cov_R_mode"] == "mc"
 
-    def test_estimate_mse_failure_other_than_support_size_is_an_error(
-            self, tmp_path, capsys, monkeypatch):
-        doc = json.loads(builtin_scenario_path("illustration").read_text())
-        doc["theta"] = [1.0, 2.0, 3.0, 4.0]
-        doc["realized"] = {"z": [1, 0], "outcomes": {"1": 1.0, "4": 4.0}}
-        path = tmp_path / "scn.json"
-        path.write_text(json.dumps(doc))
-
-        def fail(*args, **kwargs):
-            raise InvalidDesign("broken design")
-
-        monkeypatch.setattr(estimation, "empirical_mse", fail)
-        out = tmp_path / "est"
-        assert run_cli("estimate", "-c", path, "-o", out) == 2
-        assert "error: broken design" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+    def test_estimate_takes_one_moment_pass(self, tmp_path, capsys, monkeypatch):
+        # Cov(R) and the empirical MSE at theta read one pass of R moments
+        doc = _ring12_estimate_doc()
+        doc["theta"] = np.linspace(-1.0, 2.0, 24).tolist()
+        calls, moments = [], estimation._weighted_moments
+        monkeypatch.setattr(estimation, "_weighted_moments",
+                            lambda *args: calls.append(1) or moments(*args))
+        scn, table, B, metrics = _estimate_with_bound(tmp_path, capsys, doc)
+        assert len(calls) == 1
+        assert metrics["empirical_mse_at_theta"] == estimation.empirical_mse(
+            scn.design, scn.model, B, table, scn.theta)
+        assert metrics["empirical_mse_at_theta"] > 0.0
 
     def test_seed_flag_overrides_scenario_seed(self, tmp_path):
         doc = {
