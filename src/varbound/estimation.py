@@ -179,10 +179,17 @@ def _r_moments(model, blocks, pairs):
     """Mean and second moment of the R rows over the blocks: coordinate (k, l)
     of ``pairs = (k, l, s)`` is 1{k, l observed} times s. The indicators go
     through ``_weighted_moments`` as 0/1 rows; the scales apply after, as
-    s E[ind] and diag(s) E[ind ind'] diag(s)."""
+    s E[ind] and diag(s) E[ind ind'] diag(s). Each block's indicators are
+    gathered from whole rows of the transposed observation matrix, which are
+    contiguous where its columns are strided, and reach the kernel as a
+    transposed view."""
     k, l, scale = pairs
-    [(mean, second)] = _weighted_moments(
-        blocks, lambda Z: ((obs := _observation_matrix(model, Z))[:, k] & obs[:, l],))
+
+    def rows(Z):
+        obs = np.ascontiguousarray(_observation_matrix(model, Z).T)
+        return (np.logical_and(obs[k], obs[l]).T,)
+
+    [(mean, second)] = _weighted_moments(blocks, rows)
     second *= np.outer(scale, scale)
     return mean * scale, second
 

@@ -11,8 +11,10 @@ boundary.
 
 Every design moment (pi = diag(P2), P2, A) is one weighted average over
 blocks of assignment rows, in exact and Monte Carlo mode alike; only the
-weights differ (see ``_AssignmentBlocks``). Monte Carlo draws depend on the
-seed and the count alone. Each exposure rule (``_exposure_codes``) and each
+weights differ (see ``_AssignmentBlocks``). Both modes make their blocks while
+a pass runs, so no pass holds more than one block of assignments; Monte Carlo
+draws depend on the seed and the count alone, and a second pass draws the
+same blocks again. Each exposure rule (``_exposure_codes``) and each
 estimator (``_batch_coefficients``) is implemented once, on blocks of rows;
 the per-assignment functions run that code on a single row. Horvitz-Thompson's
 A is a function of P2 alone (``_ht_covariance``), and difference in means, OLS
@@ -21,7 +23,7 @@ so their builds make one pass over the assignments; Hajek and GREG weight by
 pi = diag(P2) and make a second pass for A. Exact builds of P2 alone or of
 Horvitz-Thompson's A, under a Bernoulli, paired, complete or cluster design
 and the identity or spillover rule, read P2 off local patterns instead when
-those are fewer rows than the support (``_local_plan``): P2_kl depends only on
+those cost less than the support (``_local_plan``): P2_kl depends only on
 the units that set k's and l's exposures, so each unit pair enumerates the
 patterns of those units alone, weighted by their closed-form marginal.
 """
@@ -58,8 +60,16 @@ Bits = tuple[int, ...]
 DEFAULT_SUPPORT_CAP = 1 << 20
 
 # assignment rows per block in every moment computation; bounds the memory of
-# the per-block observation and coefficient matrices
+# the per-block observation and coefficient matrices, and of the Monte Carlo
+# draws, which are made one block at a time
 BLOCK_ROWS = 4096
+
+# what one local pattern row of ``_local_p2`` costs in assignment rows that the
+# enumeration counts (equal probabilities): 1.3 to 3.4 in exact
+# Horvitz-Thompson builds on the ring at n = 12 to 24 near the break-even, on
+# one thread of a 2-core x86 VM. An assignment row that it weights (unequal
+# probabilities) costs 2.2 to 2.7 counted rows, about one local row
+LOCAL_ROW_COST = 2.0
 
 # singular values below this fraction of the largest are treated as zero in
 # regression coefficient computations
@@ -315,8 +325,11 @@ def enumerate_assignments(design):
 
 def sample_assignments(design, seed, count):
     """Draw ``count`` assignments from ``np.random.default_rng(seed)``;
-    reproducible for a fixed (seed, count). ``seed`` may be an integer or a
-    ``np.random.SeedSequence``.
+    reproducible for a fixed (seed, count). ``seed`` may be an integer, a
+    ``np.random.SeedSequence`` or a ``np.random.Generator``, which the draws
+    advance: calls on one generator continue its stream, so draws of a and
+    then b rows equal the first a + b rows of one call (``_AssignmentBlocks``
+    draws block by block this way).
 
     Returns an integer array of shape (count, n).
     """
@@ -727,13 +740,15 @@ def unobservable_pairs(table, c=0.0):
 
 class _AssignmentBlocks:
     """The assignments a moment averages over, as re-iterable (Z, w) blocks of
-    at most BLOCK_ROWS rows: exact mode enumerates the support block by block
-    with w the probabilities; Monte Carlo mode draws ``count`` assignments once,
-    on construction, with w = 1. Reductions divide by the total weight.
+    at most BLOCK_ROWS rows, made while a pass runs: exact mode enumerates the
+    support block by block with w the probabilities; Monte Carlo mode draws
+    ``count`` assignments block by block with w = 1. Reductions divide by the
+    total weight, and no pass holds more than one block of assignments.
 
-    The draws come from the first child stream of the seed,
-    ``SeedSequence(seed, spawn_key=(0,))``, so they depend on (seed, count)
-    alone.
+    Each pass draws from a fresh generator on the first child stream of the
+    seed, ``SeedSequence(seed, spawn_key=(0,))``, so every pass sees the same
+    draws, those of ``sample_assignments`` with that stream and ``count``:
+    they depend on (seed, count) alone.
     """
 
     def __init__(self, design, mode="exact", count=None, seed=None):
@@ -741,10 +756,10 @@ class _AssignmentBlocks:
             raise InvalidDesign(f"mode must be 'exact' or 'mc', got {mode!r}")
         if mode == "mc" and (count is None or seed is None):
             raise InvalidDesign("mc mode needs count and seed")
-        self.design = design
-        self.draws = None if mode == "exact" else sample_assignments(
-            design, np.random.SeedSequence(seed, spawn_key=(0,)), count
-        )
+        if mode == "mc" and count < 1:
+            raise InvalidDesign(f"need count >= 1, got {count}")
+        self.design, self.mode, self.count = design, mode, count
+        self._stream = None if mode == "exact" else np.random.SeedSequence(seed, spawn_key=(0,))
         self._provenance = (
             {"mode": "exact"} if mode == "exact"
             else {"mode": "mc", "count": int(count), "seed": int(seed)}
@@ -755,16 +770,18 @@ class _AssignmentBlocks:
     def provenance(self):
         return dict(self._provenance)
 
+    def _draws(self):
+        rng = np.random.default_rng(self._stream)
+        for s in range(0, self.count, BLOCK_ROWS):
+            Z = sample_assignments(self.design, rng, min(BLOCK_ROWS, self.count - s))
+            yield Z, np.ones(len(Z))
+
     def __iter__(self):
         """One pass over the assignments; counts the pass in ``passes``, its
         rows in ``rows`` and restarts ``counted`` (see ``_weighted_moments``)."""
         self.passes += 1
         self.rows = self.counted = 0
-        if self.draws is None:
-            parts = _support_blocks(self.design)
-        else:
-            parts = (self.draws[s:s + BLOCK_ROWS] for s in range(0, len(self.draws), BLOCK_ROWS))
-            parts = ((Z, np.ones(len(Z))) for Z in parts)
+        parts = _support_blocks(self.design) if self.mode == "exact" else self._draws()
         for Z, w in parts:
             self.rows += len(w)
             yield Z, w
@@ -1007,18 +1024,21 @@ def _local_plan(blocks, model, spec):
     """The local path's (I, J, sizes, R) and its row count, sum of 2^|U| over
     the pairs it enumerates, when it serves this build: exact mode, P2 alone
     or Horvitz-Thompson, a Bernoulli, paired, complete or cluster design,
-    the identity or spillover rule, and fewer rows than the design's support.
-    None otherwise. Raises SupportTooLarge when those rows exceed
-    ``DEFAULT_SUPPORT_CAP``."""
+    the identity or spillover rule, and a support that is past the cap or
+    dearer to enumerate than the local rows: each weighs LOCAL_ROW_COST
+    assignment rows when the enumeration counts them (every assignment
+    equally likely), one when it weights them. None otherwise. Raises
+    SupportTooLarge when those rows exceed ``DEFAULT_SUPPORT_CAP``."""
     design = blocks.design
-    if not (blocks.draws is None and (spec is None or spec.kind == "horvitz-thompson")
+    if not (blocks.mode == "exact" and (spec is None or spec.kind == "horvitz-thompson")
             and design.kind in ("bernoulli", "paired", "complete-randomization", "cluster")
             and model.rule in ("identity", "spillover") and model.n == design.n):
         return None
     support = design.support_size()
     plan = _reach_pairs(design, model)
     rows = sum(c << u for u, c in enumerate(np.bincount(plan[2]).tolist()))
-    if rows >= support:
+    counted = design.kind != "bernoulli" or set(design.p) <= {0.0, 0.5, 1.0}
+    if support <= min(DEFAULT_SUPPORT_CAP, rows * (LOCAL_ROW_COST if counted else 1.0)):
         return None
     if rows > DEFAULT_SUPPORT_CAP:
         raise SupportTooLarge(

@@ -45,7 +45,12 @@ from varbound.estimation import (
     _r_moments,
     _r_pairs,
 )
-from varbound.experiment import _AssignmentBlocks, _observation_matrix, _weighted_moments
+from varbound.experiment import (
+    SecondOrderTable,
+    _AssignmentBlocks,
+    _observation_matrix,
+    _weighted_moments,
+)
 from conftest import A_ILLU, B_MINNORM, random_scenario, ref_observation_indices
 
 
@@ -424,6 +429,68 @@ class TestRCovariance:
             r_covariance_opnorm(design, model, 2 * np.eye(6), **kwargs)
         [record] = [r for r in caplog.records if r.name == "varbound.estimation"]
         assert f" {rows} rows ({counted} counted), 6 pairs, " in record.getMessage()
+
+
+def _ring(n):
+    return ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+
+
+def _renamed(model, perm):
+    """The spillover rule with unit perm[i] renamed i, and coords: coordinate
+    i of the renamed problem is coordinate coords[i] of the original."""
+    new = np.argsort(perm)
+    moved = ExposureModel.spillover([[int(new[u]) for u in model.adjacency[i]] for i in perm])
+    return moved, np.concatenate([perm, perm + len(perm)])
+
+
+class TestRelabeling:
+    """Renaming the units leaves what ``varbound estimate`` reports unchanged:
+    the bound estimate, ||Cov(R)|| and the MSE at theta agree within 1e-12
+    relative, though the pair coordinates of R come in another order."""
+
+    @staticmethod
+    def _plugins(design, model, B, z, theta):
+        table = pair_observation_probabilities(design, model)
+        diag = r_covariance_opnorm(design, model, B, table, theta=theta)
+        estimate = ht_bound_estimate(B, observe(model, z, theta), table, model.n)
+        return estimate, diag.opnorm_cov_R, diag.empirical_mse
+
+    def test_exact_plugins_on_the_ring(self):
+        n = 12
+        rng = np.random.default_rng(27)
+        design, model = Design.bernoulli(n, 0.5), _ring(n)
+        problem, _ = build_variance_problem(design, model, EstimatorSpec("horvitz-thompson"))
+        B = problem.A + aronow_samii_slack(problem.A, problem.omega)
+        z, theta = rng.integers(0, 2, n), rng.normal(size=2 * n)
+        expected = self._plugins(design, model, B, z, theta)
+        for _ in range(2):
+            perm = rng.permutation(n)
+            moved, coords = _renamed(model, perm)
+            got = self._plugins(design, moved, B[np.ix_(coords, coords)], z[perm], theta[coords])
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_monte_carlo_opnorm_on_the_ring(self, monkeypatch):
+        # the renamed problem reads the same seed's draws with its units
+        # renamed, so both average over the same assignments
+        n = 20
+        rng = np.random.default_rng(20)
+        design, model = Design.bernoulli(n, 0.5), _ring(n)
+        table = pair_observation_probabilities(design, model)
+        B = _compatible_bound(rng, table)
+        mc = {"mode": "mc", "count": estimation.RCOV_DRAWS, "seed": 3}
+        expected = r_covariance_opnorm(design, model, B, table, **mc).opnorm_cov_R
+        perm = rng.permutation(n)
+
+        class Renamed(_AssignmentBlocks):
+            def __iter__(self):
+                drawn = super().__iter__()
+                return ((Z[:, perm], w) for Z, w in drawn)
+
+        monkeypatch.setattr(estimation, "_AssignmentBlocks", Renamed)
+        moved, coords = _renamed(model, perm)
+        index = np.ix_(coords, coords)
+        got = r_covariance_opnorm(design, moved, B[index], SecondOrderTable(table.P2[index]), **mc)
+        assert got.opnorm_cov_R == pytest.approx(expected, rel=1e-12)
 
 
 class TestPowerIteration:

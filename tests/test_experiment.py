@@ -828,6 +828,44 @@ def _observation_moments(blocks, model, dtype):
     return _weighted_moments(blocks, lambda Z: (_observation_matrix(model, Z).astype(dtype),))[0]
 
 
+class TestDrawnBlocks:
+    """Monte Carlo mode draws its blocks while a pass runs, from a fresh
+    generator on the seed's first child stream: the blocks are the one-shot
+    draws of ``sample_assignments``, every pass sees the same ones, and no pass
+    holds more than one block."""
+
+    @pytest.mark.parametrize("kind", sorted(TestSample.PINNED))
+    def test_blocks_are_the_one_shot_draws(self, kind):
+        design, seed, count = TestSample.PINNED[kind][0], 9, 2 * BLOCK_ROWS + 123
+        blocks = _AssignmentBlocks(design, "mc", count, seed)
+        passes = [[Z for Z, _ in blocks] for _ in range(2)]
+        assert [len(Z) for Z in passes[0]] == [BLOCK_ROWS, BLOCK_ROWS, 123]
+        assert (blocks.passes, blocks.rows) == (2, count)
+        expected = sample_assignments(design, np.random.SeedSequence(seed, spawn_key=(0,)), count)
+        for drawn in passes:
+            assert np.array_equal(np.concatenate(drawn), expected)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_is_checked_when_the_blocks_are_made(self, count):
+        with pytest.raises(InvalidDesign, match="count >= 1"):
+            _AssignmentBlocks(Design.bernoulli(2, 0.5), "mc", count, 0)
+
+    def test_a_build_holds_one_block_of_draws(self, caplog):
+        # 100,000 draws at n = 80: stored as int64 they alone would take 64 MB
+        n, count = 80, 100_000
+        design, model = Design.bernoulli(n, 0.5), _ring(n)
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
+                build_variance_problem(design, model, EstimatorSpec("horvitz-thompson"),
+                                       mode="mc", count=count, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20 < count * n * 8
+        assert f"path drawn, {count} rows ({count} counted), passes 1" in caplog.records[-1].getMessage()
+
+
 class TestCountingKernel:
     """0/1 rows in a block of equal weights are counted (a float32 Gram); float
     rows, and every row of a block with unequal weights, are weighted."""
@@ -1127,6 +1165,10 @@ def _ring_with_chords(n, chords=()):
     return ExposureModel.spillover([sorted(nbrs) for nbrs in adjacency])
 
 
+# chords that make a relabeling of the n = 12 ring no symmetry of its graph
+CHORDS = [(0, 5), (2, 9), (3, 7)]
+
+
 def _enumerated_p2(design, model):
     """P2 by the enumeration's pass: ``_weighted_moments`` over the exact
     support, on ``_observation_matrix`` rows."""
@@ -1292,7 +1334,7 @@ class TestLocalMoments:
         n = 12
         rng = np.random.default_rng(25)
         model = (ExposureModel.identity(n) if rule == "identity"
-                 else _ring_with_chords(n, [(0, 5), (2, 9), (3, 7)]))
+                 else _ring_with_chords(n, CHORDS))
         designs = [
             Design.bernoulli(n, rng.uniform(0.2, 0.8, n)),
             Design.paired([(i, i + 6) for i in range(6)]),
@@ -1337,7 +1379,16 @@ class TestLocalMoments:
          EstimatorSpec("difference-in-means"), "path enumerated, 70 rows"),
         (Design.explicit([((1, 0), 0.5), ((0, 1), 0.5)]), ExposureModel.identity(2), HT,
          "path enumerated, 2 rows"),
-    ], ids=["ht", "p2-alone", "fewer-assignments", "other-estimator", "explicit"])
+        # a local row costs LOCAL_ROW_COST assignment rows that the
+        # enumeration counts: 6,528 local rows against 12,870 assignments,
+        # and 2,528 against 4,096 fair coins; it costs one weighted row
+        (Design.complete(16, 8), _ring(16), HT, "path enumerated, 12870 rows"),
+        (Design.bernoulli(12, 0.5), _ring_with_chords(12, CHORDS), HT,
+         "path enumerated, 4096 rows"),
+        (Design.bernoulli(12, np.linspace(0.2, 0.8, 12)), _ring_with_chords(12, CHORDS), HT,
+         "path local, 2528 rows"),
+    ], ids=["ht", "p2-alone", "fewer-assignments", "other-estimator", "explicit",
+            "counted-support", "counted-chords", "weighted-chords"])
     def test_debug_line_names_the_path(self, caplog, design, model, spec, path):
         with caplog.at_level(logging.DEBUG, logger="varbound.experiment"):
             if spec is None:
@@ -1346,6 +1397,18 @@ class TestLocalMoments:
                 build_variance_problem(design, model, spec)
         [record] = [r for r in caplog.records if r.name == "varbound.experiment"]
         assert f"build: mode exact, {path}" in record.getMessage()
+
+    @pytest.mark.parametrize("design, model, bitwise", [
+        (Design.complete(16, 8), _ring(16), False),
+        (Design.bernoulli(12, 0.5), _ring_with_chords(12, CHORDS), True),
+        (Design.bernoulli(12, np.linspace(0.2, 0.8, 12)), _ring_with_chords(12, CHORDS), False),
+    ], ids=["counted-support", "counted-chords", "weighted-chords"])
+    def test_both_routes_give_the_same_p2(self, design, model, bitwise):
+        # the cases the route rule sends either way; the build takes one route
+        _assert_local_matches_enumeration(design, model, bitwise)
+        built = pair_observation_probabilities(design, model).P2
+        assert any(np.array_equal(built, P2) for P2 in (_local_table(design, model),
+                                                          _enumerated_p2(design, model)))
 
     def test_local_rows_past_the_cap(self):
         # complete randomization couples every pair: about 1.3 million local
