@@ -15,16 +15,18 @@ solver is needed. Its consensus step projects onto the affine slice of the
 unobservable pairs. It sets rho on a fixed grid from the normalized residuals
 of its last accepted point (the OSQP rule, which does not see the units of
 the data), and speeds up its fixed-point map by safeguarded type-II Anderson
-acceleration. The admissibility test runs on the range of S: every feasible
-witness is T = R X R^T with S = R R^T and 0 <= X <= I_r, so it runs one
-block, the box projection of V - t L (the prox of <L, X> plus the box
-indicator, ibid. 2.2), one r x r eigendecomposition per step. It projects
-onto its pair constraints by warm-started conjugate gradients whose cost does
-not grow with the number of pairs. ``SolverReport.iterations`` counts map
-evaluations, the eigendecomposition work of a solve. With
+acceleration. The bound program stops on its residuals and then repairs its
+slack once (``_repair``). The admissibility test runs on the range of S:
+every feasible witness is T = R X R^T with S = R R^T and 0 <= X <= I_r,
+so it runs one block, the box projection of V - t L (the prox of <L, X>
+plus the box indicator, ibid. 2.2), one r x r eigendecomposition per step.
+It projects onto its pair constraints by warm-started conjugate gradients
+whose cost does not grow with the number of pairs. ``SolverReport.iterations``
+counts map evaluations, the eigendecomposition work of a solve. With
 ``VARBOUND_LOG=debug`` each solve logs one line on the ``varbound.solver``
 logger: map evaluations, accepted accelerated steps, safeguard restarts, rho
-changes (the reports carry them and the final rho too) and final residuals.
+changes (the reports carry them and the final rho too), final residuals and
+the caller's fields (the bound program's repair, the test's slack rank).
 """
 
 from __future__ import annotations
@@ -193,6 +195,7 @@ class SolverReport:
     converged: bool
     rho_changes: int
     final_rho: float
+    repair_norm: float = 0.0  # ||change||_F of the bound program's repair
 
     def as_dict(self):
         return asdict(self)
@@ -329,7 +332,7 @@ def _admm_map(x, blocks, rho, onto):
     return fx, primal, dual
 
 
-def _consensus_admm(blocks, Z0, onto, config, accept=None, context=""):
+def _consensus_admm(blocks, Z0, onto, config, accept=None, polish=None, context=""):
     """Consensus ADMM over proximable blocks on an affine slice, with
     safeguarded Anderson acceleration.
 
@@ -357,11 +360,11 @@ def _consensus_admm(blocks, Z0, onto, config, accept=None, context=""):
     iteration, and each one meets the same test: the loop stops when the
     primal residual <= eps_abs * dim + eps_rel * ||Z||_F, the dual residual
     meets the analogous dual scale, and (when given) an ``accept`` predicate
-    holds on Z, so the caller's feasibility contract holds at exit. The
-    returned Z is always a map value, never an extrapolation. All rules
-    depend only on the iterates, so runs are bit-reproducible. ``context`` is
-    appended to the debug line, so a caller can add its own fields and each
-    solve still logs exactly one line.
+    holds on Z. The returned Z is a map value, never an extrapolation, passed
+    through ``polish`` when given: Z -> (Z, report fields), whose fields join
+    the loop's and the debug line. All rules depend only on the iterates, so
+    runs are bit-reproducible. ``context`` is appended to the debug line, so a
+    caller can add its own fields and each solve still logs exactly one line.
 
     Returns (Z, loop), where ``loop`` holds the SolverReport fields of the
     loop: iterations, residuals, convergence and the rho path.
@@ -410,14 +413,15 @@ def _consensus_admm(blocks, Z0, onto, config, accept=None, context=""):
                 aa.clear()
                 candidate = False
                 rho_changes += 1
+    Z, fields = polish(fx[0]) if polish else (fx[0], {})
     log.debug(
         "consensus ADMM %s after %d map evaluations: %d accelerated steps accepted, "
-        "%d safeguard restarts, %d rho changes (final rho %.3g), primal %.3e, dual %.3e%s",
-        "converged" if converged else "stopped", it,
-        accepted, restarts, rho_changes, rho, r_norm, s_norm, context,
+        "%d safeguard restarts, %d rho changes (final rho %.3g), primal %.3e, dual %.3e%s%s",
+        "converged" if converged else "stopped", it, accepted, restarts, rho_changes, rho,
+        r_norm, s_norm, "".join(f", {k} {v:.3e}" for k, v in fields.items()), context,
     )
-    return fx[0], dict(iterations=it, primal_residual=r_norm, dual_residual=s_norm,
-                       converged=converged, rho_changes=rho_changes, final_rho=rho)
+    return Z, dict(iterations=it, primal_residual=r_norm, dual_residual=s_norm,
+                   converged=converged, rho_changes=rho_changes, final_rho=rho, **fields)
 
 
 def _finish(loop, program, make_result, **certificate):
@@ -474,16 +478,42 @@ def _unit(M):
     return min(1.0, float(np.linalg.norm(M))) or 1.0
 
 
+def _repair(Z, ks, ls, rows, cols):
+    """The ADMM slack Z made PSD up to rounding with its omega entries kept
+    bitwise. Zero the free entries of each pinned row k ((k, k) in omega),
+    giving S; if S has negative eigenvalues, add their part N = Q_- |L_-| Q_-^T
+    (S + N is the nearest PSD matrix, Higham 2002) with each off-diagonal
+    omega entry N_kl moved onto the diagonals as a = |N_kl|, which adds PSD
+    blocks [[a, -N_kl], [-N_kl, a]]; write the omega entries back. Returns it
+    with min_eig_slack (from the same eigh when nothing was negative) and
+    repair_norm = ||result - Z||_F."""
+    S = Z.copy()
+    pinned = ks[ks == ls]
+    S[pinned] = S[:, pinned] = 0.0
+    S[rows, cols] = Z[rows, cols]
+    w, Q = linalg._eigh(S)
+    if w[0] < 0.0:
+        N = -linalg._from_eig(np.minimum(w, 0.0), Q)
+        k, l = ks[ks != ls], ls[ks != ls]
+        a = np.abs(N[k, l])
+        N[k, l] = N[l, k] = 0.0
+        np.add.at(N, (np.r_[k, l], np.r_[k, l]), np.r_[a, a])
+        S += N
+        S[rows, cols] = Z[rows, cols]
+        w = np.linalg.eigvalsh(S)
+    return S, dict(min_eig_slack=float(w[0]), repair_norm=float(np.linalg.norm(S - Z)))
+
+
 def solve_optvb(problem, objective, config=None):
     """Minimize the objective over the set of valid slack matrices.
 
     Consensus ADMM over the blocks of ``_objective_blocks`` (the positive
     semidefinite cone and the objective terms, with Frobenius² folded into
-    one of them); the unobservable entries are fixed to -A in the
-    consensus step, so they are exact in the returned slack; any residual
-    negative eigenvalue is reported, not re-projected. ``eps_abs`` and
-    ``feasibility_tol`` are scaled by min(1, ||A||_F), so the answer does not
-    depend on the units of small outcomes.
+    one of them); the unobservable entries are fixed to -A in the consensus
+    step. The loop stops on its residuals alone; ``_repair`` then makes the
+    slack PSD up to rounding and keeps those entries bitwise. ``eps_abs`` is
+    scaled by min(1, ||A||_F), so the answer does not depend on the units of
+    small outcomes.
     """
     config = config or SolverConfig()
     if not objective.is_strictly_monotone():
@@ -494,10 +524,8 @@ def solve_optvb(problem, objective, config=None):
         )
         raise UnsupportedObjective("objective has no strictly monotone term" + hint)
     A = problem.A
-    unit = _unit(A)
-    config = replace(config, eps_abs=config.eps_abs * unit,
-                     feasibility_tol=config.feasibility_tol * unit)
-    _, _, rows, cols = _omega_index(problem.omega, len(A))
+    config = replace(config, eps_abs=config.eps_abs * _unit(A))
+    ks, ls, rows, cols = _omega_index(problem.omega, len(A))
     S0 = aronow_samii_slack(A, problem.omega)  # refuses an infeasible omega
     blocks = _objective_blocks(objective, A)
     values = -A[rows, cols]
@@ -505,14 +533,11 @@ def solve_optvb(problem, objective, config=None):
     def onto(Z):
         Z[rows, cols] = values
 
-    def feasible_enough(Z):
-        return np.linalg.eigvalsh(Z)[0] >= -config.feasibility_tol
-
-    S_star, loop = _consensus_admm(blocks, S0, onto, config, accept=feasible_enough)
+    S_star, loop = _consensus_admm(blocks, S0, onto, config,
+                                   polish=partial(_repair, ks=ks, ls=ls, rows=rows, cols=cols))
     omega_violation = float(np.abs(S_star[rows, cols] + A[rows, cols]).max()) if rows.size else 0.0
     return _finish(loop, "bound solver", partial(BoundResult, S_star, A + S_star),
                    objective_value=objective.value(S_star, A),
-                   min_eig_slack=linalg.min_eigenvalue(S_star),
                    max_omega_violation=omega_violation)
 
 

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ class TestSolveOptvb:
             problem, _ = build_variance_problem(design, model, spec)
             res = solve_optvb(problem, Objective.frobenius_squared())
             assert res.report.max_omega_violation == 0.0
-            assert res.report.min_eig_slack >= -1e-7
+            assert res.report.min_eig_slack >= -1e-12 * np.linalg.norm(res.S_star, 2)
             check = validate_bound(problem.A, res.B_star, problem.omega, 1e-6)
             assert check.valid
             verdict = admissibility_of(res.S_star, problem.omega)
@@ -493,12 +494,13 @@ class TestSolverConfig:
         assert config.max_iterations == 40 and type(config.max_iterations) is int
 
 
-def ring_ht_problem(n, count, seed):
+def ring_ht_problem(n, count=None, seed=0):
+    """The ladder's ring-spillover Bernoulli(0.5) HT problem: exact, or Monte
+    Carlo with ``count`` draws."""
     ring = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
     spec = EstimatorSpec(kind="horvitz-thompson")
-    problem, _ = build_variance_problem(
-        Design.bernoulli(n, 0.5), ring, spec, mode="mc", count=count, seed=seed
-    )
+    mode = {} if count is None else dict(mode="mc", count=count, seed=seed)
+    problem, _ = build_variance_problem(Design.bernoulli(n, 0.5), ring, spec, **mode)
     return problem
 
 
@@ -600,6 +602,8 @@ class TestAcceleration:
             for field in ("accelerated steps accepted", "safeguard restarts", "rho changes",
                           "primal", "dual"):
                 assert field in line
+        assert lines[0].endswith(f", min_eig_slack {res.report.min_eig_slack:.3e}, "
+                                 f"repair_norm {res.report.repair_norm:.3e}")
         tol = SolverConfig().feasibility_tol * max(1.0, float(np.linalg.norm(res.S_star)))
         rank = int(np.sum(np.linalg.eigvalsh(res.S_star) > tol))
         assert verdict.slack_rank == rank
@@ -626,10 +630,11 @@ class TestAcceleration:
         assert accepted > 0
 
 
-def pool_problems():
-    """The variance problems of the 30-draw random pool (rng 2021)."""
+def pool_problems(**mode):
+    """The variance problems of the 30-draw random pool (rng 2021), exact or
+    in the given Monte Carlo ``mode``."""
     rng = np.random.default_rng(2021)
-    return [build_variance_problem(*random_scenario(rng))[0] for _ in range(30)]
+    return [build_variance_problem(*random_scenario(rng), **mode)[0] for _ in range(30)]
 
 
 class TestRhoBalancing:
@@ -933,3 +938,120 @@ class TestRangeSpaceAdmissibility:
         assert verdict.admissible
         assert not outside
         assert verdict.slack_rank < 2 * n
+
+
+def objectives_at(dim):
+    """Frobenius², trace (targeted at W = I) and the worst-case composite."""
+    return {"frobenius": Objective.frobenius_squared(), "trace": Objective.targeted(np.eye(dim)),
+            "composite": WORST_CASE}
+
+
+def repair(Z, omega):
+    ks, ls, rows, cols = solver_module._omega_index(omega, len(Z))
+    return solver_module._repair(Z, ks, ls, rows, cols)
+
+
+class TestExactlyValidOutputs:
+    """OPT-VB stops on its residuals and repairs once: every output is
+    positive semidefinite up to rounding, carries -A bitwise on omega, and
+    costs at most 1e-6 relative in objective against a tight solve."""
+
+    TIGHT_STOP = SolverConfig(eps_rel=1e-10, eps_abs=1e-12, max_iterations=200_000)
+
+    def check_valid(self, problem, objective):
+        res = solve_optvb(problem, objective)
+        S = res.S_star
+        bound = 1e-12 * np.linalg.norm(S, 2)
+        assert np.linalg.eigvalsh(S)[0] >= -bound
+        assert res.report.min_eig_slack >= -bound
+        _, _, rows, cols = solver_module._omega_index(problem.omega, len(S))
+        assert np.array_equal(S[rows, cols], -problem.A[rows, cols])
+        assert res.report.max_omega_violation == 0.0
+        tight = solve_optvb(problem, objective, self.TIGHT_STOP).report.objective_value
+        assert res.report.objective_value == pytest.approx(tight, rel=1e-6)
+        return res
+
+    @pytest.mark.parametrize("objective", ["frobenius", "trace", "composite"])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_random_pool(self, mode, objective):
+        kwargs = {} if mode == "exact" else dict(mode="mc", count=2_000, seed=0)
+        for problem in pool_problems(**kwargs):
+            self.check_valid(problem, objectives_at(len(problem.A))[objective])
+
+    @pytest.mark.parametrize("objective", ["frobenius", "trace", "composite"])
+    @pytest.mark.parametrize("count", [None, 20_000], ids=["exact", "mc"])
+    def test_ring_n40(self, count, objective):
+        self.check_valid(ring_ht_problem(40, count), objectives_at(80)[objective])
+
+    @pytest.mark.parametrize("objective", ["frobenius", "trace", "composite"])
+    def test_outputs_are_admissible_on_the_exact_ring_n40(self, objective):
+        # the paper's proposition at ladder size: under a strictly monotone
+        # objective every OPT-VB output is admissible (15, 2 and 17 map
+        # evaluations)
+        problem = ring_ht_problem(40)
+        S = solve_optvb(problem, objectives_at(80)[objective]).S_star
+        assert admissibility_of(S, problem.omega).admissible
+
+    def test_repair_keeps_admissibility_cheap(self):
+        # the composite of mc-solve's job 13 at workload seed 3003: shifting
+        # the slack by delta I, delta = -lambda_min, lifted its null space to
+        # about 6e-7, right at the rank cut feasibility_tol * max(1, ||S||_F),
+        # and the admissibility test then ran to 50,000 map evaluations; after
+        # the repair it takes 27
+        problem = ring_ht_problem(40, 20_000, 2176654626)
+        S = solve_optvb(problem, WORST_CASE).S_star
+        verdict = admissibility_of(S, problem.omega, SolverConfig(max_iterations=100))
+        assert verdict.admissible
+
+
+class TestRepair:
+    """``solver._repair``: the nearest PSD matrix plus PSD 2x2 blocks that
+    give the omega entries back."""
+
+    OMEGA = {(0, 4), (1, 5), (2, 6), (3, 7), (0, 1), (2, 3), (6, 6), (6, 7)}
+
+    def test_random_symmetric_matrices(self):
+        rng = np.random.default_rng(28)
+        ks, ls, rows, cols = solver_module._omega_index(self.OMEGA, 8)
+        free = np.ones((8, 8), dtype=bool)
+        free[rows, cols] = False
+        for _ in range(50):
+            G = rng.normal(size=(8, 8))
+            Z = G + G.T
+            # (6, 6) is pinned: its own entry and the pairs through it are 0
+            Z[6, 6] = Z[2, 6] = Z[6, 2] = Z[6, 7] = Z[7, 6] = 0.0
+            S, fields = repair(Z, self.OMEGA)
+            assert np.array_equal(S, S.T)
+            assert np.array_equal(S[rows, cols], Z[rows, cols])
+            lam = np.linalg.eigvalsh(S)
+            assert lam[0] >= -1e-12 * np.abs(lam).max()
+            assert fields["min_eig_slack"] == lam[0]
+            assert fields["repair_norm"] == np.linalg.norm(S - Z) > 0.0
+            assert np.abs(S[6]).max() <= 1e-12 * np.abs(lam).max()
+            # what the repair adds beyond the nearest PSD matrix is PSD
+            pinned = Z.copy()
+            pinned[6, free[6]] = pinned[free[:, 6], 6] = 0.0
+            extra = S - linalg._project_psd(pinned)
+            assert np.linalg.eigvalsh(extra)[0] >= -1e-12 * np.abs(lam).max()
+
+    def test_psd_input_comes_back_unchanged(self):
+        rng = np.random.default_rng(29)
+        G = rng.normal(size=(8, 8))
+        Z = G @ G.T + np.eye(8)
+        S, fields = repair(Z, self.OMEGA - {(6, 6)})
+        assert np.array_equal(S, Z)
+        assert fields["repair_norm"] == 0.0
+        assert fields["min_eig_slack"] == np.linalg.eigh(Z)[0][0]
+
+    def test_solve_with_a_pinned_row(self):
+        # test_unobservable_diagonal_without_pair_mass's A: omega pins (0, 0)
+        # and (0, 1), so PSD forces the free S_02 to 0, against the pull of
+        # A_02 = 0.5; the minimum-norm slack is the pairwise one
+        A = np.array([[0.0, 0.0, 0.5], [0.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
+        problem = SimpleNamespace(A=A, omega=frozenset({(0, 0), (0, 1), (1, 2)}))
+        res = solve_optvb(problem, Objective.frobenius_squared(), TIGHT)
+        S = res.S_star
+        assert S[0, 0] == S[0, 1] == 0.0 and S[1, 2] == -1.0
+        assert abs(S[0, 2]) <= 1e-12
+        assert np.linalg.eigvalsh(S)[0] >= -1e-12 * np.linalg.norm(S, 2)
+        assert np.abs(S - aronow_samii_slack(A, problem.omega)).max() < 1e-5
