@@ -323,6 +323,12 @@ def enumerate_assignments(design):
     ]
 
 
+def _is_natural(value, low):
+    """Whether ``value`` is a Python or numpy integer, not a boolean, of at
+    least ``low``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
 def sample_assignments(design, seed, count):
     """Draw ``count`` assignments from ``np.random.default_rng(seed)``;
     reproducible for a fixed (seed, count). ``seed`` may be an integer, a
@@ -333,8 +339,11 @@ def sample_assignments(design, seed, count):
 
     Returns an integer array of shape (count, n).
     """
-    if count < 1:
-        raise InvalidDesign(f"need count >= 1, got {count}")
+    if not _is_natural(count, 1):
+        raise InvalidDesign(f"need an integer count >= 1, got {count!r}")
+    if not (_is_natural(seed, 0) or isinstance(seed, (np.random.SeedSequence, np.random.Generator))):
+        raise InvalidDesign(
+            f"need an integer seed >= 0, a SeedSequence or a Generator, got {seed!r}")
     rng = np.random.default_rng(seed)
     n = design.n
     if design.kind == "bernoulli":
@@ -756,8 +765,10 @@ class _AssignmentBlocks:
             raise InvalidDesign(f"mode must be 'exact' or 'mc', got {mode!r}")
         if mode == "mc" and (count is None or seed is None):
             raise InvalidDesign("mc mode needs count and seed")
-        if mode == "mc" and count < 1:
-            raise InvalidDesign(f"need count >= 1, got {count}")
+        if mode == "mc" and not _is_natural(count, 1):
+            raise InvalidDesign(f"need an integer count >= 1, got {count!r}")
+        if mode == "mc" and not _is_natural(seed, 0):
+            raise InvalidDesign(f"need an integer seed >= 0, got {seed!r}")
         self.design, self.mode, self.count = design, mode, count
         self._stream = None if mode == "exact" else np.random.SeedSequence(seed, spawn_key=(0,))
         self._provenance = (

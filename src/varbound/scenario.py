@@ -161,6 +161,16 @@ def _integer(value, pointer, low=0, depth=0):
                             f"got {value!r}")
 
 
+def _labels(value, pointer, length=None):
+    """An array of exposure labels, JSON strings or numbers (no booleans, null
+    or nested arrays), of ``length`` entries when given, as a tuple."""
+    if (type(value) is list and (length is None or len(value) == length)
+            and all(type(x) is str or matrixio._is_number(x) for x in value)):
+        return tuple(value)
+    size = "an array" if length is None else f"an array of {length}"
+    raise _finding(pointer, f"must be {size} strings or numbers, got {value!r}")
+
+
 def _load_json(path):
     """The JSON document at ``path``; a key repeated within one object is an error."""
 
@@ -226,7 +236,7 @@ def _exposure(raw, n):
         adjacency = _integer(raw["adjacency"], "/exposure/adjacency", depth=2)
         if len(adjacency) != n:
             raise _finding("/exposure/adjacency", f"has {len(adjacency)} rows, expected {n}")
-        contrast = tuple(raw.get("contrast", ("direct", "indirect")))
+        contrast = _labels(raw.get("contrast", ["direct", "indirect"]), "/exposure/contrast", 2)
         return ExposureModel.spillover(adjacency, contrast)
     if rule == "table":
         table = {}
@@ -236,8 +246,9 @@ def _exposure(raw, n):
                                depth=1))
             if z in table:
                 raise _finding(f"{pointer}/assignment", f"assignment {list(z)} is given twice")
-            table[z] = tuple(entry["labels"])
-        return ExposureModel.from_table(n, tuple(raw["labels"]), table, tuple(raw["contrast"]))
+            table[z] = _labels(entry["labels"], f"{pointer}/labels")
+        return ExposureModel.from_table(n, _labels(raw["labels"], "/exposure/labels"), table,
+                                        _labels(raw["contrast"], "/exposure/contrast", 2))
     raise _finding("/exposure/rule", f"unknown exposure rule {rule!r}")
 
 

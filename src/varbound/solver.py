@@ -469,7 +469,7 @@ def aronow_samii_slack(A, omega):
     """Pairwise Young's-inequality slack: cancels A on every unobservable pair
     and books the magnitudes on the two diagonals. Positive semidefinite by
     construction (a sum of 2x2 PSD part matrices); the generalized slack at
-    W = I."""
+    W = I. ``_repair`` adds it for the negative part of an OPT-VB slack."""
     return generalized_as_slack(A, omega, np.eye(len(A)))
 
 
@@ -482,11 +482,10 @@ def _repair(Z, ks, ls, rows, cols):
     """The ADMM slack Z made PSD up to rounding with its omega entries kept
     bitwise. Zero the free entries of each pinned row k ((k, k) in omega),
     giving S; if S has negative eigenvalues, add their part N = Q_- |L_-| Q_-^T
-    (S + N is the nearest PSD matrix, Higham 2002) with each off-diagonal
-    omega entry N_kl moved onto the diagonals as a = |N_kl|, which adds PSD
-    blocks [[a, -N_kl], [-N_kl, a]]; write the omega entries back. Returns it
-    with min_eig_slack (from the same eigh when nothing was negative) and
-    repair_norm = ||result - Z||_F."""
+    (S + N is the nearest PSD matrix, Higham 2002) plus the pairwise slack of N
+    on omega's off-diagonal pairs (N's pinned rows are zero only up to rounding)
+    and write the omega entries back. Returns it with min_eig_slack (from the
+    same eigh when nothing was negative) and repair_norm = ||result - Z||_F."""
     S = Z.copy()
     pinned = ks[ks == ls]
     S[pinned] = S[:, pinned] = 0.0
@@ -494,11 +493,7 @@ def _repair(Z, ks, ls, rows, cols):
     w, Q = linalg._eigh(S)
     if w[0] < 0.0:
         N = -linalg._from_eig(np.minimum(w, 0.0), Q)
-        k, l = ks[ks != ls], ls[ks != ls]
-        a = np.abs(N[k, l])
-        N[k, l] = N[l, k] = 0.0
-        np.add.at(N, (np.r_[k, l], np.r_[k, l]), np.r_[a, a])
-        S += N
+        S += N + aronow_samii_slack(N, zip(ks[ks != ls].tolist(), ls[ks != ls].tolist()))
         S[rows, cols] = Z[rows, cols]
         w = np.linalg.eigvalsh(S)
     return S, dict(min_eig_slack=float(w[0]), repair_norm=float(np.linalg.norm(S - Z)))
@@ -720,25 +715,25 @@ def generalized_as_slack(A, omega, W):
     if np.any(w <= 0):
         raise NonPositiveWeight(f"diagonal weights must be positive, got min {w.min()!r}")
     ks, ls, _, _ = _omega_index(omega, len(A))
-    pinned = set(ks[ks == ls].tolist())
-    for k in sorted(pinned):
-        if A[k, k] > 0.0:
-            raise Infeasible(
-                f"diagonal index {k} is unobservable but A[{k},{k}] = {A[k, k]:.3e} > 0; "
-                "no positive semidefinite slack can cancel a positive diagonal "
-                "(drop the coordinate or lower the threshold c)")
+    pinned = np.isin(np.arange(len(A)), ks[ks == ls])
+    positive = pinned & (np.diag(A) > 0.0)
+    if positive.any():
+        k = positive.argmax()
+        raise Infeasible(
+            f"diagonal index {k} is unobservable but A[{k},{k}] = {A[k, k]:.3e} > 0; "
+            "no positive semidefinite slack can cancel a positive diagonal "
+            "(drop the coordinate or lower the threshold c)")
+    k, l = ks[ks != ls], ls[ks != ls]
+    a = A[k, l]
+    crossed = (a != 0.0) & (pinned[k] | pinned[l])
+    if crossed.any():
+        j = crossed.argmax()
+        _refuse_pinned_diagonal(A, k[j] if pinned[k[j]] else l[j], (int(k[j]), int(l[j])))
     S = np.zeros_like(A)
-    for k, l in zip(ks.tolist(), ls.tolist()):
-        if k == l:
-            continue
-        for i in (k, l):
-            if i in pinned and A[k, l] != 0.0:
-                _refuse_pinned_diagonal(A, i, (k, l))
-        S[k, l] = S[l, k] = -A[k, l]
-        S[k, k] += abs(A[k, l]) * math.sqrt(w[l] / w[k])
-        S[l, l] += abs(A[k, l]) * math.sqrt(w[k] / w[l])
-    for k in pinned:
-        S[k, k] = -A[k, k]
+    S[k, l] = S[l, k] = -a
+    at = np.column_stack([k, l]).ravel()  # k0, l0, k1, l1, ...: each diagonal sums in pair order
+    np.add.at(S, (at, at), (np.abs(a) * np.sqrt([w[l] / w[k], w[k] / w[l]])).T.ravel())
+    S[pinned, pinned] = -A[pinned, pinned]
     return S
 
 

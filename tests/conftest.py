@@ -1,6 +1,9 @@
 """Shared fixtures: the two-voter worked example, a randomized scenario pool,
 per-assignment reference implementations of the exposure rules and estimators,
-and a reference admissibility program on d x d matrices."""
+a per-pair reference of the pairwise slack, and a reference admissibility
+program on d x d matrices."""
+
+import math
 
 import numpy as np
 import pytest
@@ -13,9 +16,9 @@ from varbound import (
     build_variance_problem,
     linalg,
 )
-from varbound.errors import MaxIterations
+from varbound.errors import Infeasible, MaxIterations
 from varbound.experiment import REGRESSION_RCOND
-from varbound.solver import _consensus_admm, _omega_index, _unit
+from varbound.solver import _consensus_admm, _omega_index, _refuse_pinned_diagonal, _unit
 
 # reference matrices for the two-voter example: one of two units is targeted
 # at random, the other is indirectly exposed through their tie
@@ -163,6 +166,39 @@ def ref_coefficient_vector(spec, model, z, pi):
             Q = np.column_stack([np.ones(n), in_a, Xdm, in_a[:, None] * Xdm])
         c = n * np.linalg.pinv(Q, rcond=REGRESSION_RCOND)[1]
     return np.concatenate([in_a * c, in_b * c])
+
+
+# -- per-pair reference of the pairwise slack ------------------------------------------
+
+
+def ref_pairwise_slack(A, omega, W):
+    """The weighted pairwise slack one unobservable pair at a time, in sorted
+    pair order: cancel A_kl and book |A_kl| sqrt(w_l / w_k) and
+    |A_kl| sqrt(w_k / w_l) on the two diagonals; a pinned diagonal (k, k)
+    gets -A_kk. Refuses as ``generalized_as_slack`` does, with the first
+    offender in that order."""
+    w = np.diag(W)
+    ks, ls, _, _ = _omega_index(omega, len(A))
+    pinned = set(ks[ks == ls].tolist())
+    for k in sorted(pinned):
+        if A[k, k] > 0.0:
+            raise Infeasible(
+                f"diagonal index {k} is unobservable but A[{k},{k}] = {A[k, k]:.3e} > 0; "
+                "no positive semidefinite slack can cancel a positive diagonal "
+                "(drop the coordinate or lower the threshold c)")
+    S = np.zeros_like(A)
+    for k, l in zip(ks.tolist(), ls.tolist()):
+        if k == l:
+            continue
+        for i in (k, l):
+            if i in pinned and A[k, l] != 0.0:
+                _refuse_pinned_diagonal(A, i, (k, l))
+        S[k, l] = S[l, k] = -A[k, l]
+        S[k, k] += abs(A[k, l]) * math.sqrt(w[l] / w[k])
+        S[l, l] += abs(A[k, l]) * math.sqrt(w[k] / w[l])
+    for k in pinned:
+        S[k, k] = -A[k, k]
+    return S
 
 
 # -- reference admissibility program ---------------------------------------------------

@@ -251,6 +251,13 @@ class TestSample:
     def test_count_validation(self):
         with pytest.raises(InvalidDesign):
             sample_assignments(Design.bernoulli(2, 0.5), seed=0, count=0)
+        for count, seed in [(2.0, 0), (True, 0), (2, 1.5), (2, -1), (2, False)]:
+            with pytest.raises(InvalidDesign, match="integer (count|seed)"):
+                sample_assignments(Design.bernoulli(2, 0.5), seed, count)
+        generator = np.random.default_rng(0)
+        assert sample_assignments(Design.bernoulli(2, 0.5), generator, 3).shape == (3, 2)
+        stream = np.random.SeedSequence(0)
+        assert sample_assignments(Design.bernoulli(2, 0.5), stream, 3).shape == (3, 2)
         with pytest.raises(InvalidDesign):
             pair_observation_probabilities(
                 Design.bernoulli(2, 0.5), ExposureModel.identity(2), mode="mc", count=0, seed=0
@@ -849,6 +856,29 @@ class TestDrawnBlocks:
     def test_count_is_checked_when_the_blocks_are_made(self, count):
         with pytest.raises(InvalidDesign, match="count >= 1"):
             _AssignmentBlocks(Design.bernoulli(2, 0.5), "mc", count, 0)
+
+    @pytest.mark.parametrize("count, seed", [
+        (10.5, 0), (math.inf, 0), ("5", 0), (True, 0), (np.float64(5.0), 0),
+        (5, 1.5), (5, -1), (5, True), (5, "0"), (5, np.random.SeedSequence(0)),
+    ], ids=["count-fraction", "count-inf", "count-text", "count-bool", "count-numpy-float",
+            "seed-fraction", "seed-negative", "seed-bool", "seed-text", "seed-sequence"])
+    def test_draws_need_integer_count_and_seed(self, count, seed):
+        # each went to numpy as it came: a TypeError, OverflowError or
+        # ValueError, or one draw for count=True
+        design, model = Design.bernoulli(2, 0.5), ExposureModel.identity(2)
+        mc = dict(mode="mc", count=count, seed=seed)
+        with pytest.raises(InvalidDesign, match="integer (count|seed)"):
+            _AssignmentBlocks(design, **mc)
+        with pytest.raises(InvalidDesign, match="integer (count|seed)"):
+            build_variance_problem(design, model, EstimatorSpec("horvitz-thompson"), **mc)
+        with pytest.raises(InvalidDesign, match="integer (count|seed)"):
+            pair_observation_probabilities(design, model, **mc)
+
+    def test_numpy_integer_count_and_seed_are_taken(self):
+        design = Design.bernoulli(3, 0.5)
+        drawn = [Z for Z, _ in _AssignmentBlocks(design, "mc", np.int64(7), np.uint32(4))]
+        expected = [Z for Z, _ in _AssignmentBlocks(design, "mc", 7, 4)]
+        assert np.array_equal(np.concatenate(drawn), np.concatenate(expected))
 
     def test_a_build_holds_one_block_of_draws(self, caplog):
         # 100,000 draws at n = 80: stored as int64 they alone would take 64 MB

@@ -330,6 +330,62 @@ class TestScenarioParsing:
         assert [ptr for ptr, _ in info.value.findings] == ["/exposure/entries/2/assignment"]
         assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
 
+    TABLE = {"rule": "table", "labels": ["a", "b"], "contrast": ["a", "b"],
+             "entries": [{"assignment": [1, 0], "labels": ["a", "b"]},
+                         {"assignment": [0, 1], "labels": ["b", "a"]}]}
+
+    @pytest.mark.parametrize("patch, pointer", [
+        ({"labels": "ab"}, "/exposure/labels"),
+        ({"contrast": "ab"}, "/exposure/contrast"),
+        ({"entries": [{"assignment": [1, 0], "labels": "ab"},
+                      {"assignment": [0, 1], "labels": ["b", "a"]}]}, "/exposure/entries/0/labels"),
+        ({"entries": [{"assignment": [1, 0], "labels": ["a", "b"]},
+                      {"assignment": [0, 1], "labels": "ba"}]}, "/exposure/entries/1/labels"),
+        ({"labels": [True, "b"], "contrast": [1, "b"],
+          "entries": [{"assignment": [1, 0], "labels": [1, "b"]},
+                      {"assignment": [0, 1], "labels": ["b", 1]}]}, "/exposure/labels"),
+        ({"labels": [1, "b"], "contrast": [True, "b"],
+          "entries": [{"assignment": [1, 0], "labels": [1, "b"]},
+                      {"assignment": [0, 1], "labels": ["b", 1]}]}, "/exposure/contrast"),
+        ({"labels": [1, "b"], "contrast": [1, "b"],
+          "entries": [{"assignment": [1, 0], "labels": [True, "b"]},
+                      {"assignment": [0, 1], "labels": ["b", 1]}]}, "/exposure/entries/0/labels"),
+        ({"labels": 5}, "/exposure/labels"),
+        ({"labels": [None, "a", "b"]}, "/exposure/labels"),
+        ({"labels": [["a"], "a", "b"]}, "/exposure/labels"),
+        ({"rule": "spillover", "adjacency": [[1], [0]], "contrast": "direct"},
+         "/exposure/contrast"),
+        ({"rule": "spillover", "adjacency": [[1], [0]],
+          "contrast": ["direct", "indirect", "isolated"]}, "/exposure/contrast"),
+    ], ids=["labels-text", "contrast-text", "entry-text", "entry-text-reversed", "labels-bool",
+            "contrast-bool", "entry-bool", "labels-number", "labels-null", "labels-nested",
+            "spillover-contrast-text", "spillover-contrast-three"])
+    def test_exposure_labels_are_arrays_of_strings_or_numbers(self, tmp_path, patch, pointer):
+        # tuple() read a string as its characters, and JSON true as the label
+        # 1; a number or a bare contrast string crashed at /exposure
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["exposure"] = {**self.TABLE, **patch}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == [pointer]
+        assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("patch", [
+        {}, {"labels": [1, 0], "contrast": [1, 0],
+             "entries": [{"assignment": [1, 0], "labels": [1, 0]},
+                         {"assignment": [0, 1], "labels": [0, 1.0]}]},
+        {"rule": "spillover", "adjacency": [[1], [0]], "contrast": ["direct", "isolated"]},
+    ], ids=["strings", "numbers", "spillover"])
+    def test_exposure_labels_that_parse(self, tmp_path, patch):
+        doc = json.loads(builtin_scenario_path("illustration").read_text())
+        doc["exposure"] = {**self.TABLE, **patch}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        scn = parse_scenario(path)
+        assert scn.model.contrast == tuple(doc["exposure"]["contrast"])
+
     @pytest.mark.parametrize("key, written", [
         ("1", "+1"), ("1", " 1"), ("1", "\uff11"), ("10", "1_0"),
     ], ids=["plus", "space", "fullwidth", "underscore"])

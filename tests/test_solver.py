@@ -40,7 +40,15 @@ from varbound import test_admissibility as admissibility_of
 from varbound import solver as solver_module
 from varbound.experiment import VarianceProblem
 from varbound.solver import FrobeniusSquaredTerm, SchattenTerm
-from conftest import A_ILLU, B_MINNORM, B_PAIRWISE, OMEGA_ILLU, random_scenario, ref_admissibility
+from conftest import (
+    A_ILLU,
+    B_MINNORM,
+    B_PAIRWISE,
+    OMEGA_ILLU,
+    random_scenario,
+    ref_admissibility,
+    ref_pairwise_slack,
+)
 
 TIGHT = SolverConfig(eps_abs=1e-11, eps_rel=1e-9, max_iterations=200_000)
 WORST_CASE = Objective.composite(
@@ -940,6 +948,84 @@ class TestRangeSpaceAdmissibility:
         assert verdict.slack_rank < 2 * n
 
 
+def two_cluster_problem(n):
+    """Exact HT under two clusters of n / 2 units, one treated, with the
+    identity rule: n^2 omega pairs, each coordinate in n of them."""
+    problem, _ = build_variance_problem(
+        Design.cluster([range(n // 2), range(n // 2, n)], 1), ExposureModel.identity(n),
+        EstimatorSpec(kind="horvitz-thompson"),
+    )
+    return problem
+
+
+def bitwise_equal(X, Y):
+    return X.dtype == Y.dtype and X.shape == Y.shape and X.tobytes() == Y.tobytes()
+
+
+class TestPairwiseSlackReference:
+    """The pairwise slack equals the per-pair loop of
+    ``conftest.ref_pairwise_slack`` bit for bit, and refuses as it does."""
+
+    @staticmethod
+    def check(problem, rng):
+        A, omega = problem.A, problem.omega
+        W = np.diag(rng.uniform(0.1, 10.0, len(A)))
+        assert bitwise_equal(generalized_as_slack(A, omega, W), ref_pairwise_slack(A, omega, W))
+        assert bitwise_equal(aronow_samii_slack(A, omega),
+                             ref_pairwise_slack(A, omega, np.eye(len(A))))
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_random_pool(self, mode):
+        kwargs = {} if mode == "exact" else dict(mode="mc", count=2_000, seed=0)
+        rng = np.random.default_rng(290)
+        for problem in pool_problems(**kwargs):
+            self.check(problem, rng)
+
+    def test_two_cluster_n40(self):
+        problem = two_cluster_problem(40)
+        assert len(problem.omega) == 1_600
+        self.check(problem, np.random.default_rng(291))
+
+    def test_three_cluster_ring_n12(self):
+        n = 12
+        ring = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+        problem, _ = build_variance_problem(
+            Design.cluster([range(4), range(4, 8), range(8, 12)], 1), ring,
+            EstimatorSpec(kind="horvitz-thompson"))
+        self.check(problem, np.random.default_rng(292))
+
+    def test_refusals_match(self):
+        # pinned diagonals of every sign, crossed by pairs with and without
+        # mass: the same error, message and first offender as the reference
+        rng = np.random.default_rng(293)
+        seen = set()
+        for _ in range(300):
+            G = rng.normal(size=(6, 6))
+            A = G + G.T
+            A[rng.random((6, 6)) < 0.3] = 0.0
+            A = np.triu(A) + np.triu(A, 1).T
+            pinned = rng.choice(6, size=int(rng.integers(0, 3)), replace=False)
+            A[pinned, pinned] *= rng.choice([-1.0, 0.0, 1.0], size=len(pinned))
+            pairs = {tuple(rng.choice(6, size=2, replace=False)) for _ in range(4)}
+            omega = pairs | {(k, k) for k in pinned.tolist()}
+            W = np.diag(rng.uniform(0.5, 2.0, 6))
+            got, expected = [self.outcome(f, A, omega, W)
+                             for f in (generalized_as_slack, ref_pairwise_slack)]
+            if isinstance(expected, np.ndarray):
+                assert bitwise_equal(got, expected)
+            else:
+                assert got == expected
+            seen.add(expected[0].__name__ if isinstance(expected, tuple) else "slack")
+        assert seen == {"Infeasible", "VarboundError", "slack"}
+
+    @staticmethod
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except VarboundError as exc:
+            return type(exc), str(exc)
+
+
 def objectives_at(dim):
     """Frobenius², trace (targeted at W = I) and the worst-case composite."""
     return {"frobenius": Objective.frobenius_squared(), "trace": Objective.targeted(np.eye(dim)),
@@ -1043,6 +1129,31 @@ class TestRepair:
         assert fields["repair_norm"] == 0.0
         assert fields["min_eig_slack"] == np.linalg.eigh(Z)[0][0]
 
+    def test_indices_in_several_omega_pairs(self):
+        # two clusters of three units: each coordinate sits in six omega
+        # pairs, so each repaired diagonal sums six terms. The old
+        # construction moved N_kl onto the diagonals in its own order; the
+        # omega entries agree bitwise, the diagonals up to rounding
+        omega = two_cluster_problem(6).omega
+        ks, ls, rows, cols = solver_module._omega_index(omega, 12)
+        k, l = ks[ks != ls], ls[ks != ls]
+        assert np.bincount(np.r_[k, l]).min() == 6
+        rng = np.random.default_rng(2929)
+        for _ in range(50):
+            G = rng.normal(size=(12, 12))
+            Z = G + G.T
+            S, _ = repair(Z, omega)
+            w, Q = linalg._eigh(Z)
+            N = -linalg._from_eig(np.minimum(w, 0.0), Q)
+            a = np.abs(N[k, l])
+            N[k, l] = N[l, k] = 0.0
+            np.add.at(N, (np.r_[k, l], np.r_[k, l]), np.r_[a, a])
+            old = Z + N
+            old[rows, cols] = Z[rows, cols]
+            assert bitwise_equal(S[rows, cols], old[rows, cols])
+            np.testing.assert_allclose(S, old, rtol=1e-15, atol=0)
+            assert np.linalg.eigvalsh(S)[0] >= -1e-12 * np.linalg.norm(S, 2)
+
     def test_solve_with_a_pinned_row(self):
         # test_unobservable_diagonal_without_pair_mass's A: omega pins (0, 0)
         # and (0, 1), so PSD forces the free S_02 to 0, against the pull of
@@ -1055,3 +1166,52 @@ class TestRepair:
         assert abs(S[0, 2]) <= 1e-12
         assert np.linalg.eigvalsh(S)[0] >= -1e-12 * np.linalg.norm(S, 2)
         assert np.abs(S - aronow_samii_slack(A, problem.omega)).max() < 1e-5
+
+
+class TestRelabelingAtLadderSize:
+    """Renaming the units permutes A and omega; on the exact n = 40 ring and
+    two-cluster problems the OPT-VB objectives stay within 1e-9 relative (1e-8
+    on the clusters, see below) and every admissibility verdict stays the
+    same."""
+
+    @staticmethod
+    def outputs(problem):
+        """Objective and verdict of each OPT-VB slack; the verdicts of the
+        pairwise slack (admissible on the ring, not on the clusters) and of it
+        plus the rank-one bump 0.5 * 1 1^T (admissible on neither), with 0.0
+        in place of an objective."""
+        out = {}
+        for name, objective in objectives_at(len(problem.A)).items():
+            res = solve_optvb(problem, objective)
+            out[name] = (res.report.objective_value,
+                         admissibility_of(res.S_star, problem.omega).admissible)
+        pairwise = aronow_samii_slack(problem.A, problem.omega)
+        for name, S in (("pairwise", pairwise), ("bumped", pairwise + 0.5)):
+            out[name] = (0.0, admissibility_of(S, problem.omega).admissible)
+        return out
+
+    # On the clusters the trace slack moves by 6e-9 relative between
+    # labelings, at the default stop and at eps_rel 1e-10 alike: the repair
+    # books the pairwise slack of N, 2 sum |N_kl| over 1,600 pairs, on the
+    # trace, and N comes out of a different rounding path (repair_norm 3.7e-8
+    # unrenamed, 9.4e-8 renamed)
+    @pytest.mark.parametrize("problem_of, rel", [(ring_ht_problem, 1e-9),
+                                                 (two_cluster_problem, 1e-8)],
+                             ids=["ring", "two-cluster"])
+    def test_objectives_and_verdicts_at_n40(self, problem_of, rel):
+        n = 40
+        problem = problem_of(n)
+        expected = self.outputs(problem)
+        rng = np.random.default_rng(2940)
+        for _ in range(2):
+            perm = rng.permutation(n)
+            coords = np.concatenate([perm, perm + n])
+            new = np.argsort(coords)
+            moved = SimpleNamespace(
+                A=problem.A[np.ix_(coords, coords)],
+                omega=frozenset((int(new[k]), int(new[l])) for k, l in problem.omega))
+            got = self.outputs(moved)
+            assert got.keys() == expected.keys()
+            for name, (value, admissible) in expected.items():
+                assert got[name][0] == pytest.approx(value, rel=rel, abs=0)
+                assert got[name][1] == admissible
