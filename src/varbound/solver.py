@@ -15,8 +15,9 @@ solver is needed. Its consensus step projects onto the affine slice of the
 unobservable pairs. It sets rho on a fixed grid from the normalized residuals
 of its last accepted point (the OSQP rule, which does not see the units of
 the data), and speeds up its fixed-point map by safeguarded type-II Anderson
-acceleration. The bound program stops on its residuals and then repairs its
-slack once (``_repair``). The admissibility test runs on the range of S:
+acceleration. It stops on its residuals alone; at its one exit the bound
+program repairs its slack (``_repair``) and the admissibility test clips its
+iterate into its box. That test runs on the range of S:
 every feasible witness is T = R X R^T with S = R R^T and 0 <= X <= I_r,
 so it runs one block, the box projection of V - t L (the prox of <L, X>
 plus the box indicator, ibid. 2.2), one r x r eigendecomposition per step.
@@ -332,7 +333,7 @@ def _admm_map(x, blocks, rho, onto):
     return fx, primal, dual
 
 
-def _consensus_admm(blocks, Z0, onto, config, accept=None, polish=None, context=""):
+def _consensus_admm(blocks, Z0, onto, config, polish=None, context=""):
     """Consensus ADMM over proximable blocks on an affine slice, with
     safeguarded Anderson acceleration.
 
@@ -358,13 +359,14 @@ def _consensus_admm(blocks, Z0, onto, config, accept=None, polish=None, context=
 
     Every map evaluation, rejected candidates included, counts as one
     iteration, and each one meets the same test: the loop stops when the
-    primal residual <= eps_abs * dim + eps_rel * ||Z||_F, the dual residual
-    meets the analogous dual scale, and (when given) an ``accept`` predicate
-    holds on Z. The returned Z is a map value, never an extrapolation, passed
-    through ``polish`` when given: Z -> (Z, report fields), whose fields join
-    the loop's and the debug line. All rules depend only on the iterates, so
-    runs are bit-reproducible. ``context`` is appended to the debug line, so a
-    caller can add its own fields and each solve still logs exactly one line.
+    primal residual <= eps_abs * dim + eps_rel * ||Z||_F and the dual
+    residual meets the analogous dual scale. Converged or not, the one exit
+    returns the last map value, never an extrapolation, through ``polish``
+    when given, which puts it into the program's feasible set: Z -> (Z, report
+    fields), whose fields join the loop's and the debug line. All rules depend
+    only on the iterates, so runs are bit-reproducible. ``context`` is appended
+    to the debug line, so a caller can add its own fields and each solve still
+    logs exactly one line.
 
     Returns (Z, loop), where ``loop`` holds the SolverReport fields of the
     loop: iterations, residuals, convergence and the rho path.
@@ -383,10 +385,9 @@ def _consensus_admm(blocks, Z0, onto, config, accept=None, polish=None, context=
     converged = False
     for it in range(1, config.max_iterations + 1):  # max_iterations >= 1
         fx, r_norm, s_norm = _admm_map(x, blocks, rho, onto)
-        Z = fx[0]
-        eps_pri = config.eps_abs * dim + config.eps_rel * float(np.linalg.norm(Z))
+        eps_pri = config.eps_abs * dim + config.eps_rel * float(np.linalg.norm(fx[0]))
         eps_dual = config.eps_abs * dim + config.eps_rel * rho * float(np.linalg.norm(fx[1:]))
-        if r_norm <= eps_pri and s_norm <= eps_dual and (accept is None or accept(Z)):
+        if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
         g = (fx - x).ravel()
@@ -493,7 +494,7 @@ def _repair(Z, ks, ls, rows, cols):
     w, Q = linalg._eigh(S)
     if w[0] < 0.0:
         N = -linalg._from_eig(np.minimum(w, 0.0), Q)
-        S += N + aronow_samii_slack(N, zip(ks[ks != ls].tolist(), ls[ks != ls].tolist()))
+        S += N + _pairwise_slack(N, ks[ks != ls], ls[ks != ls], np.ones(len(N)))
         S[rows, cols] = Z[rows, cols]
         w = np.linalg.eigvalsh(S)
     return S, dict(min_eig_slack=float(w[0]), repair_norm=float(np.linalg.norm(S - Z)))
@@ -521,7 +522,7 @@ def solve_optvb(problem, objective, config=None):
     A = problem.A
     config = replace(config, eps_abs=config.eps_abs * _unit(A))
     ks, ls, rows, cols = _omega_index(problem.omega, len(A))
-    S0 = aronow_samii_slack(A, problem.omega)  # refuses an infeasible omega
+    S0 = _pairwise_slack(A, ks, ls, np.ones(len(A)))  # refuses an infeasible omega
     blocks = _objective_blocks(objective, A)
     values = -A[rows, cols]
 
@@ -615,14 +616,15 @@ def test_admissibility(S, omega, config=None):
     (``_range_slice``) in the consensus step. It is unitless, so its
     iterations do not depend on the units of S. Eigenvalues of S within tol
     are dropped, which moves alpha by at most their sum. An S with r = 0 is
-    answered in closed form: T = S, alpha = 0. The feasibility checks run on
-    the d x d witness T, and the returned witness carries the caller's omega
-    entries.
+    answered in closed form: T = S, alpha = 0.
 
-    An omega slice that pins the box to its boundary may converge slowly or
-    hit the iteration cap; the MaxIterations error then carries the best
-    iterate, whose trace gap is still a certified lower bound on alpha once
-    the witness is feasible within tolerance.
+    The loop stops on its residuals alone, and its one exit clips X into the
+    box (one r x r eigendecomposition), so 0 <= R X R^T <= R R^T holds by
+    construction, converged or not. Writing back the caller's omega entries
+    moves the witness by at most about lambda_max(S) times the reported
+    primal residual (within tol at convergence on the tested pool). A slice
+    pinning the box to its boundary may hit the iteration cap; MaxIterations
+    then carries the verdict of the last iterate, with that residual.
     """
     config = config or SolverConfig()
     S = linalg.check_symmetric(S, name="S")
@@ -641,25 +643,16 @@ def test_admissibility(S, omega, config=None):
     lam = w[keep]
     rank = lam.size
     R = Q[:, keep] * np.sqrt(lam)
-    S_r = R @ R.T
     context = f"; slack_rank {rank}, omega_size {ks.size}"
-
-    def witness_of(X):
-        return linalg.symmetrize(R @ X @ R.T)
-
-    def witness_feasible(X):
-        T = witness_of(X)
-        return (np.linalg.eigvalsh(T)[0] >= -tol
-                and np.linalg.eigvalsh(S_r - T)[0] >= -tol)
 
     if rank:
         lam_hat = lam / lam[-1]
         L = np.diag(lam_hat)  # <L, X> = trace(T) / lambda_max
         blocks = [lambda V, t: linalg._project_unit_box(V - t * L)]
         onto = _range_slice(Q[:, keep] * np.sqrt(lam_hat), ks, ls)
-        X, loop = _consensus_admm(blocks, np.eye(rank), onto, config,
-                                  accept=witness_feasible, context=context)
-        witness = witness_of(X)
+        X, loop = _consensus_admm(blocks, np.eye(rank), onto, config, context=context,
+                                  polish=lambda X: (linalg._project_unit_box(X), {}))
+        witness = linalg.symmetrize(R @ X @ R.T)
     else:
         # every feasible T is within tol of 0, and T = S is feasible
         log.debug("admissibility in closed form%s", context)
@@ -715,6 +708,12 @@ def generalized_as_slack(A, omega, W):
     if np.any(w <= 0):
         raise NonPositiveWeight(f"diagonal weights must be positive, got min {w.min()!r}")
     ks, ls, _, _ = _omega_index(omega, len(A))
+    return _pairwise_slack(A, ks, ls, w)
+
+
+def _pairwise_slack(A, ks, ls, w):
+    """``generalized_as_slack`` of an exactly symmetric A on the sorted pair
+    arrays (ks, ls) of ``_omega_index`` and the diagonal weights w."""
     pinned = np.isin(np.arange(len(A)), ks[ks == ls])
     positive = pinned & (np.diag(A) > 0.0)
     if positive.any():

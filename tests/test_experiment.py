@@ -216,6 +216,15 @@ class TestEnumerate:
             Design.cluster([[0, 1], [1, 2]], 1)
         with pytest.raises(InvalidDesign):
             Design.paired([(0, 1), (1, 2)])
+        with pytest.raises(InvalidDesign, match="n >= 1"):
+            Design.bernoulli(0, 0.5)
+        with pytest.raises(InvalidDesign, match="2 probabilities for n = 3"):
+            Design.bernoulli(3, [0.5, 0.5])
+        for m in (-1, 3):
+            with pytest.raises(InvalidDesign, match="clusters, got"):
+                Design.cluster([[0, 1], [2, 3]], m)
+        with pytest.raises(InvalidDesign, match="nonempty support"):
+            Design.explicit([])
 
 
 class TestSample:
@@ -359,6 +368,8 @@ class TestExposures:
             ExposureModel.spillover([[1], [0]], contrast=("direct", "nope"))
         with pytest.raises(InvalidDesign):
             ExposureModel.spillover([[2], [0]])
+        with pytest.raises(InvalidDesign, match="unit 1 cannot neighbor itself"):
+            ExposureModel.spillover([[1], [0, 1]])
 
 
 class TestObservationIndices:
@@ -463,6 +474,10 @@ class TestCoefficientVector:
     def test_regression_needs_covariates(self):
         with pytest.raises(InvalidDesign):
             EstimatorSpec(kind="ols")
+        design, model = Design.complete(3, 1), ExposureModel.identity(3)
+        spec = EstimatorSpec(kind="ols", covariates=np.ones((2, 1)))
+        with pytest.raises(DimensionMismatch, match="covariates have 2 rows, expected 3"):
+            coefficient_vector(spec, model, (1, 0, 0), _exact_pi(design, model))
 
 
 class TestRegressionOracles:
@@ -856,6 +871,15 @@ class TestDrawnBlocks:
     def test_count_is_checked_when_the_blocks_are_made(self, count):
         with pytest.raises(InvalidDesign, match="count >= 1"):
             _AssignmentBlocks(Design.bernoulli(2, 0.5), "mc", count, 0)
+
+    @pytest.mark.parametrize("mode, count, seed, match", [
+        ("sampled", 5, 0, "mode must be 'exact' or 'mc'"),
+        ("mc", None, 0, "needs count and seed"),
+        ("mc", 5, None, "needs count and seed"),
+    ], ids=["unknown-mode", "mc-no-count", "mc-no-seed"])
+    def test_mode_and_its_arguments_are_checked(self, mode, count, seed, match):
+        with pytest.raises(InvalidDesign, match=match):
+            _AssignmentBlocks(Design.bernoulli(2, 0.5), mode, count, seed)
 
     @pytest.mark.parametrize("count, seed", [
         (10.5, 0), (math.inf, 0), ("5", 0), (True, 0), (np.float64(5.0), 0),

@@ -212,8 +212,9 @@ class TestScenarioParsing:
                                          [0, 0, 0, 1]]}]}}, "/objective/terms/0/W"),
         ({"estimator": {"kind": "ols", "covariates": [[1.0], [True]]}},
          "/estimator/covariates"),
+        ({"design": {"kind": "cluster", "clusters": [[0], [True]], "m": 1}}, "/design/clusters"),
     ], ids=["n", "threshold", "m", "p", "p-list", "weight", "schatten-p", "adjacency", "theta",
-            "outcome", "realized-z", "assignments", "W", "covariates"])
+            "outcome", "realized-z", "assignments", "W", "covariates", "clusters"])
     def test_boolean_is_not_a_number(self, tmp_path, patch, pointer):
         # Python reads a JSON boolean as the integer 0 or 1
         doc = {
@@ -651,7 +652,7 @@ class TestCli:
         assert run_cli("bound", "-c", "illustration", "-o", tmp_path, *flags) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("missing", ["W", "theta", "slack", "bound"])
+    @pytest.mark.parametrize("missing", ["W", "theta", "slack", "bound", "realized"])
     def test_missing_matrix_file_is_computation_error(self, tmp_path, capsys, missing):
         doc = json.loads(builtin_scenario_path("illustration").read_text())
         doc["realized"] = {"z": [1, 0], "outcomes": {"1": 1.0, "4": 4.0}}
@@ -662,8 +663,10 @@ class TestCli:
             doc["theta"] = "gone.csv"
         elif missing == "slack":
             command = ["admissible", "--slack", tmp_path / "gone.csv"]
-        else:
+        elif missing == "bound":
             command = ["estimate", "--bound", tmp_path / "gone.csv"]
+        else:
+            del doc["realized"]
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(doc))
         assert run_cli(*command, "-c", path) == 2

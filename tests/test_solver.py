@@ -291,8 +291,11 @@ class TestAdmissibility:
         config = SolverConfig(max_iterations=2)
         with pytest.raises(MaxIterations) as info:
             admissibility_of(B_PAIRWISE - A_ILLU, OMEGA_ILLU, config)
-        assert info.value.result is not None
-        assert info.value.result.witness.shape == (4, 4)
+        verdict = info.value.result
+        assert verdict.witness.shape == (4, 4)
+        assert not verdict.report.converged
+        # the exit clips the iterate into the box: feasible after two steps
+        assert sandwich_violation(B_PAIRWISE - A_ILLU, verdict.witness) <= 1e-7
 
     def test_full_solve_certifies_domination(self, illustration):
         verdict = admissibility_of(B_PAIRWISE - A_ILLU, OMEGA_ILLU, TIGHT)
@@ -724,6 +727,11 @@ def bumped(S):
     return out
 
 
+def sandwich_violation(S, T):
+    """How far T leaves 0 <= T <= S: max(0, -lambda_min(T), -lambda_min(S - T))."""
+    return max(0.0, -linalg.min_eigenvalue(T), -linalg.min_eigenvalue(linalg.symmetrize(S - T)))
+
+
 def pool_slacks():
     """The 30-draw random pool (rng 2021), each draw with its Frobenius²
     OPT-VB slack, its pairwise slack and that slack bumped."""
@@ -802,6 +810,8 @@ class TestRangeSpaceAdmissibility:
             base = admissibility_of(S, omega)
             verdict = admissibility_of(scale * S, omega)  # no MaxIterations
             assert verdict.admissible == base.admissible
+            tol = SolverConfig().feasibility_tol * max(1.0, scale * float(np.linalg.norm(S)))
+            assert sandwich_violation(scale * S, verdict.witness) <= tol, (i, kind)
             # alpha agrees to the solver's relative stopping tolerance
             gate = SolverConfig().eps_rel * (1.0 + np.trace(S))
             assert verdict.alpha / scale == pytest.approx(base.alpha, abs=gate)
@@ -809,6 +819,34 @@ class TestRangeSpaceAdmissibility:
             # differently, but never into a scale-dependent stall
             ratio = verdict.report.iterations / base.report.iterations
             assert 1 / 1.5 <= ratio <= 1.5, (i, kind)
+
+    def test_early_stop_leaves_the_sandwich_by_at_most_its_residual(self, monkeypatch):
+        # the exit clips X into the box, so only the write-back of the omega
+        # entries moves the witness, by about lambda_max(S) times the primal
+        # residual; the singular pairwise draws leave it most
+        admm, exits = solver_module._consensus_admm, []
+
+        def recorded(*args, **kwargs):
+            X, loop = admm(*args, **kwargs)
+            exits.append(np.linalg.eigvalsh(X))
+            return X, loop
+
+        monkeypatch.setattr(solver_module, "_consensus_admm", recorded)
+        worst, stopped = 0.0, 0
+        for i, kind, S, omega in pool_slacks():
+            try:
+                verdict = admissibility_of(S, omega, SolverConfig(max_iterations=2))
+            except MaxIterations as error:
+                verdict, stopped = error.result, stopped + 1
+            if verdict.slack_rank:
+                assert -1e-12 <= exits[-1][0] and exits[-1][-1] <= 1.0 + 1e-12, (i, kind)
+            tol = SolverConfig().feasibility_tol * max(1.0, float(np.linalg.norm(S)))
+            reach = linalg.eigenvalues(S)[-1] * verdict.report.primal_residual
+            violation = sandwich_violation(S, verdict.witness)
+            assert violation <= reach + tol, (i, kind)
+            worst = max(worst, violation / tol)
+        assert stopped >= 40  # 48 of the 90 slacks
+        assert worst > 1e3  # the bound is not vacuous on this pool
 
     def test_zero_slack_is_answered_in_closed_form(self, caplog):
         caplog.set_level(logging.DEBUG, logger="varbound.solver")
@@ -1153,6 +1191,22 @@ class TestRepair:
             assert bitwise_equal(S[rows, cols], old[rows, cols])
             np.testing.assert_allclose(S, old, rtol=1e-15, atol=0)
             assert np.linalg.eigvalsh(S)[0] >= -1e-12 * np.linalg.norm(S, 2)
+
+    def test_omega_is_indexed_once_per_solve(self, monkeypatch):
+        # the start and the repair both take the pairwise slack on the
+        # solve's one index; pool draw 0's Frobenius² slack needs the repair
+        problem = pool_problems()[0]
+        calls = {"_omega_index": 0, "_pairwise_slack": 0}
+        for name in calls:
+            inner = getattr(solver_module, name)
+
+            def counted(*args, inner=inner, name=name):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(solver_module, name, counted)
+        assert solve_optvb(problem, Objective.frobenius_squared()).report.repair_norm > 0.0
+        assert calls == {"_omega_index": 1, "_pairwise_slack": 2}
 
     def test_solve_with_a_pinned_row(self):
         # test_unobservable_diagonal_without_pair_mass's A: omega pins (0, 0)
