@@ -20,19 +20,13 @@ from .experiment import (
     SecondOrderTable,
     VarianceProblem,
     build_variance_problem,
-    coefficient_vector,
-    compute_estimand,
-    compute_exposures,
     enumerate_assignments,
-    estimator_value,
-    observation_indices,
     pair_observation_probabilities,
     sample_assignments,
     unobservable_pairs,
 )
 from .linalg import (
     entrywise_norm,
-    loewner_dominates,
     quadratic_form_value,
     schatten_norm,
 )

@@ -50,7 +50,6 @@ from .experiment import (
     _variance_build,
     _weighted_moments,
     enumerate_assignments,  # noqa: F401  (in this namespace; the benchmark tracer wraps it here)
-    observation_indices,
 )
 
 log = logging.getLogger(__name__)
@@ -87,18 +86,23 @@ class RealizedData:
         )
 
 
+def _observed(model, z):
+    """Indices of theta that assignment z reveals (``_observation_matrix``)."""
+    return np.flatnonzero(_observation_matrix(model, [_as_bits(z, model.n)])[0]).tolist()
+
+
 def observe(model, z, theta):
     """Realize data from a full parameter vector (simulation helper)."""
     theta = _as_theta(theta, model.n)
     return RealizedData(
         z=tuple(z),
-        outcomes={k: float(theta[k]) for k in observation_indices(model, z)},
+        outcomes={k: float(theta[k]) for k in _observed(model, z)},
     )
 
 
 def validate_realized(data, model):
     """Check that the outcome keys are exactly the observation set of z."""
-    expected = set(observation_indices(model, data.z))
+    expected = set(_observed(model, data.z))
     got = set(data.outcomes)
     if got != expected:
         missing = sorted(expected - got)

@@ -15,17 +15,17 @@ weights differ (see ``_AssignmentBlocks``). Both modes make their blocks while
 a pass runs, so no pass holds more than one block of assignments; Monte Carlo
 draws depend on the seed and the count alone, and a second pass draws the
 same blocks again. Each exposure rule (``_exposure_codes``) and each
-estimator (``_batch_coefficients``) is implemented once, on blocks of rows;
-the per-assignment functions run that code on a single row. Horvitz-Thompson's
-A is a function of P2 alone (``_ht_covariance``), and difference in means, OLS
-and Lin average their coefficients in the P2 pass, from its observation rows,
-so their builds make one pass over the assignments; Hajek and GREG weight by
-pi = diag(P2) and make a second pass for A. Exact builds of P2 alone or of
-Horvitz-Thompson's A, under a Bernoulli, paired, complete or cluster design
-and the identity or spillover rule, read P2 off local patterns instead when
-those cost less than the support (``_local_plan``): P2_kl depends only on
-the units that set k's and l's exposures, so each unit pair enumerates the
-patterns of those units alone, weighted by their closed-form marginal.
+estimator (``_batch_coefficients``) is implemented once, on blocks of rows.
+Horvitz-Thompson's A is a function of P2 alone (``_ht_covariance``), and
+difference in means, OLS and Lin average their coefficients in the P2 pass,
+from its observation rows, so their builds make one pass over the
+assignments; Hajek and GREG weight by pi = diag(P2) and make a second pass
+for A. Exact builds of P2 alone or of Horvitz-Thompson's A, under a
+Bernoulli, paired, complete or cluster design and the identity or spillover
+rule, read P2 off local patterns instead when those cost less than the
+support (``_local_plan``): P2_kl depends only on the units that set k's and
+l's exposures, so each unit pair enumerates the patterns of those units
+alone, weighted by their closed-form marginal.
 """
 
 from __future__ import annotations
@@ -478,22 +478,6 @@ def _observation_matrix(model, Z):
     return np.concatenate([codes == a, codes == b], axis=1)
 
 
-def compute_exposures(model, z):
-    """Exposure label of every unit under assignment z."""
-    codes = _exposure_codes(model, [_as_bits(z, model.n)])[0]
-    return tuple(model.labels[c] for c in codes.tolist())
-
-
-def observation_indices(model, z):
-    """Indices of theta revealed by assignment z.
-
-    Unit i contributes i when exposed to the first contrast label and i + n
-    when exposed to the second; other exposures reveal nothing.
-    """
-    obs = _observation_matrix(model, [_as_bits(z, model.n)])[0]
-    return frozenset(np.flatnonzero(obs).tolist())
-
-
 # -- linear estimators -------------------------------------------------------------
 
 
@@ -655,33 +639,6 @@ def _design_matrices(kind, X, D):
     return np.concatenate([np.ones_like(D), D, X] + ([D * X] if kind == "lin" else []), axis=-1)
 
 
-def coefficient_vector(spec, model, z, pi):
-    """Length-2n coefficient vector V of the estimator at assignment z.
-
-    The estimate is (1/n) V . theta; coordinates outside the observation set
-    are zero. ``pi`` holds the 2n first-order observation probabilities.
-    """
-    n = model.n
-    bits = _as_bits(z, n)
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (2 * n,):
-        raise DimensionMismatch(f"pi must have length {2 * n}, got {pi.shape}")
-    return _batch_coefficients(spec, model, [bits], pi)[0]
-
-
-def estimator_value(spec, model, z, pi, theta):
-    """Realized value of the point estimator: (1/n) V . theta."""
-    theta = _as_theta(theta, model.n)
-    V = coefficient_vector(spec, model, z, pi)
-    return float(V @ theta) / model.n
-
-
-def compute_estimand(theta, n):
-    """Average contrast (1/n) sum of (theta_k - theta_{k+n})."""
-    theta = _as_theta(theta, n)
-    return float((theta[:n] - theta[n:]).sum()) / n
-
-
 # -- second-order structure ---------------------------------------------------------
 
 
@@ -721,14 +678,13 @@ class VarianceProblem:
         A = np.asarray(self.A, dtype=float)
         if A.shape != (2 * self.n, 2 * self.n):
             raise DimensionMismatch(f"A must be {2 * self.n} x {2 * self.n}, got {A.shape}")
-        linalg.check_symmetric(A, name="A")
-        fro = float(np.linalg.norm(A))
-        if linalg.min_eigenvalue(linalg.symmetrize(A)) < -1e-8 * max(fro, 1.0):
+        A = linalg.check_symmetric(A, name="A")
+        if linalg.min_eigenvalue(A) < -1e-8 * max(float(np.linalg.norm(A)), 1.0):
             raise InvalidDesign("A is not positive semidefinite within tolerance")
         fundamentals = {(i, i + self.n) for i in range(self.n)}
         if not fundamentals <= set(self.omega):
             raise InvalidDesign("omega must contain every within-unit pair (i, i+n)")
-        object.__setattr__(self, "A", linalg.symmetrize(A))
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "omega", frozenset(self.omega))
 
 
@@ -893,9 +849,9 @@ def _batch_coefficients(spec, model, Z, pi, work=None, obs=None):
         outside = ~(in_a | in_b)
         if np.any(outside):
             bad, off = (int(i) for i in np.argwhere(outside)[0])
+            label = model.labels[_exposure_codes(model, Z[bad:bad + 1])[0, off]]
             raise IncompatibleEstimator(
-                f"{spec.kind}: unit {off} realized exposure "
-                f"{compute_exposures(model, Z[bad])[off]!r}, outside the "
+                f"{spec.kind}: unit {off} realized exposure {label!r}, outside the "
                 "contrast; regression estimators need two-label exposures"
             )
         X = spec.covariates

@@ -90,15 +90,6 @@ def _project_unit_box(M):
     return _from_eig(np.clip(w, 0.0, 1.0), Q)
 
 
-def loewner_dominates(M, N, tol):
-    """True iff M - N is positive semidefinite within tol on the smallest eigenvalue."""
-    M = np.asarray(M, dtype=float)
-    N = np.asarray(N, dtype=float)
-    if M.shape != N.shape:
-        raise DimensionMismatch(f"shape mismatch {M.shape} vs {N.shape}")
-    return min_eigenvalue(symmetrize(M - N)) >= -tol
-
-
 def schatten_norm(M, p):
     """Schatten p-norm: the vector p-norm of the eigenvalue magnitudes."""
     if p < 1:

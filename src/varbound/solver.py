@@ -604,11 +604,13 @@ def test_admissibility(S, omega, config=None):
     unobservable pairs and satisfy 0 <= T <= S in the semidefinite order. A
     positive optimum certifies that the bound carrying S is dominated
     (inadmissible); the maximizer is returned as the witness. The verdict is
-    admissible when the optimum alpha is at most 1e-5 * (1 + trace S).
+    admissible when the optimum alpha is at most 1e-5 * trace S. Both that
+    rule and the rank cut below are relative to S, so no verdict depends on
+    the units of S.
 
     T <= S forces the null space of S into that of T, so every feasible T is
     R X R^T with S = R R^T (R = V_r Lambda_r^(1/2) over the r eigenvalues of S
-    above tol = feasibility_tol * max(1, ||S||_F)) and 0 <= X <= I_r. The
+    above tol = feasibility_tol * ||S||_F) and 0 <= X <= I_r. The
     program is solved in X: minimize <L, X>, L = Lambda_r / lambda_max, over
     that box, subject to the omega entries of R X R^T, by consensus ADMM with
     one block, the prox of <L, .> plus the box indicator, which is the r x r
@@ -629,7 +631,7 @@ def test_admissibility(S, omega, config=None):
     config = config or SolverConfig()
     S = linalg.check_symmetric(S, name="S")
     ks, ls, rows, cols = _omega_index(omega, len(S))
-    tol = config.feasibility_tol * max(1.0, float(np.linalg.norm(S)))
+    tol = config.feasibility_tol * float(np.linalg.norm(S))
     w, Q = linalg._eigh(S)
     if w.size and w[0] < -tol:
         raise NotASlackMatrix(
@@ -637,7 +639,7 @@ def test_admissibility(S, omega, config=None):
             "slack matrices must be positive semidefinite"
         )
     trace_S = float(np.trace(S))
-    decision_tol = 1e-5 * (1.0 + trace_S)
+    decision_tol = 1e-5 * trace_S
 
     keep = w > tol
     lam = w[keep]
@@ -810,8 +812,9 @@ class BoundValidation:
 
 
 def validate_bound(A, B, omega, tol=1e-7):
-    """Check conservativeness (B - A positive semidefinite within tol) and
-    design compatibility (B vanishes on every unobservable pair within tol)."""
+    """Check conservativeness (B - A positive semidefinite) and design
+    compatibility (B vanishes on every unobservable pair), each within
+    tol * max(||A||_F, ||B||_F), so the verdicts do not depend on units."""
     A = linalg.check_symmetric(A, name="A")
     B = linalg.check_symmetric(B, name="B")
     if A.shape != B.shape:
@@ -819,6 +822,7 @@ def validate_bound(A, B, omega, tol=1e-7):
     min_eig_gap = linalg.min_eigenvalue(linalg.symmetrize(B - A))
     _, _, rows, cols = _omega_index(omega, len(A))
     max_entry = float(np.abs(B[rows, cols]).max()) if rows.size else 0.0
+    tol = tol * max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
     return BoundValidation(
         conservative=bool(min_eig_gap >= -tol),
         design_compatible=bool(max_entry <= tol),

@@ -213,8 +213,7 @@ def ref_admissibility(S, omega, config=None):
     Returns (alpha, witness, admissible)."""
     config = config or SolverConfig()
     S = linalg.check_symmetric(S)
-    scale = max(1.0, float(np.linalg.norm(S)))
-    tol = config.feasibility_tol * scale
+    tol = config.feasibility_tol * float(np.linalg.norm(S))
     assert linalg.min_eigenvalue(S) >= -tol
     trace_S = float(np.trace(S))
     unit = _unit(S)
@@ -234,10 +233,12 @@ def ref_admissibility(S, omega, config=None):
     Z, loop = _consensus_admm(blocks, S_hat, onto, config)
     if not loop["converged"]:
         raise MaxIterations("reference admissibility program did not converge")
-    # the residual stop alone leaves the witness in the sandwich within tol
-    assert linalg.min_eigenvalue(Z) >= -tol
-    assert linalg.min_eigenvalue(S_hat - Z) >= -tol
+    # the residual stop alone leaves the witness in the sandwich, within the
+    # solve's own tolerance on the scaled problem
+    gap = config.feasibility_tol * max(1.0, float(np.linalg.norm(S_hat)))
+    assert linalg.min_eigenvalue(Z) >= -gap
+    assert linalg.min_eigenvalue(S_hat - Z) >= -gap
     witness = unit * Z
     witness[rows, cols] = S[rows, cols]
     alpha = trace_S - float(np.trace(witness))
-    return alpha, witness, bool(alpha <= 1e-5 * (1.0 + trace_S))
+    return alpha, witness, bool(alpha <= 1e-5 * trace_S)

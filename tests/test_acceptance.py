@@ -7,6 +7,7 @@ criterion.
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +269,16 @@ def test_10_neyman_comparison():
         assert check.conservative and check.design_compatible
         res = solve_optvb(problem, Objective.schatten(1), TIGHT)
         assert float(np.trace(res.B_star)) <= float(np.trace(B_ney)) + 1e-6
+
+
+def test_readme_quick_start_runs(capsys):
+    # the Library quick start of README.md, run as written: every name it
+    # shows must exist, and it reaches the worked example's minimum-norm bound
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert np.abs(namespace["result"].B_star - B_MINNORM).max() <= 1e-6
+    assert namespace["verdict"].admissible
+    assert capsys.readouterr().out.count("\n") >= 3

@@ -11,7 +11,7 @@ from itertools import combinations, islice
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from varbound import (
@@ -19,13 +19,8 @@ from varbound import (
     EstimatorSpec,
     ExposureModel,
     build_variance_problem,
-    coefficient_vector,
-    compute_estimand,
-    compute_exposures,
     enumerate_assignments,
-    estimator_value,
     linalg,
-    observation_indices,
     pair_observation_probabilities,
     sample_assignments,
     unobservable_pairs,
@@ -331,28 +326,38 @@ class TestSample:
         assert np.array_equal(P2 * 64, np.array(counts))
 
 
+def _exposures(model, z):
+    """Exposure label of every unit under assignment z, from the batch kernel."""
+    return tuple(model.labels[c] for c in _exposure_codes(model, [z])[0].tolist())
+
+
+def _observed(model, z):
+    """Indices of theta that assignment z reveals, from the batch kernel."""
+    return frozenset(np.flatnonzero(_observation_matrix(model, [z])[0]).tolist())
+
+
 class TestExposures:
     def test_two_voter_spillover(self):
         model = ExposureModel.spillover([[1], [0]])
-        assert compute_exposures(model, (1, 0)) == ("direct", "indirect")
-        assert compute_exposures(model, (0, 1)) == ("indirect", "direct")
+        assert _exposures(model, (1, 0)) == ("direct", "indirect")
+        assert _exposures(model, (0, 1)) == ("indirect", "direct")
 
     def test_identity(self):
         model = ExposureModel.identity(2)
-        assert compute_exposures(model, (1, 0)) == (1, 0)
+        assert _exposures(model, (1, 0)) == (1, 0)
 
     def test_path_graph_labels(self):
         model = ExposureModel.spillover([[1], [0, 2], [1]])
-        assert compute_exposures(model, (1, 0, 0)) == ("direct", "indirect", "isolated")
+        assert _exposures(model, (1, 0, 0)) == ("direct", "indirect", "isolated")
 
     def test_table_rule_and_missing_entry(self):
         model = ExposureModel.from_table(
             2, labels=("a", "b"), contrast=("a", "b"),
             table={(1, 0): ("a", "b"), (0, 1): ("b", "a")},
         )
-        assert compute_exposures(model, (1, 0)) == ("a", "b")
+        assert _exposures(model, (1, 0)) == ("a", "b")
         with pytest.raises(RuleUndefined):
-            compute_exposures(model, (1, 1))
+            _exposures(model, (1, 1))
 
     def test_table_rejects_keys_other_than_0_or_1(self):
         with pytest.raises(InvalidDesign, match="must be 0 or 1"):
@@ -375,16 +380,16 @@ class TestExposures:
 class TestObservationIndices:
     def test_two_voter(self):
         model = ExposureModel.spillover([[1], [0]])
-        assert observation_indices(model, (1, 0)) == frozenset({0, 3})
-        assert observation_indices(model, (0, 1)) == frozenset({1, 2})
+        assert _observed(model, (1, 0)) == frozenset({0, 3})
+        assert _observed(model, (0, 1)) == frozenset({1, 2})
 
     def test_identity_all_treated(self):
         model = ExposureModel.identity(3)
-        assert observation_indices(model, (1, 1, 1)) == frozenset({0, 1, 2})
+        assert _observed(model, (1, 1, 1)) == frozenset({0, 1, 2})
 
     def test_path_isolated_contributes_nothing(self):
         model = ExposureModel.spillover([[1], [0, 2], [1]])
-        assert observation_indices(model, (1, 0, 0)) == frozenset({0, 4})
+        assert _observed(model, (1, 0, 0)) == frozenset({0, 4})
 
 
 def _exact_pi(design, model):
@@ -395,7 +400,7 @@ class TestCoefficientVector:
     def test_ht_two_voter(self):
         design, model, spec = illustration_parts()
         pi = _exact_pi(design, model)
-        V = coefficient_vector(spec, model, (1, 0), pi)
+        V = _batch_coefficients(spec, model, [(1, 0)], pi)[0]
         assert np.allclose(V, [2.0, 0.0, 0.0, -2.0])
 
     def test_difference_in_means_reproduces_group_means(self):
@@ -404,7 +409,7 @@ class TestCoefficientVector:
         model = ExposureModel.identity(2)
         spec = EstimatorSpec(kind="difference-in-means")
         pi = np.full(4, 0.5)
-        V = coefficient_vector(spec, model, (1, 0), pi)
+        V = _batch_coefficients(spec, model, [(1, 0)], pi)[0]
         theta = np.array([3.0, 5.0, 7.0, 11.0])
         assert (V @ theta) / 2 == pytest.approx(theta[0] - theta[3])
         assert np.allclose(V, [2.0, 0.0, 0.0, -2.0])
@@ -414,7 +419,7 @@ class TestCoefficientVector:
         spec = EstimatorSpec(kind="hajek")
         pi = np.full(4, 0.5)
         with pytest.raises(DegenerateAssignment):
-            coefficient_vector(spec, model, (1, 1), pi)
+            _batch_coefficients(spec, model, [(1, 1)], pi)
 
     @pytest.mark.parametrize("kind", ["difference-in-means", "hajek"])
     def test_degenerate_message_prints_the_assignment(self, kind):
@@ -422,7 +427,7 @@ class TestCoefficientVector:
         spec = EstimatorSpec(kind=kind)
         pi = np.full(4, 0.5)
         with pytest.raises(DegenerateAssignment, match=re.escape("z = (1, 1)")):
-            coefficient_vector(spec, model, (1, 1), pi)
+            _batch_coefficients(spec, model, [(1, 1)], pi)
         with pytest.raises(DegenerateAssignment, match=re.escape("z = (1, 1)")):
             _batch_coefficients(spec, model, np.array([(1, 0), (1, 1)]), pi)
 
@@ -431,7 +436,7 @@ class TestCoefficientVector:
         spec = EstimatorSpec(kind="horvitz-thompson")
         pi = np.array([0.5, 0.5, 0.5, 0.0])
         with pytest.raises(ZeroExposureProbability):
-            coefficient_vector(spec, model, (1, 0), pi)
+            _batch_coefficients(spec, model, [(1, 0)], pi)
 
     def test_hajek_matches_weighted_means(self):
         rng = np.random.default_rng(5)
@@ -441,7 +446,7 @@ class TestCoefficientVector:
         pi = _exact_pi(design, model)
         z = (1, 0, 1, 0)
         theta = rng.normal(size=2 * n)
-        got = estimator_value(EstimatorSpec(kind="hajek"), model, z, pi, theta)
+        got = _batch_coefficients(EstimatorSpec(kind="hajek"), model, [z], pi)[0] @ theta / n
         wa = np.array([1 / pi[0], 0, 1 / pi[2], 0])
         wb = np.array([0, 1 / pi[5], 0, 1 / pi[7]])
         expected = (wa @ theta[:n]) / wa.sum() - (wb @ theta[n:]) / wb.sum()
@@ -458,7 +463,7 @@ class TestCoefficientVector:
         for kind in ("horvitz-thompson", "difference-in-means", "hajek", "ols", "lin", "greg"):
             spec = EstimatorSpec(kind=kind, covariates=X)
             for z, _ in enumerate_assignments(design):
-                V = coefficient_vector(spec, model, z, pi)
+                V = _batch_coefficients(spec, model, [z], pi)[0]
                 S = ref_observation_indices(model, z)
                 off = [k for k in range(2 * n) if k not in S]
                 assert np.allclose(V[off], 0.0)
@@ -468,8 +473,9 @@ class TestCoefficientVector:
         design = Design.complete(3, 1)
         pi = _exact_pi(design, model)
         spec = EstimatorSpec(kind="ols", covariates=np.ones((3, 1)))
-        with pytest.raises(IncompatibleEstimator):
-            coefficient_vector(spec, model, (1, 0, 0), pi)
+        message = "ols: unit 2 realized exposure 'isolated', outside the contrast"
+        with pytest.raises(IncompatibleEstimator, match=re.escape(message)):
+            _batch_coefficients(spec, model, [(1, 0, 1), (1, 0, 0)], pi)
 
     def test_regression_needs_covariates(self):
         with pytest.raises(InvalidDesign):
@@ -477,7 +483,7 @@ class TestCoefficientVector:
         design, model = Design.complete(3, 1), ExposureModel.identity(3)
         spec = EstimatorSpec(kind="ols", covariates=np.ones((2, 1)))
         with pytest.raises(DimensionMismatch, match="covariates have 2 rows, expected 3"):
-            coefficient_vector(spec, model, (1, 0, 0), _exact_pi(design, model))
+            _batch_coefficients(spec, model, [(1, 0, 0)], _exact_pi(design, model))
 
 
 class TestRegressionOracles:
@@ -495,26 +501,23 @@ class TestRegressionOracles:
         self.y = np.where(np.array(self.z) == 1, self.theta[: self.n], self.theta[self.n:])
 
     def test_ols(self):
-        got = estimator_value(
-            EstimatorSpec(kind="ols", covariates=self.X), self.model, self.z, self.pi, self.theta
-        )
+        spec = EstimatorSpec(kind="ols", covariates=self.X)
+        got = _batch_coefficients(spec, self.model, [self.z], self.pi)[0] @ self.theta / self.n
         Q = np.column_stack([np.ones(self.n), self.z, self.X])
         beta = np.linalg.lstsq(Q, self.y, rcond=None)[0]
         assert got == pytest.approx(beta[1], abs=1e-10)
 
     def test_lin(self):
-        got = estimator_value(
-            EstimatorSpec(kind="lin", covariates=self.X), self.model, self.z, self.pi, self.theta
-        )
+        spec = EstimatorSpec(kind="lin", covariates=self.X)
+        got = _batch_coefficients(spec, self.model, [self.z], self.pi)[0] @ self.theta / self.n
         Xdm = self.X - self.X.mean(axis=0)
         Q = np.column_stack([np.ones(self.n), self.z, Xdm, np.array(self.z)[:, None] * Xdm])
         beta = np.linalg.lstsq(Q, self.y, rcond=None)[0]
         assert got == pytest.approx(beta[1], abs=1e-10)
 
     def test_greg(self):
-        got = estimator_value(
-            EstimatorSpec(kind="greg", covariates=self.X), self.model, self.z, self.pi, self.theta
-        )
+        spec = EstimatorSpec(kind="greg", covariates=self.X)
+        got = _batch_coefficients(spec, self.model, [self.z], self.pi)[0] @ self.theta / self.n
         z = np.array(self.z)
         in_a, in_b = z == 1, z == 0
         beta_a = np.linalg.lstsq(self.X[in_a], self.y[in_a], rcond=None)[0]
@@ -533,7 +536,7 @@ class TestRegressionOracles:
         spec = EstimatorSpec(kind="ols", covariates=np.ones((3, 1)) * [[1.0], [2.0], [3.0]])
         pi = np.full(6, 0.5)
         with pytest.raises(SingularRegression):
-            coefficient_vector(spec, model, (1, 1, 1), pi)
+            _batch_coefficients(spec, model, [(1, 1, 1)], pi)
         with pytest.raises(SingularRegression):
             _batch_coefficients(spec, model, [(1, 0, 1), (1, 1, 1)], pi)
 
@@ -546,41 +549,47 @@ class TestRegressionOracles:
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
             batch = _batch_coefficients(spec, self.model, Z, self.pi)
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
-            scalar = coefficient_vector(spec, self.model, tuple(Z[0]), self.pi)
-        assert np.allclose(batch[0], scalar, atol=1e-12)
+            single = _batch_coefficients(spec, self.model, Z[:1], self.pi)[0]
+        assert np.allclose(batch[0], single, atol=1e-12)
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
             build_variance_problem(self.design, self.model, spec)
 
 
 class TestEstimatorValue:
     def test_two_voter_values(self):
+        # the estimate is (1/n) V . theta
         design, model, spec = illustration_parts()
         pi = _exact_pi(design, model)
         theta = np.array([1.3, -0.4, 2.2, 0.9])  # (a1, a2, b1, b2)
-        assert estimator_value(spec, model, (1, 0), pi, theta) == pytest.approx(
-            theta[0] - theta[3]
-        )
-        assert estimator_value(spec, model, (0, 1), pi, theta) == pytest.approx(
-            theta[1] - theta[2]
-        )
-        assert estimator_value(spec, model, (1, 0), pi, np.zeros(4)) == 0.0
+        V = _batch_coefficients(spec, model, [(1, 0), (0, 1)], pi)
+        assert V[0] @ theta / 2 == pytest.approx(theta[0] - theta[3])
+        assert V[1] @ theta / 2 == pytest.approx(theta[1] - theta[2])
+        assert V[0] @ np.zeros(4) / 2 == 0.0
 
-    @pytest.mark.parametrize("length", [3, 5])
-    def test_theta_length_checked(self, length):
-        design, model, spec = illustration_parts()
-        pi = _exact_pi(design, model)
-        with pytest.raises(DimensionMismatch):
-            estimator_value(spec, model, (1, 0), pi, np.ones(length))
+
+def _expected_ht_estimate(design, model, theta):
+    """Exact expectation of the Horvitz-Thompson estimate over the support."""
+    support = enumerate_assignments(design)
+    Z = np.array([z for z, _ in support])
+    p = np.array([prob for _, prob in support])
+    V = _batch_coefficients(EstimatorSpec(kind="horvitz-thompson"), model, Z,
+                            _exact_pi(design, model))
+    return p @ V @ theta / model.n
 
 
 class TestEstimand:
+    # the estimand (1/n) sum of (theta_k - theta_{k+n}) is the expectation of
+    # the unbiased Horvitz-Thompson estimate
     def test_arithmetic(self):
-        assert compute_estimand([1.0, 2.0, 3.0, 4.0], 2) == pytest.approx(-2.0)
-        assert compute_estimand([5.0, 0, 0, 0, 0, 0], 3) == pytest.approx(5 / 3)
+        design, model, _ = illustration_parts()
+        assert _expected_ht_estimate(design, model, np.array([1.0, 2, 3, 4])) == pytest.approx(-2.0)
+        design, model = Design.bernoulli(3, 0.5), ExposureModel.identity(3)
+        theta = np.array([5.0, 0, 0, 0, 0, 0])
+        assert _expected_ht_estimate(design, model, theta) == pytest.approx(5 / 3)
 
     def test_null_contrast(self):
-        theta = np.array([1.0, 2.0, 1.0, 2.0])
-        assert compute_estimand(theta, 2) == 0.0
+        design, model, _ = illustration_parts()
+        assert _expected_ht_estimate(design, model, np.array([1.0, 2.0, 1.0, 2.0])) == 0.0
 
 
 class TestCovariance:
@@ -679,7 +688,7 @@ class TestCovariance:
             support = enumerate_assignments(design)
             pi = _exact_pi(design, model)
             mean = sum(
-                p * coefficient_vector(EstimatorSpec(kind="horvitz-thompson"), model, z, pi)
+                p * _batch_coefficients(EstimatorSpec(kind="horvitz-thompson"), model, [z], pi)[0]
                 for z, p in support
             )
             n = model.n
@@ -1645,7 +1654,6 @@ class TestNormalEquations:
             row = _batch_coefficients(spec, model, [z], pi, alone)[0]
             assert alone.svd_rows == (z in (tuple(z_star), tuple(1 - z_star)))
             assert row.tobytes() == batch[r].tobytes()
-            assert row.tobytes() == coefficient_vector(spec, model, z, pi).tobytes()
             ref = ref_coefficient_vector(spec, model, z, pi)
             assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -1666,7 +1674,7 @@ class TestNormalEquations:
         Z = np.array([z for z, _ in support[:BLOCK_ROWS]])
         batch = _batch_coefficients(spec, model, Z, table.pi)
         for r in range(0, BLOCK_ROWS, 97):
-            assert coefficient_vector(spec, model, Z[r], table.pi).tobytes() == batch[r].tobytes()
+            assert _batch_coefficients(spec, model, [Z[r]], table.pi)[0].tobytes() == batch[r].tobytes()
 
     def test_closed_forms_are_the_svd_rows(self):
         # the closed-form rows against the SVD of each row's design matrix,
@@ -1802,8 +1810,9 @@ def _rule_scenario(rng, rule, two_label):
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
 @pytest.mark.parametrize("rule", ["identity", "spillover", "table"])
 def test_scalar_api_is_the_batch_path(rule, kind):
-    # the per-assignment API agrees with the references and is bitwise the
-    # matching row of the batch over the whole support
+    # single-row calls of the kernels agree with the per-assignment
+    # references and are bitwise the matching row of the batch over the whole
+    # support
     rng = np.random.default_rng(71)
     for _ in range(3):
         design, model = _rule_scenario(rng, rule, kind in ("ols", "lin", "greg"))
@@ -1815,12 +1824,67 @@ def test_scalar_api_is_the_batch_path(rule, kind):
         obs = _observation_matrix(model, Z)
         batch = _batch_coefficients(spec, model, Z, pi)
         for r, z in enumerate(map(tuple, Z.tolist())):
-            exposures = compute_exposures(model, z)
-            assert exposures == ref_exposures(model, z)
-            assert exposures == tuple(model.labels[c] for c in codes[r])
-            S = observation_indices(model, z)
-            assert S == ref_observation_indices(model, z)
-            assert S == frozenset(np.flatnonzero(obs[r]).tolist())
-            V = coefficient_vector(spec, model, z, pi)
+            assert np.array_equal(_exposure_codes(model, [z])[0], codes[r])
+            assert _exposures(model, z) == ref_exposures(model, z)
+            assert np.array_equal(_observation_matrix(model, [z])[0], obs[r])
+            assert _observed(model, z) == ref_observation_indices(model, z)
+            V = _batch_coefficients(spec, model, [z], pi)[0]
             assert np.allclose(V, ref_coefficient_vector(spec, model, z, pi), rtol=0, atol=1e-12)
             assert V.tobytes() == batch[r].tobytes()
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(design, model, spec) over 5 <= n <= 8 units: a Bernoulli, complete,
+    cluster or paired design; the identity rule or spillover on a random
+    sparse directed graph; Horvitz-Thompson, difference in means or Hajek."""
+    kind = draw(st.sampled_from(["bernoulli", "complete", "cluster", "paired"]))
+    n = 2 * draw(st.integers(3, 4)) if kind == "paired" else draw(st.integers(5, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "bernoulli":
+        design = Design.bernoulli(n, rng.choice([0.2, 0.5, 0.7], size=n).tolist())
+    elif kind == "complete":
+        design = Design.complete(n, int(rng.integers(1, n)))
+    elif kind == "cluster":
+        of = rng.integers(0, 4, size=n)
+        clusters = [np.flatnonzero(of == k).tolist() for k in range(4) if np.any(of == k)]
+        design = Design.cluster(clusters, int(rng.integers(0, len(clusters) + 1)))
+    else:
+        units = rng.permutation(n).tolist()
+        design = Design.paired(list(zip(units[0::2], units[1::2])))
+    if draw(st.booleans()):
+        model = ExposureModel.identity(n)
+    else:
+        model = ExposureModel.spillover(
+            [[j for j in range(n) if j != i and rng.random() < 2 / n] for i in range(n)])
+    spec = EstimatorSpec(kind=draw(st.sampled_from(
+        ["horvitz-thompson", "difference-in-means", "hajek"])))
+    return design, model, spec
+
+
+@given(_kernel_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_kernels_match_the_references_at_n5_to_8(case):
+    # every support row: the observation matrix is the reference's, the
+    # coefficients are within 1e-12 of it, and a single-row call is bitwise
+    # that row of the block
+    design, model, spec = case
+    n = model.n
+    support = enumerate_assignments(design)
+    Z = np.array([z for z, _ in support])
+    ref_obs = np.zeros((len(Z), 2 * n), dtype=bool)
+    for r, (z, _) in enumerate(support):
+        ref_obs[r, list(ref_observation_indices(model, z))] = True
+    obs = _observation_matrix(model, Z)
+    assert np.array_equal(obs, ref_obs)
+    pi = np.array([p for _, p in support]) @ ref_obs
+    # difference in means and Hajek are defined where both groups are observed
+    both = ref_obs[:, :n].any(axis=1) & ref_obs[:, n:].any(axis=1)
+    rows = np.flatnonzero(both | (spec.kind == "horvitz-thompson"))
+    assume(rows.size)
+    batch = _batch_coefficients(spec, model, Z[rows], pi)
+    ref = np.array([ref_coefficient_vector(spec, model, Z[r], pi) for r in rows])
+    assert np.abs(batch - ref).max() <= 1e-12 * np.abs(ref).max()
+    for i, r in enumerate(rows):
+        assert np.array_equal(_observation_matrix(model, Z[r:r + 1])[0], obs[r])
+        assert _batch_coefficients(spec, model, Z[r:r + 1], pi)[0].tobytes() == batch[i].tobytes()

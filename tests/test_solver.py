@@ -329,7 +329,7 @@ class TestAdmissibility:
         problem = illustration["problem"]
         base = solve_optvb(problem, Objective.frobenius_squared(), TIGHT)
         bumped = base.S_star + np.diag([1.0, 0, 0, 0])
-        assert linalg.loewner_dominates(bumped, base.S_star, 0.0)
+        assert linalg.min_eigenvalue(bumped - base.S_star) >= 0.0
         verdict = admissibility_of(bumped, problem.omega, TIGHT)
         assert not verdict.admissible
         assert verdict.alpha >= 0.9
@@ -819,6 +819,21 @@ class TestRangeSpaceAdmissibility:
             # differently, but never into a scale-dependent stall
             ratio = verdict.report.iterations / base.report.iterations
             assert 1 / 1.5 <= ratio <= 1.5, (i, kind)
+
+    def test_verdicts_do_not_depend_on_units(self):
+        # A and S scaled by 2^k, exactly in floating point: the admissibility
+        # verdict, its rank cut and the validity of B = A + S read the same at
+        # every k (an absolute rank cut or decision threshold does not)
+        problems = pool_problems()
+        for i, kind, S, omega in pool_slacks():
+            A = problems[i].A
+            verdicts = set()
+            for k in (-40, -20, 0, 20, 40):
+                c = 2.0**k
+                verdict = admissibility_of(c * S, omega)
+                valid = validate_bound(c * A, c * (A + S), omega).valid
+                verdicts.add((verdict.admissible, verdict.slack_rank, valid))
+            assert len(verdicts) == 1, (i, kind, verdicts)
 
     def test_early_stop_leaves_the_sandwich_by_at_most_its_residual(self, monkeypatch):
         # the exit clips X into the box, so only the write-back of the omega
