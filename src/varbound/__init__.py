@@ -5,7 +5,6 @@ from . import errors
 from .estimation import (
     RDiagnostics,
     RealizedData,
-    empirical_mse,
     estimation_gamma,
     ht_bound_estimate,
     mse_upper_bound,

@@ -6,10 +6,12 @@ outcomes (0 elsewhere) and M = B / P2 on the support of B, it is y' M y / n^2
 (``ht_bound_estimate``). A bound whose coefficients vanish on every
 never-jointly-observed pair is estimated without bias.
 
-The diagnostics Cov(R) and the empirical MSE come from one pass over the
-same assignment blocks as the design moments in ``experiment``, with the same
-weights: probabilities in exact mode, one per draw in Monte Carlo mode. The
-estimate is linear in R, so its MSE is a function of Cov(R)'s two moments.
+The diagnostics Cov(R) and the empirical MSE come from one call,
+``r_covariance_opnorm``, and one pass over the same assignment blocks as the
+design moments in ``experiment``, with the same weights: probabilities in
+exact mode, one per draw in Monte Carlo mode. The estimate is linear in R, so
+its MSE is a function of Cov(R)'s two moments, and the call returns it
+alongside the operator norm when given the outcome vector theta.
 
 Cov(R) lives on the unordered pairs of the support of the bound. Its second
 moment is one dense pairs x pairs matrix, filled one block of at most
@@ -167,14 +169,14 @@ def ht_bound_estimate(B, data, table, n, threshold_c=0.0, support_tol=SUPPORT_TO
     return float(np.einsum("ij,ij->i", y @ M, y)[0]) / float(n) ** 2
 
 
-def _r_pairs(B, table, threshold_c=0.0, support_tol=SUPPORT_TOL):
+def _r_pairs(B, table, support_tol=SUPPORT_TOL):
     """Coordinates of the inverse-propensity indicators: the unordered pairs
-    k <= l on the support of ``_estimator_matrix`` (which checks B against
-    ``threshold_c``), and the scale of each, 1 / P2[k, l] on the diagonal and
+    k <= l on the support of ``_estimator_matrix`` (which refuses weight where
+    P2 = 0), and the scale of each, 1 / P2[k, l] on the diagonal and
     sqrt(2) / P2[k, l] off it, so that their covariance has the nonzero
     spectrum of the full indicator vector's over ordered pairs, which repeats
     each off-diagonal coordinate."""
-    k, l = np.nonzero(np.triu(_estimator_matrix(B, table, threshold_c, support_tol)))
+    k, l = np.nonzero(np.triu(_estimator_matrix(B, table, 0.0, support_tol)))
     scale = np.where(k == l, 1.0, math.sqrt(2.0)) / np.asarray(table.P2, dtype=float)[k, l]
     return k, l, scale
 
@@ -196,17 +198,6 @@ def _r_moments(model, blocks, pairs):
     [(mean, second)] = _weighted_moments(blocks, rows)
     second *= np.outer(scale, scale)
     return mean * scale, second
-
-
-def _r_pass(design, model, B, table, mode, count, seed, threshold_c, support_tol):
-    """The one pass behind Cov(R) and the MSE: (B, blocks, pairs, mean, second),
-    with the table built from the blocks when it is omitted."""
-    B = linalg.check_symmetric(B, name="B")
-    blocks = _AssignmentBlocks(design, mode, count, seed)
-    if table is None:
-        table = _variance_build(blocks, model, None)[1]
-    pairs = _r_pairs(B, table, threshold_c, support_tol)
-    return B, blocks, pairs, *_r_moments(model, blocks, pairs)
 
 
 def _mse(B, theta, n, pairs, mean, second):
@@ -264,7 +255,8 @@ def _power_iteration_opnorm(matvec, dim, tol=1e-9, max_iter=50_000):
 
 def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
                         seed=None, support_tol=SUPPORT_TOL, theta=None):
-    """Operator norm of Cov(R), the inverse-propensity indicator covariance.
+    """Operator norm of Cov(R), the inverse-propensity indicator covariance,
+    and the bound estimator's MSE from the same moments.
 
     Both modes average over the same assignment blocks (see ``_r_moments``):
     exact mode over the enumerated design, Monte Carlo mode over sampled
@@ -277,12 +269,17 @@ def r_covariance_opnorm(design, model, B, table=None, mode="exact", count=None,
 
     ``provenance`` records the mode (and the Monte Carlo count and seed),
     the number of pair coordinates and the number of matvecs. Given a full
-    outcome vector ``theta``, ``empirical_mse`` holds the bound estimator's
-    MSE from the same moments (see ``empirical_mse``); None otherwise.
+    outcome vector ``theta``, ``empirical_mse`` holds the mean squared error
+    of the estimate around theta' B theta / n^2 over the same rows, the
+    support or the draws (``_mse``); None otherwise.
     """
     started = time.perf_counter()
-    B, blocks, pairs, mean, second = _r_pass(design, model, B, table, mode, count, seed,
-                                             0.0, support_tol)
+    B = linalg.check_symmetric(B, name="B")
+    blocks = _AssignmentBlocks(design, mode, count, seed)
+    if table is None:
+        table = _variance_build(blocks, model, None)[1]
+    pairs = _r_pairs(B, table, support_tol)
+    mean, second = _r_moments(model, blocks, pairs)
     matvecs = 0
 
     def cov_matvec(v):
@@ -323,9 +320,10 @@ def mse_upper_bound(diag, theta_stats, B, n, p=1.0, q=math.inf):
 
         opnorm(Cov R) * L_{2p,2}(B)^2 * (sum theta^{2q})^{2/q} / n^2,
 
-    valid for any Hoelder conjugates. The two coincide in structure at
-    (1, inf) but the uniform form carries the outcome scale to the first
-    power, so it is comparable to the moment form only when sup|theta| <= 1.
+    valid for any Hoelder conjugates. At (1, inf) L_{2,2} is the Frobenius
+    norm, so both forms are the same product with a different outcome moment;
+    the uniform form carries the outcome scale to the first power, so it is
+    comparable to the moment form only when sup|theta| <= 1.
     """
     _conjugate(p, q)
     B = linalg.check_symmetric(B, name="B")
@@ -335,34 +333,16 @@ def mse_upper_bound(diag, theta_stats, B, n, p=1.0, q=math.inf):
             raise InvalidConjugatePair(
                 "a scalar sup|theta| only feeds the uniform form (p, q) = (1, inf)"
             )
-        sup = float(theta_stats)
-        if sup < 0:
+        moment = float(theta_stats)
+        if moment < 0:
             raise InvalidDesign("sup|theta| cannot be negative")
-        return opnorm * sup * linalg.schatten_norm(B, 2) ** 2 / float(n) ** 2
-    theta = np.asarray(theta_stats, dtype=float)
-    if math.isinf(q):
-        moment = float(np.max(theta**2)) ** 2 if theta.size else 0.0
     else:
-        moment = float(np.sum(np.abs(theta) ** (2 * q))) ** (2.0 / q)
+        theta = np.asarray(theta_stats, dtype=float)
+        if math.isinf(q):
+            moment = float(np.max(theta**2)) ** 2 if theta.size else 0.0
+        else:
+            moment = float(np.sum(np.abs(theta) ** (2 * q))) ** (2.0 / q)
     return opnorm * linalg.entrywise_norm(B, 2 * p, 2) ** 2 * moment / float(n) ** 2
-
-
-def empirical_mse(design, model, B, table=None, theta=None, mode="exact", count=None,
-                  seed=None, threshold_c=0.0):
-    """Mean squared error of the bound estimator around the true bound value.
-
-    The weighted average, over the enumerated design (exact) or sampled
-    assignments (mc), of (estimate(z) - value)^2 with value =
-    theta' B theta / n^2, from the R moments behind Cov(R) (``_mse``). The
-    bound must vanish on every pair observed with probability at most
-    ``threshold_c``. When ``table`` is omitted it is computed in the matching
-    mode, from the same enumeration or draws.
-    """
-    if theta is None:
-        raise InvalidDesign("empirical_mse needs a full outcome vector theta")
-    B, _, pairs, mean, second = _r_pass(design, model, B, table, mode, count, seed,
-                                        threshold_c, SUPPORT_TOL)
-    return _mse(B, theta, model.n, pairs, mean, second)
 
 
 def estimation_gamma(diag, sup_theta):

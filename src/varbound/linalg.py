@@ -63,13 +63,18 @@ def _from_eig(w, Q):
     return P @ P.T - N @ N.T
 
 
-def eigenvalues(M):
-    """Eigenvalues of a symmetric matrix (ascending, as computed)."""
-    M = check_symmetric(M)
+def _eigvalsh(M):
+    """Eigenvalues (ascending) of a matrix the caller knows to be symmetric: no
+    input check, only the lower triangle is read."""
     try:
         return np.linalg.eigvalsh(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise NonConvergence(f"eigenvalue computation failed: {exc}") from exc
+
+
+def eigenvalues(M):
+    """Eigenvalues of a symmetric matrix (ascending, as computed)."""
+    return _eigvalsh(check_symmetric(M))
 
 
 def min_eigenvalue(M):

@@ -97,7 +97,7 @@ class TargetedTerm:
 
     def strictly_monotone(self):
         band = linalg.ZERO_BAND * max(1.0, float(np.linalg.norm(self.W)))
-        return linalg.min_eigenvalue(self.W) > band
+        return linalg._eigvalsh(self.W)[0] > band
 
     def prox(self, weight, A):
         """The block of weight * <., W>: its prox at step t, V - t weight W."""
@@ -496,7 +496,7 @@ def _repair(Z, ks, ls, rows, cols):
         N = -linalg._from_eig(np.minimum(w, 0.0), Q)
         S += N + _pairwise_slack(N, ks[ks != ls], ls[ks != ls], np.ones(len(N)))
         S[rows, cols] = Z[rows, cols]
-        w = np.linalg.eigvalsh(S)
+        w = linalg._eigvalsh(S)
     return S, dict(min_eig_slack=float(w[0]), repair_norm=float(np.linalg.norm(S - Z)))
 
 
@@ -819,7 +819,7 @@ def validate_bound(A, B, omega, tol=1e-7):
     B = linalg.check_symmetric(B, name="B")
     if A.shape != B.shape:
         raise DimensionMismatch(f"A shape {A.shape} != B shape {B.shape}")
-    min_eig_gap = linalg.min_eigenvalue(linalg.symmetrize(B - A))
+    min_eig_gap = linalg._eigvalsh(B - A)[0]
     _, _, rows, cols = _omega_index(omega, len(A))
     max_entry = float(np.abs(B[rows, cols]).max()) if rows.size else 0.0
     tol = tol * max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))

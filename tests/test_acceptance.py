@@ -20,7 +20,6 @@ from varbound import (
     SolverConfig,
     aronow_samii_slack,
     build_variance_problem,
-    empirical_mse,
     enumerate_assignments,
     generalized_as_slack,
     ht_bound_estimate,
@@ -242,7 +241,7 @@ def test_09_mse_bound_dominates_and_independent_design_value():
             for _ in range(5):
                 theta = rng.uniform(-1.0, 1.0, size=2 * model.n)
                 theta /= np.abs(theta).max()  # uniform-form scale: sup = 1
-                mse = empirical_mse(design, model, B, table, theta)
+                mse = r_covariance_opnorm(design, model, B, table, theta=theta).empirical_mse
                 cap = mse_upper_bound(diag, float(np.abs(theta).max()), B, model.n)
                 assert model.n**2 * mse <= cap + 1e-9
 

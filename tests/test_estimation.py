@@ -16,7 +16,6 @@ from varbound import (
     SolverConfig,
     aronow_samii_slack,
     build_variance_problem,
-    empirical_mse,
     enumerate_assignments,
     estimation,
     estimation_gamma,
@@ -237,12 +236,13 @@ class TestRCovariance:
         mc = r_covariance_opnorm(design, model, B, mode="mc", count=30_000, seed=2)
         assert abs(mc.opnorm_cov_R - 2.0) < 0.1
         theta = np.array([1.0, 2.0, 3.0, 4.0])
-        with_table = empirical_mse(
+        with_table = r_covariance_opnorm(
             design, model, B,
             build_variance_problem(design, model, EstimatorSpec(kind="horvitz-thompson"))[1],
-            theta,
-        )
-        assert empirical_mse(design, model, B, theta=theta) == pytest.approx(with_table)
+            theta=theta,
+        ).empirical_mse
+        without = r_covariance_opnorm(design, model, B, theta=theta).empirical_mse
+        assert without == pytest.approx(with_table)
 
     def test_mc_threads_deterministic(self):
         design = Design.bernoulli(3, 0.5)
@@ -295,9 +295,12 @@ class TestRCovariance:
     def test_empirical_mse_from_the_same_moments(self, illustration):
         design, model, table = illustration["design"], illustration["model"], illustration["table"]
         theta = np.array([1.0, 2.0, 3.0, 4.0])
-        assert r_covariance_opnorm(design, model, B_MINNORM, table).empirical_mse is None
+        alone = r_covariance_opnorm(design, model, B_MINNORM, table)
+        assert alone.empirical_mse is None
         diag = r_covariance_opnorm(design, model, B_MINNORM, table, theta=theta)
-        assert diag.empirical_mse == empirical_mse(design, model, B_MINNORM, table, theta)
+        # theta adds the MSE and leaves the Cov(R) diagnostics as they were
+        assert diag.opnorm_cov_R == alone.opnorm_cov_R
+        assert diag.provenance == alone.provenance
         assert diag.empirical_mse == pytest.approx(16.0, rel=1e-12)
 
     def test_pair_layout_is_upper_triangle_of_support(self):
@@ -610,8 +613,8 @@ class TestPerAssignmentOracle:
             ests = np.array([ht_bound_estimate(B, data, table, n) for data in realized])
             target = linalg.quadratic_form_value(B, theta, n)
             mse = float(probs @ (ests - target) ** 2)
-            assert empirical_mse(design, model, B, table, theta) == pytest.approx(
-                mse, rel=1e-12, abs=1e-14)
+            got = r_covariance_opnorm(design, model, B, table, theta=theta).empirical_mse
+            assert got == pytest.approx(mse, rel=1e-12, abs=1e-14)
             # R . v is n^2 times the estimate for v = (B o theta theta') in
             # the pair layout (sqrt(2) off the diagonal), so the quadratic
             # form of Cov(R) at v is n^4 Var(estimate)
@@ -629,7 +632,7 @@ class TestPerAssignmentOracle:
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_one_estimate_kernel_on_the_pool(self, mode):
         # the MSE from the R moments is the weighted mean squared error of
-        # ht_bound_estimate on each row empirical_mse averages over (the
+        # ht_bound_estimate on each row the moments average over (the
         # support, or the draws)
         rng, theta_rng = np.random.default_rng(2021), np.random.default_rng(6)
         for i in range(30):
@@ -639,7 +642,8 @@ class TestPerAssignmentOracle:
             B = problem.A + aronow_samii_slack(problem.A, problem.omega)
             theta = theta_rng.normal(size=2 * model.n)
             target = linalg.quadratic_form_value(B, theta, model.n)
-            mse = empirical_mse(design, model, B, table, theta, mode, count, seed)
+            mse = r_covariance_opnorm(design, model, B, table, mode, count, seed,
+                                      theta=theta).empirical_mse
             rows = list(_AssignmentBlocks(design, mode, count, seed))
             w = np.concatenate([w for _, w in rows])
             single = np.array([ht_bound_estimate(B, observe(model, z, theta), table, model.n)
@@ -701,12 +705,14 @@ class TestMseUpperBound:
 
 
 class TestEmpiricalMse:
+    """The bound estimator's MSE, ``r_covariance_opnorm(..., theta=theta).empirical_mse``."""
+
     def test_two_voter_value(self, illustration):
         theta = np.array([1.0, 2.0, 3.0, 4.0])
-        got = empirical_mse(
+        got = r_covariance_opnorm(
             illustration["design"], illustration["model"], B_MINNORM,
-            illustration["table"], theta,
-        )
+            illustration["table"], theta=theta,
+        ).empirical_mse
         # estimates are 9 and 1 around a mean of 5
         assert got == pytest.approx(16.0)
 
@@ -715,18 +721,19 @@ class TestEmpiricalMse:
         model = ExposureModel.identity(2)
         table = build_variance_problem(design, model, EstimatorSpec(kind="horvitz-thompson"))[1]
         B = np.diag([1.0, 0.0, 0.0, 1.0])
-        assert empirical_mse(design, model, B, table, np.ones(4)) == pytest.approx(0.0)
+        diag = r_covariance_opnorm(design, model, B, table, theta=np.ones(4))
+        assert diag.empirical_mse == pytest.approx(0.0)
 
     def test_mc_mode_agrees_with_exact(self, illustration):
         theta = np.array([1.0, 2.0, 3.0, 4.0])
-        exact = empirical_mse(
+        exact = r_covariance_opnorm(
             illustration["design"], illustration["model"], B_MINNORM,
-            illustration["table"], theta,
-        )
-        approx = empirical_mse(
+            illustration["table"], theta=theta,
+        ).empirical_mse
+        approx = r_covariance_opnorm(
             illustration["design"], illustration["model"], B_MINNORM,
-            illustration["table"], theta, mode="mc", count=4000, seed=6,
-        )
+            illustration["table"], theta=theta, mode="mc", count=4000, seed=6,
+        ).empirical_mse
         # two equally likely estimates, so the sample mean has binomial error
         assert abs(approx - exact) < 1.5
 
@@ -739,9 +746,9 @@ class TestEmpiricalMse:
         B = np.eye(2 * n)
         theta = np.random.default_rng(3).normal(size=2 * n)
         mc = dict(mode="mc", count=2000, seed=11)
-        got = empirical_mse(design, model, B, theta=theta, **mc)
+        got = r_covariance_opnorm(design, model, B, theta=theta, **mc).empirical_mse
         table = pair_observation_probabilities(design, model, **mc)
-        assert got == empirical_mse(design, model, B, table, theta, **mc)
+        assert got == r_covariance_opnorm(design, model, B, table, theta=theta, **mc).empirical_mse
         assert 0.0 < got < np.inf
 
     def test_incompatible_bound_rejected(self):
@@ -751,13 +758,13 @@ class TestEmpiricalMse:
         never = B_MINNORM.copy()
         never[0, 2] = never[2, 0] = 1.0  # P2[0, 2] = 0
         with pytest.raises(IncompatibleBound, match=r"B\[0,2\]"):
-            empirical_mse(design, model, never, table, np.ones(4))
+            r_covariance_opnorm(design, model, never, table, theta=np.ones(4))
         rare = np.zeros((4, 4))
         rare[0, 1] = rare[1, 0] = rare[0, 0] = rare[1, 1] = 1.0
-        # P2[0, 1] = 1/4 is fine at c = 0 but refused at c = 0.3
-        assert empirical_mse(design, model, rare, table, np.ones(4)) >= 0.0
-        with pytest.raises(IncompatibleBound, match=r"B\[0,1\]"):
-            empirical_mse(design, model, rare, table, np.ones(4), threshold_c=0.3)
+        # P2[0, 1] = 1/4 is fine: Cov(R) refuses only P2 = 0; a threshold c > 0
+        # is ht_bound_estimate's check (test_threshold_refuses_rare_pairs)
+        diag = r_covariance_opnorm(design, model, rare, table, theta=np.ones(4))
+        assert diag.empirical_mse >= 0.0
 
     def test_dominated_by_error_bound(self, illustration):
         # normalized error never exceeds the uniform-form bound once the
@@ -769,7 +776,7 @@ class TestEmpiricalMse:
         for _ in range(10):
             theta = rng.uniform(-1, 1, size=4)
             theta /= np.abs(theta).max()
-            mse = empirical_mse(design, model, B_MINNORM, table, theta)
+            mse = r_covariance_opnorm(design, model, B_MINNORM, table, theta=theta).empirical_mse
             cap = mse_upper_bound(diag, 1.0, B_MINNORM, 2)
             assert 4.0 * mse <= cap + 1e-9
 

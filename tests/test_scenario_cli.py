@@ -761,6 +761,14 @@ class TestCli:
         matrixio.write_matrix(S, spath)
         assert run_cli("admissible", "-c", "illustration", "--slack", spath) == 3
 
+    def test_shipped_targeted_scenario_is_admissible(self, tmp_path):
+        # a targeted objective with W positive definite is strictly monotone,
+        # so its OPT-VB slack must pass the admissibility test
+        bout = tmp_path / "bound"
+        assert run_cli("bound", "-c", "bernoulli3_targeted", "-o", bout) == 0
+        assert run_cli("admissible", "-c", "bernoulli3_targeted", "--slack", bout / "S.csv",
+                       "-o", tmp_path / "adm") == 0
+
     def test_admissible_report_carries_rank_and_omega_size(self, tmp_path):
         from conftest import A_ILLU, B_PAIRWISE
 
@@ -845,8 +853,8 @@ class TestCli:
             "opnorm_cov_R_mode": "exact",
             "opnorm_cov_R_pairs": diag.provenance["pairs"],
             "opnorm_cov_R_matvecs": diag.provenance["matvecs"],
-            "empirical_mse_at_theta": estimation.empirical_mse(
-                scn.design, scn.model, B, table, scn.theta),
+            "empirical_mse_at_theta": r_covariance_opnorm(
+                scn.design, scn.model, B, table, theta=scn.theta).empirical_mse,
         }
         capsys.readouterr()
 
@@ -1029,9 +1037,9 @@ class TestCli:
         doc["theta"] = np.linspace(1.0, 2.0, 2 * n).tolist()
         scn, table, B, metrics = _estimate_with_bound(tmp_path, capsys, doc,
                                                       mode="mc", count=500, seed=5)
-        assert metrics["empirical_mse_at_theta"] == estimation.empirical_mse(
-            scn.design, scn.model, B, table, scn.theta,
-            mode="mc", count=estimation.RCOV_DRAWS, seed=5)
+        assert metrics["empirical_mse_at_theta"] == r_covariance_opnorm(
+            scn.design, scn.model, B, table, mode="mc", count=estimation.RCOV_DRAWS, seed=5,
+            theta=scn.theta).empirical_mse
         assert metrics["bound_value_at_theta"] == pytest.approx(
             linalg.quadratic_form_value(B, scn.theta, n))
         assert metrics["opnorm_cov_R_mode"] == "mc"
@@ -1045,8 +1053,8 @@ class TestCli:
                             lambda *args: calls.append(1) or moments(*args))
         scn, table, B, metrics = _estimate_with_bound(tmp_path, capsys, doc)
         assert len(calls) == 1
-        assert metrics["empirical_mse_at_theta"] == estimation.empirical_mse(
-            scn.design, scn.model, B, table, scn.theta)
+        assert metrics["empirical_mse_at_theta"] == r_covariance_opnorm(
+            scn.design, scn.model, B, table, theta=scn.theta).empirical_mse
         assert metrics["empirical_mse_at_theta"] > 0.0
 
     def test_seed_flag_overrides_scenario_seed(self, tmp_path):
