@@ -131,7 +131,7 @@ class RDiagnostics:
 
 def _estimator_matrix(B, table, threshold_c, support_tol=SUPPORT_TOL):
     """M = B / P2 on the support of the symmetric B (its entries above
-    support_tol max(1, max |B|)) and 0 elsewhere, so that the bound estimate
+    support_tol max |B|) and 0 elsewhere, so that the bound estimate
     from outcomes y, zero where not observed, is y' M y / n^2
     (``ht_bound_estimate``). Raises DimensionMismatch when B and P2 differ in
     shape, and IncompatibleBound if B has weight on a pair observed with
@@ -139,7 +139,7 @@ def _estimator_matrix(B, table, threshold_c, support_tol=SUPPORT_TOL):
     P2 = np.asarray(table.P2, dtype=float)
     if B.shape != P2.shape:
         raise DimensionMismatch(f"B shape {B.shape} != P2 shape {P2.shape}")
-    support = np.abs(B) > support_tol * max(1.0, float(np.abs(B).max()) if B.size else 0.0)
+    support = np.abs(B) > support_tol * (float(np.abs(B).max()) if B.size else 0.0)
     bad = support & (P2 <= threshold_c)
     if np.any(bad):
         k, l = (int(x) for x in np.argwhere(bad)[0])

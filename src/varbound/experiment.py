@@ -679,7 +679,7 @@ class VarianceProblem:
         if A.shape != (2 * self.n, 2 * self.n):
             raise DimensionMismatch(f"A must be {2 * self.n} x {2 * self.n}, got {A.shape}")
         A = linalg.check_symmetric(A, name="A")
-        if linalg._eigvalsh(A)[0] < -1e-8 * max(float(np.linalg.norm(A)), 1.0):
+        if linalg._eigvalsh(A)[0] < -1e-8 * float(np.linalg.norm(A)):
             raise InvalidDesign("A is not positive semidefinite within tolerance")
         fundamentals = {(i, i + self.n) for i in range(self.n)}
         if not fundamentals <= set(self.omega):

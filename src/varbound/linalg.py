@@ -17,7 +17,7 @@ from .errors import AsymmetricInput, DimensionMismatch, NonConvergence
 # relative zero band for eigenvalue sign decisions
 ZERO_BAND = 1e-12
 
-# default skew tolerance, relative to 1 + max|entry|
+# default skew tolerance, relative to max|entry|, so no unit of the input moves it
 SYMMETRY_TOL = 1e-10
 
 
@@ -31,12 +31,12 @@ def check_symmetric(M, tol=SYMMETRY_TOL, name="matrix"):
     """Validate squareness and symmetry; return the symmetrized array.
 
     Raises DimensionMismatch for non-square input and AsymmetricInput when the
-    worst skew exceeds ``tol * (1 + max|entry|)``.
+    worst skew exceeds ``tol * max|entry|``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
-    scale = 1.0 + (np.abs(M).max() if M.size else 0.0)
+    scale = np.abs(M).max() if M.size else 0.0
     skew = np.abs(M - M.T).max() if M.size else 0.0
     if skew > tol * scale:
         raise AsymmetricInput(f"{name} skew {skew:.3e} exceeds {tol:.1e} * {scale:.3e}")

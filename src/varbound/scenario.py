@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -306,12 +306,9 @@ def _objective(raw, base):
          for i, item in enumerate(terms)])
 
 
-_SOLVER_KEYS = ("rho", "max_iterations", "eps_abs", "eps_rel", "feasibility_tol")
-
-
 def _solver_option(key, value):
     pointer = f"/solver/{key}"
-    if key not in _SOLVER_KEYS:
+    if key not in {f.name for f in fields(SolverConfig)}:
         raise _finding(pointer, "unknown solver option")
     if key == "max_iterations":
         return _integer(value, pointer, 1)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -180,9 +180,9 @@ class SolverConfig:
             raise ValueError(f"solver config field max_iterations must be an integer, "
                              f"got {iterations!r}")
         object.__setattr__(self, "max_iterations", int(iterations))
-        for name in ("rho", "max_iterations", "eps_abs", "eps_rel", "feasibility_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"solver config field {name} must be positive and finite")
+        for f in fields(self):
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"solver config field {f.name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -301,15 +301,17 @@ class _Anderson:
 
     def extrapolate(self):
         """The accelerated point, or None before two differences are stored
-        (a one-difference secant step is erratic) or when they are all zero."""
+        (a one-difference secant step is erratic) or when the regularized
+        system is singular (differences all zero, or too small to square)."""
         m = self.count
         if m < 2:
             return None
         G = self.gram[:m, :m]
         reg = _AA_REG * float(np.trace(G))
-        if not reg > 0.0:
+        try:
+            gamma = np.linalg.solve(G + reg * np.eye(m), self.dG[:m] @ self.g)
+        except np.linalg.LinAlgError:
             return None
-        gamma = np.linalg.solve(G + reg * np.eye(m), self.dG[:m] @ self.g)
         return self.f - gamma @ self.dF[:m]
 
 
@@ -439,12 +441,13 @@ def _finish(loop, program, make_result, **certificate):
     return result
 
 
-def _objective_blocks(objective, A):
-    """The blocks of the bound program: the positive semidefinite projection,
-    then one prox per objective term, except that all Frobenius² terms,
-    w ||X + A||^2 in total, fold into the first other term's block f (the
-    projection's when there is none; folding a composite's into the
-    projection costs more map evaluations):
+def _objective_blocks(objective, A, unit=1.0):
+    """The blocks of the bound program on A, the caller's matrix over
+    ``unit``: the positive semidefinite projection, then one prox per term,
+    each of degree d weighted w unit^(d - D), D the top degree, except that
+    all Frobenius² terms, w ||X + A||^2 in total, fold into the first other
+    term's block f (the projection's when there is none; folding a
+    composite's into the projection costs more map evaluations):
 
         prox_{t (f + w ||. + A||^2)}(V) = prox_{(t / c) f}((V - 2 t w A) / c),
 
@@ -453,7 +456,8 @@ def _objective_blocks(objective, A):
     frobenius = FrobeniusSquaredTerm()
     w = sum(weight for weight, term in objective.terms if term == frobenius)
     blocks = [lambda V, t: linalg._project_psd(V)] + [
-        term.prox(weight, A) for weight, term in objective.terms if term != frobenius]
+        term.prox(weight / unit if w else weight, A)
+        for weight, term in objective.terms if term != frobenius]
     if w:
         host = 1 if len(blocks) > 1 else 0
         inner = blocks[host]
@@ -475,8 +479,9 @@ def aronow_samii_slack(A, omega):
 
 
 def _unit(M):
-    """Scale of the absolute tolerances: min(1, ||M||_F), and 1 for M = 0."""
-    return min(1.0, float(np.linalg.norm(M))) or 1.0
+    """The power of two nearest (on a log scale) the mean variance tr(M) / dim,
+    so M / unit is exact and 2^k M has exactly 2^k times M's unit."""
+    return math.ldexp(1.0, math.frexp(math.sqrt(2.0) * np.trace(M) / len(M))[1] - 1)
 
 
 def _repair(Z, ks, ls, rows, cols):
@@ -506,10 +511,10 @@ def solve_optvb(problem, objective, config=None):
     Consensus ADMM over the blocks of ``_objective_blocks`` (the positive
     semidefinite cone and the objective terms, with Frobenius² folded into
     one of them); the unobservable entries are fixed to -A in the consensus
-    step. The loop stops on its residuals alone; ``_repair`` then makes the
-    slack PSD up to rounding and keeps those entries bitwise. ``eps_abs`` is
-    scaled by min(1, ||A||_F), so the answer does not depend on the units of
-    small outcomes.
+    step. The loop runs on A / c, c = ``_unit(A)`` a power of two, so rho, its
+    clip and both stopping thresholds see no units (the reported residuals are
+    those of A / c); it stops on its residuals alone, and ``_repair`` makes c
+    times its slack PSD up to rounding and keeps the omega entries bitwise -A.
     """
     config = config or SolverConfig()
     if not objective.is_strictly_monotone():
@@ -520,17 +525,17 @@ def solve_optvb(problem, objective, config=None):
         )
         raise UnsupportedObjective("objective has no strictly monotone term" + hint)
     A = problem.A
-    config = replace(config, eps_abs=config.eps_abs * _unit(A))
+    unit = _unit(A)
     ks, ls, rows, cols = _omega_index(problem.omega, len(A))
-    S0 = _pairwise_slack(A, ks, ls, np.ones(len(A)))  # refuses an infeasible omega
-    blocks = _objective_blocks(objective, A)
-    values = -A[rows, cols]
+    S0 = _pairwise_slack(A, ks, ls, np.ones(len(A))) / unit  # refuses an infeasible omega
+    blocks = _objective_blocks(objective, A / unit, unit)
+    values = -A[rows, cols] / unit
 
     def onto(Z):
         Z[rows, cols] = values
 
     S_star, loop = _consensus_admm(blocks, S0, onto, config,
-                                   polish=partial(_repair, ks=ks, ls=ls, rows=rows, cols=cols))
+                                   polish=lambda Z: _repair(unit * Z, ks, ls, rows, cols))
     omega_violation = float(np.abs(S_star[rows, cols] + A[rows, cols]).max()) if rows.size else 0.0
     return _finish(loop, "bound solver", partial(BoundResult, S_star, A + S_star),
                    objective_value=objective.value(S_star, A),

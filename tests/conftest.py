@@ -207,8 +207,9 @@ def ref_pairwise_slack(A, omega, W):
 def ref_admissibility(S, omega, config=None):
     """The admissibility program on d x d matrices: maximize trace(S - T) over
     0 <= T <= S with T = S on omega, by consensus ADMM over three blocks (the
-    cone T >= 0, the cone S - T >= 0 and the linear objective) on S scaled by
-    min(1, ||S||_F), with eigenvalue dust of S projected away first. The
+    cone T >= 0, the cone S - T >= 0 and the linear objective) on S over its
+    unit (the library's ``_unit``, the power of two nearest its mean
+    variance), with eigenvalue dust of S projected away first. The
     library solves the same program on the range of S; this is its oracle.
     Returns (alpha, witness, admissible)."""
     config = config or SolverConfig()

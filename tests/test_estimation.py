@@ -81,6 +81,10 @@ class TestHtBoundEstimate:
         est = ht_bound_estimate(B_MINNORM, observe(model, (1, 0), theta), table, 2)
         # observed pair probabilities are all one half, so the sum telescopes
         assert est == pytest.approx((theta[0] - theta[3]) ** 2, abs=1e-12)
+        # the support is relative to max |B|, so a bound in any unit keeps it
+        for scale in (2.0**-40, 2.0**40):
+            data = observe(model, (1, 0), theta)
+            assert ht_bound_estimate(scale * B_MINNORM, data, table, 2) == scale * est
 
     def test_two_voter_enumeration_average(self, illustration):
         table = illustration["table"]
@@ -368,7 +372,16 @@ class TestRCovariance:
 
     def test_ring_n12_exact_matches_dense_eigvalsh(self):
         # the estimate workload's exact case: all 4,096 assignments, 288 pairs
+        # in any unit of the Frobenius² bound (the support is relative)
         assert self._check_ring_against_dense_eigvalsh(12, "exact").rows == 4096
+        n = 12
+        design = Design.bernoulli(n, 0.5)
+        model = ExposureModel.spillover([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+        problem, table = build_variance_problem(design, model, EstimatorSpec(kind="horvitz-thompson"))
+        B = solve_optvb(problem, Objective.frobenius_squared()).B_star
+        for scale in (1.0, 2.0**-20, 2.0**-30, 2.0**-40):
+            diag = r_covariance_opnorm(design, model, scale * B, table)
+            assert diag.provenance["pairs"] == 288
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_repeated_calls_bitwise_equal(self, mode):

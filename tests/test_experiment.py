@@ -821,9 +821,12 @@ class TestVarianceProblem:
             VarianceProblem(n=2, A=np.eye(4), omega=frozenset({(0, 1)}))
 
     def test_validates_psd(self):
-        M = np.diag([1.0, 1.0, 1.0, -1.0])
-        with pytest.raises(InvalidDesign):
-            VarianceProblem(n=2, A=M, omega=frozenset({(0, 2), (1, 3)}))
+        # relative to ||A||_F, so no unit of A moves the gate
+        omega = frozenset({(0, 2), (1, 3)})
+        for scale in (1.0, 2.0**-40, 2.0**40):
+            with pytest.raises(InvalidDesign):
+                VarianceProblem(n=2, A=scale * np.diag([1.0, 1.0, 1.0, -1e-6]), omega=omega)
+            VarianceProblem(n=2, A=scale * np.diag([1.0, 1.0, 1.0, -1e-9]), omega=omega)
 
     def test_build_shares_mode(self):
         design, model, spec = illustration_parts()

@@ -56,8 +56,11 @@ class TestEigenSystem:
         assert np.linalg.norm(Q.T @ Q - np.eye(7)) <= 1e-9
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(AsymmetricInput):
-            linalg.check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # the skew is measured against max|entry|, so in any unit
+        for scale in (1.0, 2.0**-40, 2.0**40):
+            with pytest.raises(AsymmetricInput):
+                linalg.check_symmetric(scale * np.array([[1.0, 1.0], [1.0 + 1e-9, 1.0]]))
+            linalg.check_symmetric(scale * np.array([[1.0, 1.0], [1.0 + 1e-11, 1.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
