@@ -20,16 +20,19 @@ Horvitz-Thompson's A is a function of P2 alone (``_ht_covariance``), and
 difference in means, OLS and Lin average their coefficients in the P2 pass,
 from its observation rows, so their builds make one pass over the
 assignments; Hajek and GREG weight by pi = diag(P2) and make a second pass
-for A. Exact builds of P2 alone or of Horvitz-Thompson's A, under a
-Bernoulli, paired, complete or cluster design and the identity or spillover
-rule, read P2 off local patterns instead when those cost less than the
-support (``_local_plan``): P2_kl depends only on the units that set k's and
-l's exposures, so each unit pair enumerates the patterns of those units
-alone, weighted by their closed-form marginal.
+for A. The Bernoulli, paired, complete and cluster designs are two laws over
+coins (``_coins``): independent coins (Bernoulli; paired, one fair coin per
+pair) or m of K coins (complete, one coin per unit; cluster, one per
+cluster). Exact builds of P2 alone or of Horvitz-Thompson's A under them and
+the identity or spillover rule read P2 off local patterns instead when those
+cost less than the support (``_local_plan``): P2_kl depends only on the units
+that set k's and l's exposures, so each unit pair enumerates the patterns of
+those units alone, weighted by their marginal under the coin law.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -122,7 +125,7 @@ def _as_theta(theta, n):
 class Design:
     """A finite probability distribution over binary assignment vectors.
 
-    Use the factory constructors; the raw constructor performs no validation.
+    Use the factory constructors; the raw constructor checks the kind only.
     """
 
     kind: str
@@ -132,6 +135,10 @@ class Design:
     clusters: tuple[Bits, ...] | None = None
     pairs: tuple[tuple[int, int], ...] | None = None
     table: tuple[tuple[Bits, float], ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("bernoulli", "paired", "complete-randomization", "cluster", "explicit"):
+            raise InvalidDesign(f"unknown design kind {self.kind!r}")
 
     @staticmethod
     def bernoulli(n, p):
@@ -160,6 +167,8 @@ class Design:
         n = len(units)
         if n == 0 or sorted(units) != list(range(n)):
             raise InvalidDesign("clusters must partition 0..n-1")
+        if not all(cl):
+            raise InvalidDesign("clusters must be nonempty")
         if not 0 <= m <= len(cl):
             raise InvalidDesign(f"need 0 <= m <= {len(cl)} clusters, got {m}")
         return Design(kind="cluster", n=n, m=m, clusters=cl)
@@ -195,15 +204,32 @@ class Design:
         return Design(kind="explicit", n=n, table=table)
 
     def support_size(self):
-        if self.kind == "bernoulli":
-            return 2**self.n
-        if self.kind in ("complete-randomization", "cluster"):
-            return math.comb(len(self.clusters) if self.clusters else self.n, self.m)
-        if self.kind == "paired":
-            return 2 ** len(self.pairs)
+        """2^K assignments for K independent coins, C(K, m) for m of K (see
+        ``_coins``), or the rows of an explicit table."""
         if self.kind == "explicit":
             return len(self.table)
-        raise InvalidDesign(f"unknown design kind {self.kind!r}")
+        K = len(self.pairs or self.clusters or ()) or self.n
+        return 2**K if self.m is None else math.comb(K, self.m)
+
+
+def _coins(design):
+    """The coins behind a Bernoulli, paired, complete or cluster design, as
+    (owner, flip, q): unit i shows coin ``owner[i]``, or its complement where
+    ``flip[i]`` (the larger unit of a pair). An array q means independent
+    coins, coin c on 1 with chance q[c] (Bernoulli p, paired 1/2); an integer
+    q = m means m of the K coins on 1, uniformly over the m-subsets (complete
+    randomization, cluster). Coins are numbered as the design lists its pairs
+    or clusters (the m-of-K sampler keys them in this order), units otherwise."""
+    groups = design.pairs or design.clusters
+    owner, flip = np.arange(design.n), np.zeros(design.n, dtype=bool)
+    if groups:
+        owner[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    if design.kind == "bernoulli":
+        return owner, flip, np.asarray(design.p)
+    if design.kind == "paired":
+        flip[np.max(design.pairs, axis=1)] = True
+        return owner, flip, np.full(len(groups), 0.5)
+    return owner, flip, design.m
 
 
 def _bit_rows(start, stop, width):
@@ -213,54 +239,44 @@ def _bit_rows(start, stop, width):
     return (r >> np.arange(width - 1, -1, -1, dtype=np.int64)) & 1
 
 
-def _unit_clusters(clusters, n):
-    """Index of the cluster that holds each unit, for clusters partitioning
-    0..n-1; ``np.take(chosen, owner, axis=1)`` turns a (rows, clusters) choice
-    matrix into unit rows. (``chosen[:, owner]`` would come out column-major,
-    and BLAS reductions over it round differently.)"""
-    owner = np.empty(n, dtype=np.int64)
-    for c, units in enumerate(clusters):
-        owner[list(units)] = c
-    return owner
-
-
 def _support_rows(design, size):
     """Blocks of (assignment rows, probabilities) covering the support in
     lexicographic order of the rows, zero-probability rows included."""
-    n = design.n
     starts = range(0, size, BLOCK_ROWS)
-    if design.kind == "bernoulli":
-        # a block's rows share their first j units and run through every value
-        # of the rest: multiply the shared factors once, then double the list
-        # unit by unit, the products np.prod would form row by row, in order
-        p = np.asarray(design.p)
+    if design.kind == "explicit":
         for s in starts:
-            Z = _bit_rows(s, min(s + BLOCK_ROWS, size), n)
-            j = n - len(Z).bit_length() + 1
-            w = np.prod(np.where(Z[:1, :j] == 1, p[:j], 1.0 - p[:j]), axis=1)
-            for i in range(j, n):
-                w = np.stack([w * (1.0 - p[i]), w * p[i]], axis=1).ravel()
+            rows = design.table[s:s + BLOCK_ROWS]
+            yield (np.array([z for z, _ in rows], dtype=np.int64),
+                   np.array([prob for _, prob in rows]))
+        return
+    # with the coins renumbered in order of their smallest unit, which no flip
+    # touches, unit rows sort like the rows of coin values
+    owner, flip, q = _coins(design)
+    order = np.argsort(np.unique(owner, return_index=True)[1])
+    owner, K = np.argsort(order)[owner], len(order)
+    if np.ndim(q):
+        # independent coins: row r sets coin c to bit K-1-c of r. A block's
+        # rows share their first j coins and run through every value of the
+        # rest: multiply the shared factors once, then double the list coin by
+        # coin, the products np.prod would form row by row, in order
+        q, shift = q[order], K - 1 - owner
+        for s in starts:
+            stop = min(s + BLOCK_ROWS, size)
+            j = K - (stop - s).bit_length() + 1
+            w = np.prod(np.where(_bit_rows(s, s + 1, K)[:, :j] == 1, q[:j], 1.0 - q[:j]), axis=1)
+            for i in range(j, K):
+                w = np.stack([w * (1.0 - q[i]), w * q[i]], axis=1).ravel()
+            Z = np.arange(s, stop, dtype=np.int64)[:, None] >> shift
+            Z &= 1
+            Z ^= flip
             yield Z, w
-    elif design.kind == "paired":
-        # pairs are disjoint, so rows sort by the pairs in order of their
-        # smaller unit, and within a pair treating the smaller unit sorts last
-        pairs = np.sort(np.array(design.pairs), axis=1)
-        lo, hi = pairs[np.argsort(pairs[:, 0])].T
-        for s in starts:
-            C = _bit_rows(s, min(s + BLOCK_ROWS, size), len(lo))
-            Z = np.empty((len(C), n), dtype=np.int64)
-            Z[:, lo] = C
-            Z[:, hi] = 1 - C
-            yield Z, np.full(len(C), 1.0 / size)
-    elif design.kind in ("complete-randomization", "cluster"):
-        # complete randomization treats m singleton clusters. Rows sort like the
-        # cluster choice vectors (clusters in order of their smallest unit), by
-        # binary value sum 2^(K-1-c) over treated c: row r treats K-1-s for s in
-        # the r-th m-subset in colex order (rank sum_i comb(s_i, i), s_1 < ...),
-        # and leaves untreated those of the (size-1-r)-th (K-m)-subset
-        groups = sorted(design.clusters or tuple((i,) for i in range(n)), key=min)
-        owner, K, m = _unit_clusters(groups, n), len(groups), design.m
-        k = min(m, K - m)  # unrank the smaller side
+    else:
+        # m of K coins, rows by binary value sum 2^(K-1-c) over coins c on 1:
+        # row r sets K-1-s to 1 for s in the r-th m-subset in colex order (rank
+        # sum_i comb(s_i, i), s_1 < ...), and to 0 those of the (size-1-r)-th
+        # (K-m)-subset. (``chosen[:, owner]`` would come out column-major, and
+        # BLAS reductions over it round differently than over ``np.take``'s.)
+        m, k = q, min(q, K - q)  # unrank the smaller side
         binom = [np.ones(K, dtype=np.int64)]  # binom[i][a] = comb(a, i), capped at size
         for _ in range(k):  # comb(a, i) = sum of comb(x, i - 1) over x < a
             binom.append(np.minimum(np.concatenate([[0], np.cumsum(binom[-1])[:-1]]), size))
@@ -273,13 +289,6 @@ def _support_rows(design, size):
                 rank = rank - binom[i][a]
                 chosen[np.arange(len(rows)), K - 1 - a] = int(k == m)
             yield np.take(chosen, owner, axis=1), np.full(len(rows), 1.0 / size)
-    elif design.kind == "explicit":
-        for s in starts:
-            rows = design.table[s:s + BLOCK_ROWS]
-            yield (np.array([z for z, _ in rows], dtype=np.int64),
-                   np.array([prob for _, prob in rows]))
-    else:
-        raise InvalidDesign(f"unknown design kind {design.kind!r}")
 
 
 def _support_blocks(design):
@@ -349,13 +358,13 @@ def sample_assignments(design, seed, count):
     if design.kind == "bernoulli":
         return (rng.random((count, n)) < np.asarray(design.p)).astype(np.int64)
     if design.kind in ("complete-randomization", "cluster"):
-        # complete randomization treats m of n singleton clusters; the m
-        # smallest uniform keys pick the treated clusters
-        groups = design.clusters or tuple((i,) for i in range(n))
-        order = np.argsort(rng.random((count, len(groups))), axis=1)
-        chosen = np.zeros((count, len(groups)), dtype=np.int64)
-        chosen[np.repeat(np.arange(count), design.m), order[:, : design.m].ravel()] = 1
-        return np.take(chosen, _unit_clusters(groups, n), axis=1)
+        # m of K coins, keyed in the order the design lists them: the m
+        # smallest uniform keys set their coins to 1
+        owner, _, m = _coins(design)
+        keys = rng.random((count, owner.max() + 1))
+        order, chosen = np.argsort(keys, axis=1), np.zeros_like(keys, dtype=np.int64)
+        chosen[np.repeat(np.arange(count), m), order[:, :m].ravel()] = 1
+        return np.take(chosen, owner, axis=1)
     if design.kind == "paired":
         first, second = np.array(design.pairs).T
         pick = rng.integers(0, 2, size=(count, len(first)))
@@ -363,13 +372,11 @@ def sample_assignments(design, seed, count):
         Z[:, first] = 1 - pick
         Z[:, second] = pick
         return Z
-    if design.kind == "explicit":
-        support = np.array([z for z, _ in design.table], dtype=np.int64)
-        probs = np.array([p for _, p in design.table], dtype=float)
-        probs = probs / probs.sum()
-        idx = rng.choice(len(support), size=count, p=probs)
-        return support[idx]
-    raise InvalidDesign(f"unknown design kind {design.kind!r}")
+    support = np.array([z for z, _ in design.table], dtype=np.int64)  # explicit
+    probs = np.array([p for _, p in design.table], dtype=float)
+    probs = probs / probs.sum()
+    idx = rng.choice(len(support), size=count, p=probs)
+    return support[idx]
 
 
 # -- exposure mappings ------------------------------------------------------------
@@ -672,7 +679,6 @@ class VarianceProblem:
     A: np.ndarray
     omega: frozenset
     provenance: dict = field(default_factory=dict)
-    threshold_c: float = 0.0
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -894,27 +900,21 @@ def _ht_covariance(table):
     return table.P2 * np.outer(inv, inv) - np.outer(s * seen, s * seen)
 
 
-def _unit_coins(design):
-    """Index of the coin that sets each unit's assignment: its pair (paired),
-    its cluster (cluster) or the unit itself (Bernoulli and complete)."""
-    groups = design.pairs or design.clusters
-    return _unit_clusters(groups, design.n) if groups else np.arange(design.n)
-
-
 def _reach_pairs(design, model):
     """The unit pairs (i <= j) whose P2 entries the local path enumerates, as
     index arrays I and J, the sizes |U| of their unions U = R_i | R_j, and the
     reach matrix R (row i marks R_i: unit i and, under spillover, the
-    neighbours whose assignments set its exposure). Under the product designs
-    a pair whose reach sets share no coin (a unit under Bernoulli, a pair
-    under paired) is independent, P2 = pi_k pi_l, and is left out."""
+    neighbours whose assignments set its exposure). Under independent coins
+    (``_coins``) a pair whose reach sets share no coin is independent,
+    P2 = pi_k pi_l, and is left out."""
     n = design.n
     R = np.eye(n, dtype=np.float32)
     if model.rule == "spillover":
         R += _adjacency(model, n)
     near = np.ones((n, n), dtype=bool)
-    if design.kind in ("bernoulli", "paired"):
-        coins = R @ np.eye(n, dtype=np.float32)[_unit_coins(design)]
+    owner, _, q = _coins(design)
+    if np.ndim(q):
+        coins = R @ np.eye(n, dtype=np.float32)[owner]
         near = coins @ coins.T > 0
     I, J = np.nonzero(np.triu(near))
     size = R.sum(axis=1)  # exact float32 counts, as the intersections R R'
@@ -922,29 +922,29 @@ def _reach_pairs(design, model):
     return I, J, sizes, R > 0
 
 
-def _local_weights(design, U, bits):
+def _local_weights(coins, U, bits):
     """Marginal probability of each local pattern, the rows of ``bits`` on the
-    units in the rows of ``U``: a product over units (Bernoulli) or over the
-    pairs that meet U (paired), or C(K - k, m - s) / C(K, m) when the pattern
-    meets k of the K clusters (units, under complete randomization) and treats
-    s of them. A pattern that splits a cluster, or treats both or neither unit
-    of a pair, has probability 0."""
-    if design.kind == "bernoulli":
-        p = np.asarray(design.p)[U]
-        return np.prod(np.sort(np.where(bits == 1, p, 1.0 - p), axis=1), axis=1)
+    units in the rows of ``U``, under the ``coins`` of ``_coins``. The units
+    of one coin must agree on its value once a flipped unit's bit is
+    complemented, or the pattern has probability 0. A pattern that sets k
+    coins (``first``: units of U whose coin no earlier unit of U shares), s of
+    them to 1, has the product of their chances (independent coins, multiplied
+    in sorted order) or C(K - k, m - s) / C(K, m) (m of K)."""
+    owner, flip, q = coins
     u = U.shape[1]
-    coin = _unit_coins(design)[U]
-    twin = (coin[:, :, None] == coin[:, None, :]) & np.triu(np.ones((u, u), dtype=bool), 1)
-    same = bits[:, :, None] == bits[:, None, :]
-    ok = ~np.any(twin & (same if design.kind == "paired" else ~same), axis=(1, 2))
-    first = ~twin.any(axis=1)  # a unit of U whose coin no earlier unit of U shares
-    k = first.sum(axis=1)
-    if design.kind == "paired":
-        return np.where(ok, 0.5**k, 0.0)
-    K, m = len(design.clusters) if design.clusters else design.n, design.m
+    coin, shown = owner[U], (bits == 1) != flip[U]  # the coin values the units show
+    first, ok = np.ones(bits.shape, dtype=bool), np.ones(len(bits), dtype=bool)
+    for a, b in itertools.combinations(range(u), 2):
+        twin = coin[:, a] == coin[:, b]
+        first[:, b] &= ~twin
+        ok &= ~twin | (shown[:, a] == shown[:, b])
+    if np.ndim(q):
+        factors = np.where(first, np.where(shown, q[coin], 1.0 - q[coin]), 1.0)
+        return np.where(ok, np.prod(np.sort(factors, axis=1), axis=1), 0.0)
+    K, m = int(owner.max()) + 1, q
     table = [[math.comb(K - a, m - s) / math.comb(K, m) if s <= m and a <= K else 0.0
               for s in range(u + 1)] for a in range(u + 1)]
-    return np.where(ok, np.array(table)[k, (bits * first).sum(axis=1)], 0.0)
+    return np.where(ok, np.array(table)[first.sum(axis=1), (shown & first).sum(axis=1)], 0.0)
 
 
 def _local_p2(design, model, I, J, sizes, R):
@@ -956,7 +956,7 @@ def _local_p2(design, model, I, J, sizes, R):
     A pattern's factors are multiplied, and a pair's terms added, in sorted
     order, so that relabeling the units permutes P2 exactly (for pairs whose
     patterns fit in one block)."""
-    n = design.n
+    n, coins = design.n, _coins(design)
 
     def corners(i, j):
         return (i, j), (i, j + n), (i + n, j), (i + n, j + n)
@@ -973,7 +973,7 @@ def _local_p2(design, model, I, J, sizes, R):
                 bits = np.tile(_bit_rows(b, b + span, u), (len(pairs), 1))
                 Z = np.zeros((len(bits), n), dtype=np.int64)
                 np.put_along_axis(Z, U, bits, axis=1)
-                obs, w = _observation_matrix(model, Z), _local_weights(design, U, bits)
+                obs, w = _observation_matrix(model, Z), _local_weights(coins, U, bits)
                 rows = np.arange(len(bits))
                 for c, (x, y) in enumerate(corners(i, j)):
                     terms = (w * (obs[rows, x] & obs[rows, y])).reshape(len(pairs), span)
@@ -981,7 +981,7 @@ def _local_p2(design, model, I, J, sizes, R):
     on = I == J
     pi = np.zeros(2 * n)
     pi[I[on]], pi[I[on] + n] = sums[0, on], sums[3, on]
-    P2 = np.outer(pi, pi) if design.kind in ("bernoulli", "paired") else np.zeros((2 * n,) * 2)
+    P2 = np.outer(pi, pi) if np.ndim(coins[2]) else np.zeros((2 * n,) * 2)
     for c, (x, y) in enumerate(corners(I, J)):
         P2[x, y] = P2[y, x] = sums[c]
     return P2
@@ -998,13 +998,14 @@ def _local_plan(blocks, model, spec):
     SupportTooLarge when those rows exceed ``DEFAULT_SUPPORT_CAP``."""
     design = blocks.design
     if not (blocks.mode == "exact" and (spec is None or spec.kind == "horvitz-thompson")
-            and design.kind in ("bernoulli", "paired", "complete-randomization", "cluster")
+            and design.kind != "explicit"
             and model.rule in ("identity", "spillover") and model.n == design.n):
         return None
     support = design.support_size()
     plan = _reach_pairs(design, model)
     rows = sum(c << u for u, c in enumerate(np.bincount(plan[2]).tolist()))
-    counted = design.kind != "bernoulli" or set(design.p) <= {0.0, 0.5, 1.0}
+    q = _coins(design)[2]
+    counted = np.ndim(q) == 0 or set(q.tolist()) <= {0.0, 0.5, 1.0}
     if support <= min(DEFAULT_SUPPORT_CAP, rows * (LOCAL_ROW_COST if counted else 1.0)):
         return None
     if rows > DEFAULT_SUPPORT_CAP:
@@ -1077,8 +1078,6 @@ def build_variance_problem(design, model, spec, threshold_c=0.0, mode="exact",
     """
     blocks = _AssignmentBlocks(design, mode, count, seed)
     A, table = _variance_build(blocks, model, spec)
-    problem = VarianceProblem(
-        n=model.n, A=A, omega=unobservable_pairs(table, threshold_c),
-        provenance=blocks.provenance, threshold_c=threshold_c,
-    )
+    problem = VarianceProblem(n=model.n, A=A, omega=unobservable_pairs(table, threshold_c),
+                              provenance=blocks.provenance)
     return problem, table

@@ -221,6 +221,16 @@ class TestEnumerate:
         with pytest.raises(InvalidDesign, match="nonempty support"):
             Design.explicit([])
 
+    @pytest.mark.parametrize("clusters", [[[0, 1], []], [[], [1], [0]]], ids=["last", "first"])
+    def test_cluster_refuses_an_empty_cluster(self, clusters):
+        # an empty cluster would count as a coin in C(K, m) and in the draws
+        with pytest.raises(InvalidDesign, match="nonempty"):
+            Design.cluster(clusters, 1)
+
+    def test_raw_constructor_checks_the_kind(self):
+        with pytest.raises(InvalidDesign, match="unknown design kind 'bogus'"):
+            Design(kind="bogus", n=2)
+
 
 class TestSample:
     def test_deterministic(self):
@@ -270,7 +280,9 @@ class TestSample:
     # Pinned streams: the draws of sample_assignments(design, 11, 16) as bit
     # strings, and 64 * P2 from pair_observation_probabilities(identity
     # exposure, mode="mc", count=64, seed=11), whose entries are multiples of
-    # 1/64. The cluster and pair lists are out of order on purpose.
+    # 1/64. The pair (3, 0) and the cluster [2, 0] list their larger unit
+    # first on purpose, and "cluster-unsorted" lists its clusters out of the
+    # order of their smallest units: its draws key the clusters as listed.
     PINNED = {
         "bernoulli": (
             Design.bernoulli(4, [0.2, 0.5, 0.7, 0.5]),
@@ -295,6 +307,14 @@ class TestSample:
              [47, 17, 47, 30, 0, 30, 0, 17], [30, 17, 30, 47, 17, 30, 17, 0],
              [0, 17, 0, 17, 17, 0, 17, 0], [30, 0, 30, 30, 0, 30, 0, 0],
              [0, 17, 0, 17, 17, 0, 17, 0], [17, 17, 17, 0, 0, 0, 0, 17]],
+        ),
+        "cluster-unsorted": (
+            Design.cluster([[3], [2, 0], [1]], 2),
+            "1011 1011 1011 1110 1110 1110 1011 0101 0101 0101 1110 1110 1011 1110 1011 1110",
+            [[34, 17, 34, 17, 0, 17, 0, 17], [17, 47, 17, 30, 30, 0, 30, 17],
+             [34, 17, 34, 17, 0, 17, 0, 17], [17, 30, 17, 47, 30, 17, 30, 0],
+             [0, 30, 0, 30, 30, 0, 30, 0], [17, 0, 17, 17, 0, 17, 0, 0],
+             [0, 30, 0, 30, 30, 0, 30, 0], [17, 17, 17, 0, 0, 0, 0, 17]],
         ),
         "paired": (
             Design.paired([(3, 0), (1, 2)]),

@@ -684,6 +684,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "not finite" in err
 
+    @pytest.mark.parametrize("mode", [{"kind": "exact"}, {"kind": "mc", "count": 50, "seed": 1}],
+                             ids=["exact", "mc"])
+    def test_empty_cluster_is_a_finding(self, tmp_path, capsys, mode):
+        doc = {"n": 2, "design": {"kind": "cluster", "clusters": [[0, 1], []], "m": 1},
+               "exposure": {"rule": "identity"}, "estimator": {"kind": "horvitz-thompson"},
+               "mode": mode}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert [ptr for ptr, _ in info.value.findings] == ["/design"]
+        assert run_cli("probe", "-c", path, "-o", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "/design" in err and "nonempty" in err
+
     def test_help_exits_cleanly(self, capsys):
         assert run_cli("--help") == 0
         assert "probe" in capsys.readouterr().out
