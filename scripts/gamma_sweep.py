@@ -35,7 +35,7 @@ def main():
     design = Design.cluster([[2 * i, 2 * i + 1] for i in range(n // 2)], max(1, n // 4))
     model = ExposureModel.identity(n)
     problem, _ = build_variance_problem(design, model, EstimatorSpec(kind="horvitz-thompson"))
-    config = SolverConfig(eps_abs=1e-11, eps_rel=1e-9, max_iterations=400_000)
+    config = SolverConfig(eps_rel=1e-9, max_iterations=400_000)
 
     print(f"n = {n}, design = {design.kind}, omega size = {len(problem.omega)}")
     print(f"{'gamma':>10s} {'opnorm(B)':>12s} {'fro(B)^2':>12s} {'step':>12s}")

@@ -110,9 +110,7 @@ def cmd_bound(scn, args, out_dir, inputs):
         "S": str(matrixio.write_matrix(result.S_star, Path(out_dir) / f"S.{fmt}", fmt)),
         "B": str(matrixio.write_matrix(result.B_star, Path(out_dir) / f"B.{fmt}", fmt)),
     }
-    check = solver.validate_bound(
-        problem.A, result.B_star, problem.omega, scn.solver.feasibility_tol
-    )
+    check = solver.validate_bound(problem.A, result.B_star, problem.omega)
     metrics = {
         "mode": kwargs["mode"],
         "seed": kwargs.get("seed"),
@@ -187,7 +185,7 @@ def cmd_estimate(scn, args, out_dir, inputs):
     metrics["mse_upper_bound_plugin"] = estimation.mse_upper_bound(
         diag, sup_obs, B, scn.n
     )
-    metrics["estimation_gamma_plugin"] = diag.opnorm_cov_R * sup_obs
+    metrics["estimation_gamma_plugin"] = estimation.estimation_gamma(diag, sup_obs)
     if scn.theta is not None:
         # full outcome vector supplied: report oracle diagnostics too
         metrics["bound_value_at_theta"] = linalg.quadratic_form_value(B, scn.theta, scn.n)

@@ -56,6 +56,10 @@ class AsymmetricInput(VarboundError):
     """A matrix expected to be symmetric exceeds the skew tolerance."""
 
 
+class NonFiniteInput(VarboundError):
+    """A matrix has a NaN or infinite entry."""
+
+
 # -- bound solver -------------------------------------------------------------
 
 class UnsupportedObjective(VarboundError):

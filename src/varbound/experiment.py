@@ -929,19 +929,23 @@ def _local_weights(coins, U, bits):
     complemented, or the pattern has probability 0. A pattern that sets k
     coins (``first``: units of U whose coin no earlier unit of U shares), s of
     them to 1, has the product of their chances (independent coins, multiplied
-    in sorted order) or C(K - k, m - s) / C(K, m) (m of K)."""
+    in sorted order) or C(K - k, m - s) / C(K, m) (m of K). When no two units
+    share a coin (Bernoulli, complete randomization) every pattern passes and
+    the test is skipped."""
     owner, flip, q = coins
     u = U.shape[1]
     coin, shown = owner[U], (bits == 1) != flip[U]  # the coin values the units show
     first, ok = np.ones(bits.shape, dtype=bool), np.ones(len(bits), dtype=bool)
-    for a, b in itertools.combinations(range(u), 2):
-        twin = coin[:, a] == coin[:, b]
-        first[:, b] &= ~twin
-        ok &= ~twin | (shown[:, a] == shown[:, b])
+    K = int(owner.max()) + 1
+    if K < len(owner):
+        for a, b in itertools.combinations(range(u), 2):
+            twin = coin[:, a] == coin[:, b]
+            first[:, b] &= ~twin
+            ok &= ~twin | (shown[:, a] == shown[:, b])
     if np.ndim(q):
         factors = np.where(first, np.where(shown, q[coin], 1.0 - q[coin]), 1.0)
         return np.where(ok, np.prod(np.sort(factors, axis=1), axis=1), 0.0)
-    K, m = int(owner.max()) + 1, q
+    m = q
     table = [[math.comb(K - a, m - s) / math.comb(K, m) if s <= m and a <= K else 0.0
               for s in range(u + 1)] for a in range(u + 1)]
     return np.where(ok, np.array(table)[first.sum(axis=1), (shown & first).sum(axis=1)], 0.0)

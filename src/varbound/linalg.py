@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import AsymmetricInput, DimensionMismatch, NonConvergence
+from .errors import AsymmetricInput, DimensionMismatch, NonConvergence, NonFiniteInput
 
 # relative zero band for eigenvalue sign decisions
 ZERO_BAND = 1e-12
@@ -28,15 +28,20 @@ def symmetrize(M):
 
 
 def check_symmetric(M, tol=SYMMETRY_TOL, name="matrix"):
-    """Validate squareness and symmetry; return the symmetrized array.
+    """Validate squareness, finiteness and symmetry; return the symmetrized
+    array.
 
-    Raises DimensionMismatch for non-square input and AsymmetricInput when the
-    worst skew exceeds ``tol * max|entry|``.
+    Raises DimensionMismatch for non-square input, NonFiniteInput for a NaN or
+    infinite entry and AsymmetricInput when the worst skew exceeds
+    ``tol * max|entry|``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
     scale = np.abs(M).max() if M.size else 0.0
+    if not math.isfinite(scale):  # max|entry| is NaN or inf exactly when an entry is
+        k, l = np.argwhere(~np.isfinite(M))[0].tolist()
+        raise NonFiniteInput(f"{name} has a non-finite entry {M[k, l]} at ({k}, {l})")
     skew = np.abs(M - M.T).max() if M.size else 0.0
     if skew > tol * scale:
         raise AsymmetricInput(f"{name} skew {skew:.3e} exceeds {tol:.1e} * {scale:.3e}")

@@ -22,8 +22,7 @@ Schema sketch::
       "objective": {"terms": [{"weight": 1.0, "term": "schatten", "p": 2},
                               {"weight": 0.01, "term": "targeted", "W": "W.csv"},
                               {"weight": 0.1, "term": "frobenius-squared"}]},
-      "solver": {"rho": 1.0, "max_iterations": 50000, "eps_abs": 1e-9,
-                 "eps_rel": 1e-7, "feasibility_tol": 1e-7},
+      "solver": {"max_iterations": 50000, "eps_rel": 1e-7},
       "theta": "theta.csv" | [...],
       "realized": "data.json" | {"z": [1,0], "outcomes": {"1": 3.2, "4": -0.5}}
     }

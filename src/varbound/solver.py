@@ -12,12 +12,13 @@ alone runs one block and "operator norm + Frobenius²" two.
 The bound program and the admissibility test share one consensus ADMM loop
 over closed-form proximal maps and cone projections, so no external conic
 solver is needed. Its consensus step projects onto the affine slice of the
-unobservable pairs. It sets rho on a fixed grid from the normalized residuals
-of its last accepted point (the OSQP rule, which does not see the units of
-the data), and speeds up its fixed-point map by safeguarded type-II Anderson
-acceleration. It stops on its residuals alone; at its one exit the bound
-program repairs its slack (``_repair``) and the admissibility test clips its
-iterate into its box. That test runs on the range of S:
+unobservable pairs. It starts at rho = 1 and resets rho on a fixed grid from
+the normalized residuals of its last accepted point (the OSQP rule, which does
+not see the units of the data), and speeds up its fixed-point map by
+safeguarded type-II Anderson acceleration. It stops on its residuals alone;
+at its one exit the bound program repairs its slack (``_repair``) and the
+admissibility test clips its iterate into its box. That test runs on the
+range of S:
 every feasible witness is T = R X R^T with S = R R^T and 0 <= X <= I_r,
 so it runs one block, the box projection of V - t L (the prox of <L, X>
 plus the box indicator, ibid. 2.2), one r x r eigendecomposition per step.
@@ -96,8 +97,7 @@ class TargetedTerm:
         return float(np.sum(S * self.W))
 
     def strictly_monotone(self):
-        band = linalg.ZERO_BAND * max(1.0, float(np.linalg.norm(self.W)))
-        return linalg._eigvalsh(self.W)[0] > band
+        return linalg._eigvalsh(self.W)[0] > linalg.ZERO_BAND * float(np.linalg.norm(self.W))
 
     def prox(self, weight, A):
         """The block of weight * <., W>: its prox at step t, V - t weight W."""
@@ -165,13 +165,18 @@ class Objective:
 # -- solver configuration and results ---------------------------------------------
 
 
+# the admissibility test's rank cut, relative to ||S||_F, and the default
+# tolerance of validate_bound
+FEASIBILITY_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    rho: float = 1.0
+    """The loop's iteration cap and relative stopping tolerance; the absolute
+    one is ``0.01 * eps_rel`` (1e-9 at the default, bitwise)."""
+
     max_iterations: int = 50_000
-    eps_abs: float = 1e-9
     eps_rel: float = 1e-7
-    feasibility_tol: float = 1e-7
 
     def __post_init__(self):
         iterations = self.max_iterations
@@ -237,8 +242,8 @@ def _omega_index(omega, dim):
 
 
 # residual balancing (Stellato et al. 2020, OSQP) runs on a fixed iteration
-# grid, so every run stays bit-reproducible; rho stays within _RHO_RANGE times
-# the configured rho either side, and moves only when the balanced rho differs
+# grid, so every run stays bit-reproducible; rho starts at 1, stays within
+# [1 / _RHO_RANGE, _RHO_RANGE], and moves only when the balanced rho differs
 # from it by more than _RHO_STEP either way
 _BALANCE_EVERY = 50
 _RHO_RANGE = 100.0
@@ -249,17 +254,17 @@ _AA_MEMORY = 10
 _AA_REG = 1e-10
 
 
-def _balanced_rho(rho, base, r_norm, s_norm, Z_norm, U_norm):
+def _balanced_rho(rho, r_norm, s_norm, Z_norm, U_norm):
     """The OSQP penalty rho * sqrt((r / ||Z||) / (s / (rho ||U||))) that
     equalizes the primal and dual residuals, each relative to its own scale,
-    clipped to ``_RHO_RANGE`` times ``base`` either side; None when it is
-    within a factor ``_RHO_STEP`` of rho or any of the four norms is 0.
+    clipped to [1 / ``_RHO_RANGE``, ``_RHO_RANGE``]; None when it is within a
+    factor ``_RHO_STEP`` of rho or any of the four norms is 0.
     Every ratio is unit-free, so the rule does not see the units of the
     data."""
     if not (r_norm > 0.0 and s_norm > 0.0 and Z_norm > 0.0 and U_norm > 0.0):
         return None
     target = rho * math.sqrt((r_norm / Z_norm) / (s_norm / (rho * U_norm)))
-    target = min(max(target, base / _RHO_RANGE), base * _RHO_RANGE)
+    target = min(max(target, 1.0 / _RHO_RANGE), _RHO_RANGE)
     if 1.0 / _RHO_STEP <= target / rho <= _RHO_STEP:
         return None
     return target
@@ -361,9 +366,9 @@ def _consensus_admm(blocks, Z0, onto, config, polish=None, context=""):
 
     Every map evaluation, rejected candidates included, counts as one
     iteration, and each one meets the same test: the loop stops when the
-    primal residual <= eps_abs * dim + eps_rel * ||Z||_F and the dual
-    residual meets the analogous dual scale. Converged or not, the one exit
-    returns the last map value, never an extrapolation, through ``polish``
+    primal residual <= eps_abs * dim + eps_rel * ||Z||_F, eps_abs = 0.01 *
+    eps_rel, and the dual residual meets the analogous dual scale. Converged
+    or not, the one exit returns the last map value, never an extrapolation, through ``polish``
     when given, which puts it into the program's feasible set: Z -> (Z, report
     fields), whose fields join the loop's and the debug line. All rules depend
     only on the iterates, so runs are bit-reproducible. ``context`` is appended
@@ -375,7 +380,9 @@ def _consensus_admm(blocks, Z0, onto, config, polish=None, context=""):
     """
     N = len(blocks)
     dim = Z0.shape[0]
-    rho = config.rho
+    rho = 1.0
+    eps_rel = config.eps_rel
+    eps_abs = 0.01 * eps_rel
     x = np.zeros((N + 1,) + Z0.shape)
     x[0] = Z0
     aa = _Anderson(x.size)
@@ -387,8 +394,8 @@ def _consensus_admm(blocks, Z0, onto, config, polish=None, context=""):
     converged = False
     for it in range(1, config.max_iterations + 1):  # max_iterations >= 1
         fx, r_norm, s_norm = _admm_map(x, blocks, rho, onto)
-        eps_pri = config.eps_abs * dim + config.eps_rel * float(np.linalg.norm(fx[0]))
-        eps_dual = config.eps_abs * dim + config.eps_rel * rho * float(np.linalg.norm(fx[1:]))
+        eps_pri = eps_abs * dim + eps_rel * float(np.linalg.norm(fx[0]))
+        eps_dual = eps_abs * dim + eps_rel * rho * float(np.linalg.norm(fx[1:]))
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
@@ -406,7 +413,7 @@ def _consensus_admm(blocks, Z0, onto, config, polish=None, context=""):
             x = fx if step is None else step.reshape(fx.shape)
         candidate = x is not f_ref
         if it % _BALANCE_EVERY == 0:
-            target = _balanced_rho(rho, config.rho, r_ref, s_ref,
+            target = _balanced_rho(rho, r_ref, s_ref,
                                    float(np.linalg.norm(f_ref[0])),
                                    float(np.linalg.norm(f_ref[1:])))
             if target is not None:
@@ -478,10 +485,26 @@ def aronow_samii_slack(A, omega):
     return generalized_as_slack(A, omega, np.eye(len(A)))
 
 
+def _power_of_two(x):
+    """The power of two nearest |x| on a log scale: dividing by it is exact,
+    and that of 2^k x is exactly 2^k times that of x."""
+    return math.ldexp(1.0, math.frexp(math.sqrt(2.0) * x)[1] - 1)
+
+
 def _unit(M):
-    """The power of two nearest (on a log scale) the mean variance tr(M) / dim,
-    so M / unit is exact and 2^k M has exactly 2^k times M's unit."""
-    return math.ldexp(1.0, math.frexp(math.sqrt(2.0) * np.trace(M) / len(M))[1] - 1)
+    """The power of two nearest the mean variance tr(M) / dim."""
+    return _power_of_two(np.trace(M) / len(M))
+
+
+def _on_unit(objective):
+    """The objective with every weight divided by the power of two nearest
+    sum(weight * s), s = ``_unit(W)`` for a targeted term and 1 otherwise:
+    the same argmin, and bitwise the same blocks for every weight and W
+    scaled by 2^k (OSQP's cost scaling, Stellato et al. 2020, 5.1)."""
+    g = sum(weight * (_unit(term.W) if isinstance(term, TargetedTerm) else 1.0)
+            for weight, term in objective.terms)
+    scale = _power_of_two(g)
+    return Objective(terms=tuple((weight / scale, term) for weight, term in objective.terms))
 
 
 def _repair(Z, ks, ls, rows, cols):
@@ -511,9 +534,11 @@ def solve_optvb(problem, objective, config=None):
     Consensus ADMM over the blocks of ``_objective_blocks`` (the positive
     semidefinite cone and the objective terms, with Frobenius² folded into
     one of them); the unobservable entries are fixed to -A in the consensus
-    step. The loop runs on A / c, c = ``_unit(A)`` a power of two, so rho, its
-    clip and both stopping thresholds see no units (the reported residuals are
-    those of A / c); it stops on its residuals alone, and ``_repair`` makes c
+    step. The loop runs on A / c, c = ``_unit(A)`` a power of two, with the
+    weights on a unit (``_on_unit``), so rho, its clip and both stopping
+    thresholds see neither the units of A nor those of the objective (the
+    reported residuals are those of A / c; the objective value is that of the
+    caller's weights); it stops on its residuals alone, and ``_repair`` makes c
     times its slack PSD up to rounding and keeps the omega entries bitwise -A.
     """
     config = config or SolverConfig()
@@ -528,7 +553,7 @@ def solve_optvb(problem, objective, config=None):
     unit = _unit(A)
     ks, ls, rows, cols = _omega_index(problem.omega, len(A))
     S0 = _pairwise_slack(A, ks, ls, np.ones(len(A))) / unit  # refuses an infeasible omega
-    blocks = _objective_blocks(objective, A / unit, unit)
+    blocks = _objective_blocks(_on_unit(objective), A / unit, unit)
     values = -A[rows, cols] / unit
 
     def onto(Z):
@@ -615,7 +640,7 @@ def test_admissibility(S, omega, config=None):
 
     T <= S forces the null space of S into that of T, so every feasible T is
     R X R^T with S = R R^T (R = V_r Lambda_r^(1/2) over the r eigenvalues of S
-    above tol = feasibility_tol * ||S||_F) and 0 <= X <= I_r. The
+    above tol = ``FEASIBILITY_TOL`` * ||S||_F) and 0 <= X <= I_r. The
     program is solved in X: minimize <L, X>, L = Lambda_r / lambda_max, over
     that box, subject to the omega entries of R X R^T, by consensus ADMM with
     one block, the prox of <L, .> plus the box indicator, which is the r x r
@@ -636,7 +661,7 @@ def test_admissibility(S, omega, config=None):
     config = config or SolverConfig()
     S = linalg.check_symmetric(S, name="S")
     ks, ls, rows, cols = _omega_index(omega, len(S))
-    tol = config.feasibility_tol * float(np.linalg.norm(S))
+    tol = FEASIBILITY_TOL * float(np.linalg.norm(S))
     w, Q = linalg._eigh(S)
     if w.size and w[0] < -tol:
         raise NotASlackMatrix(
@@ -664,7 +689,7 @@ def test_admissibility(S, omega, config=None):
         # every feasible T is within tol of 0, and T = S is feasible
         log.debug("admissibility in closed form%s", context)
         loop = dict(iterations=0, primal_residual=0.0, dual_residual=0.0, converged=True,
-                    rho_changes=0, final_rho=config.rho)
+                    rho_changes=0, final_rho=1.0)
         witness = S.copy()
     # the slice fixes the omega entries of R X R^T, which differ from the
     # caller's by at most the dropped eigenvalues
@@ -816,7 +841,7 @@ class BoundValidation:
         return asdict(self)
 
 
-def validate_bound(A, B, omega, tol=1e-7):
+def validate_bound(A, B, omega, tol=FEASIBILITY_TOL):
     """Check conservativeness (B - A positive semidefinite) and design
     compatibility (B vanishes on every unobservable pair), each within
     tol * max(||A||_F, ||B||_F), so the verdicts do not depend on units."""

@@ -18,7 +18,13 @@ from varbound import (
 )
 from varbound.errors import Infeasible, MaxIterations
 from varbound.experiment import REGRESSION_RCOND
-from varbound.solver import _consensus_admm, _omega_index, _refuse_pinned_diagonal, _unit
+from varbound.solver import (
+    FEASIBILITY_TOL,
+    _consensus_admm,
+    _omega_index,
+    _refuse_pinned_diagonal,
+    _unit,
+)
 
 # reference matrices for the two-voter example: one of two units is targeted
 # at random, the other is indirectly exposed through their tie
@@ -214,7 +220,7 @@ def ref_admissibility(S, omega, config=None):
     Returns (alpha, witness, admissible)."""
     config = config or SolverConfig()
     S = linalg.check_symmetric(S)
-    tol = config.feasibility_tol * float(np.linalg.norm(S))
+    tol = FEASIBILITY_TOL * float(np.linalg.norm(S))
     assert linalg.min_eigenvalue(S) >= -tol
     trace_S = float(np.trace(S))
     unit = _unit(S)
@@ -236,7 +242,7 @@ def ref_admissibility(S, omega, config=None):
         raise MaxIterations("reference admissibility program did not converge")
     # the residual stop alone leaves the witness in the sandwich, within the
     # solve's own tolerance on the scaled problem
-    gap = config.feasibility_tol * max(1.0, float(np.linalg.norm(S_hat)))
+    gap = FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(S_hat)))
     assert linalg.min_eigenvalue(Z) >= -gap
     assert linalg.min_eigenvalue(S_hat - Z) >= -gap
     witness = unit * Z

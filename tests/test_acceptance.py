@@ -41,7 +41,7 @@ from conftest import (
     random_scenario,
 )
 
-TIGHT = SolverConfig(eps_abs=1e-11, eps_rel=1e-9, max_iterations=400_000)
+TIGHT = SolverConfig(eps_rel=1e-9, max_iterations=400_000)
 
 
 @contextmanager

@@ -16,7 +16,7 @@ from varbound import (
 from varbound import test_admissibility as admissibility_of
 from conftest import random_scenario
 
-CONFIG = SolverConfig(eps_abs=1e-10, eps_rel=1e-8, max_iterations=200_000)
+CONFIG = SolverConfig(eps_rel=1e-8, max_iterations=200_000)
 
 
 def reference_solve(A, omega, objective):

@@ -145,7 +145,7 @@ class TestHtBoundEstimate:
 class TestUnbiasedness:
     def test_enumerable_scenarios(self):
         rng = np.random.default_rng(8)
-        config = SolverConfig(eps_abs=1e-11, eps_rel=1e-9)
+        config = SolverConfig(eps_rel=1e-9)
         for _ in range(4):
             design, model, spec = random_scenario(rng)
             problem, table = build_variance_problem(design, model, spec)
@@ -163,7 +163,7 @@ class TestUnbiasedness:
     def test_conservative_in_expectation(self):
         # expected estimate covers the true estimator variance
         rng = np.random.default_rng(9)
-        config = SolverConfig(eps_abs=1e-11, eps_rel=1e-9)
+        config = SolverConfig(eps_rel=1e-9)
         for _ in range(3):
             design, model, spec = random_scenario(rng)
             problem, table = build_variance_problem(design, model, spec)

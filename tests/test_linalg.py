@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varbound import linalg
-from varbound.errors import AsymmetricInput, DimensionMismatch
+from varbound.errors import AsymmetricInput, DimensionMismatch, NonFiniteInput
+from varbound.experiment import VarianceProblem
 from varbound.solver import Objective, _objective_blocks, validate_bound
-from conftest import A_ILLU, B_MINNORM, B_PAIRWISE, U_VEC
+from varbound.solver import test_admissibility as admissibility_of
+from conftest import A_ILLU, B_MINNORM, B_PAIRWISE, OMEGA_ILLU, U_VEC
 
 
 def random_symmetric(rng, dim, scale=1.0):
@@ -65,6 +67,23 @@ class TestEigenSystem:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             linalg.check_symmetric(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN compares false to every bound, so no skew or eigenvalue test
+        # catches it: it must be refused before them
+        M = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(NonFiniteInput, match=r"S has a non-finite entry .* at \(0, 1\)"):
+            admissibility_of(M, {(0, 1)})
+        big = A_ILLU.copy()
+        big[1, 1] = bad
+        with pytest.raises(NonFiniteInput, match="B has"):
+            validate_bound(A_ILLU, big, OMEGA_ILLU)
+        with pytest.raises(NonFiniteInput, match="A has"):
+            validate_bound(big, B_MINNORM, OMEGA_ILLU)
+        with pytest.raises(NonFiniteInput, match="A has"):
+            VarianceProblem(n=2, A=big, omega=OMEGA_ILLU)
+        assert not issubclass(NonFiniteInput, AsymmetricInput)
 
 
 class TestProjectPsd:

@@ -437,7 +437,7 @@ class TestScenarioParsing:
                      "W": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
                 ]
             },
-            "solver": {"rho": 2.0, "max_iterations": 1000},
+            "solver": {"eps_rel": 1e-6, "max_iterations": 1000},
         }
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
@@ -445,7 +445,7 @@ class TestScenarioParsing:
         weights = [w for w, _ in scn.objective.terms]
         assert weights == [1.0, 0.01, 0.5]
         assert math.isinf(scn.objective.terms[0][1].p)
-        assert scn.solver.rho == 2.0
+        assert scn.solver.eps_rel == 1e-6
         assert scn.solver.max_iterations == 1000
 
     def test_unknown_solver_key_flagged(self, tmp_path):
@@ -462,18 +462,34 @@ class TestScenarioParsing:
             parse_scenario(path)
         assert any(ptr == "/solver/momentum" for ptr, _ in info.value.findings)
 
+    @pytest.mark.parametrize("key", ["rho", "eps_abs", "feasibility_tol"])
+    def test_removed_solver_keys_are_unknown(self, tmp_path, key):
+        # rho starts at 1, eps_abs is 0.01 eps_rel and the rank cut is fixed
+        doc = {
+            "n": 2,
+            "design": {"kind": "bernoulli", "p": 0.5},
+            "exposure": {"rule": "identity"},
+            "estimator": {"kind": "horvitz-thompson"},
+            "solver": {key: 1e-9, "eps_rel": 1e-9},
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(path)
+        assert info.value.findings == [(f"/solver/{key}", "unknown solver option")]
+
     @pytest.mark.parametrize("patch, pointer", [
         ({"mode": {"kind": "mc", "count": 0}}, "/mode/count"),
         ({"mode": {"kind": "mc", "count": "many"}}, "/mode/count"),
         ({"mode": {"kind": "mc", "count": 100, "seed": -1}}, "/mode/seed"),
-        ({"solver": {"rho": 0}}, "/solver"),
+        ({"solver": {"rho": 0}}, "/solver/rho"),
         ({"solver": {"rho": "abc"}}, "/solver/rho"),
         ({"solver": {"max_iterations": 2.7}}, "/solver/max_iterations"),
         ({"solver": {"max_iterations": True}}, "/solver/max_iterations"),
         ({"solver": {"max_iterations": "3"}}, "/solver/max_iterations"),
         ({"solver": {"max_iterations": 0}}, "/solver/max_iterations"),
         ({"solver": {"rho": True}}, "/solver/rho"),
-        ({"solver": {"eps_abs": "1e-9"}}, "/solver/eps_abs"),
+        ({"solver": {"eps_rel": "1e-9"}}, "/solver/eps_rel"),
         ({"objective": [1]}, "/objective"),
         ({"objective": {"terms": [1]}}, "/objective/terms/0"),
         ({"realized": {"z": [1, 0], "outcomes": [1, 2]}}, "/realized/outcomes"),
@@ -507,7 +523,7 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("patch, pointer", [
         ({"threshold_c": math.nan}, "/threshold_c"),
         ({"threshold_c": math.inf}, "/threshold_c"),
-        ({"solver": {"eps_abs": math.inf}}, "/solver"),
+        ({"solver": {"eps_rel": math.inf}}, "/solver"),
         ({"estimator": {"kind": "ols", "covariates": [[1.0], [math.inf]]}},
          "/estimator/covariates"),
         ({"objective": {"terms": [{"weight": 1.0, "term": "targeted",
@@ -536,13 +552,13 @@ class TestScenarioParsing:
             "design": {"kind": "bernoulli", "p": 0.5},
             "exposure": {"rule": "identity"},
             "estimator": {"kind": "horvitz-thompson"},
-            "solver": {"max_iterations": 300.0, "rho": 2},
+            "solver": {"max_iterations": 300.0, "eps_rel": 1},
         }
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         solver = parse_scenario(path).solver
         assert solver.max_iterations == 300 and type(solver.max_iterations) is int
-        assert solver.rho == 2.0
+        assert solver.eps_rel == 1.0 and type(solver.eps_rel) is float
 
     def test_covariates_from_csv_json_or_inline_agree(self, tmp_path):
         # n = 6, m = 3: Lin's six regressors are identified under every
@@ -1071,6 +1087,35 @@ class TestCli:
         assert metrics["empirical_mse_at_theta"] == r_covariance_opnorm(
             scn.design, scn.model, B, table, theta=scn.theta).empirical_mse
         assert metrics["empirical_mse_at_theta"] > 0.0
+
+    def test_estimate_reports_the_estimation_gamma(self, tmp_path, capsys):
+        # outcome 1 + i at unit i: the plug-in outcome scale is n
+        n = 6
+        doc = _identity_estimate_doc(n, [1, 0] * 3, {"kind": "exact"})
+        scn, table, B, metrics = _estimate_with_bound(tmp_path, capsys, doc)
+        diag = r_covariance_opnorm(scn.design, scn.model, B, table)
+        assert metrics["sup_theta_observed"] == float(n)
+        assert metrics["estimation_gamma_plugin"] == estimation.estimation_gamma(diag, n)
+        assert metrics["estimation_gamma_plugin"] == diag.opnorm_cov_R * n > 0.0
+
+    def test_estimate_with_all_zero_outcomes_warns(self, tmp_path, capsys):
+        doc = _identity_estimate_doc(4, [1, 0, 0, 1], {"kind": "exact"})
+        doc["realized"]["outcomes"] = dict.fromkeys(doc["realized"]["outcomes"], 0.0)
+        with pytest.warns(RuntimeWarning, match="estimation gamma is zero"):
+            _, _, _, metrics = _estimate_with_bound(tmp_path, capsys, doc)
+        assert metrics["sup_theta_observed"] == 0.0
+        assert metrics["estimation_gamma_plugin"] == 0.0
+
+    def test_bound_on_the_shipped_targeted_scenario_is_the_closed_form(self, tmp_path):
+        # Omega is the within-unit pairs and W is diagonal, so the optimum is
+        # A + generalized_as_slack(A, Omega, W) (the benchmark's check too)
+        out = tmp_path / "b3"
+        for command in ("probe", "bound"):
+            assert run_cli(command, "-c", "bernoulli3_targeted", "-o", out) == 0
+        A, B = matrixio.read_matrix(out / "A.csv"), matrixio.read_matrix(out / "B.csv")
+        omega = {(k - 1, l - 1) for k, l in json.loads((out / "omega.json").read_text())["pairs"]}
+        W = parse_scenario(builtin_scenario_path("bernoulli3_targeted")).objective.terms[0][1].W
+        assert np.abs(B - (A + solver.generalized_as_slack(A, omega, W))).max() <= 1e-6
 
     def test_seed_flag_overrides_scenario_seed(self, tmp_path):
         doc = {

@@ -1,5 +1,6 @@
 """Bound construction, admissibility testing, closed forms, targeting."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -50,7 +51,7 @@ from conftest import (
     ref_pairwise_slack,
 )
 
-TIGHT = SolverConfig(eps_abs=1e-11, eps_rel=1e-9, max_iterations=200_000)
+TIGHT = SolverConfig(eps_rel=1e-9, max_iterations=200_000)
 WORST_CASE = Objective.composite(
     [(1.0, SchattenTerm(p=math.inf)), (0.01, FrobeniusSquaredTerm())]
 )
@@ -175,10 +176,12 @@ class TestSolveOptvb:
             solve_optvb(illustration["problem"], Objective.schatten(math.inf))
 
     def test_rank_deficient_targeting_alone_is_refused(self, illustration):
-        P = np.zeros((4, 4))
-        P[0, 0] = 1.0
-        with pytest.raises(UnsupportedObjective):
-            solve_optvb(illustration["problem"], Objective.targeted(P))
+        # in any units of the weight and of W
+        for W in (np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([1.0, 2.0, 3.0, 0.0])):
+            for k in (-40, -20, 0, 20, 40):
+                c = math.ldexp(1.0, k)
+                with pytest.raises(UnsupportedObjective, match="strictly monotone"):
+                    solve_optvb(illustration["problem"], Objective.targeted(c * W, c))
 
     def test_max_iterations_carries_best_iterate(self, illustration):
         config = SolverConfig(max_iterations=3)
@@ -233,6 +236,23 @@ class TestSolveOptvb:
                     scaled = VarianceProblem(n=problem.n, A=c * problem.A, omega=problem.omega)
                     res = solve_optvb(scaled, objective)
                     assert np.array_equal(res.S_star, c * base.S_star)
+                    assert res.report.iterations == base.report.iterations
+        # the weights go on a unit too: with every weight and W scaled by 2^k
+        # the loop runs the same program and returns exactly the same S
+        for problem in pool_problems():
+            W = np.diag(np.linspace(1.0, 2.0, len(problem.A)))
+
+            def objectives(c):
+                return (Objective.schatten(1, c), Objective.schatten(2, c),
+                        Objective.targeted(c * W, c),
+                        Objective.composite([(c, SchattenTerm(math.inf)),
+                                             (0.01 * c, FrobeniusSquaredTerm())]))
+
+            bases = [solve_optvb(problem, objective) for objective in objectives(1.0)]
+            for k in (-40, -20, 20, 40):
+                for base, objective in zip(bases, objectives(math.ldexp(1.0, k))):
+                    res = solve_optvb(problem, objective)
+                    assert np.array_equal(res.S_star, base.S_star)
                     assert res.report.iterations == base.report.iterations
 
     def test_limiting_regularization_path(self, illustration):
@@ -509,11 +529,19 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="max_iterations"):
             SolverConfig(max_iterations=value)
 
-    @pytest.mark.parametrize("name", ["rho", "eps_abs", "eps_rel", "feasibility_tol"])
+    @pytest.mark.parametrize("name", ["max_iterations", "eps_rel"])
     @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
     def test_tolerances_and_rho_are_positive_and_finite(self, name, value):
+        # the two fields left; rho starts at 1, eps_abs is 0.01 eps_rel and
+        # the rank cut is the constant FEASIBILITY_TOL
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["rho", "eps_abs", "feasibility_tol"])
+    def test_removed_fields_are_refused(self, name):
+        with pytest.raises(TypeError, match=name):
+            SolverConfig(**{name: 1.0})
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_iterations", "eps_rel"]
 
     def test_integral_float_max_iterations_becomes_int(self):
         config = SolverConfig(max_iterations=40.0)
@@ -630,7 +658,7 @@ class TestAcceleration:
                 assert field in line
         assert lines[0].endswith(f", min_eig_slack {res.report.min_eig_slack:.3e}, "
                                  f"repair_norm {res.report.repair_norm:.3e}")
-        tol = SolverConfig().feasibility_tol * max(1.0, float(np.linalg.norm(res.S_star)))
+        tol = solver_module.FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(res.S_star)))
         rank = int(np.sum(np.linalg.eigvalsh(res.S_star) > tol))
         assert verdict.slack_rank == rank
         omega_size = len(illustration["problem"].omega)
@@ -726,25 +754,26 @@ class TestRhoBalancing:
             assert float(final) == pytest.approx(report.final_rho, rel=1e-2)
             assert 1e-2 <= report.final_rho <= 1e2
         assert res.report.rho_changes >= 1
-        assert res.report.final_rho != SolverConfig().rho
+        assert res.report.final_rho != 1.0  # the starting rho
 
     def test_balanced_rho_rule(self):
         rule = solver_module._balanced_rho
         # rho * sqrt((r / ||Z||) / (s / (rho ||U||))) = 2 * sqrt(0.4 / 0.025)
-        assert rule(2.0, 1.0, 4.0, 1.0, 10.0, 20.0) == pytest.approx(8.0)
+        assert rule(2.0, 4.0, 1.0, 10.0, 20.0) == pytest.approx(8.0)
         # unit-free: Z and r, or U and s, in other units give the same rho
-        assert rule(2.0, 1.0, 4e3, 1e-3, 1e4, 2e-2) == pytest.approx(8.0)
+        assert rule(2.0, 4e3, 1e-3, 1e4, 2e-2) == pytest.approx(8.0)
         # no move within a factor 2 of rho
-        assert rule(2.0, 1.0, 1.0, 1.0, 10.0, 20.0) is None
-        # clipped to 100 times the starting rho either side
-        assert rule(2.0, 1.0, 1e6, 1.0, 1.0, 1.0) == 100.0
-        assert rule(2.0, 3.0, 1.0, 1e6, 1.0, 1.0) == pytest.approx(0.03)
-        assert rule(100.0, 1.0, 1e6, 1.0, 1.0, 1.0) is None
+        assert rule(2.0, 1.0, 1.0, 10.0, 20.0) is None
+        # clipped to [0.01, 100], 100 times the starting rho 1 either side
+        assert rule(2.0, 1e6, 1.0, 1.0, 1.0) == 100.0
+        assert rule(2.0, 1.0, 1e6, 1.0, 1.0) == 0.01
+        assert rule(100.0, 1e6, 1.0, 1.0, 1.0) is None
+        assert rule(0.01, 1.0, 1e6, 1.0, 1.0) is None
         # nothing moves when a norm is 0
         for zero in range(4):
             norms = [1e6, 1.0, 1.0, 1.0]
             norms[zero] = 0.0
-            assert rule(2.0, 1.0, *norms) is None
+            assert rule(2.0, *norms) is None
 
 
 def bumped(S):
@@ -775,7 +804,7 @@ def check_against_oracle(S, omega, reference=None):
     The verdicts agree, the witness lies in the sandwich 0 <= T <= S within
     tol and carries S's omega entries exactly, repeated runs are bitwise equal,
     and alpha agrees with the reference within 2e-6 tr S; tol is
-    feasibility_tol ||S||_F, so both gates read the same in every unit of S.
+    FEASIBILITY_TOL ||S||_F, so both gates read the same in every unit of S.
     A singular S leaves the sandwich no strictly feasible point, so a witness
     that leaves it by v can gain up to about sqrt(v ||S||_F) in trace. The
     reference's witness may sit its whole tolerance outside; the library
@@ -791,7 +820,7 @@ def check_against_oracle(S, omega, reference=None):
     alpha_ref, witness_ref, admissible_ref = reference or ref_admissibility(S, omega)
     assert verdict.admissible == admissible_ref
     W = verdict.witness
-    tol = SolverConfig().feasibility_tol * float(np.linalg.norm(S))
+    tol = solver_module.FEASIBILITY_TOL * float(np.linalg.norm(S))
     assert linalg.min_eigenvalue(W) >= -tol
     assert linalg.min_eigenvalue(S - W) >= -tol
     _, _, rows, cols = solver_module._omega_index(omega, len(S))
@@ -838,7 +867,7 @@ class TestRangeSpaceAdmissibility:
             base = admissibility_of(S, omega)
             verdict = admissibility_of(scale * S, omega)  # no MaxIterations
             assert verdict.admissible == base.admissible
-            tol = SolverConfig().feasibility_tol * scale * float(np.linalg.norm(S))
+            tol = solver_module.FEASIBILITY_TOL * scale * float(np.linalg.norm(S))
             assert sandwich_violation(scale * S, verdict.witness) <= tol, (i, kind)
             # alpha agrees to the solver's relative stopping tolerance
             gate = SolverConfig().eps_rel * np.trace(S)
@@ -883,7 +912,7 @@ class TestRangeSpaceAdmissibility:
                 verdict, stopped = error.result, stopped + 1
             if verdict.slack_rank:
                 assert -1e-12 <= exits[-1][0] and exits[-1][-1] <= 1.0 + 1e-12, (i, kind)
-            tol = SolverConfig().feasibility_tol * max(1.0, float(np.linalg.norm(S)))
+            tol = solver_module.FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(S)))
             reach = linalg.eigenvalues(S)[-1] * verdict.report.primal_residual
             violation = sandwich_violation(S, verdict.witness)
             assert violation <= reach + tol, (i, kind)
@@ -918,7 +947,7 @@ class TestRangeSpaceAdmissibility:
         w, Q = np.linalg.eigh(clean)
         null = Q[:, np.abs(w) <= 1e-9]
         assert 0 < null.shape[1] < 4
-        tol = SolverConfig().feasibility_tol * max(1.0, float(np.linalg.norm(clean)))
+        tol = solver_module.FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(clean)))
         S = linalg.symmetrize(clean + sign * 0.3 * tol * null @ null.T)
         verdict, outside = check_against_oracle(S, problem.omega)
         assert not outside
@@ -1125,7 +1154,7 @@ class TestExactlyValidOutputs:
     positive semidefinite up to rounding, carries -A bitwise on omega, and
     costs at most 1e-6 relative in objective against a tight solve."""
 
-    TIGHT_STOP = SolverConfig(eps_rel=1e-10, eps_abs=1e-12, max_iterations=200_000)
+    TIGHT_STOP = SolverConfig(eps_rel=1e-10, max_iterations=200_000)
 
     def check_valid(self, problem, objective):
         res = solve_optvb(problem, objective)
@@ -1176,7 +1205,7 @@ class TestExactlyValidOutputs:
     def test_repair_keeps_admissibility_cheap(self):
         # the composite of mc-solve's job 13 at workload seed 3003: shifting
         # the slack by delta I, delta = -lambda_min, lifted its null space to
-        # about 6e-7, right at the rank cut feasibility_tol * max(1, ||S||_F),
+        # about 6e-7, right at the rank cut FEASIBILITY_TOL * max(1, ||S||_F),
         # and the admissibility test then ran to 50,000 map evaluations; after
         # the repair it takes 27
         problem = ring_ht_problem(40, 20_000, 2176654626)
